@@ -12,14 +12,12 @@ from .complexity import (FiniteHypothesisSet, LabelTable, LinearPredictorClass,
                          rademacher_spo_mc)
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, ViolationReport,
-                       count_extreme_points, covering_count,
-                       covering_count_log, dual_norm, linopt_gap,
-                       linopt_oracle, region_from_dict, region_from_json,
-                       region_radius, verify_optimality_condition,
-                       verify_strong_convexity)
-from .harness import (ExperimentConfig, LipschitzAuditReport, TrialRecord,
-                      default_suite, fit_least_squares, generate_sample,
-                      run_bound_validity, run_lipschitz_audit, true_risk_mc)
+                       covering_count, covering_count_log, dual_norm,
+                       region_from_dict, region_from_json,
+                       verify_optimality_condition, verify_strong_convexity)
+from .harness import (ExperimentConfig, LipschitzAuditReport, RiskEvaluator,
+                      TrialRecord, default_suite, fit_least_squares,
+                      generate_sample, run_bound_validity, run_lipschitz_audit)
 from .losses import (LabeledSample, MarginParams, empirical_risk,
                      hard_margin_spo_loss, margin_spo_loss, spo_loss)
 
@@ -29,18 +27,17 @@ __all__ = [
     "BoundInputs", "BoundReport", "CostDomain", "DagPathPolytope",
     "ExperimentConfig", "FeasibleRegion", "FiniteHypothesisSet",
     "LabelTable", "LabeledSample", "LinearPredictorClass",
-    "LipschitzAuditReport", "LqBall", "MarginParams", "TrialRecord",
-    "UnitSimplex", "VertexPolytope", "ViolationReport",
+    "LipschitzAuditReport", "LqBall", "MarginParams", "RiskEvaluator",
+    "TrialRecord", "UnitSimplex", "VertexPolytope", "ViolationReport",
     "bound_covering", "bound_linear_polyhedral", "bound_margin",
     "bound_margin_uniform", "bound_natarajan", "bound_rademacher",
-    "count_extreme_points", "count_restrictions", "covering_count",
-    "covering_count_log", "default_suite", "dual_norm", "empirical_risk",
-    "evaluate", "evaluate_all", "fit_least_squares", "generate_sample",
-    "hard_margin_spo_loss", "linear_class_rad_bound", "linopt_gap",
-    "linopt_oracle", "margin_rad_bound", "margin_spo_loss", "massart_bound",
-    "natarajan_dim_bruteforce", "oracle_label_table",
-    "rademacher_multivariate_mc", "rademacher_spo_mc", "region_from_dict",
-    "region_from_json", "region_radius", "run_bound_validity",
-    "run_lipschitz_audit", "spo_loss", "true_risk_mc",
-    "verify_optimality_condition", "verify_strong_convexity",
+    "count_restrictions", "covering_count", "covering_count_log",
+    "default_suite", "dual_norm", "empirical_risk", "evaluate",
+    "evaluate_all", "fit_least_squares", "generate_sample",
+    "hard_margin_spo_loss", "linear_class_rad_bound", "margin_rad_bound",
+    "margin_spo_loss", "massart_bound", "natarajan_dim_bruteforce",
+    "oracle_label_table", "rademacher_multivariate_mc", "rademacher_spo_mc",
+    "region_from_dict", "region_from_json", "run_bound_validity",
+    "run_lipschitz_audit", "spo_loss", "verify_optimality_condition",
+    "verify_strong_convexity",
 ]

@@ -4,11 +4,15 @@ Four region kinds are supported: an explicit vertex polytope, the unit
 simplex, the path polytope of a DAG (decision vector indexed by arcs), and
 lq balls for q in (1, 2].  Every region exposes the same operations:
 
-* ``linopt(c)``        -- deterministic minimizer of ``c @ w`` over the region
-* ``gap(c)``           -- max minus min of ``c @ w`` over the region
+* ``linopt_batch(C)``  -- deterministic minimizer of ``c @ w`` over the region,
+  one row per cost row
+* ``gap_batch(C)``     -- max minus min of ``c @ w`` over the region, per row
 * ``radius(q)``        -- sup of the lq norm over the region
 * ``extreme_point_count()``
 * ``sample(rng)``      -- a feasible point
+
+The batch oracles are the only implementations; ``linopt(c)`` and ``gap(c)``
+validate one cost vector and return row 0 of the one-row batch.
 
 Tie-breaking is fixed so the oracle is a deterministic mapping: vertex
 regions pick the lowest vertex index, the DAG oracle picks the
@@ -156,20 +160,20 @@ class FeasibleRegion:
             raise ValueError("cost batch has non-finite entries")
         return C
 
-    # -- operations implemented by subclasses
+    # -- the oracle: subclasses implement the batch forms; a single cost
+    # vector is a one-row batch
     def linopt(self, c) -> np.ndarray:
-        raise NotImplementedError
-
-    def linopt_batch(self, C) -> np.ndarray:
-        C = self._check_cost_batch(C)
-        return np.stack([self.linopt(row) for row in C])
+        return self.linopt_batch(self._check_cost(c)[None, :])[0]
 
     def gap(self, c) -> float:
+        return float(self.gap_batch(self._check_cost(c)[None, :])[0])
+
+    # -- operations implemented by subclasses
+    def linopt_batch(self, C) -> np.ndarray:
         raise NotImplementedError
 
     def gap_batch(self, C) -> np.ndarray:
-        C = self._check_cost_batch(C)
-        return np.array([self.gap(row) for row in C])
+        raise NotImplementedError
 
     def radius(self, q: float = 2.0) -> float:
         raise NotImplementedError
@@ -216,28 +220,16 @@ class VertexPolytope(FeasibleRegion):
             raise ValueError("vertices must be a non-empty list of equal-length vectors")
         if not np.all(np.isfinite(V)):
             raise ValueError("vertices must be finite")
-        seen = set()
-        for row in V:
-            key = row.tobytes()
-            if key in seen:
-                raise ValueError("duplicate vertices are not allowed")
-            seen.add(key)
+        if len({row.tobytes() for row in V}) < V.shape[0]:
+            raise ValueError("duplicate vertices are not allowed")
         super().__init__(V.shape[1], mu)
         self.vertices = V
-
-    def linopt(self, c) -> np.ndarray:
-        c = self._check_cost(c)
-        return self.linopt_batch(c[None, :])[0]
 
     def linopt_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
         scores = C @ self.vertices.T
         # argmin takes the lowest vertex index on ties
         return self.vertices[np.argmin(scores, axis=1)].copy()
-
-    def gap(self, c) -> float:
-        c = self._check_cost(c)
-        return float(self.gap_batch(c[None, :])[0])
 
     def gap_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
@@ -275,21 +267,11 @@ class UnitSimplex(FeasibleRegion):
     def __init__(self, dim: int):
         super().__init__(dim, None)
 
-    def linopt(self, c) -> np.ndarray:
-        c = self._check_cost(c)
-        w = np.zeros(self.dim)
-        w[int(np.argmin(c))] = 1.0
-        return w
-
     def linopt_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
         W = np.zeros_like(C)
         W[np.arange(C.shape[0]), np.argmin(C, axis=1)] = 1.0
         return W
-
-    def gap(self, c) -> float:
-        c = self._check_cost(c)
-        return float(c.max() - c.min())
 
     def gap_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
@@ -353,10 +335,14 @@ class DagPathPolytope(FeasibleRegion):
         for idx, (t, h) in enumerate(arcs):
             self._adj[t].append((idx, h))
         self._topo = self._topological_order()
-        self._reaches_sink = self._reach_mask()
+        paths_to_sink = self._count_paths()
+        self._reaches_sink = [count > 0 for count in paths_to_sink]
         if not self._reaches_sink[self.source]:
             raise ValueError("no source->sink path exists")
-        self._path_count = self._count_paths()
+        self._path_count = paths_to_sink[self.source]
+        # per node, (arc indices, heads) of its arcs into sink-reaching nodes
+        self._out = [np.array([a for a in adj if self._reaches_sink[a[1]]],
+                              dtype=np.intp).reshape(-1, 2).T for adj in self._adj]
 
     def _topological_order(self) -> list[int]:
         indeg = [0] * self.nodes
@@ -375,68 +361,59 @@ class DagPathPolytope(FeasibleRegion):
             raise ValueError("graph has a cycle")
         return order
 
-    def _reach_mask(self) -> list[bool]:
-        reach = [False] * self.nodes
-        reach[self.sink] = True
-        for v in reversed(self._topo):
-            if not reach[v]:
-                reach[v] = any(reach[h] for _, h in self._adj[v])
-        return reach
-
-    def _count_paths(self) -> int:
+    def _count_paths(self) -> list[int]:
+        """Number of paths from each node to the sink."""
         count = [0] * self.nodes
         count[self.sink] = 1
         for v in reversed(self._topo):
             if v != self.sink:
                 count[v] = sum(count[h] for _, h in self._adj[v])
-        return count[self.source]
+        return count
 
-    def _path_costs(self, c: np.ndarray, maximize: bool) -> np.ndarray:
-        """Best source->sink cost continuing from each node (inf/-inf if none)."""
-        worst = -math.inf if maximize else math.inf
-        dist = np.full(self.nodes, worst)
-        dist[self.sink] = 0.0
+    def _path_costs(self, C: np.ndarray, maximize: bool) -> np.ndarray:
+        """Best cost from each node to the sink, one row per cost row
+        (inf/-inf where no path continues)."""
+        best = np.max if maximize else np.min
+        dist = np.full((C.shape[0], self.nodes), -math.inf if maximize else math.inf)
+        dist[:, self.sink] = 0.0
         for v in reversed(self._topo):
-            if v == self.sink:
-                continue
-            best = worst
-            for idx, h in self._adj[v]:
-                if not self._reaches_sink[h] and h != self.sink:
-                    continue
-                if not math.isfinite(dist[h]):
-                    continue
-                val = c[idx] + dist[h]
-                if (val > best) if maximize else (val < best):
-                    best = val
-            dist[v] = best
+            idx, heads = self._out[v]
+            if v != self.sink and idx.size:
+                dist[:, v] = best(C[:, idx] + dist[:, heads], axis=1)
         return dist
 
-    def linopt(self, c) -> np.ndarray:
-        c = self._check_cost(c)
-        dist = self._path_costs(c, maximize=False)
-        w = np.zeros(self.dim)
-        v = self.source
-        while v != self.sink:
-            # dist[v] is an exact minimum of these candidate values, so at
-            # least one arc matches exactly; the first match (lowest arc
+    def linopt_batch(self, C) -> np.ndarray:
+        C = self._check_cost_batch(C)
+        dist = self._path_costs(C, maximize=False)
+        W = np.zeros_like(C)
+        at = np.full(C.shape[0], self.source)
+        # forward topological order: every row reaches a node before it
+        # leaves it
+        for v in self._topo:
+            if v == self.sink:
+                continue
+            rows = np.flatnonzero(at == v)
+            # dist[v] is an exact minimum of these candidate values, so each
+            # row matches at least one arc; the first match (lowest arc
             # index) yields the lexicographically smallest arc sequence.
-            for idx, h in self._adj[v]:
-                if math.isfinite(dist[h]) and c[idx] + dist[h] == dist[v]:
-                    w[idx] = 1.0
-                    v = h
+            for idx, h in zip(*self._out[v]):
+                if not rows.size:
                     break
-            else:  # pragma: no cover - unreachable by construction
+                hit = C[rows, idx] + dist[rows, h] == dist[rows, v]
+                W[rows[hit], idx] = 1.0
+                at[rows[hit]] = h
+                rows = rows[~hit]
+            if rows.size:  # pragma: no cover - unreachable by construction
                 raise RuntimeError("optimal-path backtrack failed")
-        return w
+        return W
 
-    def gap(self, c) -> float:
-        c = self._check_cost(c)
-        lo = self._path_costs(c, maximize=False)[self.source]
-        hi = self._path_costs(c, maximize=True)[self.source]
-        return float(hi - lo)
+    def gap_batch(self, C) -> np.ndarray:
+        C = self._check_cost_batch(C)
+        hi = self._path_costs(C, maximize=True)[:, self.source]
+        return hi - self._path_costs(C, maximize=False)[:, self.source]
 
     def radius(self, q: float = 2.0) -> float:
-        longest = self._path_costs(np.ones(self.dim), maximize=True)[self.source]
+        longest = self._path_costs(np.ones((1, self.dim)), maximize=True)[0, self.source]
         if q < 1:
             raise ValueError(f"norm exponent must be >= 1, got {q}")
         if math.isinf(q):
@@ -456,11 +433,10 @@ class DagPathPolytope(FeasibleRegion):
             if v == self.sink:
                 paths.append(list(prefix))
                 return
-            for idx, h in self._adj[v]:
-                if self._reaches_sink[h] or h == self.sink:
-                    prefix.append(idx)
-                    extend(h, prefix)
-                    prefix.pop()
+            for idx, h in self._out[v].T.tolist():
+                prefix.append(idx)
+                extend(h, prefix)
+                prefix.pop()
 
         extend(self.source, [])
         return paths
@@ -482,8 +458,7 @@ class DagPathPolytope(FeasibleRegion):
         path: list[int] = []
         v = self.source
         while v != self.sink:
-            options = [(idx, h) for idx, h in self._adj[v]
-                       if self._reaches_sink[h] or h == self.sink]
+            options = self._out[v].T.tolist()
             idx, v = options[int(rng.integers(len(options)))]
             path.append(idx)
         return path
@@ -552,10 +527,6 @@ class LqBall(FeasibleRegion):
         """The 1-D region [-half_width, +half_width]."""
         return cls(q=2.0, radius=half_width, center=[0.0], mu=mu)
 
-    def linopt(self, c) -> np.ndarray:
-        c = self._check_cost(c)
-        return self.linopt_batch(c[None, :])[0]
-
     def linopt_batch(self, C) -> np.ndarray:
         # Hoelder equality direction: the minimizer sits on the boundary
         # opposite the unit-q-norm maximizer of c @ u
@@ -573,10 +544,6 @@ class LqBall(FeasibleRegion):
         U /= norms[:, None]
         U[m == 0] = 0.0
         return self.center - self.ball_radius * U
-
-    def gap(self, c) -> float:
-        c = self._check_cost(c)
-        return float(self.gap_batch(c[None, :])[0])
 
     def gap_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
@@ -653,29 +620,6 @@ def region_from_dict(data: dict) -> FeasibleRegion:
 
 def region_from_json(text: str) -> FeasibleRegion:
     return region_from_dict(json.loads(text))
-
-
-# ---------------------------------------------------------------------------
-# free-function entry points
-# ---------------------------------------------------------------------------
-
-def linopt_oracle(region: FeasibleRegion, c) -> np.ndarray:
-    """Deterministic minimizer of ``c @ w`` over the region."""
-    return region.linopt(c)
-
-
-def linopt_gap(region: FeasibleRegion, c) -> float:
-    """max minus min of ``c @ w`` over the region."""
-    return region.gap(c)
-
-
-def region_radius(region: FeasibleRegion, q: float = 2.0) -> float:
-    """sup of the lq norm over the region."""
-    return region.radius(q)
-
-
-def count_extreme_points(region: FeasibleRegion) -> int:
-    return region.extreme_point_count()
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,17 @@ from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, dual_norm_rows,
                        region_from_dict, vector_norm_rows)
 from .losses import (LabeledSample, MarginParams, empirical_risk,
-                     margin_spo_loss_batch, predict_batch, spo_loss_batch)
+                     margin_spo_loss_batch, predict_batch)
 
 GENERATOR_NOTE = "gaussian-linear synthetic generator (artifact choice; not prescribed by the theory)"
 
 _STREAM_SAMPLE = 1
 _STREAM_RISK = 2
 _STREAM_AUDIT = 3
+
+#: the keys ``ExperimentConfig.to_dict`` writes and ``from_dict`` reads
+_CONFIG_KEYS = {"region", "cost_domain", "b_star", "noise", "feature_dist", "n",
+                "trials", "delta", "gamma_grid", "beta", "m_fresh", "seed"}
 
 
 @dataclass(eq=False)
@@ -122,6 +126,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = set(data) - _CONFIG_KEYS
+        if unknown:
+            raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
         region = region_from_dict(data["region"])
         return cls(
             region=region,
@@ -187,24 +194,9 @@ def clip_frobenius(B: np.ndarray, beta: float) -> np.ndarray:
     return B * (beta / norm)
 
 
-def true_risk_mc(region: FeasibleRegion, predictor, config: ExperimentConfig,
-                 m_fresh: int = 100_000, seed: int = 0) -> tuple[float, float]:
-    """Fresh-sample Monte-Carlo estimate of the expected decision loss.
-
-    Returns ``(estimate, std_error)``.
-    """
-    if m_fresh < 1:
-        raise ValueError("m_fresh must be >= 1")
-    rng = substream(config.seed, _STREAM_RISK, seed)
-    X, C = _draw_pairs(config, rng, m_fresh)
-    losses = spo_loss_batch(region, predict_batch(predictor, X), C)
-    est = float(losses.mean())
-    se = 0.0 if m_fresh < 2 else float(losses.std(ddof=1) / math.sqrt(m_fresh))
-    return est, se
-
-
 class RiskEvaluator:
-    """One fresh evaluation sample shared by every trial of a run.
+    """Fresh-sample Monte-Carlo estimator of the expected decision loss, on
+    one evaluation sample shared by every trial of a run.
 
     The sample is independent of all training draws (separate stream), so
     each trial's estimate stays an unbiased fresh-sample MC estimate of its
@@ -221,6 +213,7 @@ class RiskEvaluator:
         self._opt_cost = (opt * self.C).sum(axis=1)
 
     def true_risk(self, predictor) -> tuple[float, float]:
+        """``(estimate, std_error)`` of the predictor's SPO risk."""
         decisions = self.region.linopt_batch(predict_batch(predictor, self.X))
         losses = (decisions * self.C).sum(axis=1) - self._opt_cost
         m = losses.size
@@ -311,7 +304,7 @@ def _margin_risk(config: ExperimentConfig, predictor, sample: LabeledSample,
 
 
 def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
-              evaluator: RiskEvaluator | None = None) -> TrialRecord:
+              evaluator: RiskEvaluator) -> TrialRecord:
     region, domain = config.region, config.cost_domain
     trial_seed = n_idx * config.trials + trial
     sample = generate_sample(config, trial_seed, n=n)
@@ -323,15 +316,12 @@ def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
     bounds_vals: dict[str, float] = {}
     common = dict(n=n, delta=config.delta, omega=domain.omega, rho2_C=domain.rho2,
                   d=config.d, p=config.p)
+    card_S = region.extreme_point_count() if config.polyhedral else None
+    inputs = BoundInputs(empirical_risk=emp_spo, rho2_S=region.radius(2.0),
+                         card_S=card_S, **common)
     if config.polyhedral:
-        inputs = BoundInputs(empirical_risk=emp_spo, rho2_S=region.radius(2.0),
-                             card_S=region.extreme_point_count(), **common)
         bounds_vals["linear_polyhedral"] = bound_linear_polyhedral(inputs).value
-        bounds_vals["covering"] = bound_covering(inputs).value
-    else:
-        inputs = BoundInputs(empirical_risk=emp_spo, rho2_S=region.radius(2.0),
-                             **common)
-        bounds_vals["covering"] = bound_covering(inputs).value
+    bounds_vals["covering"] = bound_covering(inputs).value
 
     emp_margin: dict[float, float] = {}
     gamma_star = None
@@ -361,11 +351,7 @@ def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
         bounds_vals["margin_uniform"] = best_val
         gamma_star = best_gamma
 
-    if evaluator is None:
-        true_est, true_se = true_risk_mc(region, predictor, config,
-                                         config.m_fresh, trial_seed)
-    else:
-        true_est, true_se = evaluator.true_risk(predictor)
+    true_est, true_se = evaluator.true_risk(predictor)
     violations = {key: bool(true_est - 3.0 * true_se > val)
                   for key, val in bounds_vals.items()}
     return TrialRecord(trial=trial, n=n, gamma_star=gamma_star, emp_spo=emp_spo,

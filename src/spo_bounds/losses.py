@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FeasibleRegion, dual_norm, dual_norm_rows
+from .geometry import FeasibleRegion, dual_norm_rows
 
 
 @dataclass(frozen=True)
@@ -109,40 +109,23 @@ class LabeledSample:
 
 
 # ---------------------------------------------------------------------------
-# pointwise losses
+# pointwise losses: batch kernels, and their one-row forms
 # ---------------------------------------------------------------------------
 
-def spo_loss(region: FeasibleRegion, c_hat, c) -> float:
-    """Excess cost of deciding with ``c_hat`` when the true cost is ``c``."""
-    c = region._check_cost(c)
-    w_hat = region.linopt(c_hat)
-    w_opt = region.linopt(c)
-    return float(c @ (w_hat - w_opt))
-
-
 def spo_loss_batch(region: FeasibleRegion, C_hat, C) -> np.ndarray:
+    """Excess cost of deciding with each row of ``C_hat`` when the true cost
+    is the matching row of ``C``."""
     C = region._check_cost_batch(C)
     W_hat = region.linopt_batch(C_hat)
     W_opt = region.linopt_batch(C)
     return ((W_hat - W_opt) * C).sum(axis=1)
 
 
-def margin_spo_loss(region: FeasibleRegion, c_hat, c, params: MarginParams) -> float:
+def margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
+                          params: MarginParams) -> np.ndarray:
     """Margin loss: equals the base loss when the prediction's dual norm
     exceeds ``gamma``, else interpolates between it and the gap
     ``omega_S(c)`` with weight ``||c_hat||_* / gamma``."""
-    if params.gamma <= 0:
-        raise ValueError("margin loss requires gamma > 0")
-    c_hat = region._check_cost(c_hat)
-    base = spo_loss(region, c_hat, c)
-    weight = min(dual_norm(c_hat, params.norm_q) / params.gamma, 1.0)
-    if weight >= 1.0:
-        return base
-    return weight * base + (1.0 - weight) * region.gap(c)
-
-
-def margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
-                          params: MarginParams) -> np.ndarray:
     if params.gamma <= 0:
         raise ValueError("margin loss requires gamma > 0")
     C_hat = region._check_cost_batch(C_hat)
@@ -151,20 +134,30 @@ def margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
     return weight * base + (1.0 - weight) * region.gap_batch(C)
 
 
-def hard_margin_spo_loss(region: FeasibleRegion, c_hat, c, params: MarginParams) -> float:
-    """Hard margin loss: the gap ``omega_S(c)`` whenever the prediction's
-    dual norm is at most ``gamma``, else the base loss."""
-    c_hat = region._check_cost(c_hat)
-    if dual_norm(c_hat, params.norm_q) > params.gamma:
-        return spo_loss(region, c_hat, c)
-    return region.gap(c)
-
-
 def hard_margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
                                params: MarginParams) -> np.ndarray:
+    """Hard margin loss: the gap ``omega_S(c)`` whenever the prediction's
+    dual norm is at most ``gamma``, else the base loss."""
     C_hat = region._check_cost_batch(C_hat)
     above = dual_norm_rows(C_hat, params.norm_q) > params.gamma
     return np.where(above, spo_loss_batch(region, C_hat, C), region.gap_batch(C))
+
+
+def _one_row(kernel, region: FeasibleRegion, c_hat, c, *args) -> float:
+    rows = [region._check_cost(v)[None, :] for v in (c_hat, c)]
+    return float(kernel(region, *rows, *args)[0])
+
+
+def spo_loss(region: FeasibleRegion, c_hat, c) -> float:
+    return _one_row(spo_loss_batch, region, c_hat, c)
+
+
+def margin_spo_loss(region: FeasibleRegion, c_hat, c, params: MarginParams) -> float:
+    return _one_row(margin_spo_loss_batch, region, c_hat, c, params)
+
+
+def hard_margin_spo_loss(region: FeasibleRegion, c_hat, c, params: MarginParams) -> float:
+    return _one_row(hard_margin_spo_loss_batch, region, c_hat, c, params)
 
 
 # ---------------------------------------------------------------------------

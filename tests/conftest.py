@@ -2,12 +2,15 @@
 
 The reference implementations here deliberately take different routes from
 the library (bisection-based projections, exhaustive enumeration, direct
-arithmetic) so the tests certify values rather than echo them.
+arithmetic) so the tests certify values rather than echo them.  The DAG
+reference is the library's earlier one-cost-vector dynamic program, kept
+unchanged as the differential reference for the batched one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -105,3 +108,54 @@ def rademacher_exact(losses: np.ndarray) -> float:
     for signs in itertools.product((-1.0, 1.0), repeat=n):
         total += max(float(np.dot(signs, losses[h])) for h in range(H)) / n
     return total / 2 ** n
+
+
+# ---------------------------------------------------------------------------
+# DAG reference oracle: the one-cost-vector dynamic program
+# ---------------------------------------------------------------------------
+
+def dag_path_costs_ref(dag, c: np.ndarray, maximize: bool) -> np.ndarray:
+    """Best source->sink cost continuing from each node (inf/-inf if none)."""
+    worst = -math.inf if maximize else math.inf
+    dist = np.full(dag.nodes, worst)
+    dist[dag.sink] = 0.0
+    for v in reversed(dag._topo):
+        if v == dag.sink:
+            continue
+        best = worst
+        for idx, h in dag._adj[v]:
+            if not dag._reaches_sink[h] and h != dag.sink:
+                continue
+            if not math.isfinite(dist[h]):
+                continue
+            val = c[idx] + dist[h]
+            if (val > best) if maximize else (val < best):
+                best = val
+        dist[v] = best
+    return dist
+
+
+def dag_linopt_ref(dag, c) -> np.ndarray:
+    c = dag._check_cost(c)
+    dist = dag_path_costs_ref(dag, c, maximize=False)
+    w = np.zeros(dag.dim)
+    v = dag.source
+    while v != dag.sink:
+        # dist[v] is an exact minimum of these candidate values, so at
+        # least one arc matches exactly; the first match (lowest arc
+        # index) yields the lexicographically smallest arc sequence.
+        for idx, h in dag._adj[v]:
+            if math.isfinite(dist[h]) and c[idx] + dist[h] == dist[v]:
+                w[idx] = 1.0
+                v = h
+                break
+        else:  # pragma: no cover - unreachable by construction
+            raise RuntimeError("optimal-path backtrack failed")
+    return w
+
+
+def dag_gap_ref(dag, c) -> float:
+    c = dag._check_cost(c)
+    lo = dag_path_costs_ref(dag, c, maximize=False)[dag.source]
+    hi = dag_path_costs_ref(dag, c, maximize=True)[dag.source]
+    return float(hi - lo)

@@ -1,248 +1,84 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
+Criteria 1-8 run the property audits of :mod:`spo_bounds.audits` at full
+size, so this suite and ``spo-bounds verify all`` share one implementation
+of each check.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole suite is sized for a laptop (the experiment criterion is
 the long pole at a couple of minutes).
 """
 
-import math
 import subprocess
 import sys
 import time
 
-import numpy as np
-import pytest
-
-from spo_bounds._rng import substream
-from spo_bounds.bounds import (BoundInputs, bound_linear_polyhedral,
-                               bound_margin, bound_margin_uniform,
-                               bound_natarajan)
-from spo_bounds.complexity import (FiniteHypothesisSet, LabelTable,
-                                   LinearPredictorClass, count_restrictions,
-                                   linear_class_rad_bound, massart_bound,
-                                   natarajan_dim_bruteforce, oracle_label_table,
-                                   rademacher_multivariate_mc,
-                                   rademacher_spo_mc)
-from spo_bounds.geometry import (CostDomain, LqBall, UnitSimplex,
-                                 VertexPolytope, verify_optimality_condition,
-                                 verify_strong_convexity)
-from spo_bounds.harness import (ExperimentConfig, config_label, default_suite,
-                                run_bound_validity, run_lipschitz_audit)
-from spo_bounds.losses import (LabeledSample, MarginParams,
-                               hard_margin_spo_loss_batch,
-                               margin_spo_loss_batch, spo_loss_batch)
+from spo_bounds import audits
+from spo_bounds.harness import config_label, default_suite, run_bound_validity
 
 SEED = 7
+#: seed of the c01-c08 audits; not c10's 7, so their draws stay independent
+#: of the `verify all --seed 7` report
+AUDIT_SEED = 11
 
 
 def report(criterion: int, message: str) -> None:
     print(f"\nPASS criterion {criterion}: {message}")
 
 
-def ball_config(dim: int, gamma: float = 0.5) -> ExperimentConfig:
-    region = LqBall(2.0, 1.0, np.zeros(dim), mu=1.0)
-    return ExperimentConfig(region=region,
-                            cost_domain=CostDomain.ball(region, 1.0),
-                            b_star=np.zeros((dim, 2)), gamma_grid=[gamma],
-                            seed=SEED)
+def passing(*checks) -> str:
+    """Run property audits at full size; every one must pass.  Returns their
+    joined detail lines."""
+    results = [check(AUDIT_SEED) for check in checks]
+    for res in results:
+        assert res.passed, f"{res.name}: {res.detail}"
+    return "; ".join(f"{res.name}: {res.detail}" for res in results)
 
 
 def test_c01_binary_equivalence():
     """Interval region with costs +-1: exact 0-1 and ramp equivalence."""
-    region = LqBall.interval(0.5, mu=2.0)
-    domain = CostDomain.enumerated(region, [[-1.0], [1.0]])
-    assert domain.omega == 1.0 and domain.rho2 == 1.0 and region.mu == 2.0
-    rng = substream(SEED, 100)
-    gamma = 0.5
-    c_hat = rng.uniform(-2.0, 2.0, (10_000, 1))
-    c_hat = c_hat[np.abs(c_hat[:, 0]) > 1e-12]
-    c = rng.choice([-1.0, 1.0], size=(c_hat.shape[0], 1))
-    spo = spo_loss_batch(region, c_hat, c)
-    zero_one = (c[:, 0] * c_hat[:, 0] < 0).astype(float)
-    err01 = float(np.abs(spo - zero_one).max())
-    assert err01 <= 1e-12
-    margin = margin_spo_loss_batch(region, c_hat, c, MarginParams(gamma=gamma))
-    ramp = np.clip(1.0 - c[:, 0] * c_hat[:, 0] / gamma, 0.0, 1.0)
-    err_ramp = float(np.abs(margin - ramp).max())
-    assert err_ramp <= 1e-12
-    report(1, f"{c_hat.shape[0]} pairs, max |spo - 0/1| = {err01:.3g}, "
-              f"max |margin - ramp| = {err_ramp:.3g}, anchors omega=rho2=1 mu=2")
+    report(1, passing(audits.audit_binary_equivalence))
 
 
 def test_c02_lipschitz_like_oracle():
-    """Oracle Lipschitz-like ratio <= 1 + 1e-7 over 1e5 pairs; witness hits 1."""
+    """Oracle Lipschitz-like ratio <= 1 + 1e-7 over 1e5 pairs in d = 2 and 5;
+    witness hits 1; runtime under 10 s."""
     start = time.perf_counter()
-    worst = -math.inf
-    witness = None
-    for dim in (2, 5):
-        audit = run_lipschitz_audit(ball_config(dim), n_pairs=100_000)
-        worst = max(worst, audit.max_ratio_oracle)
-        if dim == 2:
-            witness = audit.witness_ratio
+    detail = passing(audits.audit_oracle_lipschitz_like)
     elapsed = time.perf_counter() - start
-    assert worst <= 1.0 + 1e-7
-    assert witness == pytest.approx(1.0, abs=1e-9)
     assert elapsed < 10.0
-    report(2, f"max ratio {worst:.9f} over 2 x 1e5 pairs, witness ratio "
-              f"{witness:.12f}, runtime {elapsed:.2f}s < 10s")
+    report(2, f"{detail}, runtime {elapsed:.2f}s < 10s")
 
 
 def test_c03_margin_loss_lipschitz():
     """Margin-loss Lipschitz ratio <= 1 + 1e-7 for both constants, 1e5 triples."""
-    audit = run_lipschitz_audit(ball_config(3), n_pairs=100_000)
-    assert audit.max_ratio_margin <= 1.0 + 1e-7
-    assert audit.max_ratio_margin_sharp <= 1.0 + 1e-7
-    report(3, f"max ratio {audit.max_ratio_margin:.9f} (5||c||*/gamma mu), "
-              f"{audit.max_ratio_margin_sharp:.9f} (sharper constant)")
+    report(3, passing(audits.audit_margin_loss_lipschitz))
 
 
 def test_c04_ordering_and_monotonicity():
     """spo <= margin <= hard <= omega and gamma-monotonicity, 1e4 x 10 gammas."""
-    regions = [LqBall(2.0, 1.0, np.zeros(2), mu=1.0), UnitSimplex(3),
-               VertexPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0],
-                               [-1.0, -1.0]]),
-               LqBall.interval(0.5, mu=2.0)]
-    gammas = np.linspace(0.1, 2.0, 10)
-    worst_chain = -math.inf
-    worst_mono = -math.inf
-    for r_idx, region in enumerate(regions):
-        rng = substream(SEED, 101, r_idx)
-        scale = np.exp(rng.uniform(math.log(0.05), math.log(3.0), (10_000, 1)))
-        C_hat = rng.standard_normal((10_000, region.dim)) * scale
-        C = rng.standard_normal((10_000, region.dim))
-        spo = spo_loss_batch(region, C_hat, C)
-        gap = region.gap_batch(C)
-        prev = None
-        for gamma in gammas:
-            params = MarginParams(gamma=float(gamma))
-            margin = margin_spo_loss_batch(region, C_hat, C, params)
-            hard = hard_margin_spo_loss_batch(region, C_hat, C, params)
-            worst_chain = max(worst_chain, float((spo - margin).max()),
-                              float((margin - hard).max()),
-                              float((hard - gap).max()))
-            if prev is not None:
-                worst_mono = max(worst_mono, float((prev - margin).max()))
-            prev = margin
-    assert worst_chain <= 1e-9
-    assert worst_mono <= 1e-9
-    report(4, f"max chain breach {worst_chain:.3g}, max monotonicity breach "
-              f"{worst_mono:.3g} over 4 regions x 1e4 inputs x 10 gammas")
+    report(4, passing(audits.audit_loss_ordering))
 
 
 def test_c05_strong_convexity_and_optimality():
-    """Certified mu passes at 1e4 samples; overstated mu=10 is rejected."""
-    interval = verify_strong_convexity(LqBall.interval(0.5), 2.0, 10_000, SEED)
-    assert interval.ok
-    unit = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)
-    opt = verify_optimality_condition(unit, [0.6, -0.8], 10_000, SEED)
-    assert opt.ok
-    overstated = verify_strong_convexity(unit, 10.0, 10_000, SEED)
-    assert not overstated.ok and overstated.witness is not None
-    w = overstated.witness
-    w1, w2, lam, u = (np.asarray(w["w1"]), np.asarray(w["w2"]), w["lam"],
-                      np.asarray(w["u"]))
-    z = lam * w1 + (1 - lam) * w2 \
-        + 5.0 * lam * (1 - lam) * np.linalg.norm(w1 - w2) ** 2 * u
-    assert np.linalg.norm(z) - 1.0 == pytest.approx(overstated.max_violation)
-    report(5, f"interval mu=2 and ball optimality: 0 violations in 1e4; "
-              f"mu=10 rejected ({overstated.violations} violations, witness "
-              f"breach {overstated.max_violation:.4f})")
+    """Certified mu passes at 1e4 samples; overstated mu=10 is rejected with a
+    witness whose breach recomputes; the optimality condition holds."""
+    report(5, passing(audits.audit_strong_convexity, audits.audit_optimality_condition))
 
 
 def test_c06_massart_natarajan_chain():
     """MC <= Massart bound via restriction counts; Natarajan dim <= d*p."""
-    square = VertexPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    worst_excess = -math.inf
-    for case in range(20):
-        rng = substream(SEED, 102, case)
-        region = [UnitSimplex(2), UnitSimplex(3), square][case % 3]
-        n = int(rng.integers(2, 6))
-        p = int(rng.integers(1, 3))
-        H = int(rng.integers(2, 7))
-        hyp = FiniteHypothesisSet.from_matrices(
-            rng.standard_normal((H, region.dim, p)))
-        xs = rng.standard_normal((n, p))
-        cs = rng.standard_normal((n, region.dim))
-        sample = LabeledSample(xs=xs, cs=cs)
-        omega = CostDomain.enumerated(region, cs).omega
-        est, se = rademacher_spo_mc(region, hyp, sample, m_draws=2000,
-                                    seed=SEED + case)
-        cap = massart_bound(count_restrictions(region, hyp, xs), n, omega)
-        worst_excess = max(worst_excess, est - (cap + 3.0 * se))
-    assert worst_excess <= 0.0
-
-    dims = []
-    grid = np.linspace(-1.0, 1.0, 5)
-    hyp1 = FiniteHypothesisSet.from_matrices(
-        [np.array([[a], [b]]) for a in grid for b in grid])
-    xs1 = np.array([[-1.0], [-0.5], [0.5], [1.0]])
-    dims.append((natarajan_dim_bruteforce(
-        oracle_label_table(UnitSimplex(2), hyp1, xs1)), 2))
-    small = np.linspace(-1.0, 1.0, 3)
-    hyp2 = FiniteHypothesisSet.from_matrices(
-        [np.array([[a, b], [c, e]]) for a in small for b in small
-         for c in small for e in small])
-    rng = substream(SEED, 103)
-    dims.append((natarajan_dim_bruteforce(
-        oracle_label_table(square, hyp2, rng.standard_normal((5, 2)))), 4))
-    dims.append((natarajan_dim_bruteforce(
-        oracle_label_table(UnitSimplex(2), hyp2, rng.standard_normal((5, 2)))), 4))
-    assert all(dim <= cap for dim, cap in dims)
-    full = natarajan_dim_bruteforce(LabelTable(np.array([[1, 1, 2, 2],
-                                                         [1, 2, 1, 2]])))
-    assert full == 2
-    report(6, f"20 classes: max MC excess over Massart+3se {worst_excess:.3g}; "
-              f"Natarajan dims {[d for d, _ in dims]} within caps; full "
-              f"two-point table = {full}")
+    report(6, passing(audits.audit_massart_domination, audits.audit_natarajan_linear_cap))
 
 
 def test_c07_frobenius_domination():
     """MC multivariate complexity <= closed-form Frobenius bound + 3se."""
-    beta = 1.5
-    worst_excess = -math.inf
-    for d in (2, 5):
-        for p in (2, 5):
-            for n in (50, 400):
-                rng = substream(SEED, 104, d, p, n)
-                mats = rng.standard_normal((50, d, p))
-                norms = np.linalg.norm(mats.reshape(50, -1), axis=1)
-                mats *= (beta * rng.random(50) ** 0.5 / norms)[:, None, None]
-                hyp = FiniteHypothesisSet.from_matrices(mats)
-                xs = rng.standard_normal((n, p))
-                xs /= np.linalg.norm(xs, axis=1)[:, None]
-                est, se = rademacher_multivariate_mc(hyp, xs, m_draws=2000,
-                                                     seed=SEED + d + p + n)
-                cap = linear_class_rad_bound(
-                    LinearPredictorClass("frobenius", beta, d, p), 1.0, n)
-                worst_excess = max(worst_excess, est - (cap + 3.0 * se))
-    assert worst_excess <= 0.0
-    report(7, f"50-element subsets over (d, p, n) grid: max MC excess over "
-              f"bound+3se {worst_excess:.3g}")
+    report(7, passing(audits.audit_frobenius_domination))
 
 
 def test_c08_bound_arithmetic():
     """Frozen bound values, cross-consistency, exact uniformity-term kill."""
-    anchor = bound_natarajan(BoundInputs(n=100, delta=0.05, omega=1.0, d_N=2,
-                                         card_S=3)).value
-    rederived = (2.0 * math.sqrt(2.0 * 2.0 * math.log(100 * 3 ** 2) / 100.0)
-                 + 1.0 * math.sqrt(math.log(1.0 / 0.05) / (2.0 * 100.0)))
-    assert anchor == pytest.approx(rederived, abs=1e-14)
-    assert anchor == pytest.approx(1.1656, abs=5e-4)
-    lin = bound_linear_polyhedral(BoundInputs(n=100, delta=0.05, omega=1.0,
-                                              card_S=3, d=2, p=3))
-    nat = bound_natarajan(BoundInputs(n=100, delta=0.05, omega=1.0, card_S=3,
-                                      d_N=6))
-    assert lin.value == nat.value and lin.terms == nat.terms
-    uni = bound_margin_uniform(BoundInputs(n=400, delta=0.05, omega=1.0,
-                                           rho2_C=1.0, mu=2.0, gamma=0.5,
-                                           gamma_bar=0.5, rad=0.05))
-    assert uni.terms["uniformity"] == 0.0
-    fixed = bound_margin(BoundInputs(n=400, delta=0.05, omega=1.0, rho2_C=1.0,
-                                     mu=2.0, gamma=0.5, rad=0.05))
-    assert uni.value >= fixed.value
-    report(8, f"natarajan anchor {anchor:.6f} (independent re-derivation "
-              f"matches to 1e-14); linear_polyhedral == natarajan(d_N=dp); "
-              f"gamma=gamma_bar kills uniformity term exactly")
+    report(8, passing(audits.audit_bound_anchors))
 
 
 def test_c09_bound_validity_experiment():

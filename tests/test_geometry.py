@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
-                                 UnitSimplex, VertexPolytope, count_extreme_points,
-                                 covering_count, covering_count_log, dual_norm,
-                                 linopt_gap, linopt_oracle, region_from_dict,
-                                 region_from_json, region_radius,
+                                 UnitSimplex, VertexPolytope, covering_count,
+                                 covering_count_log, dual_norm,
+                                 region_from_dict, region_from_json,
                                  verify_optimality_condition,
                                  verify_strong_convexity)
 
-from conftest import (enumerate_paths_brute, pgd_lq_minimize, project_lq_ball,
+from conftest import (dag_gap_ref, dag_linopt_ref, dag_path_costs_ref,
+                      enumerate_paths_brute, pgd_lq_minimize, project_lq_ball,
                       square_region)
 
 
@@ -25,16 +25,16 @@ from conftest import (enumerate_paths_brute, pgd_lq_minimize, project_lq_ball,
 class TestLinoptOracle:
     def test_l2_ball_closed_form(self):
         ball = LqBall(2.0, 1.0, [0.0, 0.0])
-        np.testing.assert_allclose(linopt_oracle(ball, [3.0, 4.0]), [-0.6, -0.8],
+        np.testing.assert_allclose(ball.linopt([3.0, 4.0]), [-0.6, -0.8],
                                    atol=1e-15)
 
     def test_simplex_argmin_coordinate(self):
         simplex = UnitSimplex(3)
-        np.testing.assert_array_equal(linopt_oracle(simplex, [0.5, 0.2, 0.9]),
+        np.testing.assert_array_equal(simplex.linopt([0.5, 0.2, 0.9]),
                                       [0.0, 1.0, 0.0])
 
     def test_square_vertex_enumeration(self):
-        np.testing.assert_array_equal(linopt_oracle(square_region(), [1.0, 1.0]),
+        np.testing.assert_array_equal(square_region().linopt([1.0, 1.0]),
                                       [-1.0, -1.0])
 
     def test_grid_dag_unit_costs(self):
@@ -93,6 +93,49 @@ class TestLinoptOracle:
         assert float(c @ w) <= float((vertices @ c).min()) + 1e-12
 
 
+@st.composite
+def dags_with_costs(draw):
+    """A random DAG and a cost batch.  Nodes are relabeled and arcs shuffled;
+    parallel arcs and nodes that cannot reach the sink are common.  Integer
+    costs in {-2..2} force ties; float costs exercise inexact sums."""
+    nodes = draw(st.integers(2, 8))
+    sink = draw(st.integers(1, nodes - 1))  # positions after it are dead ends
+    forward = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)) \
+        .filter(lambda a: a[0] < a[1])
+    inner = draw(st.lists(st.integers(1, sink - 1), unique=True)) if sink > 1 else []
+    chain = [0] + sorted(inner) + [sink]
+    arcs = list(zip(chain, chain[1:])) + draw(st.lists(forward, max_size=14))
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=3))  # parallel arcs
+    arcs = draw(st.permutations(arcs))
+    label = draw(st.permutations(range(nodes)))
+    dag = DagPathPolytope(nodes, [(label[t], label[h]) for t, h in arcs],
+                          label[0], label[sink])
+    m = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        entries = st.integers(-2, 2).map(float)
+    else:
+        entries = st.floats(-10.0, 10.0, allow_nan=False)
+    C = np.array(draw(st.lists(st.lists(entries, min_size=dag.dim, max_size=dag.dim),
+                               min_size=m, max_size=m)))
+    return dag, C
+
+
+class TestDagBatchOracle:
+    """The batched DAG dynamic program against the one-cost-vector
+    reference in conftest: bit-identical decisions and gaps, ties included."""
+
+    @given(dags_with_costs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference(self, case):
+        dag, C = case
+        W = dag.linopt_batch(C)
+        assert np.array_equal(W, np.stack([dag_linopt_ref(dag, c) for c in C]))
+        assert np.array_equal(dag.gap_batch(C), [dag_gap_ref(dag, c) for c in C])
+        assert np.array_equal(dag.linopt(C[0]), W[0])
+        longest = dag_path_costs_ref(dag, np.ones(dag.dim), maximize=True)[dag.source]
+        assert dag.radius(2.0) == float(longest ** 0.5)
+
+
 class TestLqBallGeneralQ:
     """Oracle for q in (1, 2), validated against projected-gradient
     refinement and the Hoelder support value."""
@@ -140,16 +183,16 @@ class TestGapRadiusCounts:
         ball = LqBall(2.0, 3.0, [1.0, -2.0])
         for _ in range(20):
             c = rng.standard_normal(2)
-            assert linopt_gap(ball, c) == pytest.approx(6.0 * np.linalg.norm(c),
-                                                        rel=1e-12)
+            assert ball.gap(c) == pytest.approx(6.0 * np.linalg.norm(c),
+                                                rel=1e-12)
 
     def test_square_gap(self):
-        assert linopt_gap(square_region(), [1.0, 0.0]) == 2.0
+        assert square_region().gap([1.0, 0.0]) == 2.0
 
     def test_zero_cost_gap(self):
         for region in (square_region(), UnitSimplex(4),
                        LqBall(2.0, 1.0, [0.0, 0.0]), DagPathPolytope.grid(2, 2)):
-            assert linopt_gap(region, np.zeros(region.dim)) == 0.0
+            assert region.gap(np.zeros(region.dim)) == 0.0
 
     def test_dag_gap_matches_enumeration(self, rng):
         dag = DagPathPolytope.grid(3, 2)
@@ -161,9 +204,9 @@ class TestGapRadiusCounts:
                                                abs=1e-12)
 
     def test_radius_anchors(self):
-        assert region_radius(UnitSimplex(5), 2.0) == 1.0
-        assert region_radius(LqBall(2.0, 2.5, [0.0, 0.0, 0.0]), 2.0) == 2.5
-        assert region_radius(square_region(), 2.0) == pytest.approx(math.sqrt(2.0))
+        assert UnitSimplex(5).radius(2.0) == 1.0
+        assert LqBall(2.0, 2.5, [0.0, 0.0, 0.0]).radius(2.0) == 2.5
+        assert square_region().radius(2.0) == pytest.approx(math.sqrt(2.0))
 
     def test_radius_vertex_polytope_is_max_over_vertices(self, rng):
         V = rng.standard_normal((6, 3))
@@ -184,10 +227,10 @@ class TestGapRadiusCounts:
             ball.radius(2.0)
 
     def test_extreme_point_counts(self):
-        assert count_extreme_points(UnitSimplex(5)) == 5
-        assert count_extreme_points(square_region()) == 4
+        assert UnitSimplex(5).extreme_point_count() == 5
+        assert square_region().extreme_point_count() == 4
         grid = DagPathPolytope.grid(2, 2)
-        assert count_extreme_points(grid) == len(
+        assert grid.extreme_point_count() == len(
             enumerate_paths_brute(4, grid.arcs, 0, 3))
 
     def test_dag_count_matches_enumeration(self):
@@ -199,7 +242,7 @@ class TestGapRadiusCounts:
 
     def test_ball_has_no_finite_extreme_points(self):
         with pytest.raises(ValueError, match="infinitely many"):
-            count_extreme_points(LqBall(2.0, 1.0, [0.0]))
+            LqBall(2.0, 1.0, [0.0]).extreme_point_count()
 
 
 # ---------------------------------------------------------------------------

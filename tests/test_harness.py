@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from spo_bounds.geometry import CostDomain, LqBall, UnitSimplex
-from spo_bounds.harness import (ExperimentConfig, clip_frobenius, config_label,
-                                default_suite, fit_least_squares,
-                                generate_sample, run_bound_validity,
-                                run_lipschitz_audit, true_risk_mc)
+from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
+                                clip_frobenius, config_label, default_suite,
+                                fit_least_squares, generate_sample,
+                                run_bound_validity, run_lipschitz_audit)
 from spo_bounds.losses import LabeledSample
 
 
@@ -100,36 +100,33 @@ class TestFitLeastSquares:
 class TestTrueRiskMC:
     def test_perfect_predictor_zero_risk(self):
         config = ball_config(noise=0.0, cost_domain=CostDomain.ball(
-            ball_config().region, 100.0))
-        est, se = true_risk_mc(config.region, config.b_star, config,
-                               m_fresh=500, seed=0)
+            ball_config().region, 100.0), m_fresh=500)
+        est, se = RiskEvaluator(config).true_risk(config.b_star)
         assert est == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_zero_predictor_matches_direct_mean(self):
-        config = ball_config()
+        config = ball_config(m_fresh=4000)
         zero = np.zeros((2, 2))
-        est, se = true_risk_mc(config.region, zero, config, m_fresh=4000, seed=1)
+        est, se = RiskEvaluator(config).true_risk(zero)
         # with c_hat = 0 the oracle returns the center, so the loss is
         # c @ (center - w*(c)) = gap-to-optimum from the center
         from spo_bounds.losses import spo_loss_batch
         from spo_bounds.harness import _draw_pairs
         from spo_bounds._rng import substream
-        rng = substream(config.seed, 2, 1)
+        rng = substream(config.seed, 2)
         X, C = _draw_pairs(config, rng, 4000)
         direct = float(spo_loss_batch(config.region,
                                       np.zeros_like(C), C).mean())
         assert est == pytest.approx(direct, abs=1e-12)
 
     def test_estimate_within_loss_range(self):
-        config = ball_config(noise=0.5)
-        est, se = true_risk_mc(config.region, np.zeros((2, 2)), config,
-                               m_fresh=2000, seed=3)
+        config = ball_config(noise=0.5, m_fresh=2000)
+        est, se = RiskEvaluator(config).true_risk(np.zeros((2, 2)))
         assert 0.0 <= est <= config.cost_domain.omega + 1e-9
 
     def test_m_fresh_validated(self):
-        config = ball_config()
         with pytest.raises(ValueError, match="m_fresh"):
-            true_risk_mc(config.region, config.b_star, config, m_fresh=0, seed=0)
+            ball_config(m_fresh=0)
 
 
 class TestBoundValidity:
@@ -216,6 +213,12 @@ class TestConfig:
         config = ball_config()
         clone = ExperimentConfig.from_dict(config.to_dict())
         assert clone.to_dict() == config.to_dict()
+
+    def test_from_dict_rejects_unknown_keys(self):
+        # a misspelt key must not silently fall back to its default
+        data = {**ball_config().to_dict(), "trails": 50}
+        with pytest.raises(ValueError, match=r"unknown .*keys: \['trails'\]"):
+            ExperimentConfig.from_dict(data)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):

@@ -10,8 +10,9 @@ complexity bound are available, callers should pass the closed form in
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 VARIANTS = ("expected", "empirical")
 
@@ -65,7 +66,9 @@ class BoundInputs:
                 raise ValueError(f"{name} must be >= 1")
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        # every field is a scalar, so a shallow read is a full copy
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundInputs":
@@ -76,9 +79,7 @@ class BoundInputs:
         return cls(**data)
 
     def replace(self, **kwargs) -> "BoundInputs":
-        merged = asdict(self)
-        merged.update(kwargs)
-        return BoundInputs(**merged)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass
@@ -106,10 +107,14 @@ def _report(theorem_id: str, terms: dict[str, float], inputs: BoundInputs,
     return BoundReport(theorem_id, math.fsum(terms.values()), terms, echo)
 
 
+class MissingInputError(ValueError):
+    """A bound needs an input that was left as None."""
+
+
 def _require(inputs: BoundInputs, *names: str) -> None:
     missing = [name for name in names if getattr(inputs, name) is None]
     if missing:
-        raise ValueError(f"missing bound inputs: {missing}")
+        raise MissingInputError(f"missing bound inputs: {missing}")
 
 
 def _check_variant(variant: str) -> None:
@@ -254,7 +259,8 @@ def evaluate(theorem_id: str, inputs: BoundInputs,
 
 def evaluate_all(inputs: BoundInputs) -> list[BoundReport]:
     """Evaluate every bound whose inputs are present, both variants where
-    applicable; bounds with missing inputs are skipped."""
+    applicable.  Bounds with missing inputs are skipped; present but invalid
+    inputs raise."""
     reports = []
     for theorem_id in THEOREM_IDS:
         for variant in VARIANTS:
@@ -263,6 +269,6 @@ def evaluate_all(inputs: BoundInputs) -> list[BoundReport]:
                 continue
             try:
                 reports.append(evaluate(theorem_id, inputs, variant))
-            except ValueError:
+            except MissingInputError:
                 continue
     return reports

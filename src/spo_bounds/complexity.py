@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import substream
 from .geometry import FeasibleRegion
-from .losses import LabeledSample, spo_loss_batch
+from .losses import LabeledSample
 
 #: exhaustive-search budget for the Natarajan dimension
 NATARAJAN_MAX_POINTS = 12
@@ -166,7 +166,10 @@ def rademacher_spo_mc(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
     if m_draws < 1:
         raise ValueError("m_draws must be >= 1")
     preds = hypotheses.predictions(sample.xs)
-    losses = np.stack([spo_loss_batch(region, P, sample.cs) for P in preds])  # (H, n)
+    # SPO losses, (H, n); the optimal costs c @ w*(c) are solved once for
+    # every hypothesis
+    opt = region.decision_cost_batch(sample.cs, sample.cs)
+    losses = np.stack([region.decision_cost_batch(P, sample.cs) - opt for P in preds])
     signs = _sign_draws(seed, m_draws, sample.n)
     corr = signs @ losses.T / sample.n  # (m, H)
     return _mc_summary(corr.max(axis=1))

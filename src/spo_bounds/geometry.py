@@ -7,12 +7,23 @@ lq balls for q in (1, 2].  Every region exposes the same operations:
 * ``linopt_batch(C)``  -- deterministic minimizer of ``c @ w`` over the region,
   one row per cost row
 * ``gap_batch(C)``     -- max minus min of ``c @ w`` over the region, per row
+* ``decision_cost_batch(C_hat, C)`` -- realized cost ``C[i] @ w*(C_hat[i])``
+  of acting on each prediction row; the SPO loss, the margin losses and
+  the fresh-sample true risk all go through it
 * ``radius(q)``        -- sup of the lq norm over the region
 * ``extreme_point_count()``
 * ``sample(rng)``      -- a feasible point
 
 The batch oracles are the only implementations; ``linopt(c)`` and ``gap(c)``
 validate one cost vector and return row 0 of the one-row batch.
+
+``decision_cost_batch`` defaults to ``(linopt_batch(C_hat) * C).sum(axis=1)``
+(DAG regions, lq balls with q != 2, vertex polytopes) and has two closed
+forms that build no m x d decision matrix: the simplex gathers
+``C[i, argmin(C_hat[i])]`` and the l2 ball uses the Hoelder direction,
+``C @ center - radius * (C_hat[i] @ C[i]) / ||C_hat[i]||_2``.  Both keep the
+oracle's tie-breaking: the gather uses the same ``argmin`` (lowest index),
+and a zero prediction row maps to the center.
 
 Tie-breaking is fixed so the oracle is a deterministic mapping: vertex
 regions pick the lowest vertex index, the DAG oracle picks the
@@ -152,10 +163,11 @@ class FeasibleRegion:
             raise ValueError("cost vector has non-finite entries")
         return c
 
-    def _check_cost_batch(self, C) -> np.ndarray:
+    def _check_cost_batch(self, C, rows: int | None = None) -> np.ndarray:
         C = np.asarray(C, dtype=float)
-        if C.ndim != 2 or C.shape[1] != self.dim:
-            raise ValueError(f"cost batch has shape {C.shape}, expected (m, {self.dim})")
+        if C.ndim != 2 or C.shape[1] != self.dim or (rows is not None and C.shape[0] != rows):
+            expected = "m" if rows is None else rows
+            raise ValueError(f"cost batch has shape {C.shape}, expected ({expected}, {self.dim})")
         if not np.all(np.isfinite(C)):
             raise ValueError("cost batch has non-finite entries")
         return C
@@ -174,6 +186,11 @@ class FeasibleRegion:
 
     def gap_batch(self, C) -> np.ndarray:
         raise NotImplementedError
+
+    def decision_cost_batch(self, C_hat, C) -> np.ndarray:
+        """Row-wise realized cost ``C[i] @ w*(C_hat[i])``."""
+        W = self.linopt_batch(C_hat)
+        return (W * self._check_cost_batch(C, rows=W.shape[0])).sum(axis=1)
 
     def radius(self, q: float = 2.0) -> float:
         raise NotImplementedError
@@ -276,6 +293,11 @@ class UnitSimplex(FeasibleRegion):
     def gap_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
         return C.max(axis=1) - C.min(axis=1)
+
+    def decision_cost_batch(self, C_hat, C) -> np.ndarray:
+        C_hat = self._check_cost_batch(C_hat)
+        C = self._check_cost_batch(C, rows=C_hat.shape[0])
+        return C[np.arange(C.shape[0]), np.argmin(C_hat, axis=1)]
 
     def radius(self, q: float = 2.0) -> float:
         if q < 1:
@@ -548,6 +570,15 @@ class LqBall(FeasibleRegion):
     def gap_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
         return 2.0 * self.ball_radius * dual_norm_rows(C, self.q)
+
+    def decision_cost_batch(self, C_hat, C) -> np.ndarray:
+        if self.q != 2.0:
+            return super().decision_cost_batch(C_hat, C)
+        C_hat = self._check_cost_batch(C_hat)
+        C = self._check_cost_batch(C, rows=C_hat.shape[0])
+        norms = np.sqrt(np.einsum("ij,ij->i", C_hat, C_hat))
+        dots = np.einsum("ij,ij->i", C, C_hat)
+        return C @ self.center - self.ball_radius * dots / np.where(norms > 0, norms, 1.0)
 
     def radius(self, q: float = 2.0) -> float:
         if q < 1:

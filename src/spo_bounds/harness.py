@@ -21,8 +21,8 @@ from .bounds import (BoundInputs, bound_covering, bound_linear_polyhedral,
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, dual_norm_rows,
                        region_from_dict, vector_norm_rows)
-from .losses import (LabeledSample, MarginParams, empirical_risk,
-                     margin_spo_loss_batch, predict_batch)
+from .losses import (LabeledSample, MarginParams, margin_mix,
+                     margin_spo_loss_batch, predict_batch, spo_loss_batch)
 
 GENERATOR_NOTE = "gaussian-linear synthetic generator (artifact choice; not prescribed by the theory)"
 
@@ -201,7 +201,7 @@ class RiskEvaluator:
     The sample is independent of all training draws (separate stream), so
     each trial's estimate stays an unbiased fresh-sample MC estimate of its
     predictor's risk; sharing it just avoids regenerating and re-solving
-    ``m_fresh`` points per trial.  The true-cost oracle decisions are
+    ``m_fresh`` points per trial.  The optimal costs ``c @ w*(c)`` are
     precomputed once.
     """
 
@@ -209,13 +209,12 @@ class RiskEvaluator:
         rng = substream(config.seed, _STREAM_RISK)
         self.region = config.region
         self.X, self.C = _draw_pairs(config, rng, config.m_fresh)
-        opt = self.region.linopt_batch(self.C)
-        self._opt_cost = (opt * self.C).sum(axis=1)
+        self._opt_cost = self.region.decision_cost_batch(self.C, self.C)
 
     def true_risk(self, predictor) -> tuple[float, float]:
         """``(estimate, std_error)`` of the predictor's SPO risk."""
-        decisions = self.region.linopt_batch(predict_batch(predictor, self.X))
-        losses = (decisions * self.C).sum(axis=1) - self._opt_cost
+        preds = predict_batch(predictor, self.X)
+        losses = self.region.decision_cost_batch(preds, self.C) - self._opt_cost
         m = losses.size
         est = float(losses.mean())
         se = 0.0 if m < 2 else float(losses.std(ddof=1) / math.sqrt(m))
@@ -297,12 +296,6 @@ def _bound_ids(config: ExperimentConfig) -> list[str]:
     return ids
 
 
-def _margin_risk(config: ExperimentConfig, predictor, sample: LabeledSample,
-                 gamma: float) -> float:
-    return empirical_risk(config.region, predictor, sample, "margin",
-                          MarginParams(gamma=gamma))
-
-
 def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
               evaluator: RiskEvaluator) -> TrialRecord:
     region, domain = config.region, config.cost_domain
@@ -312,7 +305,10 @@ def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
     if config.strongly_convex:
         predictor = clip_frobenius(predictor, config.beta)
 
-    emp_spo = empirical_risk(region, predictor, sample, "spo")
+    # the predictions and their SPO losses serve every risk of this trial
+    preds = predict_batch(predictor, sample.xs)
+    base = spo_loss_batch(region, preds, sample.cs)
+    emp_spo = float(base.mean())
     bounds_vals: dict[str, float] = {}
     common = dict(n=n, delta=config.delta, omega=domain.omega, rho2_C=domain.rho2,
                   d=config.d, p=config.p)
@@ -326,23 +322,30 @@ def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
     emp_margin: dict[float, float] = {}
     gamma_star = None
     if config.strongly_convex:
+        # every gamma mixes the same base losses, gaps and prediction norms
+        # (the l2 norm, as in MarginParams' default)
+        gap = region.gap_batch(sample.cs)
+        norms = dual_norm_rows(preds, 2.0)
+
+        def margin_risk(g: float) -> float:
+            return float(margin_mix(base, gap, norms, g).mean())
+
         # closed-form multivariate complexity bound for the clipped predictor
         rad = config.x_radius * config.beta * math.sqrt(2.0 * config.d / n)
         for g in config.gamma_grid:
-            emp_margin[g] = _margin_risk(config, predictor, sample, g)
+            emp_margin[g] = margin_risk(g)
             inputs = BoundInputs(empirical_risk=emp_margin[g], mu=region.mu,
                                  gamma=g, rad=rad, **common)
             bounds_vals[f"margin@{g!r}"] = bound_margin(inputs, "expected").value
         # data-driven gamma via the uniform bound, capped at the largest
         # prediction norm seen in training
-        preds = predict_batch(predictor, sample.xs)
-        gamma_bar = max(float(np.linalg.norm(preds, axis=1).max()), 1e-12)
+        gamma_bar = max(float(norms.max()), 1e-12)
         candidates = [g for g in config.gamma_grid if g <= gamma_bar] or [gamma_bar]
         best_val, best_gamma = math.inf, candidates[0]
         for g in candidates:
             risk = emp_margin.get(g)
             if risk is None:
-                risk = _margin_risk(config, predictor, sample, g)
+                risk = margin_risk(g)
             inputs = BoundInputs(empirical_risk=risk, mu=region.mu, gamma=g,
                                  gamma_bar=gamma_bar, rad=rad, **common)
             val = bound_margin_uniform(inputs, "expected").value

@@ -94,8 +94,9 @@ class LabeledSample:
         header = rows[0]
         p = sum(1 for name in header if name.startswith("x"))
         d = len(header) - p
-        if p < 1 or d < 1:
-            raise ValueError("csv header must list x columns then c columns")
+        if p < 1 or d < 1 or header != [f"x{j}" for j in range(p)] + [f"c{j}" for j in range(d)]:
+            raise ValueError("csv header must be x0..x<p-1> then c0..c<d-1>, got "
+                             + ",".join(header))
         data = np.array([[float(v) for v in row] for row in rows[1:]])
         return cls(xs=data[:, :p], cs=data[:, p:])
 
@@ -115,10 +116,16 @@ class LabeledSample:
 def spo_loss_batch(region: FeasibleRegion, C_hat, C) -> np.ndarray:
     """Excess cost of deciding with each row of ``C_hat`` when the true cost
     is the matching row of ``C``."""
-    C = region._check_cost_batch(C)
-    W_hat = region.linopt_batch(C_hat)
-    W_opt = region.linopt_batch(C)
-    return ((W_hat - W_opt) * C).sum(axis=1)
+    return region.decision_cost_batch(C_hat, C) - region.decision_cost_batch(C, C)
+
+
+def margin_mix(base: np.ndarray, gap: np.ndarray, dual_norms: np.ndarray,
+               gamma: float) -> np.ndarray:
+    """Margin loss from its parts: the base losses, the gaps ``omega_S(c)``
+    and the predictions' dual norms.  Callers that evaluate many ``gamma``
+    on one sample compute the parts once."""
+    weight = np.minimum(dual_norms / gamma, 1.0)
+    return weight * base + (1.0 - weight) * gap
 
 
 def margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
@@ -128,19 +135,18 @@ def margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
     ``omega_S(c)`` with weight ``||c_hat||_* / gamma``."""
     if params.gamma <= 0:
         raise ValueError("margin loss requires gamma > 0")
-    C_hat = region._check_cost_batch(C_hat)
-    base = spo_loss_batch(region, C_hat, C)
-    weight = np.minimum(dual_norm_rows(C_hat, params.norm_q) / params.gamma, 1.0)
-    return weight * base + (1.0 - weight) * region.gap_batch(C)
+    base = spo_loss_batch(region, C_hat, C)  # validates both batches
+    return margin_mix(base, region.gap_batch(C), dual_norm_rows(C_hat, params.norm_q),
+                      params.gamma)
 
 
 def hard_margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
                                params: MarginParams) -> np.ndarray:
     """Hard margin loss: the gap ``omega_S(c)`` whenever the prediction's
     dual norm is at most ``gamma``, else the base loss."""
-    C_hat = region._check_cost_batch(C_hat)
+    base = spo_loss_batch(region, C_hat, C)  # validates both batches
     above = dual_norm_rows(C_hat, params.norm_q) > params.gamma
-    return np.where(above, spo_loss_batch(region, C_hat, C), region.gap_batch(C))
+    return np.where(above, base, region.gap_batch(C))
 
 
 def _one_row(kernel, region: FeasibleRegion, c_hat, c, *args) -> float:

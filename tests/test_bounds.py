@@ -6,7 +6,7 @@ from spo_bounds.bounds import (BoundInputs, bound_covering,
                                bound_linear_polyhedral, bound_margin,
                                bound_margin_uniform, bound_natarajan,
                                bound_rademacher, evaluate, evaluate_all,
-                               margin_rad_bound)
+                               MissingInputError, margin_rad_bound)
 
 
 def inputs(**kwargs):
@@ -252,6 +252,18 @@ class TestReports:
         assert {r.theorem_id for r in full} == {
             "rademacher", "natarajan", "linear_polyhedral", "covering",
             "margin", "margin_uniform"}
+
+    def test_evaluate_all_raises_on_invalid_inputs(self):
+        # n * card_S**2 = 1 is present but invalid; skipping it would drop
+        # natarajan and linear_polyhedral from the table without a word
+        bad = inputs(n=1, card_S=1, d_N=1, d=1, p=1, omega=1.0, rho2_C=1.0, rho2_S=1.0)
+        with pytest.raises(ValueError, match="n \\* card_S\\*\\*2 must exceed 1"):
+            evaluate_all(bad)
+
+    def test_missing_inputs_raise_a_value_error_subclass(self):
+        with pytest.raises(MissingInputError, match="missing bound inputs"):
+            evaluate("natarajan", inputs(omega=1.0))
+        assert issubclass(MissingInputError, ValueError)
 
 
 class TestInputValidation:

@@ -94,10 +94,9 @@ class TestLinoptOracle:
 
 
 @st.composite
-def dags_with_costs(draw):
-    """A random DAG and a cost batch.  Nodes are relabeled and arcs shuffled;
-    parallel arcs and nodes that cannot reach the sink are common.  Integer
-    costs in {-2..2} force ties; float costs exercise inexact sums."""
+def random_dags(draw):
+    """A random DAG.  Nodes are relabeled and arcs shuffled; parallel arcs
+    and nodes that cannot reach the sink are common."""
     nodes = draw(st.integers(2, 8))
     sink = draw(st.integers(1, nodes - 1))  # positions after it are dead ends
     forward = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)) \
@@ -108,16 +107,26 @@ def dags_with_costs(draw):
     arcs += draw(st.lists(st.sampled_from(arcs), max_size=3))  # parallel arcs
     arcs = draw(st.permutations(arcs))
     label = draw(st.permutations(range(nodes)))
-    dag = DagPathPolytope(nodes, [(label[t], label[h]) for t, h in arcs],
-                          label[0], label[sink])
-    m = draw(st.integers(1, 12))
+    return DagPathPolytope(nodes, [(label[t], label[h]) for t, h in arcs],
+                           label[0], label[sink])
+
+
+def cost_batches(draw, m: int, d: int) -> np.ndarray:
+    """An (m, d) cost batch.  Integer costs in {-2..2} force ties; float
+    costs exercise inexact sums."""
     if draw(st.booleans()):
         entries = st.integers(-2, 2).map(float)
     else:
         entries = st.floats(-10.0, 10.0, allow_nan=False)
-    C = np.array(draw(st.lists(st.lists(entries, min_size=dag.dim, max_size=dag.dim),
-                               min_size=m, max_size=m)))
-    return dag, C
+    return np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                  min_size=m, max_size=m)))
+
+
+@st.composite
+def dags_with_costs(draw):
+    """A random DAG and a cost batch."""
+    dag = draw(random_dags())
+    return dag, cost_batches(draw, draw(st.integers(1, 12)), dag.dim)
 
 
 class TestDagBatchOracle:
@@ -134,6 +143,73 @@ class TestDagBatchOracle:
         assert np.array_equal(dag.linopt(C[0]), W[0])
         longest = dag_path_costs_ref(dag, np.ones(dag.dim), maximize=True)[dag.source]
         assert dag.radius(2.0) == float(longest ** 0.5)
+
+
+@st.composite
+def regions_with_cost_pairs(draw):
+    """A region of any kind, a prediction batch with some zero rows, and a
+    true-cost batch of the same shape."""
+    kind = draw(st.sampled_from(["simplex", "ball", "ball_q1.5", "shifted_ball",
+                                 "vertex", "dag"]))
+    if kind == "dag":
+        region = draw(random_dags())
+    else:
+        d = draw(st.integers(1, 6))
+        if kind == "simplex":
+            region = UnitSimplex(d)
+        elif kind == "ball":
+            region = LqBall(2.0, 1.0, np.zeros(d))
+        elif kind == "ball_q1.5":
+            region = LqBall(1.5, 2.0, np.zeros(d))
+        elif kind == "shifted_ball":
+            region = LqBall(2.0, 1.5, np.linspace(-1.0, 1.0, d))
+        else:
+            k = draw(st.integers(1, 2 ** d))
+            vertices = np.array([[(i >> j & 1) - 0.5 * j for j in range(d)]
+                                 for i in range(k)], dtype=float)
+            region = VertexPolytope(vertices)
+    m = draw(st.integers(1, 12))
+    C_hat = cost_batches(draw, m, region.dim)
+    C_hat[draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
+    return region, C_hat, cost_batches(draw, m, region.dim)
+
+
+class TestDecisionCost:
+    """``decision_cost_batch`` against the decision-matrix formula it
+    replaces, ``(linopt_batch(C_hat) * C).sum(1)``: exact on the simplex and
+    DAGs (ties included), within 1e-12 on balls and vertex polytopes."""
+
+    @given(regions_with_cost_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_decision_matrix(self, case):
+        region, C_hat, C = case
+        got = region.decision_cost_batch(C_hat, C)
+        want = (region.linopt_batch(C_hat) * C).sum(axis=1)
+        if isinstance(region, (UnitSimplex, DagPathPolytope)):
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_zero_prediction_costs_the_center(self):
+        ball = LqBall(2.0, 2.0, [0.5, -1.0])
+        C = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        np.testing.assert_array_equal(ball.decision_cost_batch(np.zeros((2, 2)), C),
+                                      C @ ball.center)
+
+    def test_simplex_ties_break_to_lowest_index(self):
+        C = np.array([[5.0, 7.0, 9.0]])
+        assert UnitSimplex(3).decision_cost_batch([[0.2, 0.2, 0.9]], C)[0] == 5.0
+
+    @pytest.mark.parametrize("region", [UnitSimplex(2), LqBall(2.0, 1.0, [0.0, 0.0]),
+                                        DagPathPolytope.grid(2, 2)])
+    def test_rejects_mismatched_batches(self, region):
+        d = region.dim
+        with pytest.raises(ValueError, match="shape"):
+            region.decision_cost_batch(np.ones((3, d)), np.ones((2, d)))
+        with pytest.raises(ValueError, match="shape"):
+            region.decision_cost_batch(np.ones((1, d)), np.ones((2, d)))
+        with pytest.raises(ValueError, match="finite"):
+            region.decision_cost_batch([[np.nan] * d], np.ones((1, d)))
 
 
 class TestLqBallGeneralQ:

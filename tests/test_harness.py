@@ -119,6 +119,19 @@ class TestTrueRiskMC:
                                       np.zeros_like(C), C).mean())
         assert est == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("make", [ball_config, simplex_config])
+    def test_matches_decision_matrix_formula(self, make, rng):
+        # the m x d decision-matrix form the fused decision costs replace
+        config = make()
+        evaluator = RiskEvaluator(config)
+        region, X, C = config.region, evaluator.X, evaluator.C
+        for B in (rng.standard_normal(config.b_star.shape), np.zeros(config.b_star.shape)):
+            losses = ((region.linopt_batch(X @ B.T) * C).sum(axis=1)
+                      - (region.linopt_batch(C) * C).sum(axis=1))
+            est, se = evaluator.true_risk(B)
+            assert abs(est - losses.mean()) <= 1e-12
+            assert abs(se - losses.std(ddof=1) / np.sqrt(losses.size)) <= 1e-12
+
     def test_estimate_within_loss_range(self):
         config = ball_config(noise=0.5, m_fresh=2000)
         est, se = RiskEvaluator(config).true_risk(np.zeros((2, 2)))

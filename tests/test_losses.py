@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,15 @@ class TestLabeledSample:
         lines = sample.to_csv().splitlines()
         assert lines[0] == "x0,x1,c0"
         assert lines[1] == "1.0,2.0,3.0"
+
+    @pytest.mark.parametrize("header", ["c0,x0,c1", "x1,x0,c0", "x0,y0,c0", "x0,c1"])
+    def test_csv_header_names_and_order_enforced(self, header):
+        # read by counting x columns, "c0,x0,c1" would load x=[1], c=[2, 3]
+        # and "x1,x0,c0" would swap the feature columns
+        row = ",".join(["1.0"] * len(header.split(",")))
+        with pytest.raises(ValueError, match=re.escape(
+                f"csv header must be x0..x<p-1> then c0..c<d-1>, got {header}")):
+            LabeledSample.from_csv(f"{header}\n{row}\n")
 
     def test_json_round_trip(self, rng):
         sample = LabeledSample(xs=rng.standard_normal((4, 2)),

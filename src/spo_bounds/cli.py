@@ -269,11 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Invalid input (a library ``ValueError``, which
+    includes malformed JSON) and unreadable files end in one ``error:`` line
+    on stderr and exit status 2."""
     args = build_parser().parse_args(argv)
     if args.command == "experiment" and not (args.config or args.defaults):
         print("experiment run needs --config or --defaults", file=sys.stderr)
         return 2
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ complexity bounds for norm-constrained linear predictor classes.
 
 The Monte-Carlo estimators take the sup over a caller-supplied *finite*
 hypothesis set exactly (this lower-bounds the complexity of any larger
-class containing it).  Sign draws are derived one substream per draw
-index, so estimates are deterministic per seed and monotone under adding
-hypotheses.
+class containing it).  Sign draw ``k`` comes from ``substream(seed, k)``,
+the definition in ``_rng``; ``_rng.substreams`` seeds all draws in one
+batch with the same streams.  So estimates are deterministic per seed and
+monotone under adding hypotheses.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import substreams
 from .geometry import FeasibleRegion
 from .losses import LabeledSample
 
@@ -142,10 +143,15 @@ class LabelTable:
 # ---------------------------------------------------------------------------
 
 def _sign_draws(seed: int, m_draws: int, size: int) -> np.ndarray:
-    """(m_draws, size) array of +-1 signs, one substream per draw index."""
-    rows = [substream(seed, k).integers(0, 2, size=size) * 2.0 - 1.0
-            for k in range(m_draws)]
-    return np.stack(rows)
+    """(m_draws, size) array of +-1 signs; row k is
+    ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0``."""
+    signs = np.empty((m_draws, size))
+    for row, rng in zip(signs, substreams(seed, m_draws)):
+        row[:] = rng.integers(0, 2, size=size)
+    # in place: a scaled copy would double the peak memory of large draws
+    signs *= 2.0
+    signs -= 1.0
+    return signs
 
 
 def _mc_summary(values: np.ndarray) -> tuple[float, float]:

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import substreams
 
 #: absolute tolerance for all geometric membership checks
 MEMBERSHIP_TOL = 1e-9
@@ -472,9 +472,16 @@ class DagPathPolytope(FeasibleRegion):
         return np.stack([self.path_vector(p) for p in self.enumerate_paths(limit)])
 
     def diameter2(self, limit: int = 4096) -> float:
+        # paths are 0/1 vectors: ||v_i - v_j||^2 = len_i + len_j - 2 v_i @ v_j,
+        # exact in floats; blocks of 256 rows keep memory at O(256 * paths)
         V = self.path_vectors(limit)
-        diff = V[:, None, :] - V[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+        lengths = V.sum(axis=1)
+        widest = 0.0
+        for start in range(0, V.shape[0], 256):
+            rows = slice(start, start + 256)
+            d2 = lengths[rows, None] + lengths[None, :] - 2.0 * (V[rows] @ V.T)
+            widest = max(widest, float(d2.max()))
+        return math.sqrt(widest)
 
     def random_path(self, rng: np.random.Generator) -> list[int]:
         path: list[int] = []
@@ -636,16 +643,21 @@ class LqBall(FeasibleRegion):
 # ---------------------------------------------------------------------------
 
 def region_from_dict(data: dict) -> FeasibleRegion:
+    if not isinstance(data, dict):
+        raise ValueError("a region must be a JSON object")
     kind = data.get("kind")
-    if kind == "VertexPolytope":
-        return VertexPolytope(data["vertices"], mu=data.get("mu"))
-    if kind == "UnitSimplex":
-        return UnitSimplex(data["dim"])
-    if kind == "DagPathPolytope":
-        return DagPathPolytope(data["nodes"], [tuple(a) for a in data["arcs"]],
-                               data["source"], data["sink"])
-    if kind == "LqBall":
-        return LqBall(data["q"], data["radius"], data["center"], mu=data.get("mu"))
+    try:
+        if kind == "VertexPolytope":
+            return VertexPolytope(data["vertices"], mu=data.get("mu"))
+        if kind == "UnitSimplex":
+            return UnitSimplex(data["dim"])
+        if kind == "DagPathPolytope":
+            return DagPathPolytope(data["nodes"], [tuple(a) for a in data["arcs"]],
+                                   data["source"], data["sink"])
+        if kind == "LqBall":
+            return LqBall(data["q"], data["radius"], data["center"], mu=data.get("mu"))
+    except KeyError as exc:
+        raise ValueError(f"{kind} region is missing key {exc}") from None
     raise ValueError(f"unknown region kind: {kind!r}")
 
 
@@ -739,6 +751,24 @@ class CostDomain:
 # sampling-based verification
 # ---------------------------------------------------------------------------
 
+def _scalar_pow(values: np.ndarray, exponent: float) -> np.ndarray:
+    """Elementwise ``v ** exponent`` with Python's float power (libm
+    ``pow``), which numpy's array power does not match in the last ulp."""
+    return np.array([v ** exponent for v in values.tolist()])
+
+
+def _exact_norm_rows(D: np.ndarray, q: float) -> np.ndarray:
+    """``vector_norm(D[i], q)`` for every row, bit for bit.
+
+    The one-vector norm takes a BLAS dot for q = 2 (``np.vecdot`` calls the
+    same one) and a scalar power for the root otherwise; the row-wise
+    ``vector_norm_rows`` does neither, so it can differ in the last ulp.
+    """
+    if q == 2:
+        return np.sqrt(np.vecdot(D, D))
+    return _scalar_pow(np.add.reduce(np.abs(D) ** q, axis=1), 1.0 / q)
+
+
 def verify_strong_convexity(region: FeasibleRegion, mu: float,
                             n_samples: int, seed: int) -> ViolationReport:
     """Check the chord-ball inclusion defining mu-strong convexity.
@@ -746,6 +776,8 @@ def verify_strong_convexity(region: FeasibleRegion, mu: float,
     For sampled ``(w1, w2, lam, u)`` the point
     ``lam*w1 + (1-lam)*w2 + (mu/2)*lam*(1-lam)*||w1-w2||**2 * u`` with
     ``||u|| = 1`` must stay inside the region (norms in the region's norm).
+    Sample ``i`` draws ``w1``, ``w2``, ``lam`` and then the direction from
+    ``substream(seed, i)``; the witness is the first sample of largest breach.
     """
     if not isinstance(region, LqBall):
         raise ValueError("strong-convexity check only supports LqBall regions")
@@ -754,26 +786,23 @@ def verify_strong_convexity(region: FeasibleRegion, mu: float,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     q = region.norm_exponent
-    violations = 0
-    max_violation = -math.inf
-    witness = None
-    for i in range(n_samples):
-        rng = substream(seed, i)
-        w1 = region.sample(rng)
-        w2 = region.sample(rng)
-        lam = rng.random()
-        g = rng.standard_normal(region.dim)
-        u = g / np.linalg.norm(g, ord=q)
-        ball_r = 0.5 * mu * lam * (1.0 - lam) * vector_norm(w1 - w2, q) ** 2
-        z = lam * w1 + (1.0 - lam) * w2 + ball_r * u
-        breach = vector_norm(z - region.center, q) - region.ball_radius
-        if breach > max_violation:
-            max_violation = breach
-            witness = {"w1": w1.tolist(), "w2": w2.tolist(), "lam": lam,
-                       "u": u.tolist(), "sample_index": i}
-        if breach > MEMBERSHIP_TOL:
-            violations += 1
-    return ViolationReport(n_samples, violations, max_violation, witness)
+    W1, W2, G = (np.empty((n_samples, region.dim)) for _ in range(3))
+    lam = np.empty(n_samples)
+    for i, rng in enumerate(substreams(seed, n_samples)):
+        W1[i] = region.sample(rng)
+        W2[i] = region.sample(rng)
+        lam[i] = rng.random()
+        G[i] = rng.standard_normal(region.dim)
+    U = G / _exact_norm_rows(G, q)[:, None]
+    chord2 = _scalar_pow(_exact_norm_rows(W1 - W2, q), 2)
+    ball_r = 0.5 * mu * lam * (1.0 - lam) * chord2
+    Z = lam[:, None] * W1 + (1.0 - lam)[:, None] * W2 + ball_r[:, None] * U
+    breach = _exact_norm_rows(Z - region.center, q) - region.ball_radius
+    i = int(np.argmax(breach))
+    witness = {"w1": W1[i].tolist(), "w2": W2[i].tolist(), "lam": float(lam[i]),
+               "u": U[i].tolist(), "sample_index": i}
+    return ViolationReport(n_samples, int((breach > MEMBERSHIP_TOL).sum()),
+                           float(breach[i]), witness)
 
 
 def verify_optimality_condition(region: FeasibleRegion, c,
@@ -781,27 +810,26 @@ def verify_optimality_condition(region: FeasibleRegion, c,
     """Check the strengthened first-order optimality condition at the oracle
     solution of a linear objective over a strongly convex region:
     ``c @ (w - wbar) >= (mu/2) * ||c||_* * ||w - wbar||**2`` for sampled w.
+    Sample ``i`` is ``region.sample(substream(seed, i))``; the witness is the
+    first sample of largest breach.
     """
     if region.mu is None or region.mu <= 0:
         raise ValueError("region must declare mu > 0")
     c = region._check_cost(c)
     if not np.any(c):
         raise ValueError("c must be nonzero")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     q = region.norm_exponent
     c_star = dual_norm(c, q)
     wbar = region.linopt(c)
-    violations = 0
-    max_violation = -math.inf
-    witness = None
-    for i in range(n_samples):
-        rng = substream(seed, i)
-        w = region.sample(rng)
-        lhs = float(c @ (w - wbar))
-        rhs = 0.5 * region.mu * c_star * vector_norm(w - wbar, q) ** 2
-        breach = rhs - lhs
-        if breach > max_violation:
-            max_violation = breach
-            witness = {"w": w.tolist(), "sample_index": i}
-        if breach > MEMBERSHIP_TOL:
-            violations += 1
-    return ViolationReport(n_samples, violations, max_violation, witness)
+    W = np.empty((n_samples, region.dim))
+    for i, rng in enumerate(substreams(seed, n_samples)):
+        W[i] = region.sample(rng)
+    D = W - wbar
+    rhs = 0.5 * region.mu * c_star * _scalar_pow(_exact_norm_rows(D, q), 2)
+    breach = rhs - np.vecdot(D, c)
+    i = int(np.argmax(breach))
+    witness = {"w": W[i].tolist(), "sample_index": i}
+    return ViolationReport(n_samples, int((breach > MEMBERSHIP_TOL).sum()),
+                           float(breach[i]), witness)

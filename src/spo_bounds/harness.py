@@ -323,9 +323,9 @@ def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
     gamma_star = None
     if config.strongly_convex:
         # every gamma mixes the same base losses, gaps and prediction norms
-        # (the l2 norm, as in MarginParams' default)
+        # (in the dual of the region's norm)
         gap = region.gap_batch(sample.cs)
-        norms = dual_norm_rows(preds, 2.0)
+        norms = dual_norm_rows(preds, region.norm_exponent)
 
         def margin_risk(g: float) -> float:
             return float(margin_mix(base, gap, norms, g).mean())

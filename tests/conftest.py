@@ -15,7 +15,9 @@ import math
 import numpy as np
 import pytest
 
-from spo_bounds.geometry import VertexPolytope
+from spo_bounds._rng import substream
+from spo_bounds.geometry import (MEMBERSHIP_TOL, LqBall, VertexPolytope,
+                                 ViolationReport, dual_norm, vector_norm)
 
 
 @pytest.fixture
@@ -159,3 +161,61 @@ def dag_gap_ref(dag, c) -> float:
     lo = dag_path_costs_ref(dag, c, maximize=False)[dag.source]
     hi = dag_path_costs_ref(dag, c, maximize=True)[dag.source]
     return float(hi - lo)
+
+
+# ---------------------------------------------------------------------------
+# substream references: one generator built per sample or draw index
+# ---------------------------------------------------------------------------
+
+def sign_draws_ref(seed: int, m_draws: int, size: int) -> np.ndarray:
+    rows = [substream(seed, k).integers(0, 2, size=size) * 2.0 - 1.0
+            for k in range(m_draws)]
+    return np.stack(rows)
+
+
+def verify_strong_convexity_ref(region: LqBall, mu: float, n_samples: int,
+                                seed: int) -> ViolationReport:
+    q = region.norm_exponent
+    violations = 0
+    max_violation = -math.inf
+    witness = None
+    for i in range(n_samples):
+        rng = substream(seed, i)
+        w1 = region.sample(rng)
+        w2 = region.sample(rng)
+        lam = rng.random()
+        g = rng.standard_normal(region.dim)
+        u = g / np.linalg.norm(g, ord=q)
+        ball_r = 0.5 * mu * lam * (1.0 - lam) * vector_norm(w1 - w2, q) ** 2
+        z = lam * w1 + (1.0 - lam) * w2 + ball_r * u
+        breach = vector_norm(z - region.center, q) - region.ball_radius
+        if breach > max_violation:
+            max_violation = breach
+            witness = {"w1": w1.tolist(), "w2": w2.tolist(), "lam": lam,
+                       "u": u.tolist(), "sample_index": i}
+        if breach > MEMBERSHIP_TOL:
+            violations += 1
+    return ViolationReport(n_samples, violations, max_violation, witness)
+
+
+def verify_optimality_condition_ref(region, c, n_samples: int,
+                                    seed: int) -> ViolationReport:
+    c = region._check_cost(c)
+    q = region.norm_exponent
+    c_star = dual_norm(c, q)
+    wbar = region.linopt(c)
+    violations = 0
+    max_violation = -math.inf
+    witness = None
+    for i in range(n_samples):
+        rng = substream(seed, i)
+        w = region.sample(rng)
+        lhs = float(c @ (w - wbar))
+        rhs = 0.5 * region.mu * c_star * vector_norm(w - wbar, q) ** 2
+        breach = rhs - lhs
+        if breach > max_violation:
+            max_violation = breach
+            witness = {"w": w.tolist(), "sample_index": i}
+        if breach > MEMBERSHIP_TOL:
+            violations += 1
+    return ViolationReport(n_samples, violations, max_violation, witness)

@@ -159,3 +159,39 @@ class TestVerifyCommand:
         assert out1 == out2
         assert (tmp_path / "r1.txt").read_bytes() == (tmp_path / "r2.txt").read_bytes()
         assert "PASS oracle_optimality" in out1
+
+
+class TestInputErrors:
+    """Invalid input ends in one stderr line and exit 2, never a traceback."""
+
+    def assert_one_error_line(self, capsys, needle):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and needle in lines[0]
+
+    def test_bound_all_rejects_single_sample_single_point(self, tmp_path, capsys):
+        inputs_file = write(tmp_path / "inputs.json",
+                            {"n": 1, "delta": 0.05, "omega": 1.0, "d_N": 1,
+                             "card_S": 1})
+        assert main(["bound", "all", "--inputs", inputs_file]) == 2
+        self.assert_one_error_line(capsys, "card_S")
+
+    def test_malformed_region_json(self, tmp_path, capsys):
+        region_file = tmp_path / "region.json"
+        region_file.write_text('{"kind": "LqBall", "dim": 2')
+        assert main(["loss", "eval", "--region", str(region_file),
+                     "--c-hat", "1,0", "--c", "1,0"]) == 2
+        self.assert_one_error_line(capsys, "delimiter")
+
+    def test_region_missing_key(self, tmp_path, capsys):
+        region_file = write(tmp_path / "region.json", {"kind": "LqBall", "dim": 2})
+        assert main(["loss", "eval", "--region", region_file,
+                     "--c-hat", "1,0", "--c", "1,0"]) == 2
+        self.assert_one_error_line(capsys, "missing key 'q'")
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["loss", "eval", "--region", str(tmp_path / "none.json"),
+                     "--c-hat", "1,0", "--c", "1,0"]) == 2
+        self.assert_one_error_line(capsys, "none.json")

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spo_bounds.complexity import (FiniteHypothesisSet, LabelTable,
-                                   LinearPredictorClass, count_restrictions,
+                                   LinearPredictorClass, _sign_draws,
+                                   count_restrictions,
                                    linear_class_rad_bound, massart_bound,
                                    natarajan_dim_bruteforce, oracle_label_table,
                                    rademacher_multivariate_mc,
@@ -12,7 +15,17 @@ from spo_bounds.complexity import (FiniteHypothesisSet, LabelTable,
 from spo_bounds.geometry import CostDomain, LqBall, UnitSimplex
 from spo_bounds.losses import LabeledSample, spo_loss_batch
 
-from conftest import rademacher_exact, square_region
+from conftest import rademacher_exact, sign_draws_ref, square_region
+
+
+class TestSignDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 70), m_draws=st.integers(1, 40),
+           size=st.integers(1, 30))
+    def test_matches_one_generator_per_draw(self, seed, m_draws, size):
+        signs = _sign_draws(seed, m_draws, size)
+        assert signs.dtype == np.float64
+        np.testing.assert_array_equal(signs, sign_draws_ref(seed, m_draws, size))
 
 
 class TestRademacherSpoMC:

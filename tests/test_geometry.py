@@ -1,21 +1,24 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
-                                 UnitSimplex, VertexPolytope, covering_count,
+                                 UnitSimplex, VertexPolytope, _exact_norm_rows,
+                                 _scalar_pow, covering_count,
                                  covering_count_log, dual_norm,
                                  region_from_dict, region_from_json,
-                                 verify_optimality_condition,
+                                 vector_norm, verify_optimality_condition,
                                  verify_strong_convexity)
 
 from conftest import (dag_gap_ref, dag_linopt_ref, dag_path_costs_ref,
                       enumerate_paths_brute, pgd_lq_minimize, project_lq_ball,
-                      square_region)
+                      square_region, verify_optimality_condition_ref,
+                      verify_strong_convexity_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +146,34 @@ class TestDagBatchOracle:
         assert np.array_equal(dag.linopt(C[0]), W[0])
         longest = dag_path_costs_ref(dag, np.ones(dag.dim), maximize=True)[dag.source]
         assert dag.radius(2.0) == float(longest ** 0.5)
+
+
+class TestDagDiameter:
+    @given(random_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_differences(self, dag):
+        V = dag.path_vectors()
+        diff = V[:, None, :] - V[None, :, :]
+        assert dag.diameter2() == float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+    def test_blocks_match_pairwise_differences(self):
+        # 924 paths span four row blocks
+        dag = DagPathPolytope.grid(7, 7)
+        V = dag.path_vectors()
+        expected = max(float(np.sqrt(((V[i] - V) ** 2).sum(axis=1)).max())
+                       for i in range(V.shape[0]))
+        assert dag.diameter2() == expected
+
+    def test_eight_by_eight_grid_in_bounded_memory(self):
+        # 3432 paths of 14 arcs over 112 arcs; two disjoint paths are 28 apart
+        tracemalloc.start()
+        try:
+            omega = CostDomain.ball(DagPathPolytope.grid(8, 8), 1.0).omega
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert omega == math.sqrt(28)
+        assert peak < 64 * 2 ** 20
 
 
 @st.composite
@@ -534,6 +565,66 @@ class TestOptimalityCondition:
         region = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)
         with pytest.raises(ValueError, match="nonzero"):
             verify_optimality_condition(region, [0.0, 0.0], 10, seed=0)
+
+
+CONVEXITY_BALLS = [LqBall.interval(0.5), LqBall(2.0, 1.0, [0.0, 0.0]),
+                   LqBall(1.5, 2.0, [0.0, 0.0, 0.0]),
+                   LqBall(2.0, 2.0, [0.5, -0.25, 0.0]),
+                   LqBall(1.5, 1.0, [0.3, -0.2])]
+OPTIMALITY_REGIONS = [LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0),
+                      LqBall(1.5, 2.0, [0.0, 0.0, 0.0], mu=0.25),
+                      LqBall(2.0, 2.0, [0.5, -0.25, 0.0], mu=0.5),
+                      VertexPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0],
+                                      [-1.0, -1.0]], mu=0.5)]
+
+
+class TestBatchSeededVerifiers:
+    """The verifiers seed every sample in one batch; their reports must equal
+    those of the one-generator-per-sample loops field for field."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(idx=st.integers(0, len(CONVEXITY_BALLS) - 1),
+           mu=st.sampled_from([0.25, 1.0, 2.0, 10.0]),
+           n=st.integers(1, 150), seed=st.integers(0, 2 ** 70))
+    def test_strong_convexity_matches_reference(self, idx, mu, n, seed):
+        region = CONVEXITY_BALLS[idx]
+        assert (verify_strong_convexity(region, mu, n, seed)
+                == verify_strong_convexity_ref(region, mu, n, seed))
+
+    @settings(max_examples=120, deadline=None)
+    @given(idx=st.integers(0, len(OPTIMALITY_REGIONS) - 1),
+           c=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           n=st.integers(1, 150), seed=st.integers(0, 2 ** 70))
+    def test_optimality_condition_matches_reference(self, idx, c, n, seed):
+        region = OPTIMALITY_REGIONS[idx]
+        c = np.array(c[:region.dim], dtype=float)
+        assume(np.any(c))
+        assert (verify_optimality_condition(region, c, n, seed)
+                == verify_optimality_condition_ref(region, c, n, seed))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_audit_sizes_match_reference(self, seed):
+        ball = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)
+        overstated = verify_strong_convexity(ball, 10.0, 2000, seed)
+        assert overstated == verify_strong_convexity_ref(ball, 10.0, 2000, seed)
+        assert overstated.violations > 0
+        c = np.array([0.6, -0.8])
+        assert (verify_optimality_condition(ball, c, 2000, seed)
+                == verify_optimality_condition_ref(ball, c, 2000, seed))
+
+    @pytest.mark.parametrize("q", [2.0, 1.5, 1.2])
+    def test_exact_norm_rows_match_one_vector_norms(self, q):
+        D = np.random.default_rng(4).standard_normal((20_000, 3))
+        D[:, :int(q)] *= 7.3
+        norms = _exact_norm_rows(D, q)
+        np.testing.assert_array_equal(norms, [vector_norm(d, q) for d in D])
+        np.testing.assert_array_equal(_scalar_pow(norms, 2),
+                                      [vector_norm(d, q) ** 2 for d in D])
+
+    def test_optimality_rejects_zero_samples(self):
+        region = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_optimality_condition(region, [1.0, 0.0], 0, seed=0)
 
 
 class TestSampling:

@@ -6,7 +6,7 @@ from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
                                 clip_frobenius, config_label, default_suite,
                                 fit_least_squares, generate_sample,
                                 run_bound_validity, run_lipschitz_audit)
-from spo_bounds.losses import LabeledSample
+from spo_bounds.losses import LabeledSample, MarginParams, empirical_risk
 
 
 def ball_config(**overrides):
@@ -174,6 +174,22 @@ class TestBoundValidity:
                                              "spo")
         assert rec.emp_margin[0.5] == empirical_risk(
             config.region, predictor, sample, "margin", MarginParams(gamma=0.5))
+
+    def test_lq_ball_margin_risk_uses_dual_norm(self):
+        region = LqBall(1.5, 1.0, [0.0, 0.0], mu=0.3)
+        config = ball_config(region=region,
+                             cost_domain=CostDomain.ball(region, 1.0),
+                             b_star=0.5 * np.eye(2), seed=3, trials=1,
+                             gamma_grid=[0.5], m_fresh=500)
+        rec = run_bound_validity(config).records[0]
+        sample = generate_sample(config, 0, n=40)
+        predictor = clip_frobenius(fit_least_squares(sample), config.beta)
+        dual = empirical_risk(region, predictor, sample, "margin",
+                              MarginParams(gamma=0.5, norm_q=1.5))
+        l2 = empirical_risk(region, predictor, sample, "margin",
+                            MarginParams(gamma=0.5))
+        assert rec.emp_margin[0.5] == dual
+        assert dual != l2
 
     def test_trials_csv_deterministic_and_ordered(self):
         config_a = ball_config()

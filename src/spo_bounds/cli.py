@@ -24,8 +24,9 @@ from . import bounds as bounds_mod
 from .audits import render_report, run_all_audits
 from .bounds import BoundInputs
 from .complexity import (FiniteHypothesisSet, LabelTable,
-                         natarajan_dim_bruteforce, oracle_label_table,
-                         rademacher_multivariate_mc, rademacher_spo_mc)
+                         check_natarajan_budget, natarajan_dim_bruteforce,
+                         oracle_label_table, rademacher_multivariate_mc,
+                         rademacher_spo_mc)
 from .geometry import dual_norm, region_from_json
 from .harness import (BoundValidityResult, ExperimentConfig, config_label,
                       default_suite, run_bound_validity)
@@ -45,7 +46,10 @@ def _load_sample(path: str) -> LabeledSample:
 
 
 def _load_vectors(path: str) -> np.ndarray:
-    return np.asarray(json.loads(Path(path).read_text()), dtype=float)
+    xs = np.asarray(json.loads(Path(path).read_text()), dtype=float)
+    if xs.ndim != 2:
+        raise ValueError(f"{path}: expected a JSON list of feature vectors")
+    return xs
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -98,16 +102,17 @@ def _cmd_complexity(args) -> int:
         return 0
     # natarajan
     if args.table is not None:
-        table = LabelTable(np.asarray(json.loads(Path(args.table).read_text()),
-                                      dtype=np.int64))
+        # no dtype: LabelTable rejects labels that are not integers
+        table = LabelTable(np.asarray(json.loads(Path(args.table).read_text())))
     else:
         if not (args.region and args.hypotheses and args.xs):
-            print("natarajan needs --table or all of --region/--hypotheses/--xs",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("natarajan needs --table or all of "
+                             "--region/--hypotheses/--xs")
         region = _load_region(args.region)
         hyp = FiniteHypothesisSet.from_json(Path(args.hypotheses).read_text())
-        table = oracle_label_table(region, hyp, _load_vectors(args.xs))
+        xs = _load_vectors(args.xs)
+        check_natarajan_budget(len(xs), len(hyp))
+        table = oracle_label_table(region, hyp, xs)
     _emit({"estimator": "natarajan", "dimension": natarajan_dim_bruteforce(table),
            "points": table.n_points, "hypotheses": table.n_hypotheses})
     return 0
@@ -220,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp_sub = comp.add_subparsers(dest="estimator", required=True)
     for name in ("rad-spo", "rad-multi", "natarajan"):
         est = comp_sub.add_parser(name)
-        est.add_argument("--region", default=None)
-        est.add_argument("--hypotheses", default=None,
+        # natarajan may take a --table in place of region, hypotheses and points
+        est.add_argument("--region", required=name == "rad-spo", default=None)
+        est.add_argument("--hypotheses", required=name != "natarajan", default=None,
                          help="JSON list of d x p matrices")
         if name == "rad-spo":
             est.add_argument("--sample", required=True, help="sample CSV or JSON")

@@ -8,12 +8,32 @@ class containing it).  Sign draw ``k`` comes from ``substream(seed, k)``,
 the definition in ``_rng``; ``_rng.substreams`` seeds all draws in one
 batch with the same streams.  So estimates are deterministic per seed and
 monotone under adding hypotheses.
+
+The hypothesis axis is a batch axis.  A matrix-backed set stores its
+matrices as one (H, d, p) array and predicts all of them at once, and
+``rademacher_spo_mc``, ``count_restrictions`` and ``oracle_label_table``
+each make one oracle call on the stacked (H * n, d) predictions.  The
+oracles work row by row, so each row's decision and cost is the one a
+per-hypothesis call would give, ties included.
+
+``natarajan_dim_bruteforce`` prunes its search with two exact rules.  A
+set of s points is N-shattered when some pair of label tuples that differ
+at every point generates a cube of 2**s mixtures, all realized.
+1. The mixtures are 2**s distinct tuples, so a set whose restricted labels
+   hold fewer distinct tuples is skipped.
+2. Swapping the two labels of a cube member at one point gives another
+   cube member, which differs from it at that point only.  So repeatedly
+   dropping any tuple that, at some point, has no other remaining tuple
+   differing from it there only never drops a cube member.  The pair
+   search runs on what remains (the flip-closed core) and finds a cube
+   there exactly when the full set of restricted tuples holds one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,8 +51,8 @@ NATARAJAN_MAX_HYPOTHESES = 1 << 16
 class FiniteHypothesisSet:
     """A finite set of cost-vector predictors.
 
-    Backed either by d x p matrices (evaluated as ``x -> B @ x``) or by an
-    explicit table of outputs per evaluation point.
+    Backed either by an (H, d, p) stack of matrices (evaluated as
+    ``x -> B @ x``) or by an explicit table of outputs per evaluation point.
     """
 
     def __init__(self, matrices: list[np.ndarray] | None = None,
@@ -46,12 +66,12 @@ class FiniteHypothesisSet:
             shape = mats[0].shape
             if len(shape) != 2:
                 raise ValueError("each hypothesis must be a 2-D matrix")
-            for B in mats:
-                if B.shape != shape:
-                    raise ValueError("all hypothesis matrices must share one shape")
-                if not np.all(np.isfinite(B)):
-                    raise ValueError("hypothesis matrices must be finite")
-            self.matrices: list[np.ndarray] | None = mats
+            if any(B.shape != shape for B in mats):
+                raise ValueError("all hypothesis matrices must share one shape")
+            stacked = np.stack(mats)
+            if not np.all(np.isfinite(stacked)):
+                raise ValueError("hypothesis matrices must be finite")
+            self.matrices: np.ndarray | None = stacked
             self.table: np.ndarray | None = None
             self.d, self.p = shape
         else:
@@ -83,7 +103,7 @@ class FiniteHypothesisSet:
 
     def subset(self, indices) -> "FiniteHypothesisSet":
         if self.matrices is not None:
-            return FiniteHypothesisSet(matrices=[self.matrices[i] for i in indices])
+            return FiniteHypothesisSet(matrices=self.matrices[list(indices)])
         return FiniteHypothesisSet(table=self.table[list(indices)])
 
     def predictions(self, xs: np.ndarray) -> np.ndarray:
@@ -92,7 +112,7 @@ class FiniteHypothesisSet:
         if self.matrices is not None:
             if xs.ndim != 2 or xs.shape[1] != self.p:
                 raise ValueError(f"xs must have shape (n, {self.p})")
-            return np.stack([xs @ B.T for B in self.matrices])
+            return xs @ self.matrices.transpose(0, 2, 1)
         if self.table.shape[1] != xs.shape[0]:
             raise ValueError("table was built for a different number of points")
         return self.table
@@ -172,10 +192,13 @@ def rademacher_spo_mc(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
     if m_draws < 1:
         raise ValueError("m_draws must be >= 1")
     preds = hypotheses.predictions(sample.xs)
-    # SPO losses, (H, n); the optimal costs c @ w*(c) are solved once for
-    # every hypothesis
+    H, n, d = preds.shape
+    # SPO losses, (H, n), from one oracle call on the stacked predictions;
+    # the optimal costs c @ w*(c) are solved once for every hypothesis
     opt = region.decision_cost_batch(sample.cs, sample.cs)
-    losses = np.stack([region.decision_cost_batch(P, sample.cs) - opt for P in preds])
+    realized = region.decision_cost_batch(preds.reshape(H * n, d),
+                                          np.tile(sample.cs, (H, 1)))
+    losses = realized.reshape(H, n) - opt
     signs = _sign_draws(seed, m_draws, sample.n)
     corr = signs @ losses.T / sample.n  # (m, H)
     return _mc_summary(corr.max(axis=1))
@@ -199,35 +222,35 @@ def rademacher_multivariate_mc(hypotheses: FiniteHypothesisSet, xs,
     return _mc_summary(corr.max(axis=1))
 
 
+def _stacked_decisions(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
+                       xs) -> np.ndarray:
+    """Oracle decisions ``w*(f(x_i))`` of every hypothesis at every point,
+    shape (H, n, d), from one oracle call on the stacked predictions."""
+    preds = hypotheses.predictions(np.asarray(xs, dtype=float))
+    return region.linopt_batch(preds.reshape(-1, preds.shape[2])).reshape(preds.shape)
+
+
 def count_restrictions(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
                        xs) -> int:
     """Number of distinct decision-vector tuples ``(w*(f(x_1)), ..., w*(f(x_n)))``
     over the hypothesis set."""
     region.extreme_point_count()  # rejects regions without finite extreme points
-    xs = np.asarray(xs, dtype=float)
-    preds = hypotheses.predictions(xs)
-    seen = set()
-    for P in preds:
-        decisions = region.linopt_batch(P)
-        seen.add(decisions.tobytes())
-    return len(seen)
+    decisions = _stacked_decisions(region, hypotheses, xs)
+    return len({row.tobytes() for row in decisions.reshape(len(decisions), -1)})
 
 
 def oracle_label_table(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
                        xs) -> LabelTable:
     """Label table of oracle decisions: entry (i, j) is an integer id of the
-    extreme point chosen by hypothesis j at point i."""
+    extreme point chosen by hypothesis j at point i.  Ids are numbered in
+    order of first appearance, hypothesis by hypothesis."""
     region.extreme_point_count()
-    xs = np.asarray(xs, dtype=float)
-    preds = hypotheses.predictions(xs)
+    decisions = _stacked_decisions(region, hypotheses, xs)
+    H, n, d = decisions.shape
     ids: dict[bytes, int] = {}
-    table = np.zeros((xs.shape[0], len(hypotheses)), dtype=np.int64)
-    for j, P in enumerate(preds):
-        decisions = region.linopt_batch(P)
-        for i, w in enumerate(decisions):
-            key = w.tobytes()
-            table[i, j] = ids.setdefault(key, len(ids) + 1)
-    return LabelTable(table)
+    labels = [ids.setdefault(w.tobytes(), len(ids) + 1)
+              for w in decisions.reshape(H * n, d)]
+    return LabelTable(np.array(labels, dtype=np.int64).reshape(H, n).T)
 
 
 def massart_bound(card: float, n: int, omega: float) -> float:
@@ -249,6 +272,14 @@ def massart_bound(card: float, n: int, omega: float) -> float:
 # Natarajan dimension by exhaustive search
 # ---------------------------------------------------------------------------
 
+def check_natarajan_budget(points: int, hypotheses: int) -> None:
+    """Refuse a search that exceeds the budget; check before any oracle work."""
+    if points > NATARAJAN_MAX_POINTS or hypotheses > NATARAJAN_MAX_HYPOTHESES:
+        raise ValueError(f"{points} points x {hypotheses} hypotheses exceeds the "
+                         f"exhaustive search budget ({NATARAJAN_MAX_POINTS} x "
+                         f"{NATARAJAN_MAX_HYPOTHESES})")
+
+
 def _is_n_shattered(tuples: list[tuple], size: int) -> bool:
     pool = set(tuples)
     for i, g1 in enumerate(tuples):
@@ -261,6 +292,20 @@ def _is_n_shattered(tuples: list[tuple], size: int) -> bool:
     return False
 
 
+def _flip_closed_core(pool: set[tuple], size: int) -> set[tuple]:
+    """Largest subset of ``pool`` in which every tuple has, at every
+    coordinate, another member that differs from it only there."""
+    core = pool
+    while True:
+        kept = core
+        for k in range(size):
+            partners = Counter(t[:k] + t[k + 1:] for t in kept)
+            kept = {t for t in kept if partners[t[:k] + t[k + 1:]] > 1}
+        if len(kept) == len(core):
+            return core
+        core = kept
+
+
 def natarajan_dim_bruteforce(table: LabelTable | np.ndarray) -> int:
     """Largest point set witnessed as N-shattered by the label table.
 
@@ -268,22 +313,25 @@ def natarajan_dim_bruteforce(table: LabelTable | np.ndarray) -> int:
     and every way of mixing their labels across the set is realized by
     some hypothesis.  The search enumerates candidate sets by increasing
     size and stops at the first size with no shattered set (the dimension
-    is monotone), returning 0 when no pair of hypotheses disagrees.
+    is monotone), returning 0 when no pair of hypotheses disagrees.  A set
+    is searched only if its restricted labels could hold a shattered cube
+    (see the module docstring for why both prunes are exact).
     """
     if not isinstance(table, LabelTable):
         table = LabelTable(np.asarray(table))
     m, H = table.n_points, table.n_hypotheses
-    if m > NATARAJAN_MAX_POINTS or H > NATARAJAN_MAX_HYPOTHESES:
-        raise ValueError("table exceeds the exhaustive search budget")
-    columns = sorted({tuple(col) for col in table.values.T})
+    check_natarajan_budget(m, H)
+    columns = {tuple(col) for col in table.values.T.tolist()}
     dim = 0
     for size in range(1, m + 1):
+        cube = 1 << size
         shattered = False
         for subset in combinations(range(m), size):
-            restricted = sorted({tuple(col[i] for i in subset) for col in columns})
-            if len(restricted) < 2:
+            restricted = {tuple(col[i] for i in subset) for col in columns}
+            if len(restricted) < cube:
                 continue
-            if _is_n_shattered(restricted, size):
+            core = _flip_closed_core(restricted, size)
+            if len(core) >= cube and _is_n_shattered(sorted(core), size):
                 shattered = True
                 break
         if not shattered:

@@ -28,7 +28,11 @@ and a zero prediction row maps to the center.
 Tie-breaking is fixed so the oracle is a deterministic mapping: vertex
 regions pick the lowest vertex index, the DAG oracle picks the
 lexicographically smallest arc-index sequence among optimal paths, and
-balls map ``c = 0`` to the center.
+balls map ``c = 0`` to the center.  Rows are independent: a row's decision
+and cost are the same bits whatever other rows share its batch, so callers
+may stack batches (the complexity estimators stack all hypotheses).  That
+is why the vertex scores and the ball-center offsets use ``einsum``: BLAS
+matrix products round a row differently depending on the batch size.
 """
 
 from __future__ import annotations
@@ -242,15 +246,15 @@ class VertexPolytope(FeasibleRegion):
         super().__init__(V.shape[1], mu)
         self.vertices = V
 
+    def _scores(self, C) -> np.ndarray:
+        return np.einsum("ij,kj->ik", self._check_cost_batch(C), self.vertices)
+
     def linopt_batch(self, C) -> np.ndarray:
-        C = self._check_cost_batch(C)
-        scores = C @ self.vertices.T
         # argmin takes the lowest vertex index on ties
-        return self.vertices[np.argmin(scores, axis=1)].copy()
+        return self.vertices[np.argmin(self._scores(C), axis=1)].copy()
 
     def gap_batch(self, C) -> np.ndarray:
-        C = self._check_cost_batch(C)
-        scores = C @ self.vertices.T
+        scores = self._scores(C)
         return scores.max(axis=1) - scores.min(axis=1)
 
     def radius(self, q: float = 2.0) -> float:
@@ -585,7 +589,10 @@ class LqBall(FeasibleRegion):
         C = self._check_cost_batch(C, rows=C_hat.shape[0])
         norms = np.sqrt(np.einsum("ij,ij->i", C_hat, C_hat))
         dots = np.einsum("ij,ij->i", C, C_hat)
-        return C @ self.center - self.ball_radius * dots / np.where(norms > 0, norms, 1.0)
+        # a zero center adds nothing; skipping its product saves an einsum
+        # pass over every row of the large true-risk batches
+        offsets = np.einsum("ij,j->i", C, self.center) if self.center.any() else 0.0
+        return offsets - self.ball_radius * dots / np.where(norms > 0, norms, 1.0)
 
     def radius(self, q: float = 2.0) -> float:
         if q < 1:

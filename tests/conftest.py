@@ -3,8 +3,10 @@
 The reference implementations here deliberately take different routes from
 the library (bisection-based projections, exhaustive enumeration, direct
 arithmetic) so the tests certify values rather than echo them.  The DAG
-reference is the library's earlier one-cost-vector dynamic program, kept
-unchanged as the differential reference for the batched one.
+reference is the library's earlier one-cost-vector dynamic program, and the
+complexity references are its earlier one-oracle-call-per-hypothesis
+estimators and unpruned Natarajan search, kept unchanged as the
+differential references for the batched and pruned ones.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spo_bounds._rng import substream
-from spo_bounds.geometry import (MEMBERSHIP_TOL, LqBall, VertexPolytope,
-                                 ViolationReport, dual_norm, vector_norm)
+from spo_bounds.complexity import _mc_summary, _sign_draws
+from spo_bounds.geometry import (MEMBERSHIP_TOL, DagPathPolytope, LqBall,
+                                 VertexPolytope, ViolationReport, dual_norm,
+                                 vector_norm)
 
 
 @pytest.fixture
@@ -115,6 +120,26 @@ def rademacher_exact(losses: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # DAG reference oracle: the one-cost-vector dynamic program
 # ---------------------------------------------------------------------------
+
+@st.composite
+def random_dags(draw):
+    """A random DAG.  Nodes are relabeled and arcs shuffled; parallel arcs
+    and nodes that cannot reach the sink are common."""
+    nodes = draw(st.integers(2, 8))
+    sink = draw(st.integers(1, nodes - 1))  # positions after it are dead ends
+    forward = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)) \
+        .filter(lambda a: a[0] < a[1])
+    inner = draw(st.lists(st.integers(1, sink - 1), unique=True)) if sink > 1 else []
+    chain = [0] + sorted(inner) + [sink]
+    arcs = list(zip(chain, chain[1:])) + draw(st.lists(forward, max_size=14))
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=3))  # parallel arcs
+    arcs = draw(st.permutations(arcs))
+    label = draw(st.permutations(range(nodes)))
+    return DagPathPolytope(nodes, [(label[t], label[h]) for t, h in arcs],
+                           label[0], label[sink])
+
+
+
 
 def dag_path_costs_ref(dag, c: np.ndarray, maximize: bool) -> np.ndarray:
     """Best source->sink cost continuing from each node (inf/-inf if none)."""
@@ -219,3 +244,82 @@ def verify_optimality_condition_ref(region, c, n_samples: int,
         if breach > MEMBERSHIP_TOL:
             violations += 1
     return ViolationReport(n_samples, violations, max_violation, witness)
+
+
+# ---------------------------------------------------------------------------
+# complexity references: one oracle call per hypothesis, unpruned search
+# ---------------------------------------------------------------------------
+
+def predictions_ref(hypotheses, xs) -> np.ndarray:
+    if hypotheses.matrices is not None:
+        return np.stack([xs @ B.T for B in hypotheses.matrices])
+    return hypotheses.table
+
+
+def spo_loss_stack_ref(region, hypotheses, sample) -> np.ndarray:
+    preds = predictions_ref(hypotheses, sample.xs)
+    opt = region.decision_cost_batch(sample.cs, sample.cs)
+    return np.stack([region.decision_cost_batch(P, sample.cs) - opt for P in preds])
+
+
+def rademacher_spo_mc_ref(region, hypotheses, sample, m_draws: int,
+                          seed: int) -> tuple[float, float]:
+    losses = spo_loss_stack_ref(region, hypotheses, sample)
+    signs = _sign_draws(seed, m_draws, sample.n)
+    corr = signs @ losses.T / sample.n  # (m, H)
+    return _mc_summary(corr.max(axis=1))
+
+
+def count_restrictions_ref(region, hypotheses, xs) -> int:
+    region.extreme_point_count()
+    preds = predictions_ref(hypotheses, np.asarray(xs, dtype=float))
+    seen = set()
+    for P in preds:
+        decisions = region.linopt_batch(P)
+        seen.add(decisions.tobytes())
+    return len(seen)
+
+
+def oracle_label_table_ref(region, hypotheses, xs) -> np.ndarray:
+    region.extreme_point_count()
+    xs = np.asarray(xs, dtype=float)
+    preds = predictions_ref(hypotheses, xs)
+    ids: dict[bytes, int] = {}
+    table = np.zeros((xs.shape[0], len(hypotheses)), dtype=np.int64)
+    for j, P in enumerate(preds):
+        decisions = region.linopt_batch(P)
+        for i, w in enumerate(decisions):
+            key = w.tobytes()
+            table[i, j] = ids.setdefault(key, len(ids) + 1)
+    return table
+
+
+def is_n_shattered_ref(tuples: list[tuple], size: int) -> bool:
+    pool = set(tuples)
+    for i, g1 in enumerate(tuples):
+        for g2 in tuples[i + 1:]:
+            if any(a == b for a, b in zip(g1, g2)):
+                continue
+            if all(tuple(g1[k] if mask >> k & 1 else g2[k] for k in range(size)) in pool
+                   for mask in range(1 << size)):
+                return True
+    return False
+
+
+def natarajan_dim_ref(values: np.ndarray) -> int:
+    m = values.shape[0]
+    columns = sorted({tuple(col) for col in values.T})
+    dim = 0
+    for size in range(1, m + 1):
+        shattered = False
+        for subset in itertools.combinations(range(m), size):
+            restricted = sorted({tuple(col[i] for i in subset) for col in columns})
+            if len(restricted) < 2:
+                continue
+            if is_n_shattered_ref(restricted, size):
+                shattered = True
+                break
+        if not shattered:
+            break
+        dim = size
+    return dim

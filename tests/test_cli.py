@@ -3,6 +3,7 @@ import json
 import pytest
 
 from spo_bounds.cli import main
+from spo_bounds.geometry import UnitSimplex
 
 
 def write(path, data):
@@ -195,3 +196,33 @@ class TestInputErrors:
         assert main(["loss", "eval", "--region", str(tmp_path / "none.json"),
                      "--c-hat", "1,0", "--c", "1,0"]) == 2
         self.assert_one_error_line(capsys, "none.json")
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["rad-spo", "--hypotheses", "h.json", "--sample", "s.csv"], "--region"),
+        (["rad-spo", "--region", "r.json", "--sample", "s.csv"], "--hypotheses"),
+        (["rad-multi", "--xs", "xs.json"], "--hypotheses"),
+    ])
+    def test_estimator_missing_argument(self, argv, missing, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["complexity", *argv])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: the following arguments are required: {missing}")
+
+    def test_natarajan_rejects_non_integer_labels(self, tmp_path, capsys):
+        table_file = write(tmp_path / "table.json", [[1.5, 2.7], [1.2, 2.2]])
+        assert main(["complexity", "natarajan", "--table", table_file]) == 2
+        self.assert_one_error_line(capsys, "labels must be integers")
+
+    def test_natarajan_budget_checked_before_any_oracle_call(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def no_oracle(region, C):
+            raise AssertionError("oracle called on an over-budget input")
+
+        monkeypatch.setattr(UnitSimplex, "linopt_batch", no_oracle)
+        region_file = write(tmp_path / "simplex.json", {"kind": "UnitSimplex", "dim": 2})
+        hyp_file = write(tmp_path / "hyp.json", [[[1.0], [0.0]]])
+        xs_file = write(tmp_path / "xs.json", [[float(i)] for i in range(13)])
+        assert main(["complexity", "natarajan", "--region", region_file,
+                     "--hypotheses", hyp_file, "--xs", xs_file]) == 2
+        self.assert_one_error_line(capsys, "13 points x 1 hypotheses exceeds")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from spo_bounds import complexity
 from spo_bounds.complexity import (FiniteHypothesisSet, LabelTable,
                                    LinearPredictorClass, _sign_draws,
                                    count_restrictions,
@@ -12,10 +14,14 @@ from spo_bounds.complexity import (FiniteHypothesisSet, LabelTable,
                                    natarajan_dim_bruteforce, oracle_label_table,
                                    rademacher_multivariate_mc,
                                    rademacher_spo_mc)
-from spo_bounds.geometry import CostDomain, LqBall, UnitSimplex
+from spo_bounds.geometry import (CostDomain, LqBall, UnitSimplex,
+                                 VertexPolytope)
 from spo_bounds.losses import LabeledSample, spo_loss_batch
 
-from conftest import rademacher_exact, sign_draws_ref, square_region
+from conftest import (count_restrictions_ref, natarajan_dim_ref,
+                      oracle_label_table_ref, rademacher_exact,
+                      rademacher_spo_mc_ref, random_dags, sign_draws_ref,
+                      spo_loss_stack_ref, square_region)
 
 
 class TestSignDraws:
@@ -172,6 +178,94 @@ class TestCountRestrictions:
             count_restrictions(LqBall(2.0, 1.0, [0.0, 0.0]), hyp, np.eye(2))
 
 
+@st.composite
+def stacked_cases(draw, finite: bool):
+    """A region (``finite``: only kinds with finitely many extreme points), a
+    hypothesis set backed by matrices or by a table, points and true costs.
+    Integer entries in {-2..2} force oracle ties; floats exercise inexact
+    products."""
+    kinds = ["simplex", "vertex", "dag"] + ([] if finite else ["ball", "ball_q1.5"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "dag":
+        region = draw(random_dags())
+    else:
+        d = draw(st.integers(1, 5))
+        if kind == "simplex":
+            region = UnitSimplex(d)
+        elif kind == "ball":
+            region = LqBall(2.0, 1.5, np.linspace(-1.0, 1.0, d))
+        elif kind == "ball_q1.5":
+            region = LqBall(1.5, 2.0, np.zeros(d))
+        else:
+            k = draw(st.integers(1, 2 ** d))
+            region = VertexPolytope([[(i >> j & 1) - 0.5 * j for j in range(d)]
+                                     for i in range(k)])
+    if draw(st.booleans()):
+        entries = st.integers(-2, 2).map(float)
+    else:
+        entries = st.floats(-3.0, 3.0, allow_nan=False)
+    H, n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6)), region.dim
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 3))
+        hyp = FiniteHypothesisSet.from_matrices(draw(arrays(float, (H, d, p), elements=entries)))
+        xs = draw(arrays(float, (n, p), elements=entries))
+    else:
+        hyp = FiniteHypothesisSet.from_table(draw(arrays(float, (H, n, d), elements=entries)))
+        xs = np.zeros((n, 1))
+    return region, hyp, xs, draw(arrays(float, (n, d), elements=entries))
+
+
+def estimator_losses(region, hyp, sample) -> np.ndarray:
+    """The (H, n) SPO loss stack ``rademacher_spo_mc`` correlates with its
+    sign draws, recorded by standing in for the draws."""
+    seen = []
+
+    class Recorder:
+        def __matmul__(self, losses_t):
+            seen.append(losses_t.T.copy())
+            return np.zeros((1, losses_t.shape[1]))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexity, "_sign_draws", lambda seed, m, size: Recorder())
+        rademacher_spo_mc(region, hyp, sample, m_draws=1)
+    return seen[0]
+
+
+class TestStackedEstimators:
+    """One oracle call on the stacked hypotheses against the earlier
+    per-hypothesis loops kept in conftest: exactly equal losses, counts and
+    label tables on every region kind, ties included."""
+
+    @given(stacked_cases(finite=False), st.integers(0, 2 ** 40))
+    @settings(max_examples=300, deadline=None)
+    def test_spo_losses_and_estimate(self, case, seed):
+        region, hyp, xs, cs = case
+        sample = LabeledSample(xs=xs, cs=cs)
+        want = spo_loss_stack_ref(region, hyp, sample)
+        got = estimator_losses(region, hyp, sample)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert rademacher_spo_mc(region, hyp, sample, m_draws=40, seed=seed) \
+            == rademacher_spo_mc_ref(region, hyp, sample, 40, seed)
+
+    @given(stacked_cases(finite=True))
+    @settings(max_examples=300, deadline=None)
+    def test_restrictions_labels_and_dimension(self, case):
+        region, hyp, xs, _ = case
+        assert count_restrictions(region, hyp, xs) \
+            == count_restrictions_ref(region, hyp, xs)
+        table = oracle_label_table(region, hyp, xs)
+        want = oracle_label_table_ref(region, hyp, xs)
+        assert table.values.dtype == want.dtype and np.array_equal(table.values, want)
+        assert natarajan_dim_bruteforce(table) == natarajan_dim_ref(want)
+
+    def test_predictions_match_per_matrix_products(self, rng):
+        for H, d, p, n in [(1, 1, 1, 1), (3, 40, 5, 50), (7, 3, 2, 4), (2, 5, 9, 1)]:
+            mats = rng.standard_normal((H, d, p))
+            xs = rng.standard_normal((n, p))
+            got = FiniteHypothesisSet.from_matrices(mats).predictions(xs)
+            assert np.array_equal(got, np.stack([xs @ B.T for B in mats]))
+
+
 class TestMassartBound:
     def test_singleton_class_zero(self):
         assert massart_bound(1, 10, 2.0) == 0.0
@@ -232,6 +326,48 @@ class TestNatarajanDim:
 
     def test_accepts_plain_arrays(self):
         assert natarajan_dim_bruteforce(np.array([[1, 2], [1, 2]])) == 1
+
+
+@st.composite
+def label_tables(draw):
+    """A points x hypotheses label table over labels {1..4}: noise columns,
+    plus (usually) every mixture of a pair of label tuples that disagree on
+    2-4 planted points, with noise labels off those points."""
+    m = draw(st.integers(1, 6))
+    labels = st.integers(1, 4)
+    columns = list(draw(arrays(np.int64, (draw(st.integers(1, 16)), m), elements=labels)))
+    planted = 0
+    if m >= 2 and draw(st.integers(0, 3)):
+        planted = draw(st.integers(2, min(4, m)))
+        points = draw(st.permutations(range(m)))[:planted]
+        g1 = draw(arrays(np.int64, planted, elements=labels))
+        g2 = (g1 + draw(arrays(np.int64, planted, elements=st.integers(1, 3))) - 1) % 4 + 1
+        for mask in range(1 << planted):
+            col = draw(arrays(np.int64, m, elements=labels))
+            for bit, i in enumerate(points):
+                col[i] = g1[bit] if mask >> bit & 1 else g2[bit]
+            columns.append(col)
+    columns = draw(st.permutations(columns))
+    return np.array(columns).T, planted
+
+
+class TestPrunedNatarajan:
+    """The pruned search against the unpruned one kept in conftest."""
+
+    @given(label_tables())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_unpruned_search(self, case):
+        values, planted = case
+        dim = natarajan_dim_bruteforce(LabelTable(values))
+        assert dim == natarajan_dim_ref(values)
+        assert dim >= planted
+
+    def test_dimension_of_a_full_cube_with_noise(self, rng):
+        # every labelling of 4 points by {1, 2}, plus noise columns labelled 3..5
+        cube = np.array([[1 + (mask >> i & 1) for i in range(4)] for mask in range(16)]).T
+        noise = rng.integers(3, 6, (4, 20))
+        values = np.hstack([noise[:, :7], cube, noise[:, 7:]])
+        assert natarajan_dim_bruteforce(values) == natarajan_dim_ref(values) == 4
 
 
 class TestLinearClassRadBound:

@@ -17,7 +17,8 @@ from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
 
 from conftest import (dag_gap_ref, dag_linopt_ref, dag_path_costs_ref,
                       enumerate_paths_brute, pgd_lq_minimize, project_lq_ball,
-                      square_region, verify_optimality_condition_ref,
+                      random_dags, square_region,
+                      verify_optimality_condition_ref,
                       verify_strong_convexity_ref)
 
 
@@ -94,24 +95,6 @@ class TestLinoptOracle:
         c = rng.standard_normal(d)
         w = poly.linopt(c)
         assert float(c @ w) <= float((vertices @ c).min()) + 1e-12
-
-
-@st.composite
-def random_dags(draw):
-    """A random DAG.  Nodes are relabeled and arcs shuffled; parallel arcs
-    and nodes that cannot reach the sink are common."""
-    nodes = draw(st.integers(2, 8))
-    sink = draw(st.integers(1, nodes - 1))  # positions after it are dead ends
-    forward = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)) \
-        .filter(lambda a: a[0] < a[1])
-    inner = draw(st.lists(st.integers(1, sink - 1), unique=True)) if sink > 1 else []
-    chain = [0] + sorted(inner) + [sink]
-    arcs = list(zip(chain, chain[1:])) + draw(st.lists(forward, max_size=14))
-    arcs += draw(st.lists(st.sampled_from(arcs), max_size=3))  # parallel arcs
-    arcs = draw(st.permutations(arcs))
-    label = draw(st.permutations(range(nodes)))
-    return DagPathPolytope(nodes, [(label[t], label[h]) for t, h in arcs],
-                           label[0], label[sink])
 
 
 def cost_batches(draw, m: int, d: int) -> np.ndarray:
@@ -241,6 +224,22 @@ class TestDecisionCost:
             region.decision_cost_batch(np.ones((1, d)), np.ones((2, d)))
         with pytest.raises(ValueError, match="finite"):
             region.decision_cost_batch([[np.nan] * d], np.ones((1, d)))
+
+
+class TestRowIndependence:
+    """A row's decision, gap and decision cost are the same bits whatever
+    other rows share its batch, so callers may stack batches."""
+
+    @given(regions_with_cost_pairs(), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_slices_match_the_whole_batch(self, case, step):
+        region, C_hat, C = case
+        for op, args in (("linopt_batch", (C_hat,)), ("gap_batch", (C_hat,)),
+                         ("decision_cost_batch", (C_hat, C))):
+            whole = getattr(region, op)(*args)
+            parts = [getattr(region, op)(*(a[i:i + step] for a in args))
+                     for i in range(0, len(C_hat), step)]
+            assert np.array_equal(whole, np.concatenate(parts)), op
 
 
 class TestLqBallGeneralQ:

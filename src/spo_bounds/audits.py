@@ -26,7 +26,7 @@ from .geometry import (CostDomain, DagPathPolytope, LqBall, UnitSimplex,
                        verify_optimality_condition, verify_strong_convexity)
 from .harness import ExperimentConfig, run_lipschitz_audit
 from .losses import (LabeledSample, MarginParams, hard_margin_spo_loss_batch,
-                     margin_spo_loss_batch, spo_loss_batch)
+                     margin_mix, margin_spo_loss_batch, spo_loss_batch)
 
 TOL = 1e-9
 RATIO_TOL = 1e-7
@@ -200,30 +200,42 @@ def _random_cost_pairs(rng: np.random.Generator, dim: int, n: int):
 
 
 def audit_loss_ordering(seed: int, scale: int = 1) -> AuditResult:
-    """spo <= margin <= hard <= omega_S(c), and margin non-decreasing in gamma."""
+    """spo <= margin <= hard <= omega_S(c), and margin non-decreasing in gamma.
+
+    The losses at every gamma are mixed from parts solved once per region;
+    at the first and last gamma the public margin kernels must reproduce
+    the mixed losses bit for bit."""
     n = 10_000 // scale
-    gammas = np.linspace(0.1, 2.0, 10)
     worst = -math.inf
     worst_mono = -math.inf
+    kernels_match = True
+    params = [MarginParams(gamma=float(gamma)) for gamma in np.linspace(0.1, 2.0, 10)]
     for r_idx, region in enumerate(_region_battery()):
         rng = substream(seed, 12, r_idx)
         C_hat, C = _random_cost_pairs(rng, region.dim, n)
         spo = spo_loss_batch(region, C_hat, C)
         gap = region.gap_batch(C)
+        norms = dual_norm_rows(C_hat, params[0].norm_q)
         prev = None
-        for gamma in gammas:
-            params = MarginParams(gamma=float(gamma))
-            margin = margin_spo_loss_batch(region, C_hat, C, params)
-            hard = hard_margin_spo_loss_batch(region, C_hat, C, params)
+        for k, par in enumerate(params):
+            margin = margin_mix(spo, gap, norms, par.gamma)
+            hard = np.where(norms > par.gamma, spo, gap)
+            if k in (0, len(params) - 1):
+                kernels_match = (
+                    kernels_match
+                    and np.array_equal(margin_spo_loss_batch(region, C_hat, C, par), margin)
+                    and np.array_equal(hard_margin_spo_loss_batch(region, C_hat, C, par), hard))
             worst = max(worst, float((spo - margin).max()),
                         float((margin - hard).max()), float((hard - gap).max()))
             if prev is not None:
                 worst_mono = max(worst_mono, float((prev - margin).max()))
             prev = margin
-    passed = worst <= TOL and worst_mono <= TOL
-    return AuditResult("loss_ordering", passed,
-                       f"max chain breach {_fmt(worst)}, max gamma-monotonicity "
-                       f"breach {_fmt(worst_mono)}")
+    passed = worst <= TOL and worst_mono <= TOL and kernels_match
+    detail = (f"max chain breach {_fmt(worst)}, max gamma-monotonicity "
+              f"breach {_fmt(worst_mono)}")
+    if not kernels_match:
+        detail += ", margin kernels differ from their mixed parts"
+    return AuditResult("loss_ordering", passed, detail)
 
 
 def audit_binary_equivalence(seed: int, scale: int = 1) -> AuditResult:

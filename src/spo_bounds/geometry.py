@@ -17,13 +17,21 @@ lq balls for q in (1, 2].  Every region exposes the same operations:
 The batch oracles are the only implementations; ``linopt(c)`` and ``gap(c)``
 validate one cost vector and return row 0 of the one-row batch.
 
-``decision_cost_batch`` defaults to ``(linopt_batch(C_hat) * C).sum(axis=1)``
-(DAG regions, lq balls with q != 2, vertex polytopes) and has two closed
-forms that build no m x d decision matrix: the simplex gathers
-``C[i, argmin(C_hat[i])]`` and the l2 ball uses the Hoelder direction,
-``C @ center - radius * (C_hat[i] @ C[i]) / ||C_hat[i]||_2``.  Both keep the
-oracle's tie-breaking: the gather uses the same ``argmin`` (lowest index),
-and a zero prediction row maps to the center.
+``decision_cost_batch`` validates both batches once and delegates to the
+region's unchecked ``_decision_cost``.  That defaults to
+``(linopt_batch(C_hat) * C).sum(axis=1)`` (DAG regions, lq balls with
+q != 2, vertex polytopes) and has two closed forms that build no m x d
+decision matrix and sweep the d columns, one full-length vector operation
+per column, instead of reducing each row: the simplex finds the
+lowest-index argmin of ``C_hat[i]`` (the oracle's tie-breaking) and
+gathers ``C[i, argmin]``, and the l2 ball uses the Hoelder direction,
+``C @ center - radius * (C_hat[i] @ C[i]) / ||C_hat[i]||_2``, with every
+sum accumulated column by column from column 0 and a zero prediction row
+mapped to the center.  The simplex also takes its ``linopt_batch`` and
+``gap_batch`` from the same sweep.  A sweep only selects, or adds in a
+fixed order, so its bits depend on neither the batch nor the memory
+layout; callers may store large batches column-major, where each column
+is contiguous.
 
 Tie-breaking is fixed so the oracle is a deterministic mapping: vertex
 regions pick the lowest vertex index, the DAG oracle picks the
@@ -73,10 +81,11 @@ def vector_norm(c: np.ndarray, q: float) -> float:
 
 
 def vector_norm_rows(C: np.ndarray, q: float) -> np.ndarray:
-    """Row-wise lq norms of a 2-D array."""
+    """Row-wise lq norms of a 2-D array, computed row-major so the bits do
+    not depend on the memory layout (row sums round by layout once d >= 8)."""
     if q < 1:
         raise ValueError(f"norm exponent must be >= 1, got {q}")
-    return np.linalg.norm(np.asarray(C, dtype=float), ord=q, axis=1)
+    return np.linalg.norm(np.ascontiguousarray(C, dtype=float), ord=q, axis=1)
 
 
 def dual_norm(c: np.ndarray, q: float = 2.0) -> float:
@@ -87,6 +96,42 @@ def dual_norm(c: np.ndarray, q: float = 2.0) -> float:
 def dual_norm_rows(C: np.ndarray, q: float = 2.0) -> np.ndarray:
     """Row-wise dual norms w.r.t. the lq norm."""
     return vector_norm_rows(C, dual_exponent(q))
+
+
+def _column_extreme(C: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest index of each row's minimum (maximum) entry, and that extreme.
+
+    One vector pass per column instead of a reduction along each row:
+    numpy pays per-row overhead on a short axis.  The sweep only selects
+    entries: the index equals ``np.argmin`` (``np.argmax``), ties included,
+    and the extreme equals ``C.min(axis=1)`` (``C.max(axis=1)``).  A zero
+    extreme takes its sign as ``np.minimum`` (``np.maximum``) picks it;
+    numpy's row reductions pick the same one up to d = 8.
+    """
+    wins, keep = (np.greater, np.maximum) if maximize else (np.less, np.minimum)
+    best = C[:, 0].copy()
+    idx = np.zeros(C.shape[0], dtype=np.intp)
+    for j in range(1, C.shape[1]):
+        col = C[:, j]
+        won = wins(col, best)
+        keep(best, col, out=best)
+        # j exceeds every index recorded so far, so the max records it
+        # exactly where column j strictly wins
+        np.maximum(idx, won * j, out=idx)
+    return idx, best
+
+
+def _column_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise ``A[i] @ B[i]`` (``B`` may be one vector), summed column by
+    column from column 0, so each row's bits depend on neither the batch
+    nor the memory layout."""
+    B = np.broadcast_to(B, A.shape)
+    out = A[:, 0] * B[:, 0]
+    term = np.empty_like(out)
+    for j in range(1, A.shape[1]):
+        np.multiply(A[:, j], B[:, j], out=term)
+        out += term
+    return out
 
 
 def covering_count_log(rho2_S: float, d: int, eps: float) -> float:
@@ -193,8 +238,15 @@ class FeasibleRegion:
 
     def decision_cost_batch(self, C_hat, C) -> np.ndarray:
         """Row-wise realized cost ``C[i] @ w*(C_hat[i])``."""
-        W = self.linopt_batch(C_hat)
-        return (W * self._check_cost_batch(C, rows=W.shape[0])).sum(axis=1)
+        C_hat = self._check_cost_batch(C_hat)
+        return self._decision_cost(C_hat, self._check_cost_batch(C, rows=C_hat.shape[0]))
+
+    def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """``decision_cost_batch`` on batches the caller has validated."""
+        # row reductions round differently by memory layout once d >= 8, so
+        # this path works row-major: the same bits whatever the caller stores
+        W = self.linopt_batch(np.ascontiguousarray(C_hat))
+        return np.multiply(W, C, order="C").sum(axis=1)
 
     def radius(self, q: float = 2.0) -> float:
         raise NotImplementedError
@@ -291,17 +343,15 @@ class UnitSimplex(FeasibleRegion):
     def linopt_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
         W = np.zeros_like(C)
-        W[np.arange(C.shape[0]), np.argmin(C, axis=1)] = 1.0
+        W[np.arange(C.shape[0]), _column_extreme(C)[0]] = 1.0
         return W
 
     def gap_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
-        return C.max(axis=1) - C.min(axis=1)
+        return _column_extreme(C, maximize=True)[1] - _column_extreme(C)[1]
 
-    def decision_cost_batch(self, C_hat, C) -> np.ndarray:
-        C_hat = self._check_cost_batch(C_hat)
-        C = self._check_cost_batch(C, rows=C_hat.shape[0])
-        return C[np.arange(C.shape[0]), np.argmin(C_hat, axis=1)]
+    def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
+        return C[np.arange(C.shape[0]), _column_extreme(C_hat)[0]]
 
     def radius(self, q: float = 2.0) -> float:
         if q < 1:
@@ -582,16 +632,14 @@ class LqBall(FeasibleRegion):
         C = self._check_cost_batch(C)
         return 2.0 * self.ball_radius * dual_norm_rows(C, self.q)
 
-    def decision_cost_batch(self, C_hat, C) -> np.ndarray:
+    def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
         if self.q != 2.0:
-            return super().decision_cost_batch(C_hat, C)
-        C_hat = self._check_cost_batch(C_hat)
-        C = self._check_cost_batch(C, rows=C_hat.shape[0])
-        norms = np.sqrt(np.einsum("ij,ij->i", C_hat, C_hat))
-        dots = np.einsum("ij,ij->i", C, C_hat)
-        # a zero center adds nothing; skipping its product saves an einsum
-        # pass over every row of the large true-risk batches
-        offsets = np.einsum("ij,j->i", C, self.center) if self.center.any() else 0.0
+            return super()._decision_cost(C_hat, C)
+        norms = np.sqrt(_column_dots(C_hat, C_hat))
+        dots = _column_dots(C, C_hat)
+        # a zero center adds nothing; skipping its product saves a sweep
+        # over every row of the large true-risk batches
+        offsets = _column_dots(C, self.center) if self.center.any() else 0.0
         return offsets - self.ball_radius * dots / np.where(norms > 0, norms, 1.0)
 
     def radius(self, q: float = 2.0) -> float:

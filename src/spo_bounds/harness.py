@@ -201,20 +201,29 @@ class RiskEvaluator:
     The sample is independent of all training draws (separate stream), so
     each trial's estimate stays an unbiased fresh-sample MC estimate of its
     predictor's risk; sharing it just avoids regenerating and re-solving
-    ``m_fresh`` points per trial.  The optimal costs ``c @ w*(c)`` are
-    precomputed once.
+    ``m_fresh`` points per trial.  The features and costs are stored
+    column-major, so the prediction and decision-cost sweeps read
+    contiguous columns; the costs are validated once, here, and the
+    optimal costs ``c @ w*(c)`` are precomputed once.
     """
 
     def __init__(self, config: ExperimentConfig):
         rng = substream(config.seed, _STREAM_RISK)
         self.region = config.region
-        self.X, self.C = _draw_pairs(config, rng, config.m_fresh)
-        self._opt_cost = self.region.decision_cost_batch(self.C, self.C)
+        X, C = _draw_pairs(config, rng, config.m_fresh)
+        # each draw is dropped before the next copy, so the column-major
+        # copies add nothing to the memory peak of the draws themselves
+        self.X = np.asfortranarray(X)
+        del X
+        self.C = self.region._check_cost_batch(np.asfortranarray(C))
+        del C
+        self._opt_cost = self.region._decision_cost(self.C, self.C)
 
     def true_risk(self, predictor) -> tuple[float, float]:
         """``(estimate, std_error)`` of the predictor's SPO risk."""
-        preds = predict_batch(predictor, self.X)
-        losses = self.region.decision_cost_batch(preds, self.C) - self._opt_cost
+        preds = self.region._check_cost_batch(predict_batch(predictor, self.X),
+                                              rows=self.C.shape[0])
+        losses = self.region._decision_cost(preds, self.C) - self._opt_cost
         m = losses.size
         est = float(losses.mean())
         se = 0.0 if m < 2 else float(losses.std(ddof=1) / math.sqrt(m))

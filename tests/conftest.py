@@ -6,7 +6,11 @@ arithmetic) so the tests certify values rather than echo them.  The DAG
 reference is the library's earlier one-cost-vector dynamic program, and the
 complexity references are its earlier one-oracle-call-per-hypothesis
 estimators and unpruned Natarajan search, kept unchanged as the
-differential references for the batched and pruned ones.
+differential references for the batched and pruned ones.  The decision-cost
+and true-risk references are the library's earlier row-reducing kernels
+(``np.argmin`` on the simplex, ``einsum`` on l2 balls, row-major
+``xs @ B.T`` predictions), the differential references for its column
+sweeps.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from hypothesis import strategies as st
 from spo_bounds._rng import substream
 from spo_bounds.complexity import _mc_summary, _sign_draws
 from spo_bounds.geometry import (MEMBERSHIP_TOL, DagPathPolytope, LqBall,
-                                 VertexPolytope, ViolationReport, dual_norm,
-                                 vector_norm)
+                                 UnitSimplex, VertexPolytope, ViolationReport,
+                                 dual_norm, vector_norm)
 
 
 @pytest.fixture
@@ -244,6 +248,27 @@ def verify_optimality_condition_ref(region, c, n_samples: int,
         if breach > MEMBERSHIP_TOL:
             violations += 1
     return ViolationReport(n_samples, violations, max_violation, witness)
+
+
+# ---------------------------------------------------------------------------
+# decision-cost references: the row-reducing kernels the sweeps replaced
+# ---------------------------------------------------------------------------
+
+def decision_cost_ref(region, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
+    if isinstance(region, UnitSimplex):
+        return C[np.arange(C.shape[0]), np.argmin(C_hat, axis=1)]
+    if isinstance(region, LqBall) and region.q == 2.0:
+        norms = np.sqrt(np.einsum("ij,ij->i", C_hat, C_hat))
+        dots = np.einsum("ij,ij->i", C, C_hat)
+        offsets = np.einsum("ij,j->i", C, region.center) if region.center.any() else 0.0
+        return offsets - region.ball_radius * dots / np.where(norms > 0, norms, 1.0)
+    return (region.linopt_batch(C_hat) * C).sum(axis=1)
+
+
+def true_risk_ref(region, X: np.ndarray, C: np.ndarray, B: np.ndarray) -> tuple[float, float]:
+    X, C = np.ascontiguousarray(X), np.ascontiguousarray(C)
+    losses = decision_cost_ref(region, X @ B.T, C) - decision_cost_ref(region, C, C)
+    return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(losses.size))
 
 
 # ---------------------------------------------------------------------------

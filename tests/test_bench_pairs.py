@@ -1,0 +1,95 @@
+"""tools/bench_pairs.py on two stand-in checkouts whose bench/run.py only
+writes a result file."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+FAKE_RUN = '''
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+root = Path(__file__).resolve().parents[1]
+calls = root / "calls.txt"
+k = len(calls.read_text().splitlines()) if calls.exists() else 0
+with calls.open("a") as f:
+    f.write(args["--workload"] + "\\n")
+wall = json.loads((root / "walls.json").read_text())[k]
+if wall is None:
+    sys.exit(1)
+out = root / ".bench_out" / f"{args['--workload']}-seed{args['--seed']}-trace0"
+out.mkdir(parents=True, exist_ok=True)
+metrics = {"wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": 0.05, "unit": "s"},
+           "peak_rss_mb": {"value": 60.0, "unit": "MiB"}}
+(out / "result.json").write_text(json.dumps({"failed": 0, "metrics": metrics,
+                                             "environment": {"nproc": 2}}))
+'''
+
+SPEC = {"workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+                       {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+                       {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1}]}
+
+
+def fake_tree(root: Path, walls: list) -> Path:
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(FAKE_RUN)
+    (root / "walls.json").write_text(json.dumps(walls))
+    (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    return root
+
+
+def test_records_medians_quartiles_and_wins(tmp_path):
+    parent = fake_tree(tmp_path / "parent", [2.0, 2.2, 1.9, 2.1])
+    change = fake_tree(tmp_path / "change", [1.0, 1.1, 2.5, 1.2])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--pairs", "4", "--seconds", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert set(record["trees"]["change"]) == {"git_sha", "dirty"}
+    assert record["environment"]["parent"] == {"nproc": 2}
+    [result] = record["results"]
+    assert (result["workload"], result["seed"]) == ("w", 0)
+    wall = result["metrics"]["wall_s"]
+    assert wall["parent"]["runs"] == [2.0, 2.2, 1.9, 2.1]
+    assert wall["parent"]["median"] == pytest.approx(2.05)
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == pytest.approx((1.975, 2.125))
+    assert wall["change"]["median"] == pytest.approx(1.15)
+    assert wall["change_wins"] == 3 and wall["pairs"] == 4
+    assert wall["rel_change"] == pytest.approx(1.15 / 2.05 - 1.0)
+    assert wall["beyond_parent_iqr"]
+    assert result["metrics"]["setup_s"]["change_wins"] == 0
+    assert not result["metrics"]["setup_s"]["beyond_parent_iqr"]
+
+
+def test_alternates_which_tree_runs_first(tmp_path, monkeypatch):
+    parent = fake_tree(tmp_path / "parent", [2.0] * 3)
+    change = fake_tree(tmp_path / "change", [1.0] * 3)
+    order = []
+    real = bench_pairs.bench_once
+
+    def spy(tree, *args):
+        order.append(tree.name)
+        return real(tree, *args)
+
+    monkeypatch.setattr(bench_pairs, "bench_once", spy)
+    bench_pairs.main(["--parent", str(parent), "--change", str(change), "--pairs", "3",
+                      "--seconds", "1", "--out", str(tmp_path / "out.json")])
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+
+
+def test_stops_on_a_failed_run(tmp_path):
+    parent = fake_tree(tmp_path / "parent", [2.0, None])
+    change = fake_tree(tmp_path / "change", [1.0, 1.0])
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit, match="failed"):
+        bench_pairs.main(["--parent", str(parent), "--change", str(change), "--pairs", "2",
+                          "--seconds", "1", "--out", str(out)])
+    assert not out.exists()

@@ -12,11 +12,12 @@ from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
                                  _scalar_pow, covering_count,
                                  covering_count_log, dual_norm,
                                  region_from_dict, region_from_json,
-                                 vector_norm, verify_optimality_condition,
+                                 vector_norm, vector_norm_rows,
+                                 verify_optimality_condition,
                                  verify_strong_convexity)
 
 from conftest import (dag_gap_ref, dag_linopt_ref, dag_path_costs_ref,
-                      enumerate_paths_brute, pgd_lq_minimize, project_lq_ball,
+                      decision_cost_ref, enumerate_paths_brute, pgd_lq_minimize, project_lq_ball,
                       random_dags, square_region,
                       verify_optimality_condition_ref,
                       verify_strong_convexity_ref)
@@ -240,6 +241,122 @@ class TestRowIndependence:
             parts = [getattr(region, op)(*(a[i:i + step] for a in args))
                      for i in range(0, len(C_hat), step)]
             assert np.array_equal(whole, np.concatenate(parts)), op
+
+
+def relayout(A: np.ndarray, layout: str) -> np.ndarray:
+    """The same values as ``A`` stored row-major, column-major, or as a
+    strided view into a larger buffer."""
+    if layout == "C":
+        return np.ascontiguousarray(A)
+    if layout == "F":
+        return np.asfortranarray(A)
+    big = np.full((2 * A.shape[0], 2 * A.shape[1] + 1), np.nan)
+    big[::2, 1::2] = A
+    return big[::2, 1::2]
+
+
+layouts = st.sampled_from(["C", "F", "strided"])
+
+
+@st.composite
+def sweep_batches(draw, m: int, d: int) -> np.ndarray:
+    """An (m, d) batch of integers in {-2..2}, signed zeros or floats, some
+    of whose rows hold one value throughout (signs of zero may differ)."""
+    entries = draw(st.sampled_from([st.integers(-2, 2).map(float),
+                                    st.sampled_from([0.0, -0.0]),
+                                    st.floats(-10.0, 10.0, allow_nan=False)]))
+    rows = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                  min_size=m, max_size=m)))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        value = draw(st.sampled_from([1.5, -2.0, 0.0]))
+        signs = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        rows[i] = [-value if flip else value for flip in signs]
+    return rows
+
+
+@st.composite
+def simplex_sweep_cases(draw):
+    d, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    return (UnitSimplex(d), draw(sweep_batches(m, d)), draw(sweep_batches(m, d)),
+            draw(layouts), draw(layouts))
+
+
+@st.composite
+def l2_sweep_cases(draw):
+    d, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    center = np.zeros(d) if draw(st.booleans()) else np.linspace(-1.0, 0.5, d)
+    C_hat = draw(sweep_batches(m, d))
+    C_hat[draw(st.lists(st.integers(0, m - 1), max_size=2))] = 0.0
+    return LqBall(2.0, 1.5, center), C_hat, draw(sweep_batches(m, d))
+
+
+class TestColumnSweeps:
+    """The closed forms sweep columns instead of reducing rows.  On the
+    simplex they are differential-tested against numpy's row reductions,
+    bit for bit, ties and signed zeros included; on the l2 ball their bits
+    must not depend on the memory layout or on the rest of the batch."""
+
+    @given(simplex_sweep_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_simplex_matches_row_reductions(self, case):
+        region, C_hat, C, layout_hat, layout = case
+        A_hat, A = relayout(C_hat, layout_hat), relayout(C, layout)
+        rows = np.arange(C.shape[0])
+        assert (region.decision_cost_batch(A_hat, A).tobytes()
+                == C[rows, np.argmin(C_hat, axis=1)].tobytes())
+        W = np.zeros_like(C_hat)
+        W[rows, np.argmin(C_hat, axis=1)] = 1.0
+        assert region.linopt_batch(A_hat).tobytes() == W.tobytes()
+        assert (region.gap_batch(A_hat).tobytes()
+                == (C_hat.max(axis=1) - C_hat.min(axis=1)).tobytes())
+
+    @given(l2_sweep_cases(), layouts, layouts)
+    @settings(max_examples=400, deadline=None)
+    def test_l2_ball_bits_ignore_layout_and_batch(self, case, layout_hat, layout):
+        ball, C_hat, C = case
+        got = ball.decision_cost_batch(relayout(C_hat, layout_hat), relayout(C, layout))
+        assert got.tobytes() == ball.decision_cost_batch(C_hat, C).tobytes()
+        alone = [ball.decision_cost_batch(C_hat[i:i + 1], C[i:i + 1])
+                 for i in range(C.shape[0])]
+        assert got.tobytes() == np.concatenate(alone).tobytes()
+        np.testing.assert_allclose(got, (ball.linopt_batch(C_hat) * C).sum(axis=1),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got, decision_cost_ref(ball, C_hat, C),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_l2_ball_transposed_view(self):
+        rng = np.random.default_rng(3)
+        ball = LqBall(2.0, 1.0, np.zeros(5))
+        C_hat, C = rng.standard_normal((2, 5, 300))
+        want = ball.decision_cost_batch(np.ascontiguousarray(C_hat.T),
+                                        np.ascontiguousarray(C.T))
+        assert ball.decision_cost_batch(C_hat.T, C.T).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_row_norms_ignore_layout(self, q, layout):
+        # column-major predictions reach the margin norms
+        C = np.random.default_rng(5).standard_normal((200, 12))
+        assert (vector_norm_rows(relayout(C, layout), q).tobytes()
+                == vector_norm_rows(C, q).tobytes())
+
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_generic_path_ignores_layout_past_eight_columns(self, layout):
+        # the q != 2 oracle reduces rows, which round by layout once d >= 8
+        ball = LqBall(1.5, 1.0, np.zeros(9))
+        C_hat, C = np.random.default_rng(8).standard_normal((2, 300, 9))
+        got = ball.decision_cost_batch(relayout(C_hat, layout), relayout(C, layout))
+        assert got.tobytes() == decision_cost_ref(ball, C_hat, C).tobytes()
+
+    @given(regions_with_cost_pairs(), layouts, layouts)
+    @settings(max_examples=300, deadline=None)
+    def test_every_region_ignores_layout(self, case, layout_hat, layout):
+        # the generic path reduces rows, which round by layout once d >= 8
+        region, C_hat, C = case
+        got = region.decision_cost_batch(relayout(C_hat, layout_hat), relayout(C, layout))
+        assert got.tobytes() == region.decision_cost_batch(C_hat, C).tobytes()
+        if not (isinstance(region, LqBall) and region.q == 2.0):
+            assert got.tobytes() == decision_cost_ref(region, C_hat, C).tobytes()
 
 
 class TestLqBallGeneralQ:

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spo_bounds.geometry import CostDomain, LqBall, UnitSimplex
+from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
+                                 UnitSimplex, VertexPolytope)
 from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
                                 clip_frobenius, config_label, default_suite,
                                 fit_least_squares, generate_sample,
                                 run_bound_validity, run_lipschitz_audit)
-from spo_bounds.losses import LabeledSample, MarginParams, empirical_risk
+from spo_bounds.losses import (LabeledSample, MarginParams, empirical_risk,
+                               predict_batch)
+
+from conftest import true_risk_ref
 
 
 def ball_config(**overrides):
@@ -140,6 +146,91 @@ class TestTrueRiskMC:
     def test_m_fresh_validated(self):
         with pytest.raises(ValueError, match="m_fresh"):
             ball_config(m_fresh=0)
+
+
+@st.composite
+def evaluator_configs(draw):
+    """A small experiment config on any region kind, and a predictor."""
+    kind = draw(st.sampled_from(["simplex", "ball", "shifted_ball", "ball_q1.5",
+                                 "vertex", "dag"]))
+    d = draw(st.integers(1, 6))
+    if kind == "simplex":
+        region = UnitSimplex(d)
+    elif kind == "ball":
+        region = LqBall(2.0, 1.0, np.zeros(d), mu=1.0)
+    elif kind == "shifted_ball":
+        region = LqBall(2.0, 1.5, np.linspace(-1.0, 1.0, d), mu=1.0 / 1.5)
+    elif kind == "ball_q1.5":
+        region = LqBall(1.5, 1.0, np.zeros(d))
+    elif kind == "vertex":
+        region = VertexPolytope(np.eye(d) - 0.5 * np.arange(d)[:, None])
+    else:
+        region = DagPathPolytope.grid(2, draw(st.integers(2, 5)))
+    p = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 16))
+    b_star, B = np.random.default_rng(seed).standard_normal((2, region.dim, p))
+    config = ExperimentConfig(region=region, cost_domain=CostDomain.ball(region, 1.0),
+                              b_star=b_star, noise=0.1, ns=[10],
+                              m_fresh=draw(st.integers(2, 400)), seed=seed)
+    return config, B * draw(st.sampled_from([0.0, 1.0]))
+
+
+class TestColumnMajorEvaluator:
+    """The evaluator stores its sample column-major, validates its costs
+    once and sweeps columns; the differential reference is the row-major
+    ``xs @ B.T`` and row-reducing decision costs it replaced."""
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("m", [50, 100, 400, 100_000])
+    def test_predictions_match_row_major_product(self, d, p, m):
+        rng = np.random.default_rng(d * 100 + p)
+        xs, B = rng.standard_normal((m, p)), rng.standard_normal((d, p))
+        for layout in (xs, np.asfortranarray(xs)):
+            preds = predict_batch(B, layout)
+            assert preds.tobytes(order="C") == (xs @ B.T).tobytes()
+            assert preds.flags.f_contiguous
+
+    @given(evaluator_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_true_risk_matches_row_reductions(self, case):
+        config, B = case
+        evaluator = RiskEvaluator(config)
+        assert evaluator.X.flags.f_contiguous and evaluator.C.flags.f_contiguous
+        got = evaluator.true_risk(B)
+        want = true_risk_ref(config.region, evaluator.X, evaluator.C, B)
+        if isinstance(config.region, LqBall) and config.region.q == 2.0:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("config", [c for c in default_suite(seed=0, trials=1, m_fresh=100_000)
+                                        if c.d == 5])
+    def test_default_grid_true_risk(self, config):
+        evaluator = RiskEvaluator(config)
+        for B in (config.b_star, np.zeros_like(config.b_star)):
+            got = evaluator.true_risk(B)
+            want = true_risk_ref(config.region, evaluator.X, evaluator.C, B)
+            if isinstance(config.region, UnitSimplex):
+                assert got == want
+            else:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_costs_validated_once(self, monkeypatch):
+        config = simplex_config()
+        evaluator = RiskEvaluator(config)
+        checked = []
+        original = config.region._check_cost_batch
+        monkeypatch.setattr(config.region, "_check_cost_batch",
+                            lambda C, rows=None: checked.append(C) or original(C, rows))
+        evaluator.true_risk(config.b_star)
+        assert len(checked) == 1 and checked[0].shape == evaluator.C.shape
+        assert checked[0] is not evaluator.C
+
+    def test_rejects_wrong_prediction_shape(self):
+        evaluator = RiskEvaluator(simplex_config())
+        with pytest.raises(ValueError, match="shape"):
+            evaluator.true_risk(np.zeros((2, 2)))
 
 
 class TestBoundValidity:

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spo_bounds import audits
 from spo_bounds.geometry import LqBall, UnitSimplex, dual_norm
 from spo_bounds.losses import (LabeledSample, MarginParams, empirical_risk,
                                hard_margin_spo_loss, hard_margin_spo_loss_batch,
                                margin_spo_loss, margin_spo_loss_batch,
                                predict_batch, spo_loss, spo_loss_batch)
 
-from conftest import square_region
+from conftest import decision_cost_ref, square_region
 
 
 def interval():
@@ -216,6 +217,59 @@ class TestEmpiricalRisk:
         sample = LabeledSample(xs=[[1.0, 2.0]], cs=[[1.0]])
         with pytest.raises(ValueError, match="predictor matrix"):
             empirical_risk(interval(), np.eye(3), sample, "spo")
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("region", [UnitSimplex(4), LqBall(2.0, 1.0, np.zeros(4)),
+                                        LqBall(2.0, 2.0, [0.5, -0.25, 0.0, 1.0])])
+    def test_spo_loss_checks_each_batch_once(self, region, rng, monkeypatch):
+        C_hat, C = rng.integers(-2, 3, (2, 50, 4)).astype(float)
+        checked = []
+        original = region._check_cost_batch
+        monkeypatch.setattr(region, "_check_cost_batch",
+                            lambda A, rows=None: checked.append(A) or original(A, rows))
+        got = spo_loss_batch(region, C_hat, C)
+        assert [a is b for a, b in zip(checked, (C_hat, C))] == [True, True]
+        assert len(checked) == 2
+        want = decision_cost_ref(region, C_hat, C) - decision_cost_ref(region, C, C)
+        if isinstance(region, UnitSimplex):
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+class TestLossOrderingAudit:
+    """The audit mixes each gamma's losses from parts solved once, but must
+    still check the public margin kernels against those parts."""
+
+    def counting(self, monkeypatch, name, perturb=False):
+        calls = []
+        kernel = getattr(audits, name)
+
+        def wrapped(*args):
+            calls.append(args[-1].gamma)
+            out = kernel(*args)
+            return np.nextafter(out, np.inf) if perturb else out
+
+        monkeypatch.setattr(audits, name, wrapped)
+        return calls
+
+    def test_calls_both_kernels_at_two_gammas_per_region(self, monkeypatch):
+        soft = self.counting(monkeypatch, "margin_spo_loss_batch")
+        hard = self.counting(monkeypatch, "hard_margin_spo_loss_batch")
+        result = audits.audit_loss_ordering(7, scale=10)
+        assert result.passed
+        regions = len(audits._region_battery())
+        assert soft == hard == [0.1, 2.0] * regions
+        assert "differ" not in result.detail
+
+    @pytest.mark.parametrize("name", ["margin_spo_loss_batch",
+                                      "hard_margin_spo_loss_batch"])
+    def test_fails_when_a_kernel_leaves_its_parts(self, name, monkeypatch):
+        self.counting(monkeypatch, name, perturb=True)
+        result = audits.audit_loss_ordering(7, scale=10)
+        assert not result.passed
+        assert result.detail.endswith("margin kernels differ from their mixed parts")
 
 
 class TestLabeledSample:

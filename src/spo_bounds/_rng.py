@@ -6,6 +6,26 @@ is its batch form for the streams ``substream(seed, i)``, ``i < count``:
 it hashes all ``count`` keys at once with numpy's SeedSequence mixing and
 re-seeds one reused PCG64 generator per index, which yields the same
 streams bit for bit without building ``count`` generators.
+
+``substream_signs(seed, count, size)`` draws the Rademacher signs
+``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0`` of every stream
+``k < count`` in array passes, with no generator at all.  The bits follow
+from three facts about numpy:
+
+* PCG64 is a 128-bit LCG, ``x -> M x + inc (mod 2**128)``, whose 64-bit
+  output is the XSL-RR permutation of the new state: ``hi ^ lo`` rotated
+  right by the state's top 6 bits (O'Neill, "PCG", 2014).
+* ``integers(0, 2)`` asks the bit generator for 32-bit words, and PCG64
+  serves each 64-bit output as two words, its low half first.
+* For a range of 2, Lemire's bounded-integer method (Lemire, "Fast Random
+  Integer Generation in an Interval", TOMACS 2019) multiplies the word by
+  2 and keeps the high 32 bits: the word's top bit.  Its rejection
+  threshold ``2**32 mod 2`` is 0, so it never draws again.
+
+So sign ``2i`` of a row is bit 31 and sign ``2i + 1`` bit 63 of the
+stream's output ``i``.  The kernel jumps the LCG ahead in closed form,
+``x -> A_n x + G_n inc`` for n steps, multiplies 128-bit numbers from
+32-bit limbs, and writes each sign bit straight into the sign bit of 1.0.
 """
 
 from __future__ import annotations
@@ -93,21 +113,29 @@ def _pool_states(seed: int, count: int) -> np.ndarray:
     return out
 
 
+def _check_streams(seed: int, count: int) -> None:
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if not 0 <= count <= 1 << 32:
+        raise ValueError("count must be in [0, 2**32]")
+
+
+def _seed_halves(seed: int, count: int) -> np.ndarray:
+    """PCG64's seed of ``substream(seed, i)`` for every ``i < count``, shape
+    ``(count, 4)`` uint64: initstate high and low, initseq high and low
+    (PCG64 reads the 8 SeedSequence words as little-endian uint64 pairs)."""
+    words = _pool_states(int(seed), int(count)).astype(np.uint64)
+    return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+
+
 def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
     """Yield ``substream(seed, i)`` for ``i`` in ``range(count)``, bit for bit.
 
     One generator object is re-seeded for every index, so each yielded
     generator is valid only until the next one is drawn.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if not 0 <= count <= 1 << 32:
-        raise ValueError("count must be in [0, 2**32]")
-    words = _pool_states(int(seed), int(count)).astype(np.uint64)
-    # PCG64 reads the 8 words as four little-endian uint64s
-    # (initstate high, initstate low, initseq high, initseq low)
-    halves = (words[:, 0::2] | (words[:, 1::2] << np.uint64(32))).tolist()
-    return _reseeded(halves)
+    _check_streams(seed, count)
+    return _reseeded(_seed_halves(seed, count).tolist())
 
 
 def _reseeded(halves: list[list[int]]) -> Iterator[np.random.Generator]:
@@ -120,3 +148,140 @@ def _reseeded(halves: list[list[int]]) -> Iterator[np.random.Generator]:
                                "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         yield rng
+
+
+# ---------------------------------------------------------------------------
+# Rademacher signs straight from the PCG64 arithmetic
+# ---------------------------------------------------------------------------
+
+#: ``substream_signs`` advances this many stream outputs per array pass,
+#: split evenly over the streams, so its scratch arrays hold that many
+#: elements (one per stream when there are more streams)
+_LANE_BLOCK = 1 << 15
+#: largest request ``substream_signs`` accepts, in bytes
+SIGN_BYTES_MAX = 1 << 30
+#: bytes per stream that the seeding holds at its peak (145 measured)
+_SEED_BYTES = 256
+
+_LOW32 = np.uint64(_MASK32)
+_U32 = np.uint64(32)
+_ROT_SHIFT = np.uint64(58)
+_ROT_MASK = np.uint64(63)
+_SIGN32 = np.uint32(1 << 31)
+#: high 32 bits of -1.0; XOR with a word's top bit gives those of +-1.0
+_NEG_ONE_HIGH = np.uint32(0xBFF00000)
+
+
+def _lcg_power(n: int) -> tuple[int, int]:
+    """``(A, G)`` with ``LCG^n(x) = A x + G inc (mod 2**128)``."""
+    a, g = 1, 0
+    step_a, step_g = _PCG_MULT, 1
+    while n:
+        if n & 1:
+            a, g = (step_a * a) & _MASK128, (step_a * g + step_g) & _MASK128
+        step_a, step_g = (step_a * step_a) & _MASK128, (step_a * step_g + step_g) & _MASK128
+        n >>= 1
+    return a, g
+
+
+def _mul128(a: int, x_hi, x_lo, hi=None, lo=None, t=None, u=None):
+    """``a x (mod 2**128)`` on uint64 (high, low) halves, from the 32-bit
+    limbs of the low halves.  ``hi``, ``lo``, ``t`` and ``u`` are optional
+    output and scratch buffers of the product's shape."""
+    a_hi, a_lo = np.uint64(a >> 64), np.uint64(a & 0xFFFFFFFFFFFFFFFF)
+    a0, a1 = a_lo & _LOW32, a_lo >> _U32
+    lo = np.bitwise_and(x_lo, _LOW32, out=lo)  # x0
+    t = np.multiply(lo, a0, out=t)
+    t >>= _U32
+    u = np.multiply(lo, a1, out=u)
+    t += u  # x0 a1 + carry of x0 a0
+    np.right_shift(x_lo, _U32, out=lo)  # x1
+    np.bitwise_and(t, _LOW32, out=u)
+    hi = np.multiply(lo, a1, out=hi)
+    lo *= a0
+    u += lo  # x1 a0 + low half of t
+    t >>= _U32
+    hi += t
+    u >>= _U32
+    hi += u  # high 64 bits of a_lo x_lo
+    hi += np.multiply(x_lo, a_hi, out=t)
+    hi += np.multiply(x_hi, a_lo, out=t)
+    np.multiply(x_lo, a_lo, out=lo)
+    return hi, lo
+
+
+def _jump(jump: tuple[int, int], x, inc, hi=None, lo=None, t=None, u=None,
+          carry=None):
+    """``A x + G inc (mod 2**128)`` for ``jump = (A, G)``; ``x`` is (high,
+    low) halves and ``inc`` the per-stream (high, low) column halves."""
+    a, g = jump
+    hi, lo = _mul128(a, *x, hi, lo, t, u)
+    d_hi, d_lo = _mul128(g, *inc)
+    t = np.add(lo, d_lo, out=t)
+    carry = np.less(t, lo, out=carry)
+    hi += d_hi
+    hi += carry
+    return hi, t
+
+
+def substream_signs(seed: int, count: int, size: int) -> np.ndarray:
+    """``(count, size)`` C-contiguous float64 signs whose row ``k`` is
+    ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0``, bit for bit.
+
+    Refuses, before allocating anything, a request whose signs and seeding
+    scratch need over ``SIGN_BYTES_MAX`` bytes.
+    """
+    _check_streams(seed, count)
+    if size < 0:
+        raise ValueError("size must be non-negative")
+    need = count * (8 * size + _SEED_BYTES)
+    if need > SIGN_BYTES_MAX:
+        raise ValueError(f"{count} x {size} sign draws need {need} bytes, "
+                         f"over the {SIGN_BYTES_MAX}-byte budget")
+    out = np.zeros((count, size), dtype="<f8")
+    outputs = (size + 1) // 2
+    if count == 0 or outputs == 0:
+        return out
+    seeds = _seed_halves(seed, count)
+    # PCG64 seeding: inc = 2 initseq + 1, and the state is
+    # LCG(initstate + inc) = M initstate + (M + 1) inc
+    inc = (seeds[:, 2:3] << np.uint64(1) | seeds[:, 3:4] >> np.uint64(63),
+           seeds[:, 3:4] << np.uint64(1) | np.uint64(1))
+    # lane l holds LCG^l of the seeded state, so the states of outputs
+    # first .. first + lanes - 1 are one jump of the lanes, LCG^(first + 1)
+    lanes = min(outputs, max(1, _LANE_BLOCK // count))
+    lane_hi = np.empty((count, lanes), np.uint64)
+    lane_lo = np.empty((count, lanes), np.uint64)
+    lane_hi[:, :1], lane_lo[:, :1] = _jump((_PCG_MULT, _PCG_MULT + 1),
+                                           (seeds[:, 0:1], seeds[:, 1:2]), inc)
+    width = 1
+    while width < lanes:
+        w = min(width, lanes - width)
+        lane_hi[:, width:width + w], lane_lo[:, width:width + w] = _jump(
+            _lcg_power(width), (lane_hi[:, :w], lane_lo[:, :w]), inc)
+        width += w
+    # little-endian buffers, so the word views below hold on any host
+    hi_buf, lo_buf, t_buf, u_buf = (np.empty((count, lanes), "<u8") for _ in range(4))
+    carry_buf = np.empty((count, lanes), bool)
+    # high 32-bit words of the float64 output; +-1.0 has a zero low word
+    high = out.view("<u4")[:, 1::2]
+    for first in range(0, outputs, lanes):
+        k = min(lanes, outputs - first)
+        hi, lo = _jump(_lcg_power(first + 1), (lane_hi[:, :k], lane_lo[:, :k]), inc,
+                       hi_buf[:, :k], lo_buf[:, :k], t_buf[:, :k], u_buf[:, :k],
+                       carry_buf[:, :k])
+        # XSL-RR output: hi ^ lo rotated right by the top 6 bits of hi
+        rot = np.right_shift(hi, _ROT_SHIFT, out=lo_buf[:, :k])
+        np.bitwise_xor(hi, lo, out=lo)
+        np.right_shift(lo, rot, out=hi)
+        np.negative(rot, out=rot)
+        rot &= _ROT_MASK
+        np.left_shift(lo, rot, out=lo)
+        lo |= hi
+        # its 32-bit words, low half first, are the signs' words in order;
+        # each sign is the word's top bit, moved into the sign bit of 1.0
+        words = lo.view("<u4")
+        words &= _SIGN32
+        n = min(2 * k, size - 2 * first)
+        np.bitwise_xor(words[:, :n], _NEG_ONE_HIGH, out=high[:, 2 * first:2 * first + n])
+    return out

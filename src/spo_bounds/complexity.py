@@ -5,9 +5,10 @@ complexity bounds for norm-constrained linear predictor classes.
 The Monte-Carlo estimators take the sup over a caller-supplied *finite*
 hypothesis set exactly (this lower-bounds the complexity of any larger
 class containing it).  Sign draw ``k`` comes from ``substream(seed, k)``,
-the definition in ``_rng``; ``_rng.substreams`` seeds all draws in one
-batch with the same streams.  So estimates are deterministic per seed and
-monotone under adding hypotheses.
+the definition in ``_rng``; the kernel ``_rng.substream_signs`` draws all
+of them in array passes from the PCG64 arithmetic, bit for bit the signs
+of those streams.  So estimates are deterministic per seed and monotone
+under adding hypotheses.
 
 The hypothesis axis is a batch axis.  A matrix-backed set stores its
 matrices as one (H, d, p) array and predicts all of them at once, and
@@ -39,7 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._rng import substreams
+from ._rng import substream_signs
 from .geometry import FeasibleRegion
 from .losses import LabeledSample
 
@@ -162,18 +163,6 @@ class LabelTable:
 # Monte-Carlo Rademacher estimators
 # ---------------------------------------------------------------------------
 
-def _sign_draws(seed: int, m_draws: int, size: int) -> np.ndarray:
-    """(m_draws, size) array of +-1 signs; row k is
-    ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0``."""
-    signs = np.empty((m_draws, size))
-    for row, rng in zip(signs, substreams(seed, m_draws)):
-        row[:] = rng.integers(0, 2, size=size)
-    # in place: a scaled copy would double the peak memory of large draws
-    signs *= 2.0
-    signs -= 1.0
-    return signs
-
-
 def _mc_summary(values: np.ndarray) -> tuple[float, float]:
     est = float(values.mean())
     if values.size < 2:
@@ -199,7 +188,7 @@ def rademacher_spo_mc(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
     realized = region.decision_cost_batch(preds.reshape(H * n, d),
                                           np.tile(sample.cs, (H, 1)))
     losses = realized.reshape(H, n) - opt
-    signs = _sign_draws(seed, m_draws, sample.n)
+    signs = substream_signs(seed, m_draws, sample.n)
     corr = signs @ losses.T / sample.n  # (m, H)
     return _mc_summary(corr.max(axis=1))
 
@@ -217,7 +206,7 @@ def rademacher_multivariate_mc(hypotheses: FiniteHypothesisSet, xs,
     preds = hypotheses.predictions(xs)  # (H, n, d)
     H, n, d = preds.shape
     flat = preds.reshape(H, n * d)
-    signs = _sign_draws(seed, m_draws, n * d)
+    signs = substream_signs(seed, m_draws, n * d)
     corr = signs @ flat.T / n  # (m, H)
     return _mc_summary(corr.max(axis=1))
 

@@ -24,7 +24,8 @@ q != 2, vertex polytopes) and has two closed forms that build no m x d
 decision matrix and sweep the d columns, one full-length vector operation
 per column, instead of reducing each row: the simplex finds the
 lowest-index argmin of ``C_hat[i]`` (the oracle's tie-breaking) and
-gathers ``C[i, argmin]``, and the l2 ball uses the Hoelder direction,
+gathers ``C[i, argmin]`` by one flat ``take`` in C's memory order, and the
+l2 ball uses the Hoelder direction,
 ``C @ center - radius * (C_hat[i] @ C[i]) / ||C_hat[i]||_2``, with every
 sum accumulated column by column from column 0 and a zero prediction row
 mapped to the center.  The simplex also takes its ``linopt_batch`` and
@@ -119,6 +120,20 @@ def _column_extreme(C: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, 
         # exactly where column j strictly wins
         np.maximum(idx, won * j, out=idx)
     return idx, best
+
+
+def _row_positions(A: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A's entries as one flat array in its memory order (a view unless A
+    is neither C- nor F-contiguous), and the positions of ``A[i, idx[i]]``
+    in it, written over ``idx``: a flat ``take``/``put`` needs no row-index
+    gather."""
+    m, d = A.shape
+    if A.flags.f_contiguous:
+        idx *= m
+        idx += np.arange(m)
+        return A.ravel(order="F"), idx
+    idx += np.arange(0, m * d, d)
+    return np.ascontiguousarray(A).ravel(), idx
 
 
 def _column_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -342,8 +357,9 @@ class UnitSimplex(FeasibleRegion):
 
     def linopt_batch(self, C) -> np.ndarray:
         C = self._check_cost_batch(C)
-        W = np.zeros_like(C)
-        W[np.arange(C.shape[0]), _column_extreme(C)[0]] = 1.0
+        W = np.zeros(C.shape)
+        flat, pos = _row_positions(W, _column_extreme(C)[0])
+        flat[pos] = 1.0
         return W
 
     def gap_batch(self, C) -> np.ndarray:
@@ -351,7 +367,8 @@ class UnitSimplex(FeasibleRegion):
         return _column_extreme(C, maximize=True)[1] - _column_extreme(C)[1]
 
     def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
-        return C[np.arange(C.shape[0]), _column_extreme(C_hat)[0]]
+        flat, pos = _row_positions(C, _column_extreme(C_hat)[0])
+        return flat.take(pos)
 
     def radius(self, q: float = 2.0) -> float:
         if q < 1:

@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spo_bounds._rng import substream
-from spo_bounds.complexity import _mc_summary, _sign_draws
+from spo_bounds._rng import substream, substream_signs
+from spo_bounds.complexity import _mc_summary
 from spo_bounds.geometry import (MEMBERSHIP_TOL, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope, ViolationReport,
                                  dual_norm, vector_norm)
@@ -290,7 +290,7 @@ def spo_loss_stack_ref(region, hypotheses, sample) -> np.ndarray:
 def rademacher_spo_mc_ref(region, hypotheses, sample, m_draws: int,
                           seed: int) -> tuple[float, float]:
     losses = spo_loss_stack_ref(region, hypotheses, sample)
-    signs = _sign_draws(seed, m_draws, sample.n)
+    signs = substream_signs(seed, m_draws, sample.n)
     corr = signs @ losses.T / sample.n  # (m, H)
     return _mc_summary(corr.max(axis=1))
 

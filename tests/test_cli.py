@@ -226,3 +226,16 @@ class TestInputErrors:
         assert main(["complexity", "natarajan", "--region", region_file,
                      "--hypotheses", hyp_file, "--xs", xs_file]) == 2
         self.assert_one_error_line(capsys, "13 points x 1 hypotheses exceeds")
+
+    def test_rad_multi_sign_budget(self, tmp_path, capsys, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated for an over-budget sign request")
+
+        # 10**9 draws of 2 x 2 signs: the request is refused before any
+        # array is built, seeding included
+        monkeypatch.setattr("spo_bounds._rng._pool_states", no_allocation)
+        hyp_file = write(tmp_path / "hyp.json", [[[1.0, 0.0]], [[0.0, 1.0]]])
+        xs_file = write(tmp_path / "xs.json", [[1.0, 0.0], [0.0, 1.0]])
+        assert main(["complexity", "rad-multi", "--hypotheses", hyp_file,
+                     "--xs", xs_file, "--draws", str(10 ** 9)]) == 2
+        self.assert_one_error_line(capsys, "1000000000 x 2 sign draws need")

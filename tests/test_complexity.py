@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spo_bounds import complexity
+from spo_bounds import _rng, complexity
+from spo_bounds._rng import SIGN_BYTES_MAX, substream, substream_signs
 from spo_bounds.complexity import (FiniteHypothesisSet, LabelTable,
-                                   LinearPredictorClass, _sign_draws,
-                                   count_restrictions,
+                                   LinearPredictorClass, count_restrictions,
                                    linear_class_rad_bound, massart_bound,
                                    natarajan_dim_bruteforce, oracle_label_table,
                                    rademacher_multivariate_mc,
@@ -25,13 +25,57 @@ from conftest import (count_restrictions_ref, natarajan_dim_ref,
 
 
 class TestSignDraws:
+    """The array kernel against one numpy generator per draw: exactly equal
+    signs over one and many lane blocks, ragged last blocks, odd sizes and
+    seeds at the SeedSequence word boundaries."""
+
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 70), m_draws=st.integers(1, 40),
            size=st.integers(1, 30))
+    @example(seed=7, m_draws=2000, size=2001)
+    @example(seed=2 ** 64 * 40, m_draws=1, size=5001)
+    @example(seed=0, m_draws=5000, size=3)
+    @example(seed=3, m_draws=17, size=3001)
     def test_matches_one_generator_per_draw(self, seed, m_draws, size):
-        signs = _sign_draws(seed, m_draws, size)
-        assert signs.dtype == np.float64
+        signs = substream_signs(seed, m_draws, size)
+        assert signs.dtype == np.float64 and signs.flags.c_contiguous
         np.testing.assert_array_equal(signs, sign_draws_ref(seed, m_draws, size))
+
+    @pytest.mark.parametrize("seed", [2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
+                                      2 ** 96 - 1, 2 ** 96, 2 ** 128 + 7])
+    def test_word_boundaries(self, seed):
+        # keys of 2 to 6 uint32 words cross the 4-word hash pool
+        np.testing.assert_array_equal(substream_signs(seed, 9, 41),
+                                      sign_draws_ref(seed, 9, 41))
+
+    def test_streams_are_numpy_pcg64(self):
+        # the kernel reproduces PCG64 and numpy's bounded-integer path; if
+        # either changes, the differential tests above must fail, not drift
+        assert isinstance(substream(5, 0).bit_generator, np.random.PCG64)
+
+    def test_empty_requests(self):
+        assert substream_signs(1, 0, 5).shape == (0, 5)
+        assert substream_signs(1, 4, 0).shape == (4, 0)
+
+    def test_rejects_invalid_arguments(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            substream_signs(-1, 3, 3)
+        with pytest.raises(ValueError, match="size"):
+            substream_signs(0, 3, -1)
+        with pytest.raises(ValueError, match="count"):
+            substream_signs(0, 2 ** 32 + 1, 1)
+
+    def test_over_budget_request_fails_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated for an over-budget request")
+
+        monkeypatch.setattr(_rng, "_pool_states", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match=r"1000000 x 1000000 sign draws need \d+ bytes"):
+            substream_signs(0, 10 ** 6, 10 ** 6)
+        # the budget counts the seeding scratch, so many short rows fail too
+        with pytest.raises(ValueError, match="budget"):
+            substream_signs(0, SIGN_BYTES_MAX // 256, 1)
 
 
 class TestRademacherSpoMC:
@@ -226,7 +270,7 @@ def estimator_losses(region, hyp, sample) -> np.ndarray:
             return np.zeros((1, losses_t.shape[1]))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(complexity, "_sign_draws", lambda seed, m, size: Recorder())
+        patch.setattr(complexity, "substream_signs", lambda seed, m, size: Recorder())
         rademacher_spo_mc(region, hyp, sample, m_draws=1)
     return seen[0]
 

@@ -12,8 +12,7 @@ from .complexity import (FiniteHypothesisSet, LabelTable, LinearPredictorClass,
                          rademacher_spo_mc)
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, ViolationReport,
-                       covering_count, covering_count_log, dual_norm,
-                       region_from_dict, region_from_json,
+                       covering_count_log, region_from_dict, region_from_json,
                        verify_optimality_condition, verify_strong_convexity)
 from .harness import (ExperimentConfig, LipschitzAuditReport, RiskEvaluator,
                       TrialRecord, default_suite, fit_least_squares,
@@ -31,13 +30,12 @@ __all__ = [
     "TrialRecord", "UnitSimplex", "VertexPolytope", "ViolationReport",
     "bound_covering", "bound_linear_polyhedral", "bound_margin",
     "bound_margin_uniform", "bound_natarajan", "bound_rademacher",
-    "count_restrictions", "covering_count", "covering_count_log",
-    "default_suite", "dual_norm", "empirical_risk", "evaluate",
-    "evaluate_all", "fit_least_squares", "generate_sample",
-    "hard_margin_spo_loss", "linear_class_rad_bound", "margin_rad_bound",
-    "margin_spo_loss", "massart_bound", "natarajan_dim_bruteforce",
-    "oracle_label_table", "rademacher_multivariate_mc", "rademacher_spo_mc",
-    "region_from_dict", "region_from_json", "run_bound_validity",
-    "run_lipschitz_audit", "spo_loss", "verify_optimality_condition",
-    "verify_strong_convexity",
+    "count_restrictions", "covering_count_log", "default_suite",
+    "empirical_risk", "evaluate", "evaluate_all", "fit_least_squares",
+    "generate_sample", "hard_margin_spo_loss", "linear_class_rad_bound",
+    "margin_rad_bound", "margin_spo_loss", "massart_bound",
+    "natarajan_dim_bruteforce", "oracle_label_table",
+    "rademacher_multivariate_mc", "rademacher_spo_mc", "region_from_dict",
+    "region_from_json", "run_bound_validity", "run_lipschitz_audit",
+    "spo_loss", "verify_optimality_condition", "verify_strong_convexity",
 ]

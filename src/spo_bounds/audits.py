@@ -22,7 +22,7 @@ from .complexity import (FiniteHypothesisSet, LabelTable,
                          natarajan_dim_bruteforce, oracle_label_table,
                          rademacher_multivariate_mc, rademacher_spo_mc)
 from .geometry import (CostDomain, DagPathPolytope, LqBall, UnitSimplex,
-                       VertexPolytope, dual_norm, dual_norm_rows,
+                       VertexPolytope, _exact_norm_rows, dual_norm_rows,
                        verify_optimality_condition, verify_strong_convexity)
 from .harness import ExperimentConfig, run_lipschitz_audit
 from .losses import (LabeledSample, MarginParams, hard_margin_spo_loss_batch,
@@ -179,7 +179,8 @@ def audit_optimality_condition(seed: int, scale: int = 1) -> AuditResult:
     wbar = region.linopt(c)
     w = np.array([0.0, 1.0])
     lhs = float(c @ (w - wbar))
-    rhs = 0.5 * region.mu * dual_norm(c, 2.0) * float(np.sum((w - wbar) ** 2))
+    c_star = float(_exact_norm_rows(c[None], 2.0)[0])  # l2 is self-dual
+    rhs = 0.5 * region.mu * c_star * float(np.sum((w - wbar) ** 2))
     passed = (all(r.ok for r in reports) and abs(lhs - rhs) <= TOL
               and abs(lhs - 1.0) <= TOL)
     return AuditResult("optimality_condition", passed,

@@ -72,14 +72,16 @@ class BoundInputs:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundInputs":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("bound inputs must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown bound inputs: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is dataclasses.MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"missing bound inputs: {missing}")
         return cls(**data)
-
-    def replace(self, **kwargs) -> "BoundInputs":
-        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass
@@ -166,7 +168,7 @@ def bound_natarajan(inputs: BoundInputs) -> BoundReport:
 def bound_linear_polyhedral(inputs: BoundInputs) -> BoundReport:
     """Natarajan bound with the linear-class dimension cap ``d_N = d * p``."""
     _require(inputs, "d", "p")
-    report = bound_natarajan(inputs.replace(d_N=inputs.d * inputs.p))
+    report = bound_natarajan(dataclasses.replace(inputs, d_N=inputs.d * inputs.p))
     report.theorem_id = "linear_polyhedral"
     return report
 

@@ -27,7 +27,7 @@ from .complexity import (FiniteHypothesisSet, LabelTable,
                          check_natarajan_budget, natarajan_dim_bruteforce,
                          oracle_label_table, rademacher_multivariate_mc,
                          rademacher_spo_mc)
-from .geometry import dual_norm, region_from_json
+from .geometry import _exact_norm_rows, dual_exponent, region_from_json
 from .harness import (BoundValidityResult, ExperimentConfig, config_label,
                       default_suite, run_bound_validity)
 from .losses import (LabeledSample, MarginParams, hard_margin_spo_loss,
@@ -71,7 +71,8 @@ def _cmd_loss(args) -> int:
     out = {
         "spo": spo_loss(region, c_hat, c),
         "omega": region.gap(c),
-        "dual_norm_c_hat": dual_norm(c_hat, region.norm_exponent),
+        "dual_norm_c_hat": float(_exact_norm_rows(
+            c_hat[None], dual_exponent(region.norm_exponent))[0]),
     }
     if args.gamma is not None:
         params = MarginParams(gamma=args.gamma, norm_q=region.norm_exponent)
@@ -253,9 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="bound-validity experiments")
     exp_sub = exp.add_subparsers(dest="experiment_command", required=True)
     run = exp_sub.add_parser("run")
-    run.add_argument("--config", default=None, help="experiment config JSON")
-    run.add_argument("--defaults", action="store_true",
-                     help="run the default region/dimension grid")
+    source = run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", default=None, help="experiment config JSON")
+    source.add_argument("--defaults", action="store_true",
+                        help="run the default region/dimension grid")
     run.add_argument("--out", required=True)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--trials", type=int, default=200)
@@ -279,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     includes malformed JSON) and unreadable files end in one ``error:`` line
     on stderr and exit status 2."""
     args = build_parser().parse_args(argv)
-    if args.command == "experiment" and not (args.config or args.defaults):
-        print("experiment run needs --config or --defaults", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

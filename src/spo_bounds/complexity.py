@@ -97,7 +97,10 @@ class FiniteHypothesisSet:
     @classmethod
     def from_json(cls, text: str) -> "FiniteHypothesisSet":
         """Parse a JSON list of matrices (each a list of rows)."""
-        return cls.from_matrices([np.asarray(B, dtype=float) for B in json.loads(text)])
+        data = json.loads(text)
+        if not isinstance(data, list):
+            raise ValueError("hypotheses must be a JSON list of matrices")
+        return cls.from_matrices(data)
 
     def __len__(self) -> int:
         return len(self.matrices) if self.matrices is not None else self.table.shape[0]

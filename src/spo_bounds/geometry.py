@@ -14,25 +14,25 @@ lq balls for q in (1, 2].  Every region exposes the same operations:
 * ``extreme_point_count()``
 * ``sample(rng)``      -- a feasible point
 
-The batch oracles are the only implementations; ``linopt(c)`` and ``gap(c)``
-validate one cost vector and return row 0 of the one-row batch.
+``FeasibleRegion`` defines these oracles once: each validates every cost
+batch once and delegates to an unchecked kernel, ``_linopt``, ``_gap`` or
+``_decision_cost``, the only oracle code a region implements.  Callers
+holding validated batches call the kernels directly; ``linopt(c)`` and
+``gap(c)`` return row 0 of a one-row batch.
 
-``decision_cost_batch`` validates both batches once and delegates to the
-region's unchecked ``_decision_cost``.  That defaults to
-``(linopt_batch(C_hat) * C).sum(axis=1)`` (DAG regions, lq balls with
-q != 2, vertex polytopes) and has two closed forms that build no m x d
-decision matrix and sweep the d columns, one full-length vector operation
-per column, instead of reducing each row: the simplex finds the
-lowest-index argmin of ``C_hat[i]`` (the oracle's tie-breaking) and
-gathers ``C[i, argmin]`` by one flat ``take`` in C's memory order, and the
-l2 ball uses the Hoelder direction,
+``_decision_cost`` defaults to ``(_linopt(C_hat) * C).sum(axis=1)`` (DAG
+regions, lq balls with q != 2, vertex polytopes) and has two closed forms
+that build no m x d decision matrix and sweep the d columns, one
+full-length vector operation per column, instead of reducing each row: the
+simplex finds the lowest-index argmin of ``C_hat[i]`` (the oracle's
+tie-breaking) and gathers ``C[i, argmin]`` by one flat ``take`` in C's
+memory order, and the l2 ball uses the Hoelder direction,
 ``C @ center - radius * (C_hat[i] @ C[i]) / ||C_hat[i]||_2``, with every
 sum accumulated column by column from column 0 and a zero prediction row
-mapped to the center.  The simplex also takes its ``linopt_batch`` and
-``gap_batch`` from the same sweep.  A sweep only selects, or adds in a
-fixed order, so its bits depend on neither the batch nor the memory
-layout; callers may store large batches column-major, where each column
-is contiguous.
+mapped to the center.  The simplex also takes its ``_linopt`` and ``_gap``
+from the same sweep.  A sweep only selects, or adds in a fixed order, so
+its bits depend on neither the batch nor the memory layout; callers may
+store large batches column-major, where each column is contiguous.
 
 Tie-breaking is fixed so the oracle is a deterministic mapping: vertex
 regions pick the lowest vertex index, the DAG oracle picks the
@@ -74,13 +74,6 @@ def dual_exponent(q: float) -> float:
     return q / (q - 1.0)
 
 
-def vector_norm(c: np.ndarray, q: float) -> float:
-    """lq norm of a vector, q in [1, inf]."""
-    if q < 1:
-        raise ValueError(f"norm exponent must be >= 1, got {q}")
-    return float(np.linalg.norm(np.asarray(c, dtype=float), ord=q))
-
-
 def vector_norm_rows(C: np.ndarray, q: float) -> np.ndarray:
     """Row-wise lq norms of a 2-D array, computed row-major so the bits do
     not depend on the memory layout (row sums round by layout once d >= 8)."""
@@ -89,14 +82,27 @@ def vector_norm_rows(C: np.ndarray, q: float) -> np.ndarray:
     return np.linalg.norm(np.ascontiguousarray(C, dtype=float), ord=q, axis=1)
 
 
-def dual_norm(c: np.ndarray, q: float = 2.0) -> float:
-    """Dual norm of ``c`` w.r.t. the lq norm, i.e. the l_{q'} norm."""
-    return vector_norm(c, dual_exponent(q))
-
-
 def dual_norm_rows(C: np.ndarray, q: float = 2.0) -> np.ndarray:
     """Row-wise dual norms w.r.t. the lq norm."""
     return vector_norm_rows(C, dual_exponent(q))
+
+
+def _scalar_pow(values: np.ndarray, exponent: float) -> np.ndarray:
+    """Elementwise ``v ** exponent`` with Python's float power (libm
+    ``pow``), which numpy's array power does not match in the last ulp."""
+    return np.array([v ** exponent for v in values.tolist()])
+
+
+def _exact_norm_rows(D: np.ndarray, q: float) -> np.ndarray:
+    """``np.linalg.norm(D[i], ord=q)`` for every row, bit for bit, q in [1, inf).
+
+    The one-vector norm takes a BLAS dot for q = 2 (``np.vecdot`` calls the
+    same one) and a scalar power for the root otherwise; the row-wise
+    ``vector_norm_rows`` does neither, so it can differ in the last ulp.
+    """
+    if q == 2:
+        return np.sqrt(np.vecdot(D, D))
+    return _scalar_pow(np.add.reduce(np.abs(D) ** q, axis=1), 1.0 / q)
 
 
 def _column_extreme(C: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -163,15 +169,6 @@ def covering_count_log(rho2_S: float, d: int, eps: float) -> float:
     return d * (math.log(2.0 * rho2_S) + 0.5 * math.log(d) - math.log(eps))
 
 
-def covering_count(rho2_S: float, d: int, eps: float) -> float:
-    """Euclidean-ball covering count; ``inf`` if it overflows a double."""
-    log_count = covering_count_log(rho2_S, d, eps)
-    try:
-        return math.exp(log_count)
-    except OverflowError:
-        return math.inf
-
-
 # ---------------------------------------------------------------------------
 # violation reports for sampling-based verification
 # ---------------------------------------------------------------------------
@@ -219,14 +216,6 @@ class FeasibleRegion:
     def norm_exponent(self) -> float:
         return 2.0
 
-    def _check_cost(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.dim,):
-            raise ValueError(f"cost vector has shape {c.shape}, expected ({self.dim},)")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("cost vector has non-finite entries")
-        return c
-
     def _check_cost_batch(self, C, rows: int | None = None) -> np.ndarray:
         C = np.asarray(C, dtype=float)
         if C.ndim != 2 or C.shape[1] != self.dim or (rows is not None and C.shape[0] != rows):
@@ -236,31 +225,36 @@ class FeasibleRegion:
             raise ValueError("cost batch has non-finite entries")
         return C
 
-    # -- the oracle: subclasses implement the batch forms; a single cost
-    # vector is a one-row batch
+    # -- the public oracles check each cost batch once, then call the
+    # unchecked kernel; a single cost vector is a one-row batch
     def linopt(self, c) -> np.ndarray:
-        return self.linopt_batch(self._check_cost(c)[None, :])[0]
+        return self.linopt_batch(np.asarray(c, dtype=float)[None])[0]
 
     def gap(self, c) -> float:
-        return float(self.gap_batch(self._check_cost(c)[None, :])[0])
+        return float(self.gap_batch(np.asarray(c, dtype=float)[None])[0])
 
-    # -- operations implemented by subclasses
     def linopt_batch(self, C) -> np.ndarray:
-        raise NotImplementedError
+        return self._linopt(self._check_cost_batch(C))
 
     def gap_batch(self, C) -> np.ndarray:
-        raise NotImplementedError
+        return self._gap(self._check_cost_batch(C))
 
     def decision_cost_batch(self, C_hat, C) -> np.ndarray:
         """Row-wise realized cost ``C[i] @ w*(C_hat[i])``."""
         C_hat = self._check_cost_batch(C_hat)
         return self._decision_cost(C_hat, self._check_cost_batch(C, rows=C_hat.shape[0]))
 
+    # -- kernels implemented by subclasses, on validated batches
+    def _linopt(self, C: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _gap(self, C: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """``decision_cost_batch`` on batches the caller has validated."""
         # row reductions round differently by memory layout once d >= 8, so
         # this path works row-major: the same bits whatever the caller stores
-        W = self.linopt_batch(np.ascontiguousarray(C_hat))
+        W = self._linopt(np.ascontiguousarray(C_hat))
         return np.multiply(W, C, order="C").sum(axis=1)
 
     def radius(self, q: float = 2.0) -> float:
@@ -313,14 +307,14 @@ class VertexPolytope(FeasibleRegion):
         super().__init__(V.shape[1], mu)
         self.vertices = V
 
-    def _scores(self, C) -> np.ndarray:
-        return np.einsum("ij,kj->ik", self._check_cost_batch(C), self.vertices)
+    def _scores(self, C: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,kj->ik", C, self.vertices)
 
-    def linopt_batch(self, C) -> np.ndarray:
+    def _linopt(self, C: np.ndarray) -> np.ndarray:
         # argmin takes the lowest vertex index on ties
         return self.vertices[np.argmin(self._scores(C), axis=1)].copy()
 
-    def gap_batch(self, C) -> np.ndarray:
+    def _gap(self, C: np.ndarray) -> np.ndarray:
         scores = self._scores(C)
         return scores.max(axis=1) - scores.min(axis=1)
 
@@ -355,15 +349,13 @@ class UnitSimplex(FeasibleRegion):
     def __init__(self, dim: int):
         super().__init__(dim, None)
 
-    def linopt_batch(self, C) -> np.ndarray:
-        C = self._check_cost_batch(C)
+    def _linopt(self, C: np.ndarray) -> np.ndarray:
         W = np.zeros(C.shape)
         flat, pos = _row_positions(W, _column_extreme(C)[0])
         flat[pos] = 1.0
         return W
 
-    def gap_batch(self, C) -> np.ndarray:
-        C = self._check_cost_batch(C)
+    def _gap(self, C: np.ndarray) -> np.ndarray:
         return _column_extreme(C, maximize=True)[1] - _column_extreme(C)[1]
 
     def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -475,8 +467,7 @@ class DagPathPolytope(FeasibleRegion):
                 dist[:, v] = best(C[:, idx] + dist[:, heads], axis=1)
         return dist
 
-    def linopt_batch(self, C) -> np.ndarray:
-        C = self._check_cost_batch(C)
+    def _linopt(self, C: np.ndarray) -> np.ndarray:
         dist = self._path_costs(C, maximize=False)
         W = np.zeros_like(C)
         at = np.full(C.shape[0], self.source)
@@ -500,8 +491,7 @@ class DagPathPolytope(FeasibleRegion):
                 raise RuntimeError("optimal-path backtrack failed")
         return W
 
-    def gap_batch(self, C) -> np.ndarray:
-        C = self._check_cost_batch(C)
+    def _gap(self, C: np.ndarray) -> np.ndarray:
         hi = self._path_costs(C, maximize=True)[:, self.source]
         return hi - self._path_costs(C, maximize=False)[:, self.source]
 
@@ -627,10 +617,9 @@ class LqBall(FeasibleRegion):
         """The 1-D region [-half_width, +half_width]."""
         return cls(q=2.0, radius=half_width, center=[0.0], mu=mu)
 
-    def linopt_batch(self, C) -> np.ndarray:
+    def _linopt(self, C: np.ndarray) -> np.ndarray:
         # Hoelder equality direction: the minimizer sits on the boundary
         # opposite the unit-q-norm maximizer of c @ u
-        C = self._check_cost_batch(C)
         if self.q == 2.0:
             norms = np.linalg.norm(C, axis=1)
             U = C / np.where(norms > 0, norms, 1.0)[:, None]
@@ -645,8 +634,7 @@ class LqBall(FeasibleRegion):
         U[m == 0] = 0.0
         return self.center - self.ball_radius * U
 
-    def gap_batch(self, C) -> np.ndarray:
-        C = self._check_cost_batch(C)
+    def _gap(self, C: np.ndarray) -> np.ndarray:
         return 2.0 * self.ball_radius * dual_norm_rows(C, self.q)
 
     def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -670,7 +658,7 @@ class LqBall(FeasibleRegion):
                 factor = self.dim ** (1.0 / q - 1.0 / self.q)
             return self.ball_radius * factor
         if q == self.q:
-            return vector_norm(self.center, q) + self.ball_radius
+            return float(_exact_norm_rows(self.center[None], q)[0]) + self.ball_radius
         raise ValueError(
             f"radius in l{q} norm is only exact for centered balls or q == {self.q}"
         )
@@ -697,7 +685,8 @@ class LqBall(FeasibleRegion):
 
     def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
         w = np.asarray(w, dtype=float)
-        return bool(vector_norm(w - self.center, self.q) <= self.ball_radius + tol)
+        return bool(_exact_norm_rows((w - self.center)[None], self.q)[0]
+                    <= self.ball_radius + tol)
 
     def to_dict(self) -> dict:
         return {
@@ -765,7 +754,7 @@ class CostDomain:
             self.ball_radius = None
             self.rho2 = float(vector_norm_rows(M, 2.0).max())
             self.rho_star = float(vector_norm_rows(M, qd).max())
-            self.omega = float(region.gap_batch(M).max())
+            self.omega = float(region._gap(M).max())
         else:
             if not (radius >= 0 and math.isfinite(radius)):
                 raise ValueError("radius must be finite and >= 0")
@@ -812,34 +801,20 @@ class CostDomain:
 
     @classmethod
     def from_dict(cls, region: FeasibleRegion, data: dict) -> "CostDomain":
-        if data.get("kind") == "enumerated":
-            return cls.enumerated(region, data["members"])
-        if data.get("kind") == "ball":
-            return cls.ball(region, data["radius"])
-        raise ValueError(f"unknown cost-domain kind: {data.get('kind')!r}")
+        if not isinstance(data, dict):
+            raise ValueError("a cost domain must be a JSON object")
+        kind = data.get("kind")
+        key = {"enumerated": "members", "ball": "radius"}.get(kind)
+        if key is None:
+            raise ValueError(f"unknown cost-domain kind: {kind!r}")
+        if key not in data:
+            raise ValueError(f"{kind} cost domain is missing key {key!r}")
+        return cls(region, **{key: data[key]})
 
 
 # ---------------------------------------------------------------------------
 # sampling-based verification
 # ---------------------------------------------------------------------------
-
-def _scalar_pow(values: np.ndarray, exponent: float) -> np.ndarray:
-    """Elementwise ``v ** exponent`` with Python's float power (libm
-    ``pow``), which numpy's array power does not match in the last ulp."""
-    return np.array([v ** exponent for v in values.tolist()])
-
-
-def _exact_norm_rows(D: np.ndarray, q: float) -> np.ndarray:
-    """``vector_norm(D[i], q)`` for every row, bit for bit.
-
-    The one-vector norm takes a BLAS dot for q = 2 (``np.vecdot`` calls the
-    same one) and a scalar power for the root otherwise; the row-wise
-    ``vector_norm_rows`` does neither, so it can differ in the last ulp.
-    """
-    if q == 2:
-        return np.sqrt(np.vecdot(D, D))
-    return _scalar_pow(np.add.reduce(np.abs(D) ** q, axis=1), 1.0 / q)
-
 
 def verify_strong_convexity(region: FeasibleRegion, mu: float,
                             n_samples: int, seed: int) -> ViolationReport:
@@ -887,14 +862,14 @@ def verify_optimality_condition(region: FeasibleRegion, c,
     """
     if region.mu is None or region.mu <= 0:
         raise ValueError("region must declare mu > 0")
-    c = region._check_cost(c)
+    c = np.asarray(c, dtype=float)
+    wbar = region.linopt(c)  # validates c
     if not np.any(c):
         raise ValueError("c must be nonzero")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     q = region.norm_exponent
-    c_star = dual_norm(c, q)
-    wbar = region.linopt(c)
+    c_star = float(_exact_norm_rows(c[None], dual_exponent(q))[0])
     W = np.empty((n_samples, region.dim))
     for i, rng in enumerate(substreams(seed, n_samples)):
         W[i] = region.sample(rng)

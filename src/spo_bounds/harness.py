@@ -126,9 +126,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError("an experiment config must be a JSON object")
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
+        for key in ("region", "cost_domain", "b_star"):
+            if key not in data:
+                raise ValueError(f"experiment config is missing key {key!r}")
         region = region_from_dict(data["region"])
         return cls(
             region=region,
@@ -332,8 +337,8 @@ def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
     gamma_star = None
     if config.strongly_convex:
         # every gamma mixes the same base losses, gaps and prediction norms
-        # (in the dual of the region's norm)
-        gap = region.gap_batch(sample.cs)
+        # (in the dual of the region's norm); spo_loss_batch validated the costs
+        gap = region._gap(sample.cs)
         norms = dual_norm_rows(preds, region.norm_exponent)
 
         def margin_risk(g: float) -> float:

@@ -106,19 +106,29 @@ class LabeledSample:
     @classmethod
     def from_json(cls, text: str) -> "LabeledSample":
         data = json.loads(text)
-        return cls(xs=np.asarray(data["xs"]), cs=np.asarray(data["cs"]))
+        if not isinstance(data, dict):
+            raise ValueError("a sample must be a JSON object")
+        for key in ("xs", "cs"):
+            if key not in data:
+                raise ValueError(f"sample is missing key {key!r}")
+        return cls(xs=data["xs"], cs=data["cs"])
 
 
 # ---------------------------------------------------------------------------
 # pointwise losses: batch kernels, and their one-row forms
 # ---------------------------------------------------------------------------
 
+def _spo_losses(region: FeasibleRegion, C_hat, C) -> tuple[np.ndarray, np.ndarray]:
+    """The SPO losses and the validated ``C``; each batch is checked once."""
+    C_hat = region._check_cost_batch(C_hat)
+    C = region._check_cost_batch(C, rows=C_hat.shape[0])
+    return region._decision_cost(C_hat, C) - region._decision_cost(C, C), C
+
+
 def spo_loss_batch(region: FeasibleRegion, C_hat, C) -> np.ndarray:
     """Excess cost of deciding with each row of ``C_hat`` when the true cost
     is the matching row of ``C``."""
-    C_hat = region._check_cost_batch(C_hat)
-    C = region._check_cost_batch(C, rows=C_hat.shape[0])
-    return region._decision_cost(C_hat, C) - region._decision_cost(C, C)
+    return _spo_losses(region, C_hat, C)[0]
 
 
 def margin_mix(base: np.ndarray, gap: np.ndarray, dual_norms: np.ndarray,
@@ -137,8 +147,8 @@ def margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
     ``omega_S(c)`` with weight ``||c_hat||_* / gamma``."""
     if params.gamma <= 0:
         raise ValueError("margin loss requires gamma > 0")
-    base = spo_loss_batch(region, C_hat, C)  # validates both batches
-    return margin_mix(base, region.gap_batch(C), dual_norm_rows(C_hat, params.norm_q),
+    base, C = _spo_losses(region, C_hat, C)
+    return margin_mix(base, region._gap(C), dual_norm_rows(C_hat, params.norm_q),
                       params.gamma)
 
 
@@ -146,13 +156,13 @@ def hard_margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
                                params: MarginParams) -> np.ndarray:
     """Hard margin loss: the gap ``omega_S(c)`` whenever the prediction's
     dual norm is at most ``gamma``, else the base loss."""
-    base = spo_loss_batch(region, C_hat, C)  # validates both batches
+    base, C = _spo_losses(region, C_hat, C)
     above = dual_norm_rows(C_hat, params.norm_q) > params.gamma
-    return np.where(above, base, region.gap_batch(C))
+    return np.where(above, base, region._gap(C))
 
 
 def _one_row(kernel, region: FeasibleRegion, c_hat, c, *args) -> float:
-    rows = [region._check_cost(v)[None, :] for v in (c_hat, c)]
+    rows = [np.asarray(v, dtype=float)[None] for v in (c_hat, c)]
     return float(kernel(region, *rows, *args)[0])
 
 

@@ -5,6 +5,8 @@ import pytest
 from spo_bounds.cli import main
 from spo_bounds.geometry import UnitSimplex
 
+SIMPLEX = {"kind": "UnitSimplex", "dim": 2}
+
 
 def write(path, data):
     path.write_text(json.dumps(data))
@@ -143,9 +145,20 @@ class TestExperimentCommand:
         plot = (tmp_path / "out1" / "plotdata" / "covering.csv").read_text()
         assert plot.splitlines()[0] == "n,mean_bound,mean_true_risk"
 
+    def assert_argparse_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["experiment", "run", *flags, "--out", "nowhere"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+
     def test_needs_config_or_defaults(self, capsys):
-        rc = main(["experiment", "run", "--out", "nowhere"])
-        assert rc == 2
+        self.assert_argparse_error(
+            [], "one of the arguments --config --defaults is required", capsys)
+
+    def test_config_and_defaults_exclude_each_other(self, capsys):
+        self.assert_argparse_error(
+            ["--config", "cfg.json", "--defaults"],
+            "argument --defaults: not allowed with argument --config", capsys)
 
 
 class TestVerifyCommand:
@@ -219,7 +232,8 @@ class TestInputErrors:
         def no_oracle(region, C):
             raise AssertionError("oracle called on an over-budget input")
 
-        monkeypatch.setattr(UnitSimplex, "linopt_batch", no_oracle)
+        # every oracle path, checked or not, ends in the region's kernel
+        monkeypatch.setattr(UnitSimplex, "_linopt", no_oracle)
         region_file = write(tmp_path / "simplex.json", {"kind": "UnitSimplex", "dim": 2})
         hyp_file = write(tmp_path / "hyp.json", [[[1.0], [0.0]]])
         xs_file = write(tmp_path / "xs.json", [[float(i)] for i in range(13)])
@@ -239,3 +253,42 @@ class TestInputErrors:
         assert main(["complexity", "rad-multi", "--hypotheses", hyp_file,
                      "--xs", xs_file, "--draws", str(10 ** 9)]) == 2
         self.assert_one_error_line(capsys, "1000000000 x 2 sign draws need")
+
+    @pytest.mark.parametrize("command, data, needle", [
+        pytest.param("rad-spo", {"xs": [[1.0, 0.0]]}, "sample is missing key 'cs'",
+                     id="sample-missing-cs"),
+        pytest.param("rad-spo", [[1.0, 0.0]], "a sample must be a JSON object",
+                     id="sample-not-object"),
+        pytest.param("rad-multi", 5, "hypotheses must be a JSON list of matrices",
+                     id="hypotheses-not-list"),
+        pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]]},
+                     "experiment config is missing key 'cost_domain'",
+                     id="config-missing-cost-domain"),
+        pytest.param("experiment", [1, 2], "an experiment config must be a JSON object",
+                     id="config-not-object"),
+        pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
+                                    "cost_domain": {"kind": "ball"}},
+                     "ball cost domain is missing key 'radius'", id="domain-missing-radius"),
+        pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
+                                    "cost_domain": 3},
+                     "a cost domain must be a JSON object", id="domain-not-object"),
+        pytest.param("bound", {"delta": 0.05, "omega": 1.0}, "missing bound inputs: ['n']",
+                     id="bound-inputs-missing-n"),
+        pytest.param("bound", [1, 2], "bound inputs must be a JSON object",
+                     id="bound-inputs-not-object"),
+    ])
+    def test_malformed_json_input(self, command, data, needle, tmp_path, capsys):
+        path = write(tmp_path / "input.json", data)
+        argv = {
+            "rad-spo": ["complexity", "rad-spo",
+                        "--region", write(tmp_path / "simplex.json", SIMPLEX),
+                        "--hypotheses", write(tmp_path / "hyp.json", [[[1.0, 0.0], [0.0, 1.0]]]),
+                        "--sample", path],
+            "rad-multi": ["complexity", "rad-multi", "--hypotheses", path, "--xs",
+                          write(tmp_path / "xs.json", [[1.0, 0.0]])],
+            "experiment": ["experiment", "run", "--config", path,
+                           "--out", str(tmp_path / "out")],
+            "bound": ["bound", "all", "--inputs", path],
+        }[command]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys, needle)

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope, _exact_norm_rows,
-                                 _scalar_pow, covering_count,
-                                 covering_count_log, dual_norm,
-                                 region_from_dict, region_from_json,
-                                 vector_norm, vector_norm_rows,
+                                 _scalar_pow, covering_count_log,
+                                 dual_norm_rows, region_from_dict,
+                                 region_from_json, vector_norm_rows,
                                  verify_optimality_condition,
                                  verify_strong_convexity)
 
@@ -474,10 +473,10 @@ class TestGapRadiusCounts:
 
 class TestDualNormCovering:
     def test_dual_norm_anchors(self):
-        assert dual_norm([3.0, 4.0], 2.0) == 5.0
-        assert dual_norm([1.0, -2.0], 1.0) == 2.0
-        assert dual_norm([0.0, 0.0], 2.0) == 0.0
-        assert dual_norm([1.0, -2.0, 0.5], np.inf) == 3.5
+        assert dual_norm_rows([[3.0, 4.0]], 2.0)[0] == 5.0
+        assert dual_norm_rows([[1.0, -2.0]], 1.0)[0] == 2.0
+        assert dual_norm_rows([[0.0, 0.0]], 2.0)[0] == 0.0
+        assert dual_norm_rows([[1.0, -2.0, 0.5]], np.inf)[0] == 3.5
 
     @given(st.integers(1, 6), st.integers(0, 10 ** 6),
            st.sampled_from([1.0, 1.5, 2.0, 3.0]))
@@ -490,18 +489,19 @@ class TestDualNormCovering:
         best = max(abs(float(c @ w)) for w in
                    np.sign(rng.standard_normal((500, d)))
                    * rng.dirichlet(np.ones(d), 500) ** (1.0 / q))
-        assert best <= dual_norm(c, q) + 1e-9
+        assert best <= dual_norm_rows(c[None], q)[0] + 1e-9
 
     def test_covering_anchors(self):
-        assert covering_count(1.0, 2, 1.0) == pytest.approx(8.0)
-        assert covering_count(1.0, 1, 0.5) == pytest.approx(4.0)
+        assert covering_count_log(1.0, 2, 1.0) == pytest.approx(math.log(8.0))
+        assert covering_count_log(1.0, 1, 0.5) == pytest.approx(math.log(4.0))
         # eps = 2 * rho * sqrt(d): base is exactly one
-        assert covering_count(1.5, 4, 2 * 1.5 * 2.0) == pytest.approx(1.0)
+        assert covering_count_log(1.5, 4, 2 * 1.5 * 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_covering_log_form_avoids_overflow(self):
         log_count = covering_count_log(10.0, 2000, 0.01)
         assert math.isfinite(log_count)
-        assert covering_count(10.0, 2000, 0.01) == math.inf
+        # the count itself exceeds the largest double
+        assert log_count > math.log(np.finfo(float).max)
 
     def test_covering_validation(self):
         for bad in ((0.0, 2, 1.0), (1.0, 0, 1.0), (1.0, 2, 0.0)):
@@ -657,7 +657,7 @@ class TestOptimalityCondition:
         wbar = region.linopt(c)
         w = np.array([0.0, 1.0])
         lhs = float(c @ (w - wbar))
-        rhs = 0.5 * 1.0 * dual_norm(c, 2.0) * np.linalg.norm(w - wbar) ** 2
+        rhs = 0.5 * 1.0 * dual_norm_rows(c[None], 2.0)[0] * np.linalg.norm(w - wbar) ** 2
         assert lhs == pytest.approx(1.0)
         assert rhs == pytest.approx(1.0)
 
@@ -728,14 +728,14 @@ class TestBatchSeededVerifiers:
         assert (verify_optimality_condition(ball, c, 2000, seed)
                 == verify_optimality_condition_ref(ball, c, 2000, seed))
 
-    @pytest.mark.parametrize("q", [2.0, 1.5, 1.2])
+    @pytest.mark.parametrize("q", [2.0, 1.5, 1.2, 3.0, 6.0])
     def test_exact_norm_rows_match_one_vector_norms(self, q):
         D = np.random.default_rng(4).standard_normal((20_000, 3))
         D[:, :int(q)] *= 7.3
         norms = _exact_norm_rows(D, q)
-        np.testing.assert_array_equal(norms, [vector_norm(d, q) for d in D])
-        np.testing.assert_array_equal(_scalar_pow(norms, 2),
-                                      [vector_norm(d, q) ** 2 for d in D])
+        ref = [float(np.linalg.norm(d, ord=q)) for d in D]
+        np.testing.assert_array_equal(norms, ref)
+        np.testing.assert_array_equal(_scalar_pow(norms, 2), [r ** 2 for r in ref])
 
     def test_optimality_rejects_zero_samples(self):
         region = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spo_bounds import audits
-from spo_bounds.geometry import LqBall, UnitSimplex, dual_norm
+from spo_bounds.geometry import (DagPathPolytope, LqBall, UnitSimplex,
+                                 dual_norm_rows)
 from spo_bounds.losses import (LabeledSample, MarginParams, empirical_risk,
                                hard_margin_spo_loss, hard_margin_spo_loss_batch,
                                margin_spo_loss, margin_spo_loss_batch,
@@ -91,7 +92,7 @@ class TestMarginLoss:
         region = square_region()
         params = MarginParams(gamma=0.5)
         c_hat = np.array([0.5, 0.0])
-        assert dual_norm(c_hat, 2.0) == params.gamma
+        assert dual_norm_rows(c_hat[None], 2.0)[0] == params.gamma
         c = np.array([1.0, -2.0])
         assert margin_spo_loss(region, c_hat, c, params) == spo_loss(region, c_hat, c)
 
@@ -219,15 +220,56 @@ class TestEmpiricalRisk:
             empirical_risk(interval(), np.eye(3), sample, "spo")
 
 
+def recorded_checks(region, monkeypatch) -> list:
+    """Every batch ``region._check_cost_batch`` is given, in call order."""
+    checked = []
+    original = region._check_cost_batch
+    monkeypatch.setattr(region, "_check_cost_batch",
+                        lambda A, rows=None: checked.append(A) or original(A, rows))
+    return checked
+
+
+def margin_params(region) -> MarginParams:
+    return MarginParams(gamma=1.5, norm_q=region.norm_exponent)
+
+
+#: every public batch entry, as (call, number of cost batches it takes)
+BATCH_ENTRIES = {
+    "spo_loss_batch": (spo_loss_batch, 2),
+    "margin_spo_loss_batch": (lambda r, A, B: margin_spo_loss_batch(r, A, B, margin_params(r)), 2),
+    "hard_margin_spo_loss_batch":
+        (lambda r, A, B: hard_margin_spo_loss_batch(r, A, B, margin_params(r)), 2),
+    "decision_cost_batch": (lambda r, A, B: r.decision_cost_batch(A, B), 2),
+    "linopt_batch": (lambda r, A: r.linopt_batch(A), 1),
+    "gap_batch": (lambda r, A: r.gap_batch(A), 1),
+}
+
+#: the one-row forms, on one cost vector per batch
+ROW_ENTRIES = {
+    "spo_loss": (spo_loss, 2),
+    "margin_spo_loss": (lambda r, a, b: margin_spo_loss(r, a, b, margin_params(r)), 2),
+    "hard_margin_spo_loss": (lambda r, a, b: hard_margin_spo_loss(r, a, b, margin_params(r)), 2),
+    "linopt": (lambda r, a: r.linopt(a), 1),
+    "gap": (lambda r, a: r.gap(a), 1),
+}
+
+#: one region of each kind: the default decision cost (DAG, vertex polytope,
+#: q = 1.5 ball) and the two closed forms (l2 ball, simplex)
+REGIONS = {
+    "dag": DagPathPolytope.grid(2, 3),
+    "vertex": square_region(),
+    "lq_ball": LqBall(1.5, 1.0, [0.5, -0.25, 0.0]),
+    "l2_ball": LqBall(2.0, 2.0, [0.5, -0.25, 0.0, 1.0]),
+    "simplex": UnitSimplex(4),
+}
+
+
 class TestValidateOnce:
     @pytest.mark.parametrize("region", [UnitSimplex(4), LqBall(2.0, 1.0, np.zeros(4)),
                                         LqBall(2.0, 2.0, [0.5, -0.25, 0.0, 1.0])])
     def test_spo_loss_checks_each_batch_once(self, region, rng, monkeypatch):
         C_hat, C = rng.integers(-2, 3, (2, 50, 4)).astype(float)
-        checked = []
-        original = region._check_cost_batch
-        monkeypatch.setattr(region, "_check_cost_batch",
-                            lambda A, rows=None: checked.append(A) or original(A, rows))
+        checked = recorded_checks(region, monkeypatch)
         got = spo_loss_batch(region, C_hat, C)
         assert [a is b for a, b in zip(checked, (C_hat, C))] == [True, True]
         assert len(checked) == 2
@@ -236,6 +278,40 @@ class TestValidateOnce:
             assert got.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", REGIONS)
+    @pytest.mark.parametrize("entry", BATCH_ENTRIES)
+    def test_each_batch_checked_once(self, entry, name, rng, monkeypatch):
+        region = REGIONS[name]
+        call, arity = BATCH_ENTRIES[entry]
+        # the rows straddle the margin threshold, so both margin branches run
+        batches = list(rng.standard_normal((arity, 40, region.dim))
+                       * rng.choice([0.1, 3.0], (arity, 40, 1)))
+        checked = recorded_checks(region, monkeypatch)
+        call(region, *batches)
+        assert len(checked) == arity
+        assert all(a is b for a, b in zip(checked, batches))
+
+    @pytest.mark.parametrize("name", REGIONS)
+    @pytest.mark.parametrize("entry", [*BATCH_ENTRIES, *ROW_ENTRIES])
+    def test_bad_batches_rejected(self, entry, name):
+        region = REGIONS[name]
+        call, arity = {**BATCH_ENTRIES, **ROW_ENTRIES}[entry]
+        row = entry in ROW_ENTRIES
+        d = region.dim
+        good = np.ones(d) if row else np.ones((3, d))
+        wide = np.ones(d + 1) if row else np.ones((3, d + 1))
+        nan = good.copy()
+        nan[..., 0] = np.nan
+        for i in range(arity):
+            for bad, match in ((nan, "non-finite"), (wide, "shape")):
+                args = [good] * arity
+                args[i] = bad
+                with pytest.raises(ValueError, match=match):
+                    call(region, *args)
+        if arity == 2 and not row:
+            with pytest.raises(ValueError, match="shape"):
+                call(region, good, np.ones((2, d)))
 
 
 class TestLossOrderingAudit:

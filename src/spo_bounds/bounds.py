@@ -46,6 +46,13 @@ class BoundInputs:
     rad: float | None = None
 
     def __post_init__(self):
+        # plain type tests, a float passing on its class alone: the
+        # experiment builds thousands of these
+        for name, val in vars(self).items():
+            if val.__class__ is float or (val is None and name not in ("n", "delta")):
+                continue
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ValueError(f"{name} must be a number, got {val!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not (0.0 < self.delta < 1.0):

@@ -186,10 +186,12 @@ def rademacher_spo_mc(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
     preds = hypotheses.predictions(sample.xs)
     H, n, d = preds.shape
     # SPO losses, (H, n), from one oracle call on the stacked predictions;
-    # the optimal costs c @ w*(c) are solved once for every hypothesis
-    opt = region.decision_cost_batch(sample.cs, sample.cs)
-    realized = region.decision_cost_batch(preds.reshape(H * n, d),
-                                          np.tile(sample.cs, (H, 1)))
+    # the optimal costs c @ w*(c) are solved once for every hypothesis.
+    # Each distinct batch is validated once; the tiled copy needs no check.
+    cs = region._check_cost_batch(sample.cs)
+    stacked = region._check_cost_batch(preds.reshape(H * n, d))
+    opt = region._decision_cost(cs, cs)
+    realized = region._decision_cost(stacked, np.tile(cs, (H, 1)))
     losses = realized.reshape(H, n) - opt
     signs = substream_signs(seed, m_draws, sample.n)
     corr = signs @ losses.T / sample.n  # (m, H)

@@ -46,6 +46,7 @@ matrix products round a row differently depending on the batch size.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -376,6 +377,10 @@ class UnitSimplex(FeasibleRegion):
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.dirichlet(np.ones(self.dim))
 
+    def sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        # numpy draws the rows in order, so this equals m sample() calls
+        return rng.dirichlet(np.ones(self.dim), m)
+
     def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
         w = np.asarray(w, dtype=float)
         return bool(w.min() >= -tol and abs(w.sum() - 1.0) <= tol)
@@ -591,6 +596,11 @@ class LqBall(FeasibleRegion):
     A declared strong-convexity constant ``mu`` is certified by
     :func:`verify_strong_convexity` rather than trusted from a formula
     (for an l2 ball the certified value is ``1 / radius``).
+
+    ``sample(rng)`` draws ``dim`` normals ``g`` and a uniform ``t`` and
+    returns ``center + radius * t ** (1 / dim) * g / ||g||_q``; it is a
+    one-row call of ``_points``, which forms whole batches of such draws
+    (the sampled verifiers' draws) bit for bit alike.
     """
 
     kind = "LqBall"
@@ -671,17 +681,21 @@ class LqBall(FeasibleRegion):
         # diameter is attained along a coordinate axis.
         return 2.0 * self.ball_radius
 
+    def _points(self, G: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Ball points from raw draws, one per row: the direction
+        ``G[i] / ||G[i]||_q`` scaled by ``radius * T[i] ** (1 / dim)``.
+        The norms and roots are the bit-exact one-vector forms, so row i
+        equals a one-row call on row i."""
+        U = G / _exact_norm_rows(G, self.q)[:, None]
+        return self.center + (self.ball_radius * _scalar_pow(T, 1.0 / self.dim))[:, None] * U
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_normal(self.dim)
-        u = g / np.linalg.norm(g, ord=self.q)
-        t = rng.random() ** (1.0 / self.dim)
-        return self.center + self.ball_radius * t * u
+        g = rng.standard_normal((1, self.dim))
+        return self._points(g, np.array([rng.random()]))[0]
 
     def sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         G = rng.standard_normal((m, self.dim))
-        U = G / np.linalg.norm(G, ord=self.q, axis=1)[:, None]
-        T = rng.random(m) ** (1.0 / self.dim)
-        return self.center + self.ball_radius * T[:, None] * U
+        return self._points(G, rng.random(m))
 
     def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
         w = np.asarray(w, dtype=float)
@@ -816,6 +830,31 @@ class CostDomain:
 # sampling-based verification
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _ball_draws(seed: int, n: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw draws of the ball verifiers' samples ``i < n``, read-only.
+
+    Stream ``substream(seed, i)`` draws, in this order: ``G[0, i]`` (dim
+    normals) and ``T[0, i]``, the first point; ``G[1, i]`` and ``T[1, i]``,
+    the second; ``lam[i]``; and the direction ``G[2, i]``.  The draws do
+    not depend on the region, so consecutive verifier calls with the same
+    ``(seed, n, dim)`` share one pass.
+    """
+    G = np.empty((3, n, dim))
+    T = np.empty((2, n))
+    lam = np.empty(n)
+    for i, rng in enumerate(substreams(seed, n)):
+        rng.standard_normal(out=G[0, i])
+        T[0, i] = rng.random()
+        rng.standard_normal(out=G[1, i])
+        T[1, i] = rng.random()
+        lam[i] = rng.random()
+        rng.standard_normal(out=G[2, i])
+    for draws in (G, T, lam):
+        draws.flags.writeable = False
+    return G, T, lam
+
+
 def verify_strong_convexity(region: FeasibleRegion, mu: float,
                             n_samples: int, seed: int) -> ViolationReport:
     """Check the chord-ball inclusion defining mu-strong convexity.
@@ -823,8 +862,10 @@ def verify_strong_convexity(region: FeasibleRegion, mu: float,
     For sampled ``(w1, w2, lam, u)`` the point
     ``lam*w1 + (1-lam)*w2 + (mu/2)*lam*(1-lam)*||w1-w2||**2 * u`` with
     ``||u|| = 1`` must stay inside the region (norms in the region's norm).
-    Sample ``i`` draws ``w1``, ``w2``, ``lam`` and then the direction from
-    ``substream(seed, i)``; the witness is the first sample of largest breach.
+    Sample ``i`` draws ``w1 = region.sample(rng)``, ``w2`` likewise, ``lam``
+    and then the direction from ``rng = substream(seed, i)``.  All samples
+    are formed row-wise from the shared draws of ``_ball_draws``; the
+    witness is the first sample of largest breach.
     """
     if not isinstance(region, LqBall):
         raise ValueError("strong-convexity check only supports LqBall regions")
@@ -833,14 +874,9 @@ def verify_strong_convexity(region: FeasibleRegion, mu: float,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     q = region.norm_exponent
-    W1, W2, G = (np.empty((n_samples, region.dim)) for _ in range(3))
-    lam = np.empty(n_samples)
-    for i, rng in enumerate(substreams(seed, n_samples)):
-        W1[i] = region.sample(rng)
-        W2[i] = region.sample(rng)
-        lam[i] = rng.random()
-        G[i] = rng.standard_normal(region.dim)
-    U = G / _exact_norm_rows(G, q)[:, None]
+    G, T, lam = _ball_draws(seed, n_samples, region.dim)
+    W1, W2 = region._points(G[0], T[0]), region._points(G[1], T[1])
+    U = G[2] / _exact_norm_rows(G[2], q)[:, None]
     chord2 = _scalar_pow(_exact_norm_rows(W1 - W2, q), 2)
     ball_r = 0.5 * mu * lam * (1.0 - lam) * chord2
     Z = lam[:, None] * W1 + (1.0 - lam)[:, None] * W2 + ball_r[:, None] * U
@@ -857,8 +893,11 @@ def verify_optimality_condition(region: FeasibleRegion, c,
     """Check the strengthened first-order optimality condition at the oracle
     solution of a linear objective over a strongly convex region:
     ``c @ (w - wbar) >= (mu/2) * ||c||_* * ||w - wbar||**2`` for sampled w.
-    Sample ``i`` is ``region.sample(substream(seed, i))``; the witness is the
-    first sample of largest breach.
+    Sample ``i`` is ``region.sample(substream(seed, i))``.  On an lq ball it
+    is the first point of ``_ball_draws``, formed row-wise, so a call after
+    ``verify_strong_convexity`` with the same seed, size and dimension
+    draws nothing; other regions sample stream by stream.  The witness is
+    the first sample of largest breach.
     """
     if region.mu is None or region.mu <= 0:
         raise ValueError("region must declare mu > 0")
@@ -870,9 +909,11 @@ def verify_optimality_condition(region: FeasibleRegion, c,
         raise ValueError("n_samples must be >= 1")
     q = region.norm_exponent
     c_star = float(_exact_norm_rows(c[None], dual_exponent(q))[0])
-    W = np.empty((n_samples, region.dim))
-    for i, rng in enumerate(substreams(seed, n_samples)):
-        W[i] = region.sample(rng)
+    if isinstance(region, LqBall):
+        G, T, _ = _ball_draws(seed, n_samples, region.dim)
+        W = region._points(G[0], T[0])
+    else:
+        W = np.stack([region.sample(rng) for rng in substreams(seed, n_samples)])
     D = W - wbar
     rhs = 0.5 * region.mu * c_star * _scalar_pow(_exact_norm_rows(D, q), 2)
     breach = rhs - np.vecdot(D, c)

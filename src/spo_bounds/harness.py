@@ -35,6 +35,15 @@ _CONFIG_KEYS = {"region", "cost_domain", "b_star", "noise", "feature_dist", "n",
                 "trials", "delta", "gamma_grid", "beta", "m_fresh", "seed"}
 
 
+def _require_number(key: str, val, integer: bool) -> None:
+    """Reject a config value that is not a number (bools included), or not
+    an integer where one is required."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(val, bool) or not isinstance(val, kinds):
+        raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, "
+                         f"got {val!r}")
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
     """Inputs for one experiment: region, cost domain, true model, and sizes."""
@@ -53,6 +62,18 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.ns, int):
+            self.ns = [self.ns]
+        for key, vals, integer in (("n", self.ns, True), ("gamma_grid", self.gamma_grid, False)):
+            if not isinstance(vals, (list, tuple, np.ndarray)):
+                raise ValueError(f"{key} must be a list, got {vals!r}")
+            for val in vals:
+                _require_number(key, val, integer)
+        for key, integer in (("trials", True), ("m_fresh", True), ("seed", True),
+                             ("noise", False), ("delta", False)):
+            _require_number(key, getattr(self, key), integer)
+        if self.beta is not None:
+            _require_number("beta", self.beta, False)
         self.b_star = np.asarray(self.b_star, dtype=float)
         if self.b_star.ndim != 2 or self.b_star.shape[0] != self.region.dim:
             raise ValueError(f"b_star must have shape ({self.region.dim}, p)")
@@ -62,8 +83,6 @@ class ExperimentConfig:
             raise ValueError("noise must be >= 0")
         if self.feature_dist not in ("sphere", "gaussian"):
             raise ValueError(f"unknown feature distribution: {self.feature_dist!r}")
-        if isinstance(self.ns, int):
-            self.ns = [self.ns]
         self.ns = [int(n) for n in self.ns]
         if not self.ns or any(n < 1 for n in self.ns):
             raise ValueError("ns must be positive sample sizes")

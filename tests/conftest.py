@@ -10,7 +10,9 @@ differential references for the batched and pruned ones.  The decision-cost
 and true-risk references are the library's earlier row-reducing kernels
 (``np.argmin`` on the simplex, ``einsum`` on l2 balls, row-major
 ``xs @ B.T`` predictions), the differential references for its column
-sweeps.
+sweeps.  The ball-sampler reference is the earlier one-vector
+``LqBall.sample``, which the verifier references use in place of the
+library's row-form sampler.
 """
 
 from __future__ import annotations
@@ -193,13 +195,28 @@ def dag_gap_ref(dag, c) -> float:
 
 
 # ---------------------------------------------------------------------------
-# substream references: one generator built per sample or draw index
+# substream references: one generator built per sample or draw index, and
+# the earlier one-vector ball sampler
 # ---------------------------------------------------------------------------
 
 def sign_draws_ref(seed: int, m_draws: int, size: int) -> np.ndarray:
     rows = [substream(seed, k).integers(0, 2, size=size) * 2.0 - 1.0
             for k in range(m_draws)]
     return np.stack(rows)
+
+
+def lq_ball_sample_ref(region: LqBall, rng: np.random.Generator) -> np.ndarray:
+    """The library's earlier one-vector ``LqBall.sample`` body."""
+    g = rng.standard_normal(region.dim)
+    u = g / np.linalg.norm(g, ord=region.q)
+    t = rng.random() ** (1.0 / region.dim)
+    return region.center + region.ball_radius * t * u
+
+
+def sample_ref(region, rng: np.random.Generator) -> np.ndarray:
+    if isinstance(region, LqBall):
+        return lq_ball_sample_ref(region, rng)
+    return region.sample(rng)
 
 
 def verify_strong_convexity_ref(region: LqBall, mu: float, n_samples: int,
@@ -210,8 +227,8 @@ def verify_strong_convexity_ref(region: LqBall, mu: float, n_samples: int,
     witness = None
     for i in range(n_samples):
         rng = substream(seed, i)
-        w1 = region.sample(rng)
-        w2 = region.sample(rng)
+        w1 = lq_ball_sample_ref(region, rng)
+        w2 = lq_ball_sample_ref(region, rng)
         lam = rng.random()
         g = rng.standard_normal(region.dim)
         u = g / np.linalg.norm(g, ord=q)
@@ -238,7 +255,7 @@ def verify_optimality_condition_ref(region, c, n_samples: int,
     witness = None
     for i in range(n_samples):
         rng = substream(seed, i)
-        w = region.sample(rng)
+        w = sample_ref(region, rng)
         lhs = float(c @ (w - wbar))
         rhs = 0.5 * region.mu * c_star * float(np.linalg.norm(w - wbar, ord=q)) ** 2
         breach = rhs - lhs

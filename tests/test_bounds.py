@@ -277,6 +277,13 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="mu"):
             BoundInputs(n=10, delta=0.5, mu=0.0)
 
+    @pytest.mark.parametrize("key, value", [("n", "100"), ("delta", None),
+                                            ("n", True), ("card_S", [3]),
+                                            ("rad", False)])
+    def test_non_numbers_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+            BoundInputs(**{"n": 10, "delta": 0.5, key: value})
+
     def test_round_trip(self):
         original = inputs(omega=1.0, rho2_C=0.5, mu=2.0, gamma=0.1, rad=0.2)
         clone = BoundInputs.from_dict(original.to_dict())

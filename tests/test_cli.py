@@ -276,6 +276,18 @@ class TestInputErrors:
                      id="bound-inputs-missing-n"),
         pytest.param("bound", [1, 2], "bound inputs must be a JSON object",
                      id="bound-inputs-not-object"),
+        pytest.param("bound", {"n": "abc", "delta": 0.05}, "n must be a number, got 'abc'",
+                     id="bound-inputs-string-n"),
+        pytest.param("bound", {"n": 100, "delta": 0.05, "omega": True},
+                     "omega must be a number, got True", id="bound-inputs-bool-omega"),
+        pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
+                                    "cost_domain": {"kind": "ball", "radius": 1.0},
+                                    "trials": "2"},
+                     "trials must be an integer, got '2'", id="config-string-trials"),
+        pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
+                                    "cost_domain": {"kind": "ball", "radius": 1.0},
+                                    "n": [50, False]},
+                     "n must be an integer, got False", id="config-bool-n"),
     ])
     def test_malformed_json_input(self, command, data, needle, tmp_path, capsys):
         path = write(tmp_path / "input.json", data)

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spo_bounds import _rng, audits
+from spo_bounds._rng import substream
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
-                                 UnitSimplex, VertexPolytope, _exact_norm_rows,
+                                 UnitSimplex, VertexPolytope, _ball_draws,
+                                 _exact_norm_rows,
                                  _scalar_pow, covering_count_log,
                                  dual_norm_rows, region_from_dict,
                                  region_from_json, vector_norm_rows,
@@ -16,7 +19,8 @@ from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
                                  verify_strong_convexity)
 
 from conftest import (dag_gap_ref, dag_linopt_ref, dag_path_costs_ref,
-                      decision_cost_ref, enumerate_paths_brute, pgd_lq_minimize, project_lq_ball,
+                      decision_cost_ref, enumerate_paths_brute, lq_ball_sample_ref,
+                      pgd_lq_minimize, project_lq_ball,
                       random_dags, square_region,
                       verify_optimality_condition_ref,
                       verify_strong_convexity_ref)
@@ -743,6 +747,53 @@ class TestBatchSeededVerifiers:
             verify_optimality_condition(region, [1.0, 0.0], 0, seed=0)
 
 
+class TestRowFormBallSampler:
+    """The verifiers form every ball point from one shared, cached pass of
+    raw per-stream draws; a one-row ``sample`` must equal the earlier
+    one-vector sampler bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.floats(1.0, 2.0, exclude_min=True), dim=st.integers(1, 9),
+           radius=st.floats(0.01, 100.0), data=st.data(), seed=st.integers(0, 2 ** 70))
+    def test_sample_matches_one_vector_reference(self, q, dim, radius, data, seed):
+        center = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim))
+        region = LqBall(q, radius, center)
+        got, want = substream(seed, 0), substream(seed, 0)
+        for _ in range(3):
+            assert region.sample(got).tobytes() == lq_ball_sample_ref(region, want).tobytes()
+
+    def test_cached_draws_are_read_only(self):
+        G, T, lam = _ball_draws(3, 10, 2)
+        assert (G.shape, T.shape, lam.shape) == ((3, 10, 2), (2, 10), (10,))
+        for draws in (G, T, lam):
+            assert not draws.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                draws[0] = 0.0
+
+    def test_reports_equal_cold_and_warm(self):
+        ball = LqBall(1.5, 2.0, [0.5, -0.25, 0.0], mu=0.25)
+        _ball_draws.cache_clear()
+        cold = (verify_strong_convexity(ball, 0.25, 500, seed=13),
+                verify_optimality_condition(ball, [0.6, -0.8, 0.1], 500, seed=13))
+        hits = _ball_draws.cache_info().hits
+        warm = (verify_strong_convexity(ball, 0.25, 500, seed=13),
+                verify_optimality_condition(ball, [0.6, -0.8, 0.1], 500, seed=13))
+        assert _ball_draws.cache_info().hits == hits + 2
+        assert cold == warm
+
+    def test_audits_seed_each_stream_once_per_dimension(self, monkeypatch):
+        seeded = []
+        halves = _rng._seed_halves
+        monkeypatch.setattr(_rng, "_seed_halves",
+                            lambda seed, count: seeded.append(count) or halves(seed, count))
+        _ball_draws.cache_clear()
+        assert audits.audit_strong_convexity(7).passed
+        assert audits.audit_optimality_condition(7).passed
+        # the interval's 10,000 streams, then the 2-D balls' 10,000, shared
+        # by the unit ball, the overstated mu and both costs
+        assert seeded == [10_000, 10_000]
+
+
 class TestSampling:
     def test_samples_are_feasible(self, rng):
         ball = LqBall(1.5, 2.0, [0.5, -0.5])
@@ -751,6 +802,14 @@ class TestSampling:
         simplex = UnitSimplex(4)
         for w in simplex.sample_batch(rng, 100):
             assert simplex.contains(w)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 7])
+    def test_simplex_batch_equals_one_row_draws(self, dim):
+        simplex = UnitSimplex(dim)
+        one_row = np.random.default_rng(5)
+        want = np.stack([simplex.sample(one_row) for _ in range(300)])
+        got = simplex.sample_batch(np.random.default_rng(5), 300)
+        assert got.tobytes() == want.tobytes()
 
     def test_dag_samples_are_path_mixtures(self, rng):
         dag = DagPathPolytope.grid(2, 2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spo_bounds import audits
+from spo_bounds.complexity import FiniteHypothesisSet, rademacher_spo_mc
 from spo_bounds.geometry import (DagPathPolytope, LqBall, UnitSimplex,
                                  dual_norm_rows)
 from spo_bounds.losses import (LabeledSample, MarginParams, empirical_risk,
@@ -13,7 +14,7 @@ from spo_bounds.losses import (LabeledSample, MarginParams, empirical_risk,
                                margin_spo_loss, margin_spo_loss_batch,
                                predict_batch, spo_loss, spo_loss_batch)
 
-from conftest import decision_cost_ref, square_region
+from conftest import decision_cost_ref, rademacher_spo_mc_ref, square_region
 
 
 def interval():
@@ -291,6 +292,20 @@ class TestValidateOnce:
         call(region, *batches)
         assert len(checked) == arity
         assert all(a is b for a, b in zip(checked, batches))
+
+    @pytest.mark.parametrize("name", REGIONS)
+    def test_rad_spo_checks_each_distinct_batch_once(self, name, rng, monkeypatch):
+        region = REGIONS[name]
+        hyp = FiniteHypothesisSet(list(rng.standard_normal((6, region.dim, 3))))
+        sample = LabeledSample(xs=rng.standard_normal((8, 3)),
+                               cs=rng.standard_normal((8, region.dim)))
+        checked = recorded_checks(region, monkeypatch)
+        got = rademacher_spo_mc(region, hyp, sample, m_draws=50, seed=4)
+        # the sample costs, then the stacked predictions of all 6 hypotheses
+        assert [A.shape for A in checked] == [(8, region.dim), (48, region.dim)]
+        assert checked[0] is sample.cs
+        monkeypatch.undo()
+        assert got == rademacher_spo_mc_ref(region, hyp, sample, 50, 4)
 
     @pytest.mark.parametrize("name", REGIONS)
     @pytest.mark.parametrize("entry", [*BATCH_ENTRIES, *ROW_ENTRIES])

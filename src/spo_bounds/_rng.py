@@ -26,6 +26,19 @@ So sign ``2i`` of a row is bit 31 and sign ``2i + 1`` bit 63 of the
 stream's output ``i``.  The kernel jumps the LCG ahead in closed form,
 ``x -> A_n x + G_n inc`` for n steps, multiplies 128-bit numbers from
 32-bit limbs, and writes each sign bit straight into the sign bit of 1.0.
+
+Row ``k`` depends on the stream index alone, so ``substream_sign_blocks``
+yields the rows of a request in blocks of a caller's height, a short tail
+folded into the last block, all written into one reused buffer.  A caller
+that multiplies each block by a matrix gets the rows of the whole-array
+product bit for bit only if BLAS rounds a row the same at every block
+height, which BLAS does not promise.  OpenBLAS 0.3.31 (SkylakeX kernels)
+was seen to on the estimators' shapes only past its small-matrix kernels'
+bound, which ``complexity`` sizes the blocks by, and never at 1, 7 or 64
+rows; so those blocks also have at least ``SIGN_BLOCK_ROWS`` rows, pinned,
+unless the whole request has fewer.  Each block pays its own lane set-up,
+which at 256 rows cost up to 5 ms more per 2,000-draw call on the
+estimators' shapes; 512 rows halve that.
 """
 
 from __future__ import annotations
@@ -162,6 +175,9 @@ _LANE_BLOCK = 1 << 15
 SIGN_BYTES_MAX = 1 << 30
 #: bytes per stream that the seeding holds at its peak (145 measured)
 _SEED_BYTES = 256
+#: least rows per block of ``substream_sign_blocks`` in the estimators; see
+#: the module docstring for why it is pinned and at least 256 rows
+SIGN_BLOCK_ROWS = 512
 
 _LOW32 = np.uint64(_MASK32)
 _U32 = np.uint64(32)
@@ -224,13 +240,9 @@ def _jump(jump: tuple[int, int], x, inc, hi=None, lo=None, t=None, u=None,
     return hi, t
 
 
-def substream_signs(seed: int, count: int, size: int) -> np.ndarray:
-    """``(count, size)`` C-contiguous float64 signs whose row ``k`` is
-    ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0``, bit for bit.
-
-    Refuses, before allocating anything, a request whose signs and seeding
-    scratch need over ``SIGN_BYTES_MAX`` bytes.
-    """
+def _check_sign_request(seed: int, count: int, size: int) -> None:
+    """Refuse, before anything is allocated, an invalid request or one whose
+    signs and seeding scratch need over ``SIGN_BYTES_MAX`` bytes."""
     _check_streams(seed, count)
     if size < 0:
         raise ValueError("size must be non-negative")
@@ -238,17 +250,68 @@ def substream_signs(seed: int, count: int, size: int) -> np.ndarray:
     if need > SIGN_BYTES_MAX:
         raise ValueError(f"{count} x {size} sign draws need {need} bytes, "
                          f"over the {SIGN_BYTES_MAX}-byte budget")
+
+
+def substream_signs(seed: int, count: int, size: int) -> np.ndarray:
+    """``(count, size)`` C-contiguous float64 signs whose row ``k`` is
+    ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0``, bit for bit.
+
+    Refuses, before allocating anything, a request whose signs and seeding
+    scratch need over ``SIGN_BYTES_MAX`` bytes.
+    """
+    _check_sign_request(seed, count, size)
     out = np.zeros((count, size), dtype="<f8")
+    _fill_signs(_seed_halves(seed, count), out)
+    return out
+
+
+def substream_sign_blocks(seed: int, count: int, size: int,
+                          rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of ``substream_signs(seed, count, size)`` in order, as
+    ``(first, signs)`` blocks of ``rows`` rows; a last block shorter than
+    that is folded into the one before it, so every block has at least
+    ``rows`` rows unless the whole request has fewer.
+
+    Each block is a view of one buffer reused for every block, valid only
+    until the next block is drawn, so a request holds fewer than
+    ``2 * rows`` rows of signs at once.  The request is checked against the
+    budget as a whole.
+    """
+    _check_sign_request(seed, count, size)
+    if rows < 1:
+        raise ValueError("rows must be >= 1")
+    return _sign_blocks(seed, count, size, rows)
+
+
+def _sign_blocks(seed: int, count: int, size: int,
+                 rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    seeds = _seed_halves(seed, count)
+    blocks = max(1, count // rows)
+    # sized for the last, longest block; the kernel writes only the high
+    # words, so the low words stay zero from one block to the next
+    buffer = np.zeros((count - (blocks - 1) * rows, size), dtype="<f8")
+    for b in range(blocks):
+        signs = buffer if b == blocks - 1 else buffer[:rows]
+        first = b * rows
+        _fill_signs(seeds[first:first + len(signs)], signs)
+        yield first, signs
+
+
+def _fill_signs(seeds: np.ndarray, out: np.ndarray) -> None:
+    """Write the signs of the streams with PCG64 seeds ``seeds`` (rows of
+    ``_seed_halves``) into the rows of ``out``, a C-contiguous little-endian
+    float64 array whose low 32-bit words are zero: only each element's high
+    word is written."""
+    count, size = out.shape
     outputs = (size + 1) // 2
     if count == 0 or outputs == 0:
-        return out
-    seeds = _seed_halves(seed, count)
+        return
     # PCG64 seeding: inc = 2 initseq + 1, and the state is
     # LCG(initstate + inc) = M initstate + (M + 1) inc
     inc = (seeds[:, 2:3] << np.uint64(1) | seeds[:, 3:4] >> np.uint64(63),
            seeds[:, 3:4] << np.uint64(1) | np.uint64(1))
     # lane l holds LCG^l of the seeded state, so the states of outputs
-    # first .. first + lanes - 1 are one jump of the lanes, LCG^(first + 1)
+    # start .. start + lanes - 1 are one jump of the lanes, LCG^(start + 1)
     lanes = min(outputs, max(1, _LANE_BLOCK // count))
     lane_hi = np.empty((count, lanes), np.uint64)
     lane_lo = np.empty((count, lanes), np.uint64)
@@ -265,9 +328,9 @@ def substream_signs(seed: int, count: int, size: int) -> np.ndarray:
     carry_buf = np.empty((count, lanes), bool)
     # high 32-bit words of the float64 output; +-1.0 has a zero low word
     high = out.view("<u4")[:, 1::2]
-    for first in range(0, outputs, lanes):
-        k = min(lanes, outputs - first)
-        hi, lo = _jump(_lcg_power(first + 1), (lane_hi[:, :k], lane_lo[:, :k]), inc,
+    for start in range(0, outputs, lanes):
+        k = min(lanes, outputs - start)
+        hi, lo = _jump(_lcg_power(start + 1), (lane_hi[:, :k], lane_lo[:, :k]), inc,
                        hi_buf[:, :k], lo_buf[:, :k], t_buf[:, :k], u_buf[:, :k],
                        carry_buf[:, :k])
         # XSL-RR output: hi ^ lo rotated right by the top 6 bits of hi
@@ -282,6 +345,5 @@ def substream_signs(seed: int, count: int, size: int) -> np.ndarray:
         # each sign is the word's top bit, moved into the sign bit of 1.0
         words = lo.view("<u4")
         words &= _SIGN32
-        n = min(2 * k, size - 2 * first)
-        np.bitwise_xor(words[:, :n], _NEG_ONE_HIGH, out=high[:, 2 * first:2 * first + n])
-    return out
+        n = min(2 * k, size - 2 * start)
+        np.bitwise_xor(words[:, :n], _NEG_ONE_HIGH, out=high[:, 2 * start:2 * start + n])

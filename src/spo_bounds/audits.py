@@ -24,7 +24,8 @@ from .complexity import (FiniteHypothesisSet, LabelTable,
 from .geometry import (CostDomain, DagPathPolytope, LqBall, UnitSimplex,
                        VertexPolytope, _exact_norm_rows, dual_norm_rows,
                        verify_optimality_condition, verify_strong_convexity)
-from .harness import ExperimentConfig, run_lipschitz_audit
+from .harness import (ExperimentConfig, lipschitz_margin_stage,
+                      lipschitz_oracle_stage)
 from .losses import (LabeledSample, MarginParams, hard_margin_spo_loss_batch,
                      margin_mix, margin_spo_loss_batch, spo_loss_batch)
 
@@ -104,10 +105,10 @@ def audit_oracle_optimality(seed: int, scale: int = 1) -> AuditResult:
 def audit_oracle_lipschitz_like(seed: int, scale: int = 1) -> AuditResult:
     """Oracle moves at most ||c1 - c2||* / (mu * min ||ci||*) in d = 2 and 5;
     the witness attains 1."""
-    reports = [run_lipschitz_audit(_ball_config(dim, seed), n_pairs=100_000 // scale)
-               for dim in (2, 5)]
-    worst = max(report.max_ratio_oracle for report in reports)
-    witness = reports[0].witness_ratio
+    stages = [lipschitz_oracle_stage(_ball_config(dim, seed), n_pairs=100_000 // scale)
+              for dim in (2, 5)]
+    worst = max(stage["max_ratio_oracle"] for stage in stages)
+    witness = stages[0]["witness_ratio"]
     passed = worst <= 1.0 + RATIO_TOL and abs(witness - 1.0) <= 1e-9
     return AuditResult("oracle_lipschitz_like", passed,
                        f"max ratio {_fmt(worst)} over d=2 and d=5, "
@@ -118,11 +119,10 @@ def audit_margin_loss_lipschitz(seed: int, scale: int = 1) -> AuditResult:
     """Margin loss is Lipschitz with constant 5||c||*/(gamma mu), and with the
     sharper constant (||c||*/mu + 2 omega_S(c))/gamma.  On l2 balls the two
     constants coincide; the q = 1.5 ball separates them."""
-    l2 = run_lipschitz_audit(_ball_config(3, seed), n_pairs=100_000 // scale)
-    lq = run_lipschitz_audit(_ball_config(3, seed, q=1.5),
-                             n_pairs=20_000 // scale)
-    worst_5 = max(l2.max_ratio_margin, lq.max_ratio_margin)
-    worst_sharp = max(l2.max_ratio_margin_sharp, lq.max_ratio_margin_sharp)
+    l2 = lipschitz_margin_stage(_ball_config(3, seed), n_pairs=100_000 // scale)
+    lq = lipschitz_margin_stage(_ball_config(3, seed, q=1.5), n_pairs=20_000 // scale)
+    worst_5 = max(l2["max_ratio_margin"], lq["max_ratio_margin"])
+    worst_sharp = max(l2["max_ratio_margin_sharp"], lq["max_ratio_margin_sharp"])
     passed = worst_5 <= 1.0 + RATIO_TOL and worst_sharp <= 1.0 + RATIO_TOL
     return AuditResult("margin_loss_lipschitz", passed,
                        f"max ratio {_fmt(worst_5)} (5-constant), "

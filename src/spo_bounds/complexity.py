@@ -8,7 +8,19 @@ class containing it).  Sign draw ``k`` comes from ``substream(seed, k)``,
 the definition in ``_rng``; the kernel ``_rng.substream_signs`` draws all
 of them in array passes from the PCG64 arithmetic, bit for bit the signs
 of those streams.  So estimates are deterministic per seed and monotone
-under adding hypotheses.
+under adding hypotheses.  ``rademacher_multivariate_mc`` correlates the
+pinned blocks of ``_rng.substream_sign_blocks`` and keeps each draw's sup,
+so it need not hold the whole m x n*d sign array.  Its estimate
+equals the whole-array form's bits only where BLAS rounds each row of a
+block's product as in the whole-array product.  OpenBLAS's SkylakeX dgemm
+takes a small-matrix kernel when M * N * K <= 1e6, and that kernel rounds a
+row by its place in the batch; so a block has at least 512 rows and enough
+more to lie past that bound, and a product within it is one block.  A
+single hypothesis makes the product a gemv, which also rounds a row by its
+place (and its threads split the rows), so its signs are drawn whole.
+Equality was checked on OpenBLAS 0.3.31 (SkylakeX kernels) on the shapes
+of the tests; another BLAS build may move the last digit, and any one
+build gives the same estimate per seed.
 
 The hypothesis axis is a batch axis.  A matrix-backed set stores its
 matrices as one (H, d, p) array and predicts all of them at once, and
@@ -40,13 +52,16 @@ from itertools import combinations
 
 import numpy as np
 
-from ._rng import substream_signs
+from ._rng import SIGN_BLOCK_ROWS, substream_sign_blocks, substream_signs
 from .geometry import FeasibleRegion
 from .losses import LabeledSample
 
 #: exhaustive-search budget for the Natarajan dimension
 NATARAJAN_MAX_POINTS = 12
 NATARAJAN_MAX_HYPOTHESES = 1 << 16
+#: M * N * K up to which OpenBLAS's SkylakeX dgemm takes its small-matrix
+#: kernel; see the module docstring
+_SMALL_GEMM_MNK = 10 ** 6
 
 
 class FiniteHypothesisSet:
@@ -210,10 +225,16 @@ def rademacher_multivariate_mc(hypotheses: FiniteHypothesisSet, xs,
     xs = np.asarray(xs, dtype=float)
     preds = hypotheses.predictions(xs)  # (H, n, d)
     H, n, d = preds.shape
-    flat = preds.reshape(H, n * d)
-    signs = substream_signs(seed, m_draws, n * d)
-    corr = signs @ flat.T / n  # (m, H)
-    return _mc_summary(corr.max(axis=1))
+    flat_t = preds.reshape(H, n * d).T
+    # blocks past the small-matrix bound, or the whole product if it is
+    # within it; a single hypothesis (numpy's gemv) is drawn whole
+    rows = m_draws if H == 1 else max(SIGN_BLOCK_ROWS,
+                                      _SMALL_GEMM_MNK // max(1, H * n * d) + 1)
+    sup = np.empty(m_draws)
+    for first, signs in substream_sign_blocks(seed, m_draws, n * d, rows):
+        corr = signs @ flat_t / n  # (rows, H)
+        corr.max(axis=1, out=sup[first:first + len(signs)])
+    return _mc_summary(sup)
 
 
 def _stacked_decisions(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,

@@ -717,10 +717,45 @@ class LqBall(FeasibleRegion):
 # serialization
 # ---------------------------------------------------------------------------
 
+def _is_number(val, integer: bool = False) -> bool:
+    """A number (bools excluded), or an integer where one is required."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return not isinstance(val, bool) and isinstance(val, kinds)
+
+
+def _is_list(val, item) -> bool:
+    return isinstance(val, (list, tuple)) and all(item(v) for v in val)
+
+
+def _is_integer(val) -> bool:
+    return _is_number(val, integer=True)
+
+
+#: what each region key must hold, and the test for it; ``mu`` may be null
+_REGION_VALUES = {
+    "q": ("a number", _is_number),
+    "radius": ("a number", _is_number),
+    "mu": ("a number", _is_number),
+    "dim": ("an integer", _is_integer),
+    "nodes": ("an integer", _is_integer),
+    "source": ("an integer", _is_integer),
+    "sink": ("an integer", _is_integer),
+    "center": ("a list of numbers", lambda v: _is_list(v, _is_number)),
+    "vertices": ("a list of lists of numbers",
+                 lambda v: _is_list(v, lambda row: _is_list(row, _is_number))),
+    "arcs": ("a list of [tail, head] integer pairs",
+             lambda v: _is_list(v, lambda a: _is_list(a, _is_integer) and len(a) == 2)),
+}
+
+
 def region_from_dict(data: dict) -> FeasibleRegion:
     if not isinstance(data, dict):
         raise ValueError("a region must be a JSON object")
     kind = data.get("kind")
+    for key, (expected, valid) in _REGION_VALUES.items():
+        val = data.get(key)
+        if key in data and not (valid(val) or (key == "mu" and val is None)):
+            raise ValueError(f"region {key} must be {expected}, got {val!r}")
     try:
         if kind == "VertexPolytope":
             return VertexPolytope(data["vertices"], mu=data.get("mu"))

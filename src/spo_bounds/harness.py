@@ -19,8 +19,8 @@ from ._rng import substream
 from .bounds import (BoundInputs, bound_covering, bound_linear_polyhedral,
                      bound_margin, bound_margin_uniform)
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
-                       UnitSimplex, VertexPolytope, dual_norm_rows,
-                       region_from_dict, vector_norm_rows)
+                       UnitSimplex, VertexPolytope, _is_number,
+                       dual_norm_rows, region_from_dict, vector_norm_rows)
 from .losses import (LabeledSample, MarginParams, margin_mix,
                      margin_spo_loss_batch, predict_batch, spo_loss_batch)
 
@@ -38,8 +38,7 @@ _CONFIG_KEYS = {"region", "cost_domain", "b_star", "noise", "feature_dist", "n",
 def _require_number(key: str, val, integer: bool) -> None:
     """Reject a config value that is not a number (bools included), or not
     an integer where one is required."""
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    if isinstance(val, bool) or not isinstance(val, kinds):
+    if not _is_number(val, integer):
         raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, "
                          f"got {val!r}")
 
@@ -461,38 +460,39 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float, size: int) -> n
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
-def run_lipschitz_audit(config: ExperimentConfig,
-                        n_pairs: int = 100_000) -> LipschitzAuditReport:
-    """Sample cost-vector pairs on a strongly convex region and bound the
-    observed ratio of both Lipschitz inequalities (oracle and margin loss)
-    by 1 up to tolerance.  Degenerate pairs (zero difference) are skipped.
-    """
-    region = config.region
+def _sample_costs(rng: np.random.Generator, n_pairs: int, d: int,
+                  lo: float, hi: float) -> np.ndarray:
+    """Cost rows with uniform directions and log-uniform l2 norms in [lo, hi]."""
+    G = rng.standard_normal((n_pairs, d))
+    norms = np.linalg.norm(G, axis=1)
+    norms[norms == 0] = 1.0
+    return G / norms[:, None] * _log_uniform(rng, lo, hi, n_pairs)[:, None]
+
+
+def _audit_stream(config: ExperimentConfig) -> np.random.Generator:
+    """The audit stream of a config whose region is strongly convex."""
     if not config.strongly_convex:
         raise ValueError("lipschitz audit needs a region with mu > 0")
+    return substream(config.seed, _STREAM_AUDIT)
+
+
+def _audit_gamma(config: ExperimentConfig) -> float:
+    """The audited gamma, the middle of the config's gamma grid."""
     if not config.gamma_grid:
         raise ValueError("lipschitz audit needs a gamma grid")
-    gamma = config.gamma_grid[len(config.gamma_grid) // 2]
-    mu = region.mu
-    q = region.norm_exponent
-    rng = substream(config.seed, _STREAM_AUDIT)
-    d = region.dim
+    return config.gamma_grid[len(config.gamma_grid) // 2]
 
-    def sample_costs(lo: float, hi: float) -> np.ndarray:
-        G = rng.standard_normal((n_pairs, d))
-        norms = np.linalg.norm(G, axis=1)
-        norms[norms == 0] = 1.0
-        return G / norms[:, None] * _log_uniform(rng, lo, hi, n_pairs)[:, None]
 
-    # oracle: ||w*(c1) - w*(c2)|| * mu * min(||c1||*, ||c2||*) <= ||c1 - c2||*
-    C1 = sample_costs(0.01, 10.0)
-    C2 = sample_costs(0.01, 10.0)
+def _oracle_stage(region: FeasibleRegion, rng: np.random.Generator, n_pairs: int) -> dict:
+    mu, q, d = region.mu, region.norm_exponent, region.dim
+    # ||w*(c1) - w*(c2)|| * mu * min(||c1||*, ||c2||*) <= ||c1 - c2||*
+    C1 = _sample_costs(rng, n_pairs, d, 0.01, 10.0)
+    C2 = _sample_costs(rng, n_pairs, d, 0.01, 10.0)
     diff_star = dual_norm_rows(C1 - C2, q)
     keep = diff_star > 1e-12
     w_dist = vector_norm_rows(region.linopt_batch(C1) - region.linopt_batch(C2), q)
     min_star = np.minimum(dual_norm_rows(C1, q), dual_norm_rows(C2, q))
     ratio_oracle = (w_dist[keep] * mu * min_star[keep]) / diff_star[keep]
-    max_ratio_oracle = float(ratio_oracle.max())
 
     witness_ratio = None
     if d >= 2 and q == 2.0:
@@ -502,11 +502,16 @@ def run_lipschitz_audit(config: ExperimentConfig,
         e2[1] = 1.0
         lhs = vector_norm_rows((region.linopt(e1) - region.linopt(e2))[None, :], q)[0]
         witness_ratio = float(lhs * mu * 1.0 / dual_norm_rows((e1 - e2)[None, :], q)[0])
+    return {"max_ratio_oracle": float(ratio_oracle.max()), "witness_ratio": witness_ratio}
 
-    # margin loss: |l(c_hat1, c) - l(c_hat2, c)| <= L * ||c_hat1 - c_hat2||*
-    CH1 = sample_costs(0.01 * gamma, 3.0 * gamma)
-    CH2 = sample_costs(0.01 * gamma, 3.0 * gamma)
-    C = sample_costs(0.1, 3.0)
+
+def _margin_stage(region: FeasibleRegion, gamma: float, rng: np.random.Generator,
+                  n_pairs: int) -> dict:
+    mu, q, d = region.mu, region.norm_exponent, region.dim
+    # |l(c_hat1, c) - l(c_hat2, c)| <= L * ||c_hat1 - c_hat2||*
+    CH1 = _sample_costs(rng, n_pairs, d, 0.01 * gamma, 3.0 * gamma)
+    CH2 = _sample_costs(rng, n_pairs, d, 0.01 * gamma, 3.0 * gamma)
+    C = _sample_costs(rng, n_pairs, d, 0.1, 3.0)
     params = MarginParams(gamma=gamma, norm_q=q)
     lhs = np.abs(margin_spo_loss_batch(region, CH1, C, params)
                  - margin_spo_loss_batch(region, CH2, C, params))
@@ -515,14 +520,44 @@ def run_lipschitz_audit(config: ExperimentConfig,
     c_star = dual_norm_rows(C, q)
     lipschitz_5 = 5.0 * c_star / (gamma * mu)
     lipschitz_sharp = (c_star / mu + 2.0 * region.gap_batch(C)) / gamma
-    max_ratio_margin = float((lhs[keep] / (lipschitz_5[keep] * step[keep])).max())
-    max_ratio_sharp = float((lhs[keep] / (lipschitz_sharp[keep] * step[keep])).max())
+    return {"max_ratio_margin": float((lhs[keep] / (lipschitz_5[keep] * step[keep])).max()),
+            "max_ratio_margin_sharp":
+                float((lhs[keep] / (lipschitz_sharp[keep] * step[keep])).max())}
 
+
+def lipschitz_oracle_stage(config: ExperimentConfig, n_pairs: int = 100_000) -> dict:
+    """The oracle inequality's fields of ``run_lipschitz_audit``'s report,
+    ``max_ratio_oracle`` and ``witness_ratio``, from the first two cost
+    batches of the audit stream; the stream is not drawn further."""
+    return _oracle_stage(config.region, _audit_stream(config), n_pairs)
+
+
+def lipschitz_margin_stage(config: ExperimentConfig, n_pairs: int = 100_000) -> dict:
+    """The margin inequality's fields of ``run_lipschitz_audit``'s report,
+    ``max_ratio_margin`` and ``max_ratio_margin_sharp``.  Its cost batches
+    follow the oracle stage's two on the audit stream, so the stream is
+    advanced past those by the same generator calls, left unnormalized."""
+    rng = _audit_stream(config)
+    gamma = _audit_gamma(config)
+    for _ in range(2):
+        rng.standard_normal((n_pairs, config.region.dim))
+        _log_uniform(rng, 0.01, 10.0, n_pairs)
+    return _margin_stage(config.region, gamma, rng, n_pairs)
+
+
+def run_lipschitz_audit(config: ExperimentConfig,
+                        n_pairs: int = 100_000) -> LipschitzAuditReport:
+    """Sample cost-vector pairs on a strongly convex region and bound the
+    observed ratio of both Lipschitz inequalities (oracle and margin loss)
+    by 1 up to tolerance.  Degenerate pairs (zero difference) are skipped.
+    The oracle stage and then the margin stage run on one stream, each
+    cost batch drawn once.
+    """
+    rng = _audit_stream(config)
+    gamma = _audit_gamma(config)
     return LipschitzAuditReport(gamma=gamma, n_pairs=n_pairs,
-                                max_ratio_oracle=max_ratio_oracle,
-                                witness_ratio=witness_ratio,
-                                max_ratio_margin=max_ratio_margin,
-                                max_ratio_margin_sharp=max_ratio_sharp)
+                                **_oracle_stage(config.region, rng, n_pairs),
+                                **_margin_stage(config.region, gamma, rng, n_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ and true-risk references are the library's earlier row-reducing kernels
 ``xs @ B.T`` predictions), the differential references for its column
 sweeps.  The ball-sampler reference is the earlier one-vector
 ``LqBall.sample``, which the verifier references use in place of the
-library's row-form sampler.
+library's row-form sampler.  The multivariate Rademacher reference is the
+earlier whole-array estimator, against the library's blocked signs, and
+the Lipschitz-audit reference is the earlier one-pass audit with numpy's
+row norms, against the library's two stages.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from spo_bounds.complexity import _mc_summary
 from spo_bounds.geometry import (MEMBERSHIP_TOL, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope, ViolationReport,
                                  dual_exponent)
+from spo_bounds.losses import MarginParams, margin_spo_loss_batch
 
 
 @pytest.fixture
@@ -310,6 +314,65 @@ def rademacher_spo_mc_ref(region, hypotheses, sample, m_draws: int,
     signs = substream_signs(seed, m_draws, sample.n)
     corr = signs @ losses.T / sample.n  # (m, H)
     return _mc_summary(corr.max(axis=1))
+
+
+def rademacher_multivariate_mc_ref(hypotheses, xs, m_draws: int,
+                                   seed: int) -> tuple[float, float]:
+    """The earlier whole-array estimator: all m x n*d signs in one product."""
+    preds = hypotheses.predictions(np.asarray(xs, dtype=float))
+    H, n, d = preds.shape
+    flat = preds.reshape(H, n * d)
+    corr = substream_signs(seed, m_draws, n * d) @ flat.T / n  # (m, H)
+    return _mc_summary(corr.max(axis=1))
+
+
+def lipschitz_audit_ref(config, n_pairs: int) -> dict:
+    """The earlier one-pass Lipschitz audit: all five cost batches drawn and
+    normalized with numpy's row norms, both inequalities checked; returns
+    the report's four ratio fields."""
+    region = config.region
+    gamma = config.gamma_grid[len(config.gamma_grid) // 2]
+    mu, q, d = region.mu, region.norm_exponent, region.dim
+    rng = substream(config.seed, 3)
+
+    def dual_norm_rows(C: np.ndarray, q: float) -> np.ndarray:
+        return np.linalg.norm(C, ord=dual_exponent(q), axis=1)
+
+    def sample_costs(lo: float, hi: float) -> np.ndarray:
+        G = rng.standard_normal((n_pairs, d))
+        norms = np.linalg.norm(G, axis=1)
+        norms[norms == 0] = 1.0
+        scale = np.exp(rng.uniform(math.log(lo), math.log(hi), n_pairs))
+        return G / norms[:, None] * scale[:, None]
+
+    C1 = sample_costs(0.01, 10.0)
+    C2 = sample_costs(0.01, 10.0)
+    diff_star = dual_norm_rows(C1 - C2, q)
+    keep = diff_star > 1e-12
+    w_dist = np.linalg.norm(region.linopt_batch(C1) - region.linopt_batch(C2),
+                            ord=q, axis=1)
+    min_star = np.minimum(dual_norm_rows(C1, q), dual_norm_rows(C2, q))
+    ratio_oracle = (w_dist[keep] * mu * min_star[keep]) / diff_star[keep]
+    witness_ratio = None
+    if d >= 2 and q == 2.0:
+        e1, e2 = np.eye(d)[0], np.eye(d)[1]
+        lhs = np.linalg.norm((region.linopt(e1) - region.linopt(e2))[None, :], ord=q, axis=1)[0]
+        witness_ratio = float(lhs * mu * 1.0 / dual_norm_rows((e1 - e2)[None, :], q)[0])
+    CH1 = sample_costs(0.01 * gamma, 3.0 * gamma)
+    CH2 = sample_costs(0.01 * gamma, 3.0 * gamma)
+    C = sample_costs(0.1, 3.0)
+    params = MarginParams(gamma=gamma, norm_q=q)
+    lhs = np.abs(margin_spo_loss_batch(region, CH1, C, params)
+                 - margin_spo_loss_batch(region, CH2, C, params))
+    step = dual_norm_rows(CH1 - CH2, q)
+    keep = step > 1e-12
+    c_star = dual_norm_rows(C, q)
+    lipschitz_5 = 5.0 * c_star / (gamma * mu)
+    lipschitz_sharp = (c_star / mu + 2.0 * region.gap_batch(C)) / gamma
+    return {"max_ratio_oracle": float(ratio_oracle.max()), "witness_ratio": witness_ratio,
+            "max_ratio_margin": float((lhs[keep] / (lipschitz_5[keep] * step[keep])).max()),
+            "max_ratio_margin_sharp":
+                float((lhs[keep] / (lipschitz_sharp[keep] * step[keep])).max())}
 
 
 def count_restrictions_ref(region, hypotheses, xs) -> int:

@@ -6,6 +6,9 @@ from spo_bounds.cli import main
 from spo_bounds.geometry import UnitSimplex
 
 SIMPLEX = {"kind": "UnitSimplex", "dim": 2}
+BALL = {"kind": "LqBall", "q": 2.0, "radius": 1.0, "center": [0.0, 0.0], "mu": 1.0}
+DAG = {"kind": "DagPathPolytope", "nodes": 3, "arcs": [[0, 1], [1, 2]], "source": 0,
+       "sink": 2}
 
 
 def write(path, data):
@@ -288,6 +291,17 @@ class TestInputErrors:
                                     "cost_domain": {"kind": "ball", "radius": 1.0},
                                     "n": [50, False]},
                      "n must be an integer, got False", id="config-bool-n"),
+        *[pytest.param("experiment", {"region": {**region, key: value}, "b_star": [[1.0], [0.0]],
+                                      "cost_domain": {"kind": "ball", "radius": 1.0}},
+                       f"region {key} must be {expected}, got {value!r}", id=f"region-{key}")
+          for region, key, value, expected in [
+              (BALL, "q", "x", "a number"),
+              (BALL, "radius", [1.0], "a number"),
+              (BALL, "center", [0.0, "a"], "a list of numbers"),
+              (BALL, "mu", True, "a number"),
+              (SIMPLEX, "dim", 2.5, "an integer"),
+              (DAG, "nodes", "3", "an integer"),
+              (DAG, "arcs", [[0, 1], [1]], "a list of [tail, head] integer pairs")]],
     ])
     def test_malformed_json_input(self, command, data, needle, tmp_path, capsys):
         path = write(tmp_path / "input.json", data)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spo_bounds import _rng, complexity
-from spo_bounds._rng import SIGN_BYTES_MAX, substream, substream_signs
+from spo_bounds._rng import (SIGN_BLOCK_ROWS, SIGN_BYTES_MAX, substream,
+                             substream_sign_blocks, substream_signs)
 from spo_bounds.complexity import (FiniteHypothesisSet, LabelTable,
                                    LinearPredictorClass, count_restrictions,
                                    linear_class_rad_bound, massart_bound,
@@ -20,8 +21,9 @@ from spo_bounds.losses import LabeledSample, spo_loss_batch
 
 from conftest import (count_restrictions_ref, natarajan_dim_ref,
                       oracle_label_table_ref, rademacher_exact,
-                      rademacher_spo_mc_ref, random_dags, sign_draws_ref,
-                      spo_loss_stack_ref, square_region)
+                      rademacher_multivariate_mc_ref, rademacher_spo_mc_ref,
+                      random_dags, sign_draws_ref, spo_loss_stack_ref,
+                      square_region)
 
 
 class TestSignDraws:
@@ -47,6 +49,32 @@ class TestSignDraws:
         # keys of 2 to 6 uint32 words cross the 4-word hash pool
         np.testing.assert_array_equal(substream_signs(seed, 9, 41),
                                       sign_draws_ref(seed, 9, 41))
+
+    @pytest.mark.parametrize("count, rows, heights", [
+        (1, 512, [1]), (511, 512, [511]), (1023, 512, [1023]), (1024, 512, [512, 512]),
+        (1535, 512, [512, 1023]), (2000, 512, [512, 512, 976]), (2000, 700, [700, 1300])])
+    def test_blocks_are_pinned_and_fold_the_tail(self, count, rows, heights):
+        assert SIGN_BLOCK_ROWS == 512
+        whole = substream_signs(5, count, 9)
+        seen, buffers = [], set()
+        for first, signs in substream_sign_blocks(5, count, 9, rows):
+            assert first == sum(seen) and signs.flags.c_contiguous
+            assert signs.tobytes() == whole[first:first + len(signs)].tobytes()
+            seen.append(len(signs))
+            buffers.add(signs.__array_interface__["data"][0])
+        assert seen == heights and len(buffers) == 1
+
+    def test_blocks_check_the_whole_request(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated for an over-budget request")
+
+        monkeypatch.setattr(_rng, "_pool_states", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        # each block alone would fit the budget
+        with pytest.raises(ValueError, match=r"1000000 x 1000 sign draws need \d+ bytes"):
+            substream_sign_blocks(0, 10 ** 6, 1000, SIGN_BLOCK_ROWS)
+        with pytest.raises(ValueError, match="rows"):
+            substream_sign_blocks(0, 4, 4, 0)
 
     def test_streams_are_numpy_pcg64(self):
         # the kernel reproduces PCG64 and numpy's bounded-integer path; if
@@ -174,6 +202,26 @@ class TestRademacherMultivariateMC:
         cap = linear_class_rad_bound(LinearPredictorClass("frobenius", beta, d, p),
                                      1.0, n)
         assert est <= cap + 3.0 * se
+
+    @pytest.mark.parametrize("d, p, n, H, m_draws", [
+        # the Frobenius audit: n*d in {100, 800, 250, 2000}
+        (2, 2, 50, 50, 2000), (2, 5, 400, 50, 2000), (5, 2, 50, 50, 2000),
+        (5, 5, 400, 50, 2000),
+        (40, 5, 50, 100, 2000),  # complexity-shortest-path
+        (3, 2, 8, 6, 500),  # estimator determinism, one block
+        (2, 2, 50, 50, 1300),  # a 276-row tail folded into a 788-row block
+        (1, 2, 1, 3, 2000),  # n*d = 1
+        (2, 2, 50, 2, 1300),  # within OpenBLAS's small-matrix bound whole
+        (2, 2, 50, 10, 2500),  # 1001 and 1499 rows, past that bound
+        (40, 2, 50, 1, 1300),  # one hypothesis: numpy's gemv
+    ])
+    def test_streamed_signs_match_whole_array(self, d, p, n, H, m_draws):
+        rng = substream(11, d, p, n)
+        hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((H, d, p)))
+        xs = rng.standard_normal((n, p))
+        for seed in (0, 9001):
+            assert (rademacher_multivariate_mc(hyp, xs, m_draws, seed)
+                    == rademacher_multivariate_mc_ref(hyp, xs, m_draws, seed))
 
     def test_deterministic_and_monotone(self, rng):
         hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((6, 2, 2)))

@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spo_bounds import audits, harness
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope)
 from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
                                 clip_frobenius, config_label, default_suite,
                                 fit_least_squares, generate_sample,
+                                lipschitz_margin_stage, lipschitz_oracle_stage,
                                 run_bound_validity, run_lipschitz_audit)
 from spo_bounds.losses import (LabeledSample, MarginParams, empirical_risk,
                                predict_batch)
 
-from conftest import true_risk_ref
+from conftest import lipschitz_audit_ref, true_risk_ref
 
 
 def ball_config(**overrides):
@@ -326,6 +328,57 @@ class TestLipschitzAudit:
     def test_requires_mu(self):
         with pytest.raises(ValueError, match="mu"):
             run_lipschitz_audit(simplex_config(gamma_grid=[0.5]))
+
+    def test_report_matches_one_pass_audit(self):
+        config = ball_config(gamma_grid=[0.1, 0.5, 1.0])
+        report = run_lipschitz_audit(config, n_pairs=5_000)
+        assert report.gamma == 0.5 and report.n_pairs == 5_000
+        assert {key: getattr(report, key) for key in
+                ("max_ratio_oracle", "witness_ratio", "max_ratio_margin",
+                 "max_ratio_margin_sharp")} == lipschitz_audit_ref(config, 5_000)
+
+
+class TestLipschitzStages:
+    """Each audit runs one stage of the Lipschitz audit; the stage must
+    return exactly its fields of the earlier one-pass audit, on the audits'
+    own configs at full and ``--fast`` size."""
+
+    @pytest.mark.parametrize("scale", [1, 10])
+    @pytest.mark.parametrize("seed", [0, 7, 9001])
+    def test_stages_match_one_pass_audit(self, seed, scale):
+        for dim in (2, 5):  # audit_oracle_lipschitz_like
+            config, n_pairs = audits._ball_config(dim, seed), 100_000 // scale
+            ref = lipschitz_audit_ref(config, n_pairs)
+            assert lipschitz_oracle_stage(config, n_pairs) == {
+                key: ref[key] for key in ("max_ratio_oracle", "witness_ratio")}
+        for q, n_pairs in ((2.0, 100_000 // scale), (1.5, 20_000 // scale)):
+            config = audits._ball_config(3, seed, q=q)  # audit_margin_loss_lipschitz
+            ref = lipschitz_audit_ref(config, n_pairs)
+            assert lipschitz_margin_stage(config, n_pairs) == {
+                key: ref[key] for key in ("max_ratio_margin", "max_ratio_margin_sharp")}
+
+    def test_each_audit_draws_only_what_it_reads(self, monkeypatch):
+        drawn, processed = [], []
+        log_uniform, sample_costs = harness._log_uniform, harness._sample_costs
+        monkeypatch.setattr(harness, "_log_uniform",
+                            lambda rng, lo, hi, size: drawn.append(size)
+                            or log_uniform(rng, lo, hi, size))
+        monkeypatch.setattr(harness, "_sample_costs",
+                            lambda rng, n, d, lo, hi: processed.append(d)
+                            or sample_costs(rng, n, d, lo, hi))
+        audits.audit_oracle_lipschitz_like(0, scale=10)
+        # two batches per dimension, both processed
+        assert drawn == [10_000] * 4 and processed == [2, 2, 5, 5]
+        drawn.clear()
+        processed.clear()
+        audits.audit_margin_loss_lipschitz(0, scale=10)
+        # five batches per ball, the last three processed
+        assert drawn == [10_000] * 5 + [2_000] * 5 and processed == [3] * 6
+        drawn.clear()
+        processed.clear()
+        harness.run_lipschitz_audit(audits._ball_config(3, 0), n_pairs=1_000)
+        # both stages: five batches, each drawn and processed once
+        assert drawn == [1_000] * 5 and processed == [3] * 5
 
 
 class TestConfig:

@@ -29,10 +29,12 @@ tie-breaking) and gathers ``C[i, argmin]`` by one flat ``take`` in C's
 memory order, and the l2 ball uses the Hoelder direction,
 ``C @ center - radius * (C_hat[i] @ C[i]) / ||C_hat[i]||_2``, with every
 sum accumulated column by column from column 0 and a zero prediction row
-mapped to the center.  The simplex also takes its ``_linopt`` and ``_gap``
-from the same sweep.  A sweep only selects, or adds in a fixed order, so
-its bits depend on neither the batch nor the memory layout; callers may
-store large batches column-major, where each column is contiguous.
+mapped to the center; it runs in place in three reused row buffers and
+skips the scaling pass of a unit radius.  The simplex also takes its
+``_linopt`` and ``_gap`` from the same sweep.  A sweep only selects, or
+adds in a fixed order, so its bits depend on neither the batch nor the
+memory layout; callers may store large batches column-major, where each
+column is contiguous.
 
 Tie-breaking is fixed so the oracle is a deterministic mapping: vertex
 regions pick the lowest vertex index, the DAG oracle picks the
@@ -117,16 +119,22 @@ def _column_extreme(C: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, 
     numpy's row reductions pick the same one up to d = 8.
     """
     wins, keep = (np.greater, np.maximum) if maximize else (np.less, np.minimum)
+    m, d = C.shape
     best = C[:, 0].copy()
-    idx = np.zeros(C.shape[0], dtype=np.intp)
-    for j in range(1, C.shape[1]):
+    # the indices sweep in the narrowest integer type that holds d - 1 (one
+    # byte up to d = 256) and in reused buffers, and are widened once
+    narrow = np.min_scalar_type(d - 1)
+    idx = np.zeros(m, dtype=narrow)
+    won, term = np.empty(m, dtype=bool), np.empty(m, dtype=narrow)
+    for j in range(1, d):
         col = C[:, j]
-        won = wins(col, best)
+        wins(col, best, out=won)
         keep(best, col, out=best)
         # j exceeds every index recorded so far, so the max records it
         # exactly where column j strictly wins
-        np.maximum(idx, won * j, out=idx)
-    return idx, best
+        np.multiply(won, narrow.type(j), out=term)
+        np.maximum(idx, term, out=idx)
+    return idx.astype(np.intp), best
 
 
 def _row_positions(A: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +151,16 @@ def _row_positions(A: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.ascontiguousarray(A).ravel(), idx
 
 
-def _column_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _column_dots(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None,
+                 term: np.ndarray | None = None) -> np.ndarray:
     """Row-wise ``A[i] @ B[i]`` (``B`` may be one vector), summed column by
     column from column 0, so each row's bits depend on neither the batch
-    nor the memory layout."""
+    nor the memory layout.  ``out`` receives the sums and ``term`` holds
+    each column's products; both are allocated when not given."""
     B = np.broadcast_to(B, A.shape)
-    out = A[:, 0] * B[:, 0]
-    term = np.empty_like(out)
+    out = np.multiply(A[:, 0], B[:, 0], out=out)
+    if term is None:
+        term = np.empty_like(out)
     for j in range(1, A.shape[1]):
         np.multiply(A[:, j], B[:, j], out=term)
         out += term
@@ -245,7 +256,8 @@ class FeasibleRegion:
         C_hat = self._check_cost_batch(C_hat)
         return self._decision_cost(C_hat, self._check_cost_batch(C, rows=C_hat.shape[0]))
 
-    # -- kernels implemented by subclasses, on validated batches
+    # -- kernels implemented by subclasses, on validated batches;
+    # _decision_cost returns a new array, which the caller may overwrite
     def _linopt(self, C: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -650,12 +662,21 @@ class LqBall(FeasibleRegion):
     def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
         if self.q != 2.0:
             return super()._decision_cost(C_hat, C)
-        norms = np.sqrt(_column_dots(C_hat, C_hat))
-        dots = _column_dots(C, C_hat)
+        # offsets - (radius * dots) / norms, with a zero-norm row divided by
+        # 1.0, evaluated in place in three row buffers
+        m = C_hat.shape[0]
+        norms, dots, term = np.empty(m), np.empty(m), np.empty(m)
+        np.sqrt(_column_dots(C_hat, C_hat, norms, term), out=norms)
+        norms[norms == 0.0] = 1.0
+        _column_dots(C, C_hat, dots, term)
+        if self.ball_radius != 1.0:  # 1.0 * x is x: skip the exact no-op pass
+            dots *= self.ball_radius
+        dots /= norms
         # a zero center adds nothing; skipping its product saves a sweep
-        # over every row of the large true-risk batches
-        offsets = _column_dots(C, self.center) if self.center.any() else 0.0
-        return offsets - self.ball_radius * dots / np.where(norms > 0, norms, 1.0)
+        # over every row of the large true-risk batches.  0.0 - x (not -x)
+        # keeps the sign of a zero cost.
+        offsets = _column_dots(C, self.center, norms, term) if self.center.any() else 0.0
+        return np.subtract(offsets, dots, out=dots)
 
     def radius(self, q: float = 2.0) -> float:
         if q < 1:

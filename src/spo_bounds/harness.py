@@ -228,6 +228,14 @@ class RiskEvaluator:
     column-major, so the prediction and decision-cost sweeps read
     contiguous columns; the costs are validated once, here, and the
     optimal costs ``c @ w*(c)`` are precomputed once.
+
+    ``true_risk`` validates a matrix predictor B itself, not its m
+    predictions: B must have shape (d, p) and finite entries, and since
+    every prediction satisfies ``|x @ b| <= max|B| * sum_j max_i |X_ij|``,
+    the predictions are scanned only when that bound reaches 1e300 (where
+    they may overflow) or the predictor is a callable.  The estimate and
+    its standard error are numpy's ``mean`` and ``std(ddof=1) / sqrt(m)``,
+    step for step, sharing the one sum of the losses.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -241,16 +249,38 @@ class RiskEvaluator:
         self.C = self.region._check_cost_batch(np.asfortranarray(C))
         del C
         self._opt_cost = self.region._decision_cost(self.C, self.C)
+        # sum_j max_i |X_ij|, a bound on |x @ b| / max|b| over the sample
+        self._xbound = float(sum(max(col.max(), -col.min()) for col in self.X.T))
+
+    def _predictions(self, predictor) -> np.ndarray:
+        m, p = self.X.shape
+        if callable(predictor):
+            return self.region._check_cost_batch(predict_batch(predictor, self.X), rows=m)
+        B = np.asarray(predictor, dtype=float)
+        if B.shape != (self.region.dim, p):
+            raise ValueError(f"predictor matrix has shape {B.shape}, "
+                             f"expected ({self.region.dim}, {p})")
+        if not np.all(np.isfinite(B)):
+            raise ValueError("predictor matrix has non-finite entries")
+        preds = predict_batch(B, self.X)
+        if not float(np.abs(B).max()) * self._xbound < 1e300:
+            self.region._check_cost_batch(preds)
+        return preds
 
     def true_risk(self, predictor) -> tuple[float, float]:
         """``(estimate, std_error)`` of the predictor's SPO risk."""
-        preds = self.region._check_cost_batch(predict_batch(predictor, self.X),
-                                              rows=self.C.shape[0])
-        losses = self.region._decision_cost(preds, self.C) - self._opt_cost
+        losses = self.region._decision_cost(self._predictions(predictor), self.C)
+        np.subtract(losses, self._opt_cost, out=losses)
         m = losses.size
-        est = float(losses.mean())
-        se = 0.0 if m < 2 else float(losses.std(ddof=1) / math.sqrt(m))
-        return est, se
+        est = np.add.reduce(losses) / m
+        if m < 2:
+            return float(est), 0.0
+        # numpy's var steps on the losses' own buffer: deviations from the
+        # mean, squared in place, summed and divided by m - 1
+        np.subtract(losses, est, out=losses)
+        np.square(losses, out=losses)
+        se = np.sqrt(np.add.reduce(losses) / (m - 1)) / math.sqrt(m)
+        return float(est), float(se)
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +440,23 @@ def run_bound_validity(config: ExperimentConfig) -> BoundValidityResult:
             records.append(run_trial(config, n, n_idx, t, evaluator))
 
     bound_ids = _bound_ids(config)
+    omega = config.cost_domain.omega
     per_bound = {}
     for bound_id in bound_ids:
         count = sum(r.violations[bound_id] for r in records)
+        # slack of the violation test, per trial: negative exactly when the
+        # trial's violation flag is set
+        slacks = [r.bounds[bound_id] - (r.true_risk - 3.0 * r.true_risk_stderr)
+                  for r in records]
+        tightest = slacks.index(min(slacks))
         per_bound[bound_id] = {
             "trials": len(records),
             "violations": count,
             "frequency": count / len(records),
-            "min_bound": min(r.bounds[bound_id] for r in records),
-            "max_true_risk": max(r.true_risk for r in records),
+            "vacuous": sum(r.bounds[bound_id] >= omega for r in records),
+            "min_slack": slacks[tightest],
+            "min_slack_n": records[tightest].n,
+            "min_slack_trial": records[tightest].trial,
         }
     summary = {
         "config": config.to_dict(),

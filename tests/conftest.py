@@ -10,12 +10,15 @@ differential references for the batched and pruned ones.  The decision-cost
 and true-risk references are the library's earlier row-reducing kernels
 (``np.argmin`` on the simplex, ``einsum`` on l2 balls, row-major
 ``xs @ B.T`` predictions), the differential references for its column
-sweeps.  The ball-sampler reference is the earlier one-vector
-``LqBall.sample``, which the verifier references use in place of the
-library's row-form sampler.  The multivariate Rademacher reference is the
-earlier whole-array estimator, against the library's blocked signs, and
-the Lipschitz-audit reference is the earlier one-pass audit with numpy's
-row norms, against the library's two stages.
+sweeps; the earlier allocating l2 closed form and the earlier true-risk
+pass, which scanned every prediction and called numpy's ``mean`` and
+``std``, are the exact references for the in-place ones.  The
+ball-sampler reference is the earlier one-vector ``LqBall.sample``, which
+the verifier references use in place of the library's row-form sampler.
+The multivariate Rademacher reference is the earlier whole-array
+estimator, against the library's blocked signs, and the Lipschitz-audit
+reference is the earlier one-pass audit with numpy's row norms, against
+the library's two stages.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from spo_bounds.complexity import _mc_summary
 from spo_bounds.geometry import (MEMBERSHIP_TOL, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope, ViolationReport,
                                  dual_exponent)
-from spo_bounds.losses import MarginParams, margin_spo_loss_batch
+from spo_bounds.losses import MarginParams, margin_spo_loss_batch, predict_batch
 
 
 @pytest.fixture
@@ -290,6 +293,40 @@ def true_risk_ref(region, X: np.ndarray, C: np.ndarray, B: np.ndarray) -> tuple[
     X, C = np.ascontiguousarray(X), np.ascontiguousarray(C)
     losses = decision_cost_ref(region, X @ B.T, C) - decision_cost_ref(region, C, C)
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(losses.size))
+
+
+def column_dots_ref(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The earlier allocating column sweep."""
+    B = np.broadcast_to(B, A.shape)
+    out = A[:, 0] * B[:, 0]
+    term = np.empty_like(out)
+    for j in range(1, A.shape[1]):
+        np.multiply(A[:, j], B[:, j], out=term)
+        out += term
+    return out
+
+
+def l2_decision_cost_ref(ball: LqBall, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The earlier out-of-place l2 closed form, expression for expression."""
+    norms = np.sqrt(column_dots_ref(C_hat, C_hat))
+    dots = column_dots_ref(C, C_hat)
+    offsets = column_dots_ref(C, ball.center) if ball.center.any() else 0.0
+    return offsets - ball.ball_radius * dots / np.where(norms > 0, norms, 1.0)
+
+
+def true_risk_scan_ref(evaluator, predictor) -> tuple[float, float]:
+    """The earlier ``RiskEvaluator.true_risk``: every prediction scanned,
+    the losses formed out of place, then numpy's ``mean`` and ``std``."""
+    region, C = evaluator.region, evaluator.C
+    cost = (l2_decision_cost_ref if isinstance(region, LqBall) and region.q == 2.0
+            else type(region)._decision_cost)
+    preds = region._check_cost_batch(predict_batch(predictor, evaluator.X),
+                                     rows=C.shape[0])
+    losses = cost(region, preds, C) - cost(region, C, C)
+    m = losses.size
+    est = float(losses.mean())
+    se = 0.0 if m < 2 else float(losses.std(ddof=1) / math.sqrt(m))
+    return est, se
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
                                  verify_strong_convexity)
 
 from conftest import (dag_gap_ref, dag_linopt_ref, dag_path_costs_ref,
-                      decision_cost_ref, enumerate_paths_brute, lq_ball_sample_ref,
+                      decision_cost_ref, enumerate_paths_brute, l2_decision_cost_ref,
+                      lq_ball_sample_ref,
                       pgd_lq_minimize, project_lq_ball,
                       random_dags, square_region,
                       verify_optimality_condition_ref,
@@ -313,6 +314,21 @@ class TestColumnSweeps:
         assert (region.gap_batch(A_hat).tobytes()
                 == (C_hat.max(axis=1) - C_hat.min(axis=1)).tobytes())
 
+    @pytest.mark.parametrize("d", [255, 256, 257, 300])
+    def test_simplex_wide_index_types(self, d):
+        # indices past 255 leave the one-byte sweep for a two-byte one
+        rng = np.random.default_rng(d)
+        region = UnitSimplex(d)
+        C = rng.integers(-3, 4, (400, d)).astype(float)
+        C[0, -1] = C[1, d // 2] = -10.0
+        C[2] = 0.0
+        rows = np.arange(C.shape[0])
+        for A in (C, np.asfortranarray(C)):
+            assert (region.decision_cost_batch(A, -A).tobytes()
+                    == (-C)[rows, np.argmin(C, axis=1)].tobytes())
+            assert (region.gap_batch(A).tobytes()
+                    == (C.max(axis=1) - C.min(axis=1)).tobytes())
+
     @given(l2_sweep_cases(), layouts, layouts)
     @settings(max_examples=400, deadline=None)
     def test_l2_ball_bits_ignore_layout_and_batch(self, case, layout_hat, layout):
@@ -326,6 +342,35 @@ class TestColumnSweeps:
                                    rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(got, decision_cost_ref(ball, C_hat, C),
                                    rtol=0.0, atol=1e-12)
+
+    @given(st.integers(1, 6), st.integers(1, 12), st.sampled_from([1.0, 1.5, 0.25]),
+           st.booleans(), layouts, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_l2_ball_in_place_form_matches_previous_expression(self, d, m, radius,
+                                                               shifted, layout, data):
+        # the in-place closed form against the earlier allocating one, bit
+        # for bit: zero rows, signed zeros and radius 1 (no scaling pass)
+        center = np.linspace(-1.0, 0.5, d) if shifted else np.zeros(d)
+        ball = LqBall(2.0, radius, center)
+        C_hat, C = data.draw(sweep_batches(m, d)), data.draw(sweep_batches(m, d))
+        C_hat[data.draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
+        got = ball._decision_cost(relayout(C_hat, layout), relayout(C, layout))
+        assert got.tobytes() == l2_decision_cost_ref(ball, C_hat, C).tobytes()
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_l2_ball_in_place_form_on_random_and_zero_rows(self, radius, shifted):
+        rng = np.random.default_rng(11)
+        center = np.linspace(0.5, -0.5, 5) if shifted else np.zeros(5)
+        ball = LqBall(2.0, radius, center)
+        C_hat, C = rng.standard_normal((2, 1000, 5))
+        C_hat[::7] = 0.0
+        C[::5] = 0.0
+        C[1::5] = -0.0
+        for A_hat, A in ((C_hat, C), (np.asfortranarray(C_hat), np.asfortranarray(C)),
+                         (np.zeros_like(C), C)):
+            got = ball._decision_cost(A_hat, A)
+            assert got.tobytes() == l2_decision_cost_ref(ball, A_hat, A).tobytes()
 
     def test_l2_ball_transposed_view(self):
         rng = np.random.default_rng(3)

@@ -14,7 +14,7 @@ from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
 from spo_bounds.losses import (LabeledSample, MarginParams, empirical_risk,
                                predict_batch)
 
-from conftest import lipschitz_audit_ref, true_risk_ref
+from conftest import lipschitz_audit_ref, true_risk_ref, true_risk_scan_ref
 
 
 def ball_config(**overrides):
@@ -152,16 +152,21 @@ class TestTrueRiskMC:
 
 @st.composite
 def evaluator_configs(draw):
-    """A small experiment config on any region kind, and a predictor."""
-    kind = draw(st.sampled_from(["simplex", "ball", "shifted_ball", "ball_q1.5",
-                                 "vertex", "dag"]))
+    """A small experiment config on any region kind, and a predictor: l2
+    balls of radius 1 and not, shifted centers, q = 1.5, simplex ties
+    (equal predictor rows), zero predictors and one- or two-point samples
+    among them."""
+    kind = draw(st.sampled_from(["simplex", "ball", "shifted_ball", "unit_shifted_ball",
+                                 "ball_q1.5", "vertex", "dag"]))
     d = draw(st.integers(1, 6))
     if kind == "simplex":
         region = UnitSimplex(d)
     elif kind == "ball":
-        region = LqBall(2.0, 1.0, np.zeros(d), mu=1.0)
+        region = LqBall(2.0, draw(st.sampled_from([1.0, 0.5, 2.5])), np.zeros(d), mu=1.0)
     elif kind == "shifted_ball":
         region = LqBall(2.0, 1.5, np.linspace(-1.0, 1.0, d), mu=1.0 / 1.5)
+    elif kind == "unit_shifted_ball":
+        region = LqBall(2.0, 1.0, np.linspace(0.6, -0.4, d), mu=1.0)
     elif kind == "ball_q1.5":
         region = LqBall(1.5, 1.0, np.zeros(d))
     elif kind == "vertex":
@@ -171,10 +176,15 @@ def evaluator_configs(draw):
     p = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2 ** 16))
     b_star, B = np.random.default_rng(seed).standard_normal((2, region.dim, p))
+    predictor = draw(st.sampled_from(["random", "zero", "tied"]))
+    if predictor == "zero":
+        B[:] = 0.0
+    elif predictor == "tied":  # the coordinates of each prediction row tie
+        B[:] = B[0]
+    m = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 400)))
     config = ExperimentConfig(region=region, cost_domain=CostDomain.ball(region, 1.0),
-                              b_star=b_star, noise=0.1, ns=[10],
-                              m_fresh=draw(st.integers(2, 400)), seed=seed)
-    return config, B * draw(st.sampled_from([0.0, 1.0]))
+                              b_star=b_star, noise=0.1, ns=[10], m_fresh=m, seed=seed)
+    return config, B
 
 
 class TestColumnMajorEvaluator:
@@ -194,12 +204,17 @@ class TestColumnMajorEvaluator:
             assert preds.flags.f_contiguous
 
     @given(evaluator_configs())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_true_risk_matches_row_reductions(self, case):
         config, B = case
         evaluator = RiskEvaluator(config)
         assert evaluator.X.flags.f_contiguous and evaluator.C.flags.f_contiguous
         got = evaluator.true_risk(B)
+        # the earlier scanning pass: the same bits, standard error included
+        assert got == true_risk_scan_ref(evaluator, B)
+        if config.m_fresh < 2:
+            assert got[1] == 0.0
+            return
         want = true_risk_ref(config.region, evaluator.X, evaluator.C, B)
         if isinstance(config.region, LqBall) and config.region.q == 2.0:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
@@ -210,29 +225,80 @@ class TestColumnMajorEvaluator:
                                         if c.d == 5])
     def test_default_grid_true_risk(self, config):
         evaluator = RiskEvaluator(config)
-        for B in (config.b_star, np.zeros_like(config.b_star)):
+        for B in (config.b_star, np.zeros_like(config.b_star), -3.0 * config.b_star):
             got = evaluator.true_risk(B)
+            assert got == true_risk_scan_ref(evaluator, B)
             want = true_risk_ref(config.region, evaluator.X, evaluator.C, B)
             if isinstance(config.region, UnitSimplex):
                 assert got == want
             else:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
+    @staticmethod
+    def spy_checks(monkeypatch, region) -> list:
+        """Record every cost batch the region validates from here on."""
+        checked = []
+        original = region._check_cost_batch
+        monkeypatch.setattr(region, "_check_cost_batch",
+                            lambda C, rows=None: checked.append(C) or original(C, rows))
+        return checked
+
     def test_costs_validated_once(self, monkeypatch):
+        # the costs are checked at init only; a bounded predictor proves its
+        # predictions finite, and only the overflow fallback scans them
         config = simplex_config()
         evaluator = RiskEvaluator(config)
-        checked = []
-        original = config.region._check_cost_batch
-        monkeypatch.setattr(config.region, "_check_cost_batch",
-                            lambda C, rows=None: checked.append(C) or original(C, rows))
+        checked = self.spy_checks(monkeypatch, config.region)
         evaluator.true_risk(config.b_star)
+        assert checked == []
+        huge = np.full(config.b_star.shape, 1e300)  # finite predictions
+        got = evaluator.true_risk(huge)
         assert len(checked) == 1 and checked[0].shape == evaluator.C.shape
-        assert checked[0] is not evaluator.C
+        assert not np.shares_memory(checked[0], evaluator.C)
+        assert got == true_risk_scan_ref(evaluator, huge)
 
     def test_rejects_wrong_prediction_shape(self):
         evaluator = RiskEvaluator(simplex_config())
         with pytest.raises(ValueError, match="shape"):
             evaluator.true_risk(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_predictor(self, bad):
+        config = ball_config(m_fresh=50)
+        B = config.b_star.copy()
+        B[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            RiskEvaluator(config).true_risk(B)
+
+    def test_overflowing_predictions_rejected(self):
+        # finite entries whose products overflow: the bound fails, so the
+        # predictions are scanned and the infinities found
+        config = ball_config(m_fresh=200)
+        evaluator = RiskEvaluator(config)
+        B = np.full((2, 2), 1.7e308)
+        assert np.all(np.isfinite(B))
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(predict_batch(B, evaluator.X)))
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluator.true_risk(B)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 1), (0, 2)])
+    def test_rejects_other_wrong_shapes(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            RiskEvaluator(simplex_config(m_fresh=50)).true_risk(np.zeros(shape))
+
+    def test_callable_predictor_checked(self, monkeypatch):
+        config = simplex_config(m_fresh=100)
+        evaluator = RiskEvaluator(config)
+        B = config.b_star
+        checked = self.spy_checks(monkeypatch, config.region)
+        est, se = evaluator.true_risk(lambda x: B @ x)
+        assert len(checked) == 1 and checked[0].shape == evaluator.C.shape
+        assert (est, se) == pytest.approx(evaluator.true_risk(B), abs=1e-12)
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluator.true_risk(lambda x: np.full(3, np.nan))
+        with pytest.raises(ValueError, match="shape"):
+            evaluator.true_risk(lambda x: np.zeros(2))
 
 
 class TestBoundValidity:
@@ -294,6 +360,29 @@ class TestBoundValidity:
         assert header[:4] == ["trial", "n", "gamma_star", "emp_spo"]
         assert header[4:6] == ["emp_margin@0.1", "emp_margin@0.5"]
         assert header[6:8] == ["true_risk", "true_risk_stderr"]
+
+    def test_summary_slack_and_vacuous_counts(self):
+        # two trials per cell of the default grid: below n = 1e3 every bound
+        # but the polyhedral one on simplex_d2_p2 is at or above omega
+        for config in default_suite(seed=0, trials=2, m_fresh=20_000):
+            result = run_bound_validity(config)
+            omega = config.cost_domain.omega
+            for bound_id, stats in result.summary["bounds"].items():
+                assert "min_bound" not in stats and "max_true_risk" not in stats
+                slacks = [r.bounds[bound_id] - (r.true_risk - 3.0 * r.true_risk_stderr)
+                          for r in result.records]
+                assert stats["min_slack"] == min(slacks)
+                at = slacks.index(min(slacks))
+                assert (stats["min_slack_n"], stats["min_slack_trial"]) == \
+                    (result.records[at].n, result.records[at].trial)
+                assert (stats["min_slack"] < 0) == (stats["violations"] > 0)
+                assert stats["vacuous"] == sum(r.bounds[bound_id] >= omega
+                                               for r in result.records)
+                if (config_label(config), bound_id) == ("simplex_d2_p2", "linear_polyhedral"):
+                    assert stats["vacuous"] == 4  # the n = 400 trials bite
+                else:
+                    assert stats["vacuous"] == stats["trials"] == 6
+            assert not result.summary["any_violation"]
 
     def test_margin_needs_bounded_features(self):
         with pytest.raises(ValueError, match="unbounded"):

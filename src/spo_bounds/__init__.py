@@ -14,20 +14,20 @@ from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, ViolationReport,
                        covering_count_log, region_from_dict, region_from_json,
                        verify_optimality_condition, verify_strong_convexity)
-from .harness import (ExperimentConfig, LipschitzAuditReport, RiskEvaluator,
-                      TrialRecord, default_suite, fit_least_squares,
-                      generate_sample, run_bound_validity, run_lipschitz_audit)
-from .losses import (LabeledSample, MarginParams, empirical_risk,
-                     hard_margin_spo_loss, margin_spo_loss, spo_loss)
+from .harness import (ExperimentConfig, RiskEvaluator, TrialRecord,
+                      default_suite, fit_least_squares, generate_sample,
+                      run_bound_validity)
+from .losses import (LabeledSample, empirical_risk, hard_margin_spo_loss,
+                     margin_spo_loss, spo_loss)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundInputs", "BoundReport", "CostDomain", "DagPathPolytope",
     "ExperimentConfig", "FeasibleRegion", "FiniteHypothesisSet",
-    "LabelTable", "LabeledSample", "LinearPredictorClass",
-    "LipschitzAuditReport", "LqBall", "MarginParams", "RiskEvaluator",
-    "TrialRecord", "UnitSimplex", "VertexPolytope", "ViolationReport",
+    "LabelTable", "LabeledSample", "LinearPredictorClass", "LqBall",
+    "RiskEvaluator", "TrialRecord", "UnitSimplex", "VertexPolytope",
+    "ViolationReport",
     "bound_covering", "bound_linear_polyhedral", "bound_margin",
     "bound_margin_uniform", "bound_natarajan", "bound_rademacher",
     "count_restrictions", "covering_count_log", "default_suite",
@@ -36,6 +36,6 @@ __all__ = [
     "margin_rad_bound", "margin_spo_loss", "massart_bound",
     "natarajan_dim_bruteforce", "oracle_label_table",
     "rademacher_multivariate_mc", "rademacher_spo_mc", "region_from_dict",
-    "region_from_json", "run_bound_validity", "run_lipschitz_audit",
-    "spo_loss", "verify_optimality_condition", "verify_strong_convexity",
+    "region_from_json", "run_bound_validity", "spo_loss",
+    "verify_optimality_condition", "verify_strong_convexity",
 ]

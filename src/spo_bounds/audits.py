@@ -21,13 +21,12 @@ from .complexity import (FiniteHypothesisSet, LabelTable,
                          LinearPredictorClass, massart_bound,
                          natarajan_dim_bruteforce, oracle_label_table,
                          rademacher_multivariate_mc, rademacher_spo_mc)
-from .geometry import (CostDomain, DagPathPolytope, LqBall, UnitSimplex,
-                       VertexPolytope, _exact_norm_rows, dual_norm_rows,
+from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
+                       UnitSimplex, VertexPolytope, _exact_norm_rows,
+                       dual_norm_rows, vector_norm_rows,
                        verify_optimality_condition, verify_strong_convexity)
-from .harness import (ExperimentConfig, lipschitz_margin_stage,
-                      lipschitz_oracle_stage)
-from .losses import (LabeledSample, MarginParams, hard_margin_spo_loss_batch,
-                     margin_mix, margin_spo_loss_batch, spo_loss_batch)
+from .losses import (LabeledSample, hard_margin_spo_loss_batch, margin_mix,
+                     margin_spo_loss_batch, spo_loss_batch)
 
 TOL = 1e-9
 RATIO_TOL = 1e-7
@@ -60,17 +59,11 @@ def _region_battery() -> list:
     ]
 
 
-def _ball_config(dim: int, seed: int, gamma: float = 0.5,
-                 q: float = 2.0) -> ExperimentConfig:
+def _ball(dim: int, q: float = 2.0) -> LqBall:
     if q == 2.0:
-        region = LqBall(2.0, 1.0, np.zeros(dim), mu=1.0)
-    else:
-        # (q - 1) / radius, certified by the strong-convexity sampler
-        region = LqBall(q, 2.0, np.zeros(dim), mu=(q - 1.0) / 2.0)
-    return ExperimentConfig(region=region,
-                            cost_domain=CostDomain.ball(region, 1.0),
-                            b_star=np.zeros((dim, 2)), gamma_grid=[gamma],
-                            seed=seed)
+        return LqBall(2.0, 1.0, np.zeros(dim), mu=1.0)
+    # (q - 1) / radius, certified by the strong-convexity sampler
+    return LqBall(q, 2.0, np.zeros(dim), mu=(q - 1.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +95,79 @@ def audit_oracle_optimality(seed: int, scale: int = 1) -> AuditResult:
                        f"max excess of oracle over sampled feasible points {_fmt(worst)}")
 
 
+def _log_uniform(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndarray:
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+
+def _sample_costs(rng: np.random.Generator, n_pairs: int, d: int,
+                  lo: float, hi: float) -> np.ndarray:
+    """Cost rows with uniform directions and log-uniform l2 norms in [lo, hi]."""
+    G = rng.standard_normal((n_pairs, d))
+    norms = np.linalg.norm(G, axis=1)
+    norms[norms == 0] = 1.0
+    return G / norms[:, None] * _log_uniform(rng, lo, hi, n_pairs)[:, None]
+
+
+def _oracle_ratios(region: FeasibleRegion, seed: int,
+                   n_pairs: int) -> tuple[float, float | None]:
+    """Worst sampled ratio of ``||w*(c1) - w*(c2)|| * mu * min ||ci||*`` to
+    ``||c1 - c2||*`` (at most 1 on a mu-strongly convex region), and the
+    ratio at ``c1 = e1, c2 = e2``, which attains 1 on l2 balls (None
+    elsewhere).  The two cost batches are the first draws of stream
+    ``(seed, 3)``; pairs with no difference are skipped."""
+    mu, q, d = region.mu, region.norm_exponent, region.dim
+    rng = substream(seed, 3)
+    C1 = _sample_costs(rng, n_pairs, d, 0.01, 10.0)
+    C2 = _sample_costs(rng, n_pairs, d, 0.01, 10.0)
+    diff_star = dual_norm_rows(C1 - C2, q)
+    keep = diff_star > 1e-12
+    w_dist = vector_norm_rows(region.linopt_batch(C1) - region.linopt_batch(C2), q)
+    min_star = np.minimum(dual_norm_rows(C1, q), dual_norm_rows(C2, q))
+    ratio = (w_dist[keep] * mu * min_star[keep]) / diff_star[keep]
+
+    witness = None
+    if d >= 2 and q == 2.0:
+        e1, e2 = np.zeros(d), np.zeros(d)
+        e1[0] = 1.0
+        e2[1] = 1.0
+        lhs = vector_norm_rows((region.linopt(e1) - region.linopt(e2))[None, :], q)[0]
+        witness = float(lhs * mu * 1.0 / dual_norm_rows((e1 - e2)[None, :], q)[0])
+    return float(ratio.max()), witness
+
+
+def _margin_ratios(region: FeasibleRegion, gamma: float, seed: int,
+                   n_pairs: int) -> tuple[float, float]:
+    """Worst sampled ratios of ``|l(c_hat1, c) - l(c_hat2, c)|`` for the
+    margin loss to ``L * ||c_hat1 - c_hat2||*``, with L the 5-constant
+    ``5||c||*/(gamma mu)`` and the sharp ``(||c||*/mu + 2 omega_S(c))/gamma``.
+    Its cost batches follow ``_oracle_ratios``'s two on stream ``(seed, 3)``,
+    so the stream is advanced past those by the same generator calls, left
+    unnormalized."""
+    mu, q, d = region.mu, region.norm_exponent, region.dim
+    rng = substream(seed, 3)
+    for _ in range(2):
+        rng.standard_normal((n_pairs, d))
+        _log_uniform(rng, 0.01, 10.0, n_pairs)
+    CH1 = _sample_costs(rng, n_pairs, d, 0.01 * gamma, 3.0 * gamma)
+    CH2 = _sample_costs(rng, n_pairs, d, 0.01 * gamma, 3.0 * gamma)
+    C = _sample_costs(rng, n_pairs, d, 0.1, 3.0)
+    lhs = np.abs(margin_spo_loss_batch(region, CH1, C, gamma)
+                 - margin_spo_loss_batch(region, CH2, C, gamma))
+    step = dual_norm_rows(CH1 - CH2, q)
+    keep = step > 1e-12
+    c_star = dual_norm_rows(C, q)
+    lipschitz_5 = 5.0 * c_star / (gamma * mu)
+    lipschitz_sharp = (c_star / mu + 2.0 * region.gap_batch(C)) / gamma
+    return (float((lhs[keep] / (lipschitz_5[keep] * step[keep])).max()),
+            float((lhs[keep] / (lipschitz_sharp[keep] * step[keep])).max()))
+
+
 def audit_oracle_lipschitz_like(seed: int, scale: int = 1) -> AuditResult:
     """Oracle moves at most ||c1 - c2||* / (mu * min ||ci||*) in d = 2 and 5;
     the witness attains 1."""
-    stages = [lipschitz_oracle_stage(_ball_config(dim, seed), n_pairs=100_000 // scale)
-              for dim in (2, 5)]
-    worst = max(stage["max_ratio_oracle"] for stage in stages)
-    witness = stages[0]["witness_ratio"]
+    worst_2, witness = _oracle_ratios(_ball(2), seed, 100_000 // scale)
+    worst_5, _ = _oracle_ratios(_ball(5), seed, 100_000 // scale)
+    worst = max(worst_2, worst_5)
     passed = worst <= 1.0 + RATIO_TOL and abs(witness - 1.0) <= 1e-9
     return AuditResult("oracle_lipschitz_like", passed,
                        f"max ratio {_fmt(worst)} over d=2 and d=5, "
@@ -117,12 +176,11 @@ def audit_oracle_lipschitz_like(seed: int, scale: int = 1) -> AuditResult:
 
 def audit_margin_loss_lipschitz(seed: int, scale: int = 1) -> AuditResult:
     """Margin loss is Lipschitz with constant 5||c||*/(gamma mu), and with the
-    sharper constant (||c||*/mu + 2 omega_S(c))/gamma.  On l2 balls the two
-    constants coincide; the q = 1.5 ball separates them."""
-    l2 = lipschitz_margin_stage(_ball_config(3, seed), n_pairs=100_000 // scale)
-    lq = lipschitz_margin_stage(_ball_config(3, seed, q=1.5), n_pairs=20_000 // scale)
-    worst_5 = max(l2["max_ratio_margin"], lq["max_ratio_margin"])
-    worst_sharp = max(l2["max_ratio_margin_sharp"], lq["max_ratio_margin_sharp"])
+    sharper constant (||c||*/mu + 2 omega_S(c))/gamma, at gamma = 0.5.  On
+    l2 balls the two constants coincide; the q = 1.5 ball separates them."""
+    l2_5, l2_sharp = _margin_ratios(_ball(3), 0.5, seed, 100_000 // scale)
+    lq_5, lq_sharp = _margin_ratios(_ball(3, q=1.5), 0.5, seed, 20_000 // scale)
+    worst_5, worst_sharp = max(l2_5, lq_5), max(l2_sharp, lq_sharp)
     passed = worst_5 <= 1.0 + RATIO_TOL and worst_sharp <= 1.0 + RATIO_TOL
     return AuditResult("margin_loss_lipschitz", passed,
                        f"max ratio {_fmt(worst_5)} (5-constant), "
@@ -210,22 +268,22 @@ def audit_loss_ordering(seed: int, scale: int = 1) -> AuditResult:
     worst = -math.inf
     worst_mono = -math.inf
     kernels_match = True
-    params = [MarginParams(gamma=float(gamma)) for gamma in np.linspace(0.1, 2.0, 10)]
+    gammas = [float(gamma) for gamma in np.linspace(0.1, 2.0, 10)]
     for r_idx, region in enumerate(_region_battery()):
         rng = substream(seed, 12, r_idx)
         C_hat, C = _random_cost_pairs(rng, region.dim, n)
         spo = spo_loss_batch(region, C_hat, C)
         gap = region.gap_batch(C)
-        norms = dual_norm_rows(C_hat, params[0].norm_q)
+        norms = dual_norm_rows(C_hat, region.norm_exponent)
         prev = None
-        for k, par in enumerate(params):
-            margin = margin_mix(spo, gap, norms, par.gamma)
-            hard = np.where(norms > par.gamma, spo, gap)
-            if k in (0, len(params) - 1):
+        for k, gamma in enumerate(gammas):
+            margin = margin_mix(spo, gap, norms, gamma)
+            hard = np.where(norms > gamma, spo, gap)
+            if k in (0, len(gammas) - 1):
                 kernels_match = (
                     kernels_match
-                    and np.array_equal(margin_spo_loss_batch(region, C_hat, C, par), margin)
-                    and np.array_equal(hard_margin_spo_loss_batch(region, C_hat, C, par), hard))
+                    and np.array_equal(margin_spo_loss_batch(region, C_hat, C, gamma), margin)
+                    and np.array_equal(hard_margin_spo_loss_batch(region, C_hat, C, gamma), hard))
             worst = max(worst, float((spo - margin).max()),
                         float((margin - hard).max()), float((hard - gap).max()))
             if prev is not None:
@@ -252,7 +310,7 @@ def audit_binary_equivalence(seed: int, scale: int = 1) -> AuditResult:
     c = rng.choice([-1.0, 1.0], size=(c_hat.shape[0], 1))
     spo = spo_loss_batch(region, c_hat, c)
     zero_one = (c[:, 0] * c_hat[:, 0] < 0).astype(float)
-    margin = margin_spo_loss_batch(region, c_hat, c, MarginParams(gamma=gamma))
+    margin = margin_spo_loss_batch(region, c_hat, c, gamma)
     ramp = np.clip(1.0 - c[:, 0] * c_hat[:, 0] / gamma, 0.0, 1.0)
     err_01 = float(np.abs(spo - zero_one).max())
     err_ramp = float(np.abs(margin - ramp).max())

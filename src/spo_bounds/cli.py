@@ -30,8 +30,8 @@ from .complexity import (FiniteHypothesisSet, LabelTable,
 from .geometry import _exact_norm_rows, dual_exponent, region_from_json
 from .harness import (BoundValidityResult, ExperimentConfig, config_label,
                       default_suite, run_bound_validity)
-from .losses import (LabeledSample, MarginParams, hard_margin_spo_loss,
-                     margin_spo_loss, spo_loss)
+from .losses import (LabeledSample, hard_margin_spo_loss, margin_spo_loss,
+                     spo_loss)
 
 
 def _load_region(path: str):
@@ -75,10 +75,9 @@ def _cmd_loss(args) -> int:
             c_hat[None], dual_exponent(region.norm_exponent))[0]),
     }
     if args.gamma is not None:
-        params = MarginParams(gamma=args.gamma, norm_q=region.norm_exponent)
         out["gamma"] = args.gamma
-        out["margin"] = margin_spo_loss(region, c_hat, c, params)
-        out["hard_margin"] = hard_margin_spo_loss(region, c_hat, c, params)
+        out["margin"] = margin_spo_loss(region, c_hat, c, args.gamma)
+        out["hard_margin"] = hard_margin_spo_loss(region, c_hat, c, args.gamma)
     _emit(out)
     return 0
 
@@ -168,7 +167,15 @@ def _write_experiment(result: BoundValidityResult, outdir: Path) -> None:
 
 def _cmd_experiment(args) -> int:
     outdir = Path(args.out)
+    # --seed, --trials and --m-fresh size the default grid; a config file
+    # sets its own, so they are refused next to --config, not ignored
+    sizes = {key: getattr(args, key) for key in ("seed", "trials", "m_fresh")
+             if getattr(args, key) is not None}
     if args.config:
+        if sizes:
+            flags = ", ".join("--" + key.replace("_", "-") for key in sizes)
+            raise ValueError(f"{flags} cannot be used with --config; "
+                             f"set them in the config file")
         config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
         result = run_bound_validity(config)
         _write_experiment(result, outdir)
@@ -176,8 +183,7 @@ def _cmd_experiment(args) -> int:
               f"violations: {int(result.summary['any_violation'])}")
         return 0
     # default grid
-    configs = default_suite(seed=args.seed, trials=args.trials,
-                            m_fresh=args.m_fresh)
+    configs = default_suite(**sizes)
     overall: dict = {"suites": {}, "any_violation": False}
     for config in configs:
         label = config_label(config)
@@ -259,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--defaults", action="store_true",
                         help="run the default region/dimension grid")
     run.add_argument("--out", required=True)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--trials", type=int, default=200)
-    run.add_argument("--m-fresh", type=int, default=100_000)
+    for flag, default in (("--seed", 0), ("--trials", 200), ("--m-fresh", 100_000)):
+        # left None, default_suite supplies the default
+        run.add_argument(flag, type=int, default=None,
+                         help=f"--defaults only (default {default})")
     run.set_defaults(handler=_cmd_experiment)
 
     verify = sub.add_parser("verify", help="property audits")

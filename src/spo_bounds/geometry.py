@@ -31,7 +31,8 @@ memory order, and the l2 ball uses the Hoelder direction,
 sum accumulated column by column from column 0 and a zero prediction row
 mapped to the center; it runs in place in three reused row buffers and
 skips the scaling pass of a unit radius.  The simplex also takes its
-``_linopt`` and ``_gap`` from the same sweep.  A sweep only selects, or
+``_linopt`` from the same sweep, and its ``_gap`` from a max and a min
+column fold that track no index.  A sweep only selects, or
 adds in a fixed order, so its bits depend on neither the batch nor the
 memory layout; callers may store large batches column-major, where each
 column is contiguous.
@@ -108,33 +109,43 @@ def _exact_norm_rows(D: np.ndarray, q: float) -> np.ndarray:
     return _scalar_pow(np.add.reduce(np.abs(D) ** q, axis=1), 1.0 / q)
 
 
-def _column_extreme(C: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest index of each row's minimum (maximum) entry, and that extreme.
-
-    One vector pass per column instead of a reduction along each row:
-    numpy pays per-row overhead on a short axis.  The sweep only selects
-    entries: the index equals ``np.argmin`` (``np.argmax``), ties included,
-    and the extreme equals ``C.min(axis=1)`` (``C.max(axis=1)``).  A zero
-    extreme takes its sign as ``np.minimum`` (``np.maximum``) picks it;
-    numpy's row reductions pick the same one up to d = 8.
-    """
-    wins, keep = (np.greater, np.maximum) if maximize else (np.less, np.minimum)
-    m, d = C.shape
+def _column_fold(C: np.ndarray, keep, step=None) -> np.ndarray:
+    """Each row's extreme entry, ``keep`` (``np.minimum`` or ``np.maximum``)
+    folded over the columns in one buffer from column 0: one vector pass per
+    column instead of a reduction along each row, where numpy pays per-row
+    overhead on a short axis.  ``step(j, col, best)``, if given, sees each
+    column before it is folded in.  The fold only selects entries, so it
+    equals ``C.min(axis=1)`` (``C.max(axis=1)``); a zero extreme takes its
+    sign as ``keep`` picks it, and numpy's row reductions pick the same one
+    up to d = 8."""
     best = C[:, 0].copy()
+    for j in range(1, C.shape[1]):
+        col = C[:, j]
+        if step is not None:
+            step(j, col, best)
+        keep(best, col, out=best)
+    return best
+
+
+def _column_argmin(C: np.ndarray) -> np.ndarray:
+    """Lowest index of each row's minimum entry, ``np.argmin`` ties
+    included, recorded along the minimum's ``_column_fold``."""
+    m, d = C.shape
     # the indices sweep in the narrowest integer type that holds d - 1 (one
     # byte up to d = 256) and in reused buffers, and are widened once
     narrow = np.min_scalar_type(d - 1)
     idx = np.zeros(m, dtype=narrow)
     won, term = np.empty(m, dtype=bool), np.empty(m, dtype=narrow)
-    for j in range(1, d):
-        col = C[:, j]
-        wins(col, best, out=won)
-        keep(best, col, out=best)
+
+    def record(j: int, col: np.ndarray, best: np.ndarray) -> None:
+        np.less(col, best, out=won)
         # j exceeds every index recorded so far, so the max records it
         # exactly where column j strictly wins
         np.multiply(won, narrow.type(j), out=term)
         np.maximum(idx, term, out=idx)
-    return idx.astype(np.intp), best
+
+    _column_fold(C, np.minimum, record)
+    return idx.astype(np.intp)
 
 
 def _row_positions(A: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +209,6 @@ class ViolationReport:
     violations: int
     max_violation: float
     witness: dict | None
-    tol: float = MEMBERSHIP_TOL
 
     @property
     def ok(self) -> bool:
@@ -364,15 +374,17 @@ class UnitSimplex(FeasibleRegion):
 
     def _linopt(self, C: np.ndarray) -> np.ndarray:
         W = np.zeros(C.shape)
-        flat, pos = _row_positions(W, _column_extreme(C)[0])
+        flat, pos = _row_positions(W, _column_argmin(C))
         flat[pos] = 1.0
         return W
 
     def _gap(self, C: np.ndarray) -> np.ndarray:
-        return _column_extreme(C, maximize=True)[1] - _column_extreme(C)[1]
+        gap = _column_fold(C, np.maximum)
+        gap -= _column_fold(C, np.minimum)
+        return gap
 
     def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
-        flat, pos = _row_positions(C, _column_extreme(C_hat)[0])
+        flat, pos = _row_positions(C, _column_argmin(C_hat))
         return flat.take(pos)
 
     def radius(self, q: float = 2.0) -> float:

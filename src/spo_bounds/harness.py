@@ -1,5 +1,5 @@
 """Experiment driver: synthetic data, least-squares baseline, Monte-Carlo
-risk estimation, bound-validity trials, and Lipschitz audits.
+risk estimation and bound-validity trials.
 
 The data generator (features on the unit sphere or standard Gaussian,
 costs linear in the features plus Gaussian noise, projected into the
@@ -20,15 +20,13 @@ from .bounds import (BoundInputs, bound_covering, bound_linear_polyhedral,
                      bound_margin, bound_margin_uniform)
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, _is_number,
-                       dual_norm_rows, region_from_dict, vector_norm_rows)
-from .losses import (LabeledSample, MarginParams, margin_mix,
-                     margin_spo_loss_batch, predict_batch, spo_loss_batch)
+                       dual_norm_rows, region_from_dict)
+from .losses import LabeledSample, margin_mix, predict_batch, spo_loss_batch
 
 GENERATOR_NOTE = "gaussian-linear synthetic generator (artifact choice; not prescribed by the theory)"
 
 _STREAM_SAMPLE = 1
 _STREAM_RISK = 2
-_STREAM_AUDIT = 3
 
 #: the keys ``ExperimentConfig.to_dict`` writes and ``from_dict`` reads
 _CONFIG_KEYS = {"region", "cost_domain", "b_star", "noise", "feature_dist", "n",
@@ -470,135 +468,6 @@ def run_bound_validity(config: ExperimentConfig) -> BoundValidityResult:
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz audits
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LipschitzAuditReport:
-    """Worst observed ratios of each Lipschitz inequality's two sides."""
-
-    gamma: float
-    n_pairs: int
-    max_ratio_oracle: float
-    witness_ratio: float | None
-    max_ratio_margin: float
-    max_ratio_margin_sharp: float
-    tol: float = 1e-7
-
-    @property
-    def ok(self) -> bool:
-        limit = 1.0 + self.tol
-        witness_ok = (self.witness_ratio is None
-                      or abs(self.witness_ratio - 1.0) <= 1e-9)
-        return (self.max_ratio_oracle <= limit and self.max_ratio_margin <= limit
-                and self.max_ratio_margin_sharp <= limit and witness_ok)
-
-
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndarray:
-    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
-
-
-def _sample_costs(rng: np.random.Generator, n_pairs: int, d: int,
-                  lo: float, hi: float) -> np.ndarray:
-    """Cost rows with uniform directions and log-uniform l2 norms in [lo, hi]."""
-    G = rng.standard_normal((n_pairs, d))
-    norms = np.linalg.norm(G, axis=1)
-    norms[norms == 0] = 1.0
-    return G / norms[:, None] * _log_uniform(rng, lo, hi, n_pairs)[:, None]
-
-
-def _audit_stream(config: ExperimentConfig) -> np.random.Generator:
-    """The audit stream of a config whose region is strongly convex."""
-    if not config.strongly_convex:
-        raise ValueError("lipschitz audit needs a region with mu > 0")
-    return substream(config.seed, _STREAM_AUDIT)
-
-
-def _audit_gamma(config: ExperimentConfig) -> float:
-    """The audited gamma, the middle of the config's gamma grid."""
-    if not config.gamma_grid:
-        raise ValueError("lipschitz audit needs a gamma grid")
-    return config.gamma_grid[len(config.gamma_grid) // 2]
-
-
-def _oracle_stage(region: FeasibleRegion, rng: np.random.Generator, n_pairs: int) -> dict:
-    mu, q, d = region.mu, region.norm_exponent, region.dim
-    # ||w*(c1) - w*(c2)|| * mu * min(||c1||*, ||c2||*) <= ||c1 - c2||*
-    C1 = _sample_costs(rng, n_pairs, d, 0.01, 10.0)
-    C2 = _sample_costs(rng, n_pairs, d, 0.01, 10.0)
-    diff_star = dual_norm_rows(C1 - C2, q)
-    keep = diff_star > 1e-12
-    w_dist = vector_norm_rows(region.linopt_batch(C1) - region.linopt_batch(C2), q)
-    min_star = np.minimum(dual_norm_rows(C1, q), dual_norm_rows(C2, q))
-    ratio_oracle = (w_dist[keep] * mu * min_star[keep]) / diff_star[keep]
-
-    witness_ratio = None
-    if d >= 2 and q == 2.0:
-        # c1 = e1, c2 = e2 attain the bound with equality on l2 balls
-        e1, e2 = np.zeros(d), np.zeros(d)
-        e1[0] = 1.0
-        e2[1] = 1.0
-        lhs = vector_norm_rows((region.linopt(e1) - region.linopt(e2))[None, :], q)[0]
-        witness_ratio = float(lhs * mu * 1.0 / dual_norm_rows((e1 - e2)[None, :], q)[0])
-    return {"max_ratio_oracle": float(ratio_oracle.max()), "witness_ratio": witness_ratio}
-
-
-def _margin_stage(region: FeasibleRegion, gamma: float, rng: np.random.Generator,
-                  n_pairs: int) -> dict:
-    mu, q, d = region.mu, region.norm_exponent, region.dim
-    # |l(c_hat1, c) - l(c_hat2, c)| <= L * ||c_hat1 - c_hat2||*
-    CH1 = _sample_costs(rng, n_pairs, d, 0.01 * gamma, 3.0 * gamma)
-    CH2 = _sample_costs(rng, n_pairs, d, 0.01 * gamma, 3.0 * gamma)
-    C = _sample_costs(rng, n_pairs, d, 0.1, 3.0)
-    params = MarginParams(gamma=gamma, norm_q=q)
-    lhs = np.abs(margin_spo_loss_batch(region, CH1, C, params)
-                 - margin_spo_loss_batch(region, CH2, C, params))
-    step = dual_norm_rows(CH1 - CH2, q)
-    keep = step > 1e-12
-    c_star = dual_norm_rows(C, q)
-    lipschitz_5 = 5.0 * c_star / (gamma * mu)
-    lipschitz_sharp = (c_star / mu + 2.0 * region.gap_batch(C)) / gamma
-    return {"max_ratio_margin": float((lhs[keep] / (lipschitz_5[keep] * step[keep])).max()),
-            "max_ratio_margin_sharp":
-                float((lhs[keep] / (lipschitz_sharp[keep] * step[keep])).max())}
-
-
-def lipschitz_oracle_stage(config: ExperimentConfig, n_pairs: int = 100_000) -> dict:
-    """The oracle inequality's fields of ``run_lipschitz_audit``'s report,
-    ``max_ratio_oracle`` and ``witness_ratio``, from the first two cost
-    batches of the audit stream; the stream is not drawn further."""
-    return _oracle_stage(config.region, _audit_stream(config), n_pairs)
-
-
-def lipschitz_margin_stage(config: ExperimentConfig, n_pairs: int = 100_000) -> dict:
-    """The margin inequality's fields of ``run_lipschitz_audit``'s report,
-    ``max_ratio_margin`` and ``max_ratio_margin_sharp``.  Its cost batches
-    follow the oracle stage's two on the audit stream, so the stream is
-    advanced past those by the same generator calls, left unnormalized."""
-    rng = _audit_stream(config)
-    gamma = _audit_gamma(config)
-    for _ in range(2):
-        rng.standard_normal((n_pairs, config.region.dim))
-        _log_uniform(rng, 0.01, 10.0, n_pairs)
-    return _margin_stage(config.region, gamma, rng, n_pairs)
-
-
-def run_lipschitz_audit(config: ExperimentConfig,
-                        n_pairs: int = 100_000) -> LipschitzAuditReport:
-    """Sample cost-vector pairs on a strongly convex region and bound the
-    observed ratio of both Lipschitz inequalities (oracle and margin loss)
-    by 1 up to tolerance.  Degenerate pairs (zero difference) are skipped.
-    The oracle stage and then the margin stage run on one stream, each
-    cost batch drawn once.
-    """
-    rng = _audit_stream(config)
-    gamma = _audit_gamma(config)
-    return LipschitzAuditReport(gamma=gamma, n_pairs=n_pairs,
-                                **_oracle_stage(config.region, rng, n_pairs),
-                                **_margin_stage(config.region, gamma, rng, n_pairs))
-
-
-# ---------------------------------------------------------------------------
 # default experiment suite
 # ---------------------------------------------------------------------------
 
@@ -611,22 +480,14 @@ def default_suite(seed: int = 0, trials: int = 200,
         for p in (2, 5):
             rng = substream(seed, 17, d, p)
             b_star = rng.standard_normal((d, p))
-            for kind in ("l2_ball", "simplex"):
-                if kind == "l2_ball":
-                    region: FeasibleRegion = LqBall(q=2.0, radius=1.0,
-                                                    center=np.zeros(d), mu=1.0)
-                    domain = CostDomain.ball(region, radius=1.0)
-                    gamma_grid = [0.05, 0.1, 0.25, 0.5, 1.0]
-                else:
-                    region = UnitSimplex(d)
-                    domain = CostDomain.ball(region, radius=1.0)
-                    gamma_grid = []
+            l2_ball = LqBall(q=2.0, radius=1.0, center=np.zeros(d), mu=1.0)
+            for region, gamma_grid in ((l2_ball, [0.05, 0.1, 0.25, 0.5, 1.0]),
+                                       (UnitSimplex(d), [])):
                 configs.append(ExperimentConfig(
-                    region=region, cost_domain=domain, b_star=b_star,
-                    noise=0.1, feature_dist="sphere", ns=[50, 100, 400],
-                    trials=trials, delta=0.05, gamma_grid=gamma_grid,
-                    beta=2.0 * float(np.linalg.norm(b_star)) + 1.0,
-                    m_fresh=m_fresh, seed=seed))
+                    region=region, cost_domain=CostDomain.ball(region, radius=1.0),
+                    b_star=b_star, noise=0.1, feature_dist="sphere",
+                    ns=[50, 100, 400], trials=trials, delta=0.05,
+                    gamma_grid=gamma_grid, m_fresh=m_fresh, seed=seed))
     return configs
 
 

@@ -4,6 +4,8 @@ The base loss is the excess cost of acting on a predicted cost vector:
 ``c @ (w*(c_hat) - w*(c))``.  The margin variants penalize predictions
 whose dual norm falls below a confidence threshold ``gamma`` by
 interpolating toward (or jumping to) the worst-case gap ``omega_S(c)``.
+The dual norm is always that of the region's own norm
+(``region.norm_exponent``), the norm in which its ``mu`` is stated.
 """
 
 from __future__ import annotations
@@ -17,33 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FeasibleRegion, dual_norm_rows
-
-
-@dataclass(frozen=True)
-class MarginParams:
-    """Margin threshold(s) and the norm whose dual measures predictions.
-
-    ``gamma`` must be positive for the interpolated margin loss; the hard
-    margin loss additionally accepts ``gamma = 0`` (the threshold then
-    never binds for nonzero predictions).  ``gamma_bar`` is the cap used
-    by uniform-over-gamma bounds and defaults to ``gamma``.
-    """
-
-    gamma: float
-    gamma_bar: float | None = None
-    norm_q: float = 2.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError("gamma must be finite and >= 0")
-        if self.gamma_bar is not None and self.gamma_bar < self.gamma:
-            raise ValueError("gamma_bar must be >= gamma")
-        if self.norm_q < 1:
-            raise ValueError("norm_q must be >= 1")
-
-    @property
-    def effective_gamma_bar(self) -> float:
-        return self.gamma if self.gamma_bar is None else self.gamma_bar
 
 
 @dataclass(eq=False)
@@ -140,24 +115,29 @@ def margin_mix(base: np.ndarray, gap: np.ndarray, dual_norms: np.ndarray,
     return weight * base + (1.0 - weight) * gap
 
 
-def margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
-                          params: MarginParams) -> np.ndarray:
+def _check_gamma(gamma: float, zero_ok: bool) -> None:
+    if not (math.isfinite(gamma) and (gamma >= 0 if zero_ok else gamma > 0)):
+        raise ValueError(f"gamma must be finite and {'>= 0' if zero_ok else '> 0'}, "
+                         f"got {gamma!r}")
+
+
+def margin_spo_loss_batch(region: FeasibleRegion, C_hat, C, gamma: float) -> np.ndarray:
     """Margin loss: equals the base loss when the prediction's dual norm
-    exceeds ``gamma``, else interpolates between it and the gap
-    ``omega_S(c)`` with weight ``||c_hat||_* / gamma``."""
-    if params.gamma <= 0:
-        raise ValueError("margin loss requires gamma > 0")
+    exceeds ``gamma`` (a finite value > 0), else interpolates between it
+    and the gap ``omega_S(c)`` with weight ``||c_hat||_* / gamma``."""
+    _check_gamma(gamma, zero_ok=False)
     base, C = _spo_losses(region, C_hat, C)
-    return margin_mix(base, region._gap(C), dual_norm_rows(C_hat, params.norm_q),
-                      params.gamma)
+    return margin_mix(base, region._gap(C),
+                      dual_norm_rows(C_hat, region.norm_exponent), gamma)
 
 
-def hard_margin_spo_loss_batch(region: FeasibleRegion, C_hat, C,
-                               params: MarginParams) -> np.ndarray:
+def hard_margin_spo_loss_batch(region: FeasibleRegion, C_hat, C, gamma: float) -> np.ndarray:
     """Hard margin loss: the gap ``omega_S(c)`` whenever the prediction's
-    dual norm is at most ``gamma``, else the base loss."""
+    dual norm is at most ``gamma`` (a finite value >= 0; at 0 the
+    threshold binds only for a zero prediction), else the base loss."""
+    _check_gamma(gamma, zero_ok=True)
     base, C = _spo_losses(region, C_hat, C)
-    above = dual_norm_rows(C_hat, params.norm_q) > params.gamma
+    above = dual_norm_rows(C_hat, region.norm_exponent) > gamma
     return np.where(above, base, region._gap(C))
 
 
@@ -170,12 +150,12 @@ def spo_loss(region: FeasibleRegion, c_hat, c) -> float:
     return _one_row(spo_loss_batch, region, c_hat, c)
 
 
-def margin_spo_loss(region: FeasibleRegion, c_hat, c, params: MarginParams) -> float:
-    return _one_row(margin_spo_loss_batch, region, c_hat, c, params)
+def margin_spo_loss(region: FeasibleRegion, c_hat, c, gamma: float) -> float:
+    return _one_row(margin_spo_loss_batch, region, c_hat, c, gamma)
 
 
-def hard_margin_spo_loss(region: FeasibleRegion, c_hat, c, params: MarginParams) -> float:
-    return _one_row(hard_margin_spo_loss_batch, region, c_hat, c, params)
+def hard_margin_spo_loss(region: FeasibleRegion, c_hat, c, gamma: float) -> float:
+    return _one_row(hard_margin_spo_loss_batch, region, c_hat, c, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +179,24 @@ def predict_batch(predictor, xs: np.ndarray) -> np.ndarray:
 
 
 def empirical_risk(region: FeasibleRegion, predictor, sample: LabeledSample,
-                   kind: str = "spo", params: MarginParams | None = None) -> float:
+                   kind: str = "spo", gamma: float | None = None) -> float:
     """Mean loss of the predictor over the sample.
 
     ``kind`` is one of ``"spo"``, ``"margin"`` or ``"hard"``; the margin
-    kinds require ``params``.
+    kinds require ``gamma`` and measure predictions in the dual of the
+    region's norm.
     """
     preds = predict_batch(predictor, sample.xs)
     if kind == "spo":
         losses = spo_loss_batch(region, preds, sample.cs)
     elif kind == "margin":
-        if params is None:
-            raise ValueError("margin risk requires MarginParams")
-        losses = margin_spo_loss_batch(region, preds, sample.cs, params)
+        if gamma is None:
+            raise ValueError("margin risk requires gamma")
+        losses = margin_spo_loss_batch(region, preds, sample.cs, gamma)
     elif kind == "hard":
-        if params is None:
-            raise ValueError("hard-margin risk requires MarginParams")
-        losses = hard_margin_spo_loss_batch(region, preds, sample.cs, params)
+        if gamma is None:
+            raise ValueError("hard-margin risk requires gamma")
+        losses = hard_margin_spo_loss_batch(region, preds, sample.cs, gamma)
     else:
         raise ValueError(f"unknown loss kind: {kind!r}")
     return float(losses.mean())

@@ -18,7 +18,7 @@ the verifier references use in place of the library's row-form sampler.
 The multivariate Rademacher reference is the earlier whole-array
 estimator, against the library's blocked signs, and the Lipschitz-audit
 reference is the earlier one-pass audit with numpy's row norms, against
-the library's two stages.
+the audits' two Lipschitz checks.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from spo_bounds.complexity import _mc_summary
 from spo_bounds.geometry import (MEMBERSHIP_TOL, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope, ViolationReport,
                                  dual_exponent)
-from spo_bounds.losses import MarginParams, margin_spo_loss_batch, predict_batch
+from spo_bounds.losses import margin_spo_loss_batch, predict_batch
 
 
 @pytest.fixture
@@ -363,14 +363,12 @@ def rademacher_multivariate_mc_ref(hypotheses, xs, m_draws: int,
     return _mc_summary(corr.max(axis=1))
 
 
-def lipschitz_audit_ref(config, n_pairs: int) -> dict:
-    """The earlier one-pass Lipschitz audit: all five cost batches drawn and
-    normalized with numpy's row norms, both inequalities checked; returns
-    the report's four ratio fields."""
-    region = config.region
-    gamma = config.gamma_grid[len(config.gamma_grid) // 2]
+def lipschitz_audit_ref(region, gamma: float, seed: int, n_pairs: int) -> dict:
+    """The earlier one-pass Lipschitz audit: all five cost batches drawn
+    from stream ``(seed, 3)`` and normalized with numpy's row norms, both
+    inequalities checked; returns the report's four ratio fields."""
     mu, q, d = region.mu, region.norm_exponent, region.dim
-    rng = substream(config.seed, 3)
+    rng = substream(seed, 3)
 
     def dual_norm_rows(C: np.ndarray, q: float) -> np.ndarray:
         return np.linalg.norm(C, ord=dual_exponent(q), axis=1)
@@ -398,9 +396,8 @@ def lipschitz_audit_ref(config, n_pairs: int) -> dict:
     CH1 = sample_costs(0.01 * gamma, 3.0 * gamma)
     CH2 = sample_costs(0.01 * gamma, 3.0 * gamma)
     C = sample_costs(0.1, 3.0)
-    params = MarginParams(gamma=gamma, norm_q=q)
-    lhs = np.abs(margin_spo_loss_batch(region, CH1, C, params)
-                 - margin_spo_loss_batch(region, CH2, C, params))
+    lhs = np.abs(margin_spo_loss_batch(region, CH1, C, gamma)
+                 - margin_spo_loss_batch(region, CH2, C, gamma))
     step = dual_norm_rows(CH1 - CH2, q)
     keep = step > 1e-12
     c_star = dual_norm_rows(C, q)

@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from spo_bounds import cli, harness
 from spo_bounds.cli import main
 from spo_bounds.geometry import UnitSimplex
 
@@ -163,6 +165,17 @@ class TestExperimentCommand:
             ["--config", "cfg.json", "--defaults"],
             "argument --defaults: not allowed with argument --config", capsys)
 
+    def test_defaults_pass_only_the_given_sizes(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "default_suite", lambda **sizes: calls.append(sizes) or [])
+        assert main(["experiment", "run", "--defaults", "--out", str(tmp_path / "a")]) == 0
+        assert main(["experiment", "run", "--defaults", "--seed", "4", "--m-fresh", "50",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert calls == [{}, {"seed": 4, "m_fresh": 50}]
+        defaults = inspect.signature(harness.default_suite).parameters
+        assert {key: p.default for key, p in defaults.items()} == \
+            {"seed": 0, "trials": 200, "m_fresh": 100_000}
+
 
 class TestVerifyCommand:
     def test_fast_verify_deterministic(self, tmp_path, capsys):
@@ -207,6 +220,22 @@ class TestInputErrors:
         assert main(["loss", "eval", "--region", region_file,
                      "--c-hat", "1,0", "--c", "1,0"]) == 2
         self.assert_one_error_line(capsys, "missing key 'q'")
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "3"], "--seed"),
+        (["--trials", "5", "--m-fresh", "100"], "--trials, --m-fresh"),
+    ])
+    def test_config_refuses_default_grid_sizes(self, flags, named, tmp_path, capsys):
+        # a config file sets its own seed, trials and m_fresh; the flags
+        # must not be silently ignored next to it
+        cfg_file = write(tmp_path / "cfg.json",
+                         {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
+                          "cost_domain": {"kind": "ball", "radius": 1.0}})
+        out = tmp_path / "out"
+        assert main(["experiment", "run", "--config", cfg_file, *flags,
+                     "--out", str(out)]) == 2
+        self.assert_one_error_line(capsys, f"{named} cannot be used with --config")
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["loss", "eval", "--region", str(tmp_path / "none.json"),

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spo_bounds import audits, harness
+from spo_bounds import audits
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
-                                 UnitSimplex, VertexPolytope)
+                                 UnitSimplex, VertexPolytope, dual_norm_rows)
 from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
                                 clip_frobenius, config_label, default_suite,
                                 fit_least_squares, generate_sample,
-                                lipschitz_margin_stage, lipschitz_oracle_stage,
-                                run_bound_validity, run_lipschitz_audit)
-from spo_bounds.losses import (LabeledSample, MarginParams, empirical_risk,
-                               predict_batch)
+                                run_bound_validity)
+from spo_bounds.losses import (LabeledSample, empirical_risk, margin_mix,
+                               predict_batch, spo_loss_batch)
 
 from conftest import lipschitz_audit_ref, true_risk_ref, true_risk_scan_ref
 
@@ -324,15 +323,13 @@ class TestBoundValidity:
     def test_empirical_risks_recomputed(self):
         config = ball_config()
         result = run_bound_validity(config)
-        from spo_bounds.harness import generate_sample, fit_least_squares, clip_frobenius
-        from spo_bounds.losses import MarginParams, empirical_risk
         rec = result.records[0]
         sample = generate_sample(config, 0, n=40)
         predictor = clip_frobenius(fit_least_squares(sample), config.beta)
         assert rec.emp_spo == empirical_risk(config.region, predictor, sample,
                                              "spo")
         assert rec.emp_margin[0.5] == empirical_risk(
-            config.region, predictor, sample, "margin", MarginParams(gamma=0.5))
+            config.region, predictor, sample, "margin", 0.5)
 
     def test_lq_ball_margin_risk_uses_dual_norm(self):
         region = LqBall(1.5, 1.0, [0.0, 0.0], mu=0.3)
@@ -343,11 +340,14 @@ class TestBoundValidity:
         rec = run_bound_validity(config).records[0]
         sample = generate_sample(config, 0, n=40)
         predictor = clip_frobenius(fit_least_squares(sample), config.beta)
-        dual = empirical_risk(region, predictor, sample, "margin",
-                              MarginParams(gamma=0.5, norm_q=1.5))
-        l2 = empirical_risk(region, predictor, sample, "margin",
-                            MarginParams(gamma=0.5))
+        # the margin risk by hand, predictions measured in the dual of l1.5
+        preds = predict_batch(predictor, sample.xs)
+        spo = spo_loss_batch(region, preds, sample.cs)
+        gap = region.gap_batch(sample.cs)
+        dual = float(margin_mix(spo, gap, dual_norm_rows(preds, 1.5), 0.5).mean())
+        l2 = float(margin_mix(spo, gap, dual_norm_rows(preds, 2.0), 0.5).mean())
         assert rec.emp_margin[0.5] == dual
+        assert empirical_risk(region, predictor, sample, "margin", 0.5) == dual
         assert dual != l2
 
     def test_trials_csv_deterministic_and_ordered(self):
@@ -402,57 +402,52 @@ class TestBoundValidity:
 
 class TestLipschitzAudit:
     def test_unit_ball_audit_passes(self):
-        report = run_lipschitz_audit(ball_config(), n_pairs=20_000)
-        assert report.ok
-        assert report.max_ratio_oracle <= 1.0 + 1e-7
-        assert report.witness_ratio == pytest.approx(1.0, abs=1e-9)
-        assert report.max_ratio_margin <= 1.0 + 1e-7
-        assert report.max_ratio_margin_sharp <= 1.0 + 1e-7
+        region = ball_config().region
+        ratio_oracle, witness = audits._oracle_ratios(region, 21, 20_000)
+        ratio_5, ratio_sharp = audits._margin_ratios(region, 0.5, 21, 20_000)
+        assert ratio_oracle <= 1.0 + 1e-7
+        assert witness == pytest.approx(1.0, abs=1e-9)
+        assert ratio_5 <= 1.0 + 1e-7
+        assert ratio_sharp <= 1.0 + 1e-7
 
     def test_oracle_ratio_approaches_one(self):
         # the bound is tight: sampled ratios should get close to 1
-        report = run_lipschitz_audit(ball_config(), n_pairs=20_000)
-        assert report.max_ratio_oracle >= 0.99
-
-    def test_requires_mu(self):
-        with pytest.raises(ValueError, match="mu"):
-            run_lipschitz_audit(simplex_config(gamma_grid=[0.5]))
+        ratio_oracle, _ = audits._oracle_ratios(ball_config().region, 21, 20_000)
+        assert ratio_oracle >= 0.99
 
     def test_report_matches_one_pass_audit(self):
-        config = ball_config(gamma_grid=[0.1, 0.5, 1.0])
-        report = run_lipschitz_audit(config, n_pairs=5_000)
-        assert report.gamma == 0.5 and report.n_pairs == 5_000
-        assert {key: getattr(report, key) for key in
-                ("max_ratio_oracle", "witness_ratio", "max_ratio_margin",
-                 "max_ratio_margin_sharp")} == lipschitz_audit_ref(config, 5_000)
+        region = ball_config().region
+        ref = lipschitz_audit_ref(region, 0.5, 21, 5_000)
+        assert audits._oracle_ratios(region, 21, 5_000) + \
+            audits._margin_ratios(region, 0.5, 21, 5_000) == tuple(ref.values())
 
 
 class TestLipschitzStages:
-    """Each audit runs one stage of the Lipschitz audit; the stage must
+    """Each audit runs one of the two Lipschitz checks; the check must
     return exactly its fields of the earlier one-pass audit, on the audits'
-    own configs at full and ``--fast`` size."""
+    own regions at full and ``--fast`` size."""
 
     @pytest.mark.parametrize("scale", [1, 10])
     @pytest.mark.parametrize("seed", [0, 7, 9001])
     def test_stages_match_one_pass_audit(self, seed, scale):
         for dim in (2, 5):  # audit_oracle_lipschitz_like
-            config, n_pairs = audits._ball_config(dim, seed), 100_000 // scale
-            ref = lipschitz_audit_ref(config, n_pairs)
-            assert lipschitz_oracle_stage(config, n_pairs) == {
-                key: ref[key] for key in ("max_ratio_oracle", "witness_ratio")}
+            region, n_pairs = audits._ball(dim), 100_000 // scale
+            ref = lipschitz_audit_ref(region, 0.5, seed, n_pairs)
+            assert audits._oracle_ratios(region, seed, n_pairs) == (
+                ref["max_ratio_oracle"], ref["witness_ratio"])
         for q, n_pairs in ((2.0, 100_000 // scale), (1.5, 20_000 // scale)):
-            config = audits._ball_config(3, seed, q=q)  # audit_margin_loss_lipschitz
-            ref = lipschitz_audit_ref(config, n_pairs)
-            assert lipschitz_margin_stage(config, n_pairs) == {
-                key: ref[key] for key in ("max_ratio_margin", "max_ratio_margin_sharp")}
+            region = audits._ball(3, q=q)  # audit_margin_loss_lipschitz
+            ref = lipschitz_audit_ref(region, 0.5, seed, n_pairs)
+            assert audits._margin_ratios(region, 0.5, seed, n_pairs) == (
+                ref["max_ratio_margin"], ref["max_ratio_margin_sharp"])
 
     def test_each_audit_draws_only_what_it_reads(self, monkeypatch):
         drawn, processed = [], []
-        log_uniform, sample_costs = harness._log_uniform, harness._sample_costs
-        monkeypatch.setattr(harness, "_log_uniform",
+        log_uniform, sample_costs = audits._log_uniform, audits._sample_costs
+        monkeypatch.setattr(audits, "_log_uniform",
                             lambda rng, lo, hi, size: drawn.append(size)
                             or log_uniform(rng, lo, hi, size))
-        monkeypatch.setattr(harness, "_sample_costs",
+        monkeypatch.setattr(audits, "_sample_costs",
                             lambda rng, n, d, lo, hi: processed.append(d)
                             or sample_costs(rng, n, d, lo, hi))
         audits.audit_oracle_lipschitz_like(0, scale=10)
@@ -463,11 +458,6 @@ class TestLipschitzStages:
         audits.audit_margin_loss_lipschitz(0, scale=10)
         # five batches per ball, the last three processed
         assert drawn == [10_000] * 5 + [2_000] * 5 and processed == [3] * 6
-        drawn.clear()
-        processed.clear()
-        harness.run_lipschitz_audit(audits._ball_config(3, 0), n_pairs=1_000)
-        # both stages: five batches, each drawn and processed once
-        assert drawn == [1_000] * 5 and processed == [3] * 5
 
 
 class TestConfig:

@@ -9,7 +9,7 @@ from spo_bounds import audits
 from spo_bounds.complexity import FiniteHypothesisSet, rademacher_spo_mc
 from spo_bounds.geometry import (DagPathPolytope, LqBall, UnitSimplex,
                                  dual_norm_rows)
-from spo_bounds.losses import (LabeledSample, MarginParams, empirical_risk,
+from spo_bounds.losses import (LabeledSample, empirical_risk,
                                hard_margin_spo_loss, hard_margin_spo_loss_batch,
                                margin_spo_loss, margin_spo_loss_batch,
                                predict_batch, spo_loss, spo_loss_batch)
@@ -72,46 +72,45 @@ class TestSpoLoss:
 class TestMarginLoss:
     def test_binary_interpolation_anchor(self):
         # prediction on the right side but inside the margin
-        value = margin_spo_loss(interval(), [0.2], [1.0], MarginParams(gamma=0.5))
+        value = margin_spo_loss(interval(), [0.2], [1.0], 0.5)
         assert value == pytest.approx(0.6, abs=1e-15)
         assert value == pytest.approx(1.0 - 1.0 * 0.2 / 0.5, abs=1e-15)
 
     def test_zero_prediction_gives_gap(self, rng):
         region = square_region()
         c = rng.standard_normal(2)
-        value = margin_spo_loss(region, [0.0, 0.0], c, MarginParams(gamma=0.3))
+        value = margin_spo_loss(region, [0.0, 0.0], c, 0.3)
         assert value == region.gap(c)
 
     def test_above_threshold_equals_base_loss(self):
         region = interval()
-        params = MarginParams(gamma=0.5)
+        gamma = 0.5
         c_hat, c = [1.0], [1.0]  # dual norm 1.0 = 2 * gamma
-        assert margin_spo_loss(region, c_hat, c, params) == spo_loss(region, c_hat, c)
+        assert margin_spo_loss(region, c_hat, c, gamma) == spo_loss(region, c_hat, c)
 
     def test_continuous_at_threshold(self):
         # dual norm exactly gamma: interpolation weight is one
         region = square_region()
-        params = MarginParams(gamma=0.5)
+        gamma = 0.5
         c_hat = np.array([0.5, 0.0])
-        assert dual_norm_rows(c_hat[None], 2.0)[0] == params.gamma
+        assert dual_norm_rows(c_hat[None], 2.0)[0] == gamma
         c = np.array([1.0, -2.0])
-        assert margin_spo_loss(region, c_hat, c, params) == spo_loss(region, c_hat, c)
+        assert margin_spo_loss(region, c_hat, c, gamma) == spo_loss(region, c_hat, c)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError, match="gamma"):
-            margin_spo_loss(interval(), [0.1], [1.0], MarginParams(gamma=0.0))
+            margin_spo_loss(interval(), [0.1], [1.0], 0.0)
 
     @given(st.integers(0, 10 ** 6), st.floats(0.05, 3.0))
     @settings(max_examples=100, deadline=None)
     def test_ordering_chain(self, seed, gamma):
         rng = np.random.default_rng(seed)
         region = UnitSimplex(3)
-        params = MarginParams(gamma=gamma)
         c_hat = rng.standard_normal(3) * rng.uniform(0.01, 2.0)
         c = rng.standard_normal(3)
         spo = spo_loss(region, c_hat, c)
-        margin = margin_spo_loss(region, c_hat, c, params)
-        hard = hard_margin_spo_loss(region, c_hat, c, params)
+        margin = margin_spo_loss(region, c_hat, c, gamma)
+        hard = hard_margin_spo_loss(region, c_hat, c, gamma)
         gap = region.gap(c)
         assert spo <= margin + 1e-9
         assert margin <= hard + 1e-9
@@ -123,61 +122,57 @@ class TestMarginLoss:
         for _ in range(50):
             c_hat = rng.standard_normal(2) * rng.uniform(0.01, 2.0)
             c = rng.standard_normal(2)
-            values = [margin_spo_loss(region, c_hat, c, MarginParams(gamma=g))
+            values = [margin_spo_loss(region, c_hat, c, g)
                       for g in gammas]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_batch_matches_pointwise(self, rng):
         region = UnitSimplex(3)
-        params = MarginParams(gamma=0.4)
+        gamma = 0.4
         C_hat = rng.standard_normal((25, 3)) * 0.3
         C = rng.standard_normal((25, 3))
         np.testing.assert_array_equal(
-            margin_spo_loss_batch(region, C_hat, C, params),
-            [margin_spo_loss(region, ch, c, params) for ch, c in zip(C_hat, C)])
+            margin_spo_loss_batch(region, C_hat, C, gamma),
+            [margin_spo_loss(region, ch, c, gamma) for ch, c in zip(C_hat, C)])
         np.testing.assert_array_equal(
-            hard_margin_spo_loss_batch(region, C_hat, C, params),
-            [hard_margin_spo_loss(region, ch, c, params) for ch, c in zip(C_hat, C)])
+            hard_margin_spo_loss_batch(region, C_hat, C, gamma),
+            [hard_margin_spo_loss(region, ch, c, gamma) for ch, c in zip(C_hat, C)])
 
 
 class TestHardMarginLoss:
     def test_binary_anchor(self):
         assert hard_margin_spo_loss(interval(), [0.2], [1.0],
-                                    MarginParams(gamma=0.5)) == 1.0
+                                    0.5) == 1.0
 
     def test_above_threshold(self):
         region = interval()
         assert hard_margin_spo_loss(region, [0.7], [1.0],
-                                    MarginParams(gamma=0.5)) == 0.0
+                                    0.5) == 0.0
 
     def test_gamma_zero_equals_base_loss_off_origin(self, rng):
         region = square_region()
-        params = MarginParams(gamma=0.0)
+        gamma = 0.0
         for _ in range(20):
             c_hat = rng.standard_normal(2)
             c = rng.standard_normal(2)
-            assert hard_margin_spo_loss(region, c_hat, c, params) \
+            assert hard_margin_spo_loss(region, c_hat, c, gamma) \
                 == spo_loss(region, c_hat, c)
 
     def test_gamma_zero_at_origin_gives_gap(self, rng):
         region = square_region()
         c = rng.standard_normal(2)
         assert hard_margin_spo_loss(region, [0.0, 0.0], c,
-                                    MarginParams(gamma=0.0)) == region.gap(c)
+                                    0.0) == region.gap(c)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
-            MarginParams(gamma=-0.1)
+            hard_margin_spo_loss(interval(), [0.1], [1.0], -0.1)
 
-
-class TestMarginParams:
-    def test_gamma_bar_defaults_to_gamma(self):
-        params = MarginParams(gamma=0.3)
-        assert params.effective_gamma_bar == 0.3
-
-    def test_gamma_bar_below_gamma_rejected(self):
-        with pytest.raises(ValueError, match="gamma_bar"):
-            MarginParams(gamma=0.5, gamma_bar=0.25)
+    @pytest.mark.parametrize("loss", [margin_spo_loss, hard_margin_spo_loss])
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    def test_non_finite_gamma_rejected(self, loss, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            loss(interval(), [0.1], [1.0], gamma)
 
 
 class TestEmpiricalRisk:
@@ -195,19 +190,19 @@ class TestEmpiricalRisk:
 
     def test_margin_risk_is_mean_of_pointwise(self, rng):
         region = square_region()
-        params = MarginParams(gamma=0.5)
+        gamma = 0.5
         xs = rng.standard_normal((12, 3))
         cs = rng.standard_normal((12, 2))
         B = rng.standard_normal((2, 3)) * 0.2
         sample = LabeledSample(xs=xs, cs=cs)
-        expected = np.mean([margin_spo_loss(region, B @ x, c, params)
+        expected = np.mean([margin_spo_loss(region, B @ x, c, gamma)
                             for x, c in zip(xs, cs)])
-        assert empirical_risk(region, B, sample, "margin", params) \
+        assert empirical_risk(region, B, sample, "margin", gamma) \
             == pytest.approx(expected, abs=1e-15)
 
     def test_margin_kind_requires_params(self):
         sample = LabeledSample(xs=[[1.0]], cs=[[1.0]])
-        with pytest.raises(ValueError, match="MarginParams"):
+        with pytest.raises(ValueError, match="margin risk requires gamma"):
             empirical_risk(interval(), np.eye(1), sample, "margin")
 
     def test_unknown_kind(self):
@@ -230,16 +225,12 @@ def recorded_checks(region, monkeypatch) -> list:
     return checked
 
 
-def margin_params(region) -> MarginParams:
-    return MarginParams(gamma=1.5, norm_q=region.norm_exponent)
-
-
 #: every public batch entry, as (call, number of cost batches it takes)
 BATCH_ENTRIES = {
     "spo_loss_batch": (spo_loss_batch, 2),
-    "margin_spo_loss_batch": (lambda r, A, B: margin_spo_loss_batch(r, A, B, margin_params(r)), 2),
+    "margin_spo_loss_batch": (lambda r, A, B: margin_spo_loss_batch(r, A, B, 1.5), 2),
     "hard_margin_spo_loss_batch":
-        (lambda r, A, B: hard_margin_spo_loss_batch(r, A, B, margin_params(r)), 2),
+        (lambda r, A, B: hard_margin_spo_loss_batch(r, A, B, 1.5), 2),
     "decision_cost_batch": (lambda r, A, B: r.decision_cost_batch(A, B), 2),
     "linopt_batch": (lambda r, A: r.linopt_batch(A), 1),
     "gap_batch": (lambda r, A: r.gap_batch(A), 1),
@@ -248,8 +239,8 @@ BATCH_ENTRIES = {
 #: the one-row forms, on one cost vector per batch
 ROW_ENTRIES = {
     "spo_loss": (spo_loss, 2),
-    "margin_spo_loss": (lambda r, a, b: margin_spo_loss(r, a, b, margin_params(r)), 2),
-    "hard_margin_spo_loss": (lambda r, a, b: hard_margin_spo_loss(r, a, b, margin_params(r)), 2),
+    "margin_spo_loss": (lambda r, a, b: margin_spo_loss(r, a, b, 1.5), 2),
+    "hard_margin_spo_loss": (lambda r, a, b: hard_margin_spo_loss(r, a, b, 1.5), 2),
     "linopt": (lambda r, a: r.linopt(a), 1),
     "gap": (lambda r, a: r.gap(a), 1),
 }
@@ -338,7 +329,7 @@ class TestLossOrderingAudit:
         kernel = getattr(audits, name)
 
         def wrapped(*args):
-            calls.append(args[-1].gamma)
+            calls.append(args[-1])
             out = kernel(*args)
             return np.nextafter(out, np.inf) if perturb else out
 

@@ -171,8 +171,9 @@ def _reseeded(halves: list[list[int]]) -> Iterator[np.random.Generator]:
 #: split evenly over the streams, so its scratch arrays hold that many
 #: elements (one per stream when there are more streams)
 _LANE_BLOCK = 1 << 15
-#: largest request ``substream_signs`` accepts, in bytes
-SIGN_BYTES_MAX = 1 << 30
+#: largest array request the package accepts, in bytes: ``substream_signs``
+#: and the experiment's sample sizes are refused over it
+ARRAY_BYTES_MAX = 1 << 30
 #: bytes per stream that the seeding holds at its peak (145 measured)
 _SEED_BYTES = 256
 #: least rows per block of ``substream_sign_blocks`` in the estimators; see
@@ -242,14 +243,14 @@ def _jump(jump: tuple[int, int], x, inc, hi=None, lo=None, t=None, u=None,
 
 def _check_sign_request(seed: int, count: int, size: int) -> None:
     """Refuse, before anything is allocated, an invalid request or one whose
-    signs and seeding scratch need over ``SIGN_BYTES_MAX`` bytes."""
+    signs and seeding scratch need over ``ARRAY_BYTES_MAX`` bytes."""
     _check_streams(seed, count)
     if size < 0:
         raise ValueError("size must be non-negative")
     need = count * (8 * size + _SEED_BYTES)
-    if need > SIGN_BYTES_MAX:
+    if need > ARRAY_BYTES_MAX:
         raise ValueError(f"{count} x {size} sign draws need {need} bytes, "
-                         f"over the {SIGN_BYTES_MAX}-byte budget")
+                         f"over the {ARRAY_BYTES_MAX}-byte budget")
 
 
 def substream_signs(seed: int, count: int, size: int) -> np.ndarray:
@@ -257,7 +258,7 @@ def substream_signs(seed: int, count: int, size: int) -> np.ndarray:
     ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0``, bit for bit.
 
     Refuses, before allocating anything, a request whose signs and seeding
-    scratch need over ``SIGN_BYTES_MAX`` bytes.
+    scratch need over ``ARRAY_BYTES_MAX`` bytes.
     """
     _check_sign_request(seed, count, size)
     out = np.zeros((count, size), dtype="<f8")

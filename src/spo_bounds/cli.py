@@ -29,7 +29,7 @@ from .complexity import (FiniteHypothesisSet, LabelTable,
                          rademacher_spo_mc)
 from .geometry import _exact_norm_rows, dual_exponent, region_from_json
 from .harness import (BoundValidityResult, ExperimentConfig, config_label,
-                      default_suite, run_bound_validity)
+                      default_suite, run_bound_validity, run_suite)
 from .losses import (LabeledSample, hard_margin_spo_loss, margin_spo_loss,
                      spo_loss)
 
@@ -185,9 +185,8 @@ def _cmd_experiment(args) -> int:
     # default grid
     configs = default_suite(**sizes)
     overall: dict = {"suites": {}, "any_violation": False}
-    for config in configs:
+    for config, result in zip(configs, run_suite(configs)):
         label = config_label(config)
-        result = run_bound_validity(config)
         _write_experiment(result, outdir / label)
         overall["suites"][label] = {
             bound_id: stats["violations"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import ARRAY_BYTES_MAX, substream
 from .bounds import (BoundInputs, bound_covering, bound_linear_polyhedral,
                      bound_margin, bound_margin_uniform)
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
@@ -94,6 +94,13 @@ class ExperimentConfig:
             raise ValueError("gamma grid must be strictly ascending")
         if self.m_fresh < 1:
             raise ValueError("m_fresh must be >= 1")
+        # a sample of `rows` draws holds 8 * rows * (p + d) bytes of
+        # features and costs; refuse one over the budget before drawing it
+        for key, rows in (("m_fresh", int(self.m_fresh)), ("n", max(self.ns))):
+            need = 8 * rows * (self.p + self.d)
+            if need > ARRAY_BYTES_MAX:
+                raise ValueError(f"{key} = {rows} needs {need} bytes of samples, "
+                                 f"over the {ARRAY_BYTES_MAX}-byte budget")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.beta is None:
@@ -200,6 +207,19 @@ def generate_sample(config: ExperimentConfig, trial_seed: int,
     return LabeledSample(xs=X, cs=C)
 
 
+def _data_source(config: ExperimentConfig) -> tuple:
+    """Every input the draws of a config read: the seed, the true model
+    (shape, memory layout and bytes; a matrix product may round differently
+    by layout), the noise, the feature law, the cost domain, ``ns``,
+    ``trials`` and ``m_fresh``.  Configs with equal keys draw the same
+    fresh sample and training samples bit for bit, whatever their region,
+    gamma grid, beta or delta."""
+    b_star = config.b_star
+    return (config.seed, b_star.shape, b_star.strides, b_star.tobytes(), config.noise,
+            config.feature_dist, repr(config.cost_domain.to_dict()), tuple(config.ns),
+            config.trials, config.m_fresh)
+
+
 def fit_least_squares(sample: LabeledSample, ridge: float = 1e-8) -> np.ndarray:
     """Ridge-stabilized least-squares fit of ``c ~ B x``; returns B (d x p)."""
     X, C = sample.xs, sample.cs
@@ -217,58 +237,88 @@ def clip_frobenius(B: np.ndarray, beta: float) -> np.ndarray:
 
 class RiskEvaluator:
     """Fresh-sample Monte-Carlo estimator of the expected decision loss, on
-    one evaluation sample shared by every trial of a run.
+    one evaluation sample shared by every trial of a run and by every region
+    it serves.
 
-    The sample is independent of all training draws (separate stream), so
-    each trial's estimate stays an unbiased fresh-sample MC estimate of its
-    predictor's risk; sharing it just avoids regenerating and re-solving
-    ``m_fresh`` points per trial.  The features and costs are stored
-    column-major, so the prediction and decision-cost sweeps read
-    contiguous columns; the costs are validated once, here, and the
-    optimal costs ``c @ w*(c)`` are precomputed once.
+    ``RiskEvaluator(config)`` serves one config; ``RiskEvaluator(configs)``
+    serves configs with one data source (see ``run_suite``), whose samples
+    are the same bits, so the sample is drawn once.  It is independent of
+    all training draws (separate stream), so each trial's estimate stays an
+    unbiased fresh-sample MC estimate of its predictor's risk; sharing it
+    just avoids regenerating and re-solving ``m_fresh`` points per trial.
+    The features and costs are stored column-major, so the prediction and
+    decision-cost sweeps read contiguous columns; each region validates the
+    costs once, here, and its optimal costs ``c @ w*(c)`` are precomputed
+    once.
 
     ``true_risk`` validates a matrix predictor B itself, not its m
     predictions: B must have shape (d, p) and finite entries, and since
     every prediction satisfies ``|x @ b| <= max|B| * sum_j max_i |X_ij|``,
     the predictions are scanned only when that bound reaches 1e300 (where
-    they may overflow) or the predictor is a callable.  The estimate and
-    its standard error are numpy's ``mean`` and ``std(ddof=1) / sqrt(m)``,
-    step for step, sharing the one sum of the losses.
+    they may overflow) or the predictor is a callable.  The predictions of
+    the last matrix predictor scored are kept, read-only, so the regions
+    that score one predictor object form them once; another object, or the
+    same one with other entries, is predicted afresh.  The estimate and its
+    standard error are numpy's ``mean`` and ``std(ddof=1) / sqrt(m)``, step
+    for step, sharing the one sum of the losses.
     """
 
-    def __init__(self, config: ExperimentConfig):
-        rng = substream(config.seed, _STREAM_RISK)
-        self.region = config.region
-        X, C = _draw_pairs(config, rng, config.m_fresh)
+    def __init__(self, configs):
+        group = [configs] if isinstance(configs, ExperimentConfig) else list(configs)
+        if len({_data_source(config) for config in group}) != 1:
+            raise ValueError("an evaluator's configs must share one data source")
+        lead = group[0]
+        rng = substream(lead.seed, _STREAM_RISK)
+        X, C = _draw_pairs(lead, rng, lead.m_fresh)
         # each draw is dropped before the next copy, so the column-major
         # copies add nothing to the memory peak of the draws themselves
         self.X = np.asfortranarray(X)
         del X
-        self.C = self.region._check_cost_batch(np.asfortranarray(C))
+        self.C = np.asfortranarray(C)
         del C
-        self._opt_cost = self.region._decision_cost(self.C, self.C)
+        self.regions: list[FeasibleRegion] = []
+        self._opt_costs: list[np.ndarray] = []
+        for region in (config.region for config in group):
+            if not any(region is seen for seen in self.regions):
+                region._check_cost_batch(self.C)
+                self.regions.append(region)
+                self._opt_costs.append(region._decision_cost(self.C, self.C))
         # sum_j max_i |X_ij|, a bound on |x @ b| / max|b| over the sample
         self._xbound = float(sum(max(col.max(), -col.min()) for col in self.X.T))
+        self._last = None  # (predictor, its bytes, its predictions)
 
-    def _predictions(self, predictor) -> np.ndarray:
+    def _predictions(self, predictor, region: FeasibleRegion) -> np.ndarray:
         m, p = self.X.shape
         if callable(predictor):
-            return self.region._check_cost_batch(predict_batch(predictor, self.X), rows=m)
+            return region._check_cost_batch(predict_batch(predictor, self.X), rows=m)
         B = np.asarray(predictor, dtype=float)
-        if B.shape != (self.region.dim, p):
+        if B.shape != (region.dim, p):
             raise ValueError(f"predictor matrix has shape {B.shape}, "
-                             f"expected ({self.region.dim}, {p})")
+                             f"expected ({region.dim}, {p})")
         if not np.all(np.isfinite(B)):
             raise ValueError("predictor matrix has non-finite entries")
-        preds = predict_batch(B, self.X)
+        entries = B.tobytes()
+        if self._last is None or self._last[0] is not predictor or self._last[1] != entries:
+            self._last = None  # free the last predictions before forming these
+            preds = predict_batch(B, self.X)
+            preds.flags.writeable = False
+            self._last = (predictor, entries, preds)
+        preds = self._last[2]
         if not float(np.abs(B).max()) * self._xbound < 1e300:
-            self.region._check_cost_batch(preds)
+            region._check_cost_batch(preds)
         return preds
 
-    def true_risk(self, predictor) -> tuple[float, float]:
-        """``(estimate, std_error)`` of the predictor's SPO risk."""
-        losses = self.region._decision_cost(self._predictions(predictor), self.C)
-        np.subtract(losses, self._opt_cost, out=losses)
+    def true_risk(self, predictor, region: FeasibleRegion | None = None) -> tuple[float, float]:
+        """``(estimate, std_error)`` of the predictor's SPO risk on
+        ``region``, one of the evaluator's regions (the object itself); it
+        may be left out when the evaluator serves one region."""
+        if region is None and len(self.regions) == 1:
+            region = self.regions[0]
+        k = next((k for k, seen in enumerate(self.regions) if seen is region), None)
+        if k is None:
+            raise ValueError("true_risk needs one of the evaluator's regions")
+        losses = region._decision_cost(self._predictions(predictor, region), self.C)
+        np.subtract(losses, self._opt_costs[k], out=losses)
         m = losses.size
         est = np.add.reduce(losses) / m
         if m < 2:
@@ -356,14 +406,12 @@ def _bound_ids(config: ExperimentConfig) -> list[str]:
     return ids
 
 
-def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
-              evaluator: RiskEvaluator) -> TrialRecord:
-    region, domain = config.region, config.cost_domain
-    trial_seed = n_idx * config.trials + trial
-    sample = generate_sample(config, trial_seed, n=n)
-    predictor = fit_least_squares(sample)
-    if config.strongly_convex:
-        predictor = clip_frobenius(predictor, config.beta)
+def run_trial(config: ExperimentConfig, sample: LabeledSample, fit: np.ndarray,
+              trial: int, evaluator: RiskEvaluator) -> TrialRecord:
+    """One trial of one config, on a training sample and its least-squares
+    fit that every config of its data source shares."""
+    region, domain, n = config.region, config.cost_domain, sample.n
+    predictor = clip_frobenius(fit, config.beta) if config.strongly_convex else fit
 
     # the predictions and their SPO losses serve every risk of this trial
     preds = predict_batch(predictor, sample.xs)
@@ -414,7 +462,7 @@ def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
         bounds_vals["margin_uniform"] = best_val
         gamma_star = best_gamma
 
-    true_est, true_se = evaluator.true_risk(predictor)
+    true_est, true_se = evaluator.true_risk(predictor, region)
     violations = {key: bool(true_est - 3.0 * true_se > val)
                   for key, val in bounds_vals.items()}
     return TrialRecord(trial=trial, n=n, gamma_star=gamma_star, emp_spo=emp_spo,
@@ -423,20 +471,57 @@ def run_trial(config: ExperimentConfig, n: int, n_idx: int, trial: int,
                        violations=violations)
 
 
-def run_bound_validity(config: ExperimentConfig) -> BoundValidityResult:
-    """Run the full trial grid and check every applicable bound against a
-    fresh-sample estimate of the true risk (violation = estimate minus
-    three standard errors still exceeds the bound)."""
-    if config.strongly_convex:
-        if not config.gamma_grid:
-            raise ValueError("margin bounds need a gamma grid")
-        config.x_radius  # raises for unbounded feature distributions
-    evaluator = RiskEvaluator(config)
-    records = []
-    for n_idx, n in enumerate(config.ns):
-        for t in range(config.trials):
-            records.append(run_trial(config, n, n_idx, t, evaluator))
+def run_suite(configs) -> list[BoundValidityResult]:
+    """Run the full trial grid of every config and check every applicable
+    bound against a fresh-sample estimate of the true risk (violation =
+    estimate minus three standard errors still exceeds the bound); the
+    results are in input order.
 
+    Configs with one data source (equal seed, true model, noise, feature
+    law, cost domain, ``ns``, ``trials`` and ``m_fresh``; see
+    ``_data_source``) draw the same bits, so they run as one group: one
+    fresh sample, one training sample and fit per (n, trial), and one set
+    of fresh-sample predictions per predictor object.  Each config forms its
+    own losses, bounds and risks, so its result is the same bits alone or in
+    a group."""
+    configs = list(configs)
+    for config in configs:
+        if config.strongly_convex:
+            if not config.gamma_grid:
+                raise ValueError("margin bounds need a gamma grid")
+            config.x_radius  # raises for unbounded feature distributions
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(_data_source(config), []).append(i)
+    results: list[BoundValidityResult | None] = [None] * len(configs)
+    for members in groups.values():
+        group = [configs[i] for i in members]
+        for i, config, records in zip(members, group, _run_group(group)):
+            results[i] = _result(config, records)
+    return results
+
+
+def run_bound_validity(config: ExperimentConfig) -> BoundValidityResult:
+    """``run_suite`` of one config."""
+    return run_suite([config])[0]
+
+
+def _run_group(group: list[ExperimentConfig]) -> list[list[TrialRecord]]:
+    """The trial records of configs with one data source, config by config;
+    the evaluator is freed on return, before the next group draws."""
+    evaluator = RiskEvaluator(group)
+    lead = group[0]
+    records: list[list[TrialRecord]] = [[] for _ in group]
+    for n_idx, n in enumerate(lead.ns):
+        for t in range(lead.trials):
+            sample = generate_sample(lead, n_idx * lead.trials + t, n=n)
+            fit = fit_least_squares(sample)
+            for config, recs in zip(group, records):
+                recs.append(run_trial(config, sample, fit, t, evaluator))
+    return records
+
+
+def _result(config: ExperimentConfig, records: list[TrialRecord]) -> BoundValidityResult:
     bound_ids = _bound_ids(config)
     omega = config.cost_domain.omega
     per_bound = {}

@@ -317,7 +317,7 @@ def l2_decision_cost_ref(ball: LqBall, C_hat: np.ndarray, C: np.ndarray) -> np.n
 def true_risk_scan_ref(evaluator, predictor) -> tuple[float, float]:
     """The earlier ``RiskEvaluator.true_risk``: every prediction scanned,
     the losses formed out of place, then numpy's ``mean`` and ``std``."""
-    region, C = evaluator.region, evaluator.C
+    (region,), C = evaluator.regions, evaluator.C
     cost = (l2_decision_cost_ref if isinstance(region, LqBall) and region.q == 2.0
             else type(region)._decision_cost)
     preds = region._check_cost_batch(predict_batch(predictor, evaluator.X),

@@ -14,7 +14,7 @@ import sys
 import time
 
 from spo_bounds import audits
-from spo_bounds.harness import config_label, default_suite, run_bound_validity
+from spo_bounds.harness import config_label, default_suite, run_suite
 
 SEED = 7
 #: seed of the c01-c08 audits; not c10's 7, so their draws stay independent
@@ -82,12 +82,14 @@ def test_c08_bound_arithmetic():
 
 
 def test_c09_bound_validity_experiment():
-    """Default grid, T=200, delta=0.05: zero violations, runtime < 10 min."""
+    """Default grid, T=200, delta=0.05: zero violations, runtime < 10 min.
+    The grid runs through ``run_suite``, as ``experiment run --defaults``
+    does."""
     start = time.perf_counter()
     total_records = 0
     bound_ids = set()
-    for config in default_suite(seed=SEED, trials=200, m_fresh=100_000):
-        result = run_bound_validity(config)
+    configs = default_suite(seed=SEED, trials=200, m_fresh=100_000)
+    for config, result in zip(configs, run_suite(configs)):
         total_records += len(result.records)
         for bound_id, stats in result.summary["bounds"].items():
             bound_ids.add(bound_id)

@@ -177,6 +177,25 @@ class TestExperimentCommand:
             {"seed": 0, "trials": 200, "m_fresh": 100_000}
 
 
+    def test_defaults_trees_equal_config_runs(self, tmp_path, capsys):
+        # --defaults runs the grid as groups that share draws; each config's
+        # tree must be the bytes of that config run alone through --config
+        sizes = {"seed": 3, "trials": 2, "m_fresh": 2000}
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in sizes.items()]
+        assert main(["experiment", "run", "--defaults", *flags,
+                     "--out", str(tmp_path / "grid")]) == 0
+        for config in harness.default_suite(**sizes):
+            label = harness.config_label(config)
+            cfg_file = write(tmp_path / f"{label}.json", config.to_dict())
+            alone = tmp_path / "alone" / label
+            assert main(["experiment", "run", "--config", cfg_file, "--out", str(alone)]) == 0
+            files = sorted(p.relative_to(alone) for p in alone.rglob("*") if p.is_file())
+            grid = tmp_path / "grid" / label
+            assert files == sorted(p.relative_to(grid) for p in grid.rglob("*") if p.is_file())
+            for name in files:
+                assert (alone / name).read_bytes() == (grid / name).read_bytes(), name
+
+
 class TestVerifyCommand:
     def test_fast_verify_deterministic(self, tmp_path, capsys):
         rc1 = main(["verify", "all", "--seed", "3", "--fast", "--out",
@@ -236,6 +255,15 @@ class TestInputErrors:
                      "--out", str(out)]) == 2
         self.assert_one_error_line(capsys, f"{named} cannot be used with --config")
         assert not out.exists()
+
+    def test_sample_size_budget(self, tmp_path, capsys, monkeypatch):
+        # refused while the default grid is built, before any draw
+        monkeypatch.setattr(harness, "_draw_pairs", None)
+        assert main(["experiment", "run", "--defaults", "--trials", "1",
+                     "--m-fresh", str(10 ** 9), "--out", str(tmp_path / "out")]) == 2
+        self.assert_one_error_line(
+            capsys, "m_fresh = 1000000000 needs 32000000000 bytes of samples, over the "
+                    "1073741824-byte budget")
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["loss", "eval", "--region", str(tmp_path / "none.json"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spo_bounds import _rng, complexity
-from spo_bounds._rng import (SIGN_BLOCK_ROWS, SIGN_BYTES_MAX, substream,
+from spo_bounds._rng import (ARRAY_BYTES_MAX, SIGN_BLOCK_ROWS, substream,
                              substream_sign_blocks, substream_signs)
 from spo_bounds.complexity import (FiniteHypothesisSet, LabelTable,
                                    LinearPredictorClass, count_restrictions,
@@ -103,7 +103,7 @@ class TestSignDraws:
             substream_signs(0, 10 ** 6, 10 ** 6)
         # the budget counts the seeding scratch, so many short rows fail too
         with pytest.raises(ValueError, match="budget"):
-            substream_signs(0, SIGN_BYTES_MAX // 256, 1)
+            substream_signs(0, ARRAY_BYTES_MAX // 256, 1)
 
 
 class TestRademacherSpoMC:

@@ -1,15 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spo_bounds import audits
+from spo_bounds import audits, harness
+from spo_bounds._rng import ARRAY_BYTES_MAX
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope, dual_norm_rows)
 from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
                                 clip_frobenius, config_label, default_suite,
                                 fit_least_squares, generate_sample,
-                                run_bound_validity)
+                                run_bound_validity, run_suite)
 from spo_bounds.losses import (LabeledSample, empirical_risk, margin_mix,
                                predict_batch, spo_loss_batch)
 
@@ -400,6 +403,105 @@ class TestBoundValidity:
             assert [r[0] for r in rows] == [30, 60]
 
 
+def simplex_twin(config, **overrides):
+    """``config``'s data source on the simplex of its dimension."""
+    region = UnitSimplex(config.d)
+    return ExperimentConfig(**{**vars(config), "region": region,
+                               "cost_domain": CostDomain.ball(region, 1.0),
+                               "gamma_grid": [], "beta": None, **overrides})
+
+
+def outputs(result) -> tuple[str, str, str]:
+    """Every byte a result writes: trials.csv, summary.json, plotdata."""
+    return (result.trials_csv(), json.dumps(result.summary, indent=2, sort_keys=True),
+            repr(result.plot_frames()))
+
+
+def count_calls(monkeypatch, *names) -> dict[str, list[tuple]]:
+    """Record the positional arguments of every call to the named harness
+    functions."""
+    calls: dict[str, list[tuple]] = {}
+    for name in names:
+        def counted(*args, real=getattr(harness, name), log=calls.setdefault(name, []),
+                    **kwargs):
+            log.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+class TestSuite:
+    """Configs that share a data source run as one group; each result must
+    be the bits of the config run alone, a group of one."""
+
+    def assert_alone_equal(self, configs):
+        suite = run_suite(configs)
+        assert [r.config for r in suite] == configs
+        for config, result in zip(configs, suite):
+            assert outputs(result) == outputs(run_bound_validity(config))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_default_grid_grouped_equals_alone(self, seed):
+        self.assert_alone_equal(default_suite(seed=seed, trials=2, m_fresh=20_000))
+
+    def test_binding_clip_grouped_equals_alone(self):
+        ball = ball_config(beta=0.05)
+        fit = fit_least_squares(generate_sample(ball, 0, n=40))
+        assert np.linalg.norm(fit) > ball.beta  # the clip rescales
+        self.assert_alone_equal([ball, simplex_twin(ball), ball_config(beta=0.06)])
+
+    @pytest.mark.parametrize("field, value", [("noise", 0.2), ("m_fresh", 2400)])
+    def test_other_data_source_shares_nothing(self, field, value, monkeypatch):
+        configs = [ball_config(), simplex_twin(ball_config(), **{field: value})]
+        calls = count_calls(monkeypatch, "_draw_pairs")
+        self.assert_alone_equal(configs)
+        fresh_draws = [n for _, _, n in calls["_draw_pairs"] if n >= 2400]  # training n is 40
+        # the suite, then each config alone: one fresh sample per config each time
+        assert fresh_draws == [2500, configs[1].m_fresh] * 2
+
+    @pytest.mark.parametrize("beta, fresh_predictions", [(None, 1), (0.05, 2)])
+    def test_group_does_each_draw_once(self, beta, fresh_predictions, monkeypatch):
+        ball = ball_config(ns=[30, 60], beta=beta)
+        calls = count_calls(monkeypatch, "_draw_pairs", "generate_sample",
+                            "fit_least_squares", "predict_batch")
+        results = run_suite([ball, simplex_twin(ball)])
+        trials = len(ball.ns) * ball.trials
+        assert [n for _, _, n in calls["_draw_pairs"]].count(ball.m_fresh) == 1
+        assert len(calls["generate_sample"]) == len(calls["fit_least_squares"]) == trials
+        rows = [len(xs) for _, xs in calls["predict_batch"]]
+        assert rows.count(ball.m_fresh) == fresh_predictions * trials
+        # and each config's training predictions, one per trial
+        assert len(rows) == (fresh_predictions + 2) * trials
+        assert [len(r.records) for r in results] == [trials, trials]
+
+    def test_evaluator_checks_its_group(self):
+        ball = ball_config()
+        simplex = simplex_twin(ball)
+        with pytest.raises(ValueError, match="share one data source"):
+            RiskEvaluator([ball, simplex_twin(ball, seed=22)])
+        with pytest.raises(ValueError, match="share one data source"):
+            RiskEvaluator([])
+        evaluator = RiskEvaluator([ball, simplex, ball])
+        assert evaluator.regions == [ball.region, simplex.region]
+        with pytest.raises(ValueError, match="one of the evaluator's regions"):
+            evaluator.true_risk(ball.b_star)
+        with pytest.raises(ValueError, match="one of the evaluator's regions"):
+            evaluator.true_risk(ball.b_star, UnitSimplex(2))
+        for config in (ball, simplex):
+            assert evaluator.true_risk(ball.b_star, config.region) == \
+                RiskEvaluator(config).true_risk(ball.b_star)
+
+    def test_kept_predictions_follow_the_entries(self):
+        # the evaluator keeps the last predictions by object and entries: a
+        # predictor changed in place is predicted afresh
+        config = ball_config()
+        evaluator = RiskEvaluator(config)
+        B = config.b_star.copy()
+        first = evaluator.true_risk(B)
+        B *= -2.0
+        assert evaluator.true_risk(B) == RiskEvaluator(config).true_risk(B) != first
+
+
 class TestLipschitzAudit:
     def test_unit_ball_audit_passes(self):
         region = ball_config().region
@@ -481,6 +583,18 @@ class TestConfig:
             ball_config(trials=0)
         with pytest.raises(ValueError, match="b_star"):
             ball_config(b_star=np.zeros((3, 2)))
+
+    def test_sample_size_budget(self):
+        # 8 * rows * (p + d) bytes of samples must fit the array budget; the
+        # config refuses before anything is drawn (p + d = 4 here)
+        rows = ARRAY_BYTES_MAX // 32
+        assert ball_config(m_fresh=rows, ns=[rows]).m_fresh == rows
+        with pytest.raises(ValueError, match=rf"m_fresh = {rows + 1} needs "
+                                             rf"{ARRAY_BYTES_MAX + 32} bytes of samples, "
+                                             rf"over the {ARRAY_BYTES_MAX}-byte budget"):
+            ball_config(m_fresh=rows + 1)
+        with pytest.raises(ValueError, match=rf"n = {10 ** 9} needs"):
+            ball_config(ns=[40, 10 ** 9])
 
     def test_binary_case_anchors(self):
         # interval region with costs {-1, +1}: omega = rho2 = 1, mu = 2

@@ -16,7 +16,7 @@ from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        verify_optimality_condition, verify_strong_convexity)
 from .harness import (ExperimentConfig, RiskEvaluator, TrialRecord,
                       default_suite, fit_least_squares, generate_sample,
-                      run_bound_validity, run_suite)
+                      run_suite)
 from .losses import (LabeledSample, empirical_risk, hard_margin_spo_loss,
                      margin_spo_loss, spo_loss)
 
@@ -36,6 +36,6 @@ __all__ = [
     "margin_rad_bound", "margin_spo_loss", "massart_bound",
     "natarajan_dim_bruteforce", "oracle_label_table",
     "rademacher_multivariate_mc", "rademacher_spo_mc", "region_from_dict",
-    "region_from_json", "run_bound_validity", "run_suite", "spo_loss",
+    "region_from_json", "run_suite", "spo_loss",
     "verify_optimality_condition", "verify_strong_convexity",
 ]

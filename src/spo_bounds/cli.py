@@ -29,7 +29,7 @@ from .complexity import (FiniteHypothesisSet, LabelTable,
                          rademacher_spo_mc)
 from .geometry import _exact_norm_rows, dual_exponent, region_from_json
 from .harness import (BoundValidityResult, ExperimentConfig, config_label,
-                      default_suite, run_bound_validity, run_suite)
+                      default_suite, run_suite)
 from .losses import (LabeledSample, hard_margin_spo_loss, margin_spo_loss,
                      spo_loss)
 
@@ -177,7 +177,7 @@ def _cmd_experiment(args) -> int:
             raise ValueError(f"{flags} cannot be used with --config; "
                              f"set them in the config file")
         config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
-        result = run_bound_validity(config)
+        [result] = run_suite([config])
         _write_experiment(result, outdir)
         print(f"wrote {outdir}/trials.csv ({len(result.records)} trials), "
               f"violations: {int(result.summary['any_violation'])}")

@@ -22,7 +22,7 @@ Equality was checked on OpenBLAS 0.3.31 (SkylakeX kernels) on the shapes
 of the tests; another BLAS build may move the last digit, and any one
 build gives the same estimate per seed.
 
-The hypothesis axis is a batch axis.  A matrix-backed set stores its
+The hypothesis axis is a batch axis.  A hypothesis set stores its
 matrices as one (H, d, p) array and predicts all of them at once, and
 ``rademacher_spo_mc``, ``count_restrictions`` and ``oracle_label_table``
 each make one oracle call on the stacked (H * n, d) predictions.  The
@@ -65,49 +65,27 @@ _SMALL_GEMM_MNK = 10 ** 6
 
 
 class FiniteHypothesisSet:
-    """A finite set of cost-vector predictors.
+    """A finite set of linear cost-vector predictors ``x -> B @ x``, stored
+    as one (H, d, p) stack of matrices."""
 
-    Backed either by an (H, d, p) stack of matrices (evaluated as
-    ``x -> B @ x``) or by an explicit table of outputs per evaluation point.
-    """
-
-    def __init__(self, matrices: list[np.ndarray] | None = None,
-                 table: np.ndarray | None = None):
-        if (matrices is None) == (table is None):
-            raise ValueError("specify exactly one of matrices / table")
-        if matrices is not None:
-            mats = [np.asarray(B, dtype=float) for B in matrices]
-            if not mats:
-                raise ValueError("hypothesis set must be non-empty")
-            shape = mats[0].shape
-            if len(shape) != 2:
-                raise ValueError("each hypothesis must be a 2-D matrix")
-            if any(B.shape != shape for B in mats):
-                raise ValueError("all hypothesis matrices must share one shape")
-            stacked = np.stack(mats)
-            if not np.all(np.isfinite(stacked)):
-                raise ValueError("hypothesis matrices must be finite")
-            self.matrices: np.ndarray | None = stacked
-            self.table: np.ndarray | None = None
-            self.d, self.p = shape
-        else:
-            T = np.asarray(table, dtype=float)
-            if T.ndim != 3 or T.shape[0] < 1:
-                raise ValueError("table must have shape (hypotheses, points, d)")
-            if not np.all(np.isfinite(T)):
-                raise ValueError("table entries must be finite")
-            self.matrices = None
-            self.table = T
-            self.d = T.shape[2]
-            self.p = None
+    def __init__(self, matrices: list[np.ndarray]):
+        mats = [np.asarray(B, dtype=float) for B in matrices]
+        if not mats:
+            raise ValueError("hypothesis set must be non-empty")
+        shape = mats[0].shape
+        if len(shape) != 2:
+            raise ValueError("each hypothesis must be a 2-D matrix")
+        if any(B.shape != shape for B in mats):
+            raise ValueError("all hypothesis matrices must share one shape")
+        stacked = np.stack(mats)
+        if not np.all(np.isfinite(stacked)):
+            raise ValueError("hypothesis matrices must be finite")
+        self.matrices = stacked
+        self.d, self.p = shape
 
     @classmethod
     def from_matrices(cls, matrices) -> "FiniteHypothesisSet":
-        return cls(matrices=list(matrices))
-
-    @classmethod
-    def from_table(cls, table) -> "FiniteHypothesisSet":
-        return cls(table=table)
+        return cls(list(matrices))
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteHypothesisSet":
@@ -118,23 +96,17 @@ class FiniteHypothesisSet:
         return cls.from_matrices(data)
 
     def __len__(self) -> int:
-        return len(self.matrices) if self.matrices is not None else self.table.shape[0]
+        return len(self.matrices)
 
     def subset(self, indices) -> "FiniteHypothesisSet":
-        if self.matrices is not None:
-            return FiniteHypothesisSet(matrices=self.matrices[list(indices)])
-        return FiniteHypothesisSet(table=self.table[list(indices)])
+        return FiniteHypothesisSet(self.matrices[list(indices)])
 
     def predictions(self, xs: np.ndarray) -> np.ndarray:
         """Outputs of every hypothesis on the given points, shape (H, n, d)."""
         xs = np.asarray(xs, dtype=float)
-        if self.matrices is not None:
-            if xs.ndim != 2 or xs.shape[1] != self.p:
-                raise ValueError(f"xs must have shape (n, {self.p})")
-            return xs @ self.matrices.transpose(0, 2, 1)
-        if self.table.shape[1] != xs.shape[0]:
-            raise ValueError("table was built for a different number of points")
-        return self.table
+        if xs.ndim != 2 or xs.shape[1] != self.p:
+            raise ValueError(f"xs must have shape (n, {self.p})")
+        return xs @ self.matrices.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,11 +34,14 @@ _CONFIG_KEYS = {"region", "cost_domain", "b_star", "noise", "feature_dist", "n",
 
 
 def _require_number(key: str, val, integer: bool) -> None:
-    """Reject a config value that is not a number (bools included), or not
-    an integer where one is required."""
+    """Reject a config value that is not a number (bools included), not an
+    integer where one is required, or not finite (NaN passes every range
+    check, since each comparison with it is false)."""
     if not _is_number(val, integer):
         raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, "
                          f"got {val!r}")
+    if isinstance(val, (float, np.floating)) and not math.isfinite(val):
+        raise ValueError(f"{key} must be finite, got {val!r}")
 
 
 @dataclass(eq=False)
@@ -251,16 +254,16 @@ class RiskEvaluator:
     costs once, here, and its optimal costs ``c @ w*(c)`` are precomputed
     once.
 
-    ``true_risk`` validates a matrix predictor B itself, not its m
+    ``true_risk`` validates the predictor matrix B itself, not its m
     predictions: B must have shape (d, p) and finite entries, and since
     every prediction satisfies ``|x @ b| <= max|B| * sum_j max_i |X_ij|``,
     the predictions are scanned only when that bound reaches 1e300 (where
-    they may overflow) or the predictor is a callable.  The predictions of
-    the last matrix predictor scored are kept, read-only, so the regions
-    that score one predictor object form them once; another object, or the
-    same one with other entries, is predicted afresh.  The estimate and its
-    standard error are numpy's ``mean`` and ``std(ddof=1) / sqrt(m)``, step
-    for step, sharing the one sum of the losses.
+    they may overflow).  The predictions of the last predictor scored are
+    kept, read-only, so the regions that score one predictor object form
+    them once; another object, or the same one with other entries, is
+    predicted afresh.  The estimate and its standard error are numpy's
+    ``mean`` and ``std(ddof=1) / sqrt(m)``, step for step, sharing the one
+    sum of the losses.
     """
 
     def __init__(self, configs):
@@ -288,9 +291,7 @@ class RiskEvaluator:
         self._last = None  # (predictor, its bytes, its predictions)
 
     def _predictions(self, predictor, region: FeasibleRegion) -> np.ndarray:
-        m, p = self.X.shape
-        if callable(predictor):
-            return region._check_cost_batch(predict_batch(predictor, self.X), rows=m)
+        p = self.X.shape[1]
         B = np.asarray(predictor, dtype=float)
         if B.shape != (region.dim, p):
             raise ValueError(f"predictor matrix has shape {B.shape}, "
@@ -406,23 +407,37 @@ def _bound_ids(config: ExperimentConfig) -> list[str]:
     return ids
 
 
+def _bound_inputs(config: ExperimentConfig, n: int) -> BoundInputs:
+    """The bound inputs a config fixes at sample size n: all but the
+    empirical risk and the margin's gamma and gamma_bar.  A polyhedral
+    region adds its extreme-point count; a strongly convex one adds mu and
+    the closed-form multivariate complexity bound of the clipped predictors,
+    ``x_radius * beta * sqrt(2 d / n)``."""
+    region, domain = config.region, config.cost_domain
+    card_S = region.extreme_point_count() if config.polyhedral else None
+    mu = rad = None
+    if config.strongly_convex:
+        mu = region.mu
+        rad = config.x_radius * config.beta * math.sqrt(2.0 * config.d / n)
+    return BoundInputs(n=n, delta=config.delta, omega=domain.omega, rho2_C=domain.rho2,
+                       rho2_S=region.radius(2.0), d=config.d, p=config.p,
+                       card_S=card_S, mu=mu, rad=rad)
+
+
 def run_trial(config: ExperimentConfig, sample: LabeledSample, fit: np.ndarray,
               trial: int, evaluator: RiskEvaluator) -> TrialRecord:
     """One trial of one config, on a training sample and its least-squares
     fit that every config of its data source shares."""
-    region, domain, n = config.region, config.cost_domain, sample.n
+    region, n = config.region, sample.n
     predictor = clip_frobenius(fit, config.beta) if config.strongly_convex else fit
 
     # the predictions and their SPO losses serve every risk of this trial
     preds = predict_batch(predictor, sample.xs)
     base = spo_loss_batch(region, preds, sample.cs)
     emp_spo = float(base.mean())
+    fixed = _bound_inputs(config, n)
     bounds_vals: dict[str, float] = {}
-    common = dict(n=n, delta=config.delta, omega=domain.omega, rho2_C=domain.rho2,
-                  d=config.d, p=config.p)
-    card_S = region.extreme_point_count() if config.polyhedral else None
-    inputs = BoundInputs(empirical_risk=emp_spo, rho2_S=region.radius(2.0),
-                         card_S=card_S, **common)
+    inputs = replace(fixed, empirical_risk=emp_spo)
     if config.polyhedral:
         bounds_vals["linear_polyhedral"] = bound_linear_polyhedral(inputs).value
     bounds_vals["covering"] = bound_covering(inputs).value
@@ -438,12 +453,9 @@ def run_trial(config: ExperimentConfig, sample: LabeledSample, fit: np.ndarray,
         def margin_risk(g: float) -> float:
             return float(margin_mix(base, gap, norms, g).mean())
 
-        # closed-form multivariate complexity bound for the clipped predictor
-        rad = config.x_radius * config.beta * math.sqrt(2.0 * config.d / n)
         for g in config.gamma_grid:
             emp_margin[g] = margin_risk(g)
-            inputs = BoundInputs(empirical_risk=emp_margin[g], mu=region.mu,
-                                 gamma=g, rad=rad, **common)
+            inputs = replace(fixed, empirical_risk=emp_margin[g], gamma=g)
             bounds_vals[f"margin@{g!r}"] = bound_margin(inputs, "expected").value
         # data-driven gamma via the uniform bound, capped at the largest
         # prediction norm seen in training
@@ -454,8 +466,7 @@ def run_trial(config: ExperimentConfig, sample: LabeledSample, fit: np.ndarray,
             risk = emp_margin.get(g)
             if risk is None:
                 risk = margin_risk(g)
-            inputs = BoundInputs(empirical_risk=risk, mu=region.mu, gamma=g,
-                                 gamma_bar=gamma_bar, rad=rad, **common)
+            inputs = replace(fixed, empirical_risk=risk, gamma=g, gamma_bar=gamma_bar)
             val = bound_margin_uniform(inputs, "expected").value
             if val < best_val:
                 best_val, best_gamma = val, g
@@ -499,11 +510,6 @@ def run_suite(configs) -> list[BoundValidityResult]:
         for i, config, records in zip(members, group, _run_group(group)):
             results[i] = _result(config, records)
     return results
-
-
-def run_bound_validity(config: ExperimentConfig) -> BoundValidityResult:
-    """``run_suite`` of one config."""
-    return run_suite([config])[0]
 
 
 def _run_group(group: list[ExperimentConfig]) -> list[list[TrialRecord]]:

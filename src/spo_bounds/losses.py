@@ -163,15 +163,13 @@ def hard_margin_spo_loss(region: FeasibleRegion, c_hat, c, gamma: float) -> floa
 # ---------------------------------------------------------------------------
 
 def predict_batch(predictor, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a predictor (a d x p matrix or a callable) on feature rows.
+    """Evaluate a d x p matrix predictor B on feature rows.
 
-    A matrix predictor returns ``(B @ xs.T).T``: the same bits as
-    ``xs @ B.T`` on the experiment shapes, in about half the time on tall
-    batches, and column-major, so each decision-cost column sweep reads
-    contiguous memory."""
+    Returns ``(B @ xs.T).T``: the same bits as ``xs @ B.T`` on the
+    experiment shapes, in about half the time on tall batches, and
+    column-major, so each decision-cost column sweep reads contiguous
+    memory."""
     xs = np.asarray(xs, dtype=float)
-    if callable(predictor):
-        return np.stack([np.asarray(predictor(x), dtype=float) for x in xs])
     B = np.asarray(predictor, dtype=float)
     if B.ndim != 2 or B.shape[1] != xs.shape[1]:
         raise ValueError(f"predictor matrix has shape {B.shape}, expected (d, {xs.shape[1]})")

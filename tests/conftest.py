@@ -334,9 +334,7 @@ def true_risk_scan_ref(evaluator, predictor) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def predictions_ref(hypotheses, xs) -> np.ndarray:
-    if hypotheses.matrices is not None:
-        return np.stack([xs @ B.T for B in hypotheses.matrices])
-    return hypotheses.table
+    return np.stack([xs @ B.T for B in hypotheses.matrices])
 
 
 def spo_loss_stack_ref(region, hypotheses, sample) -> np.ndarray:

@@ -93,3 +93,38 @@ def test_stops_on_a_failed_run(tmp_path):
         bench_pairs.main(["--parent", str(parent), "--change", str(change), "--pairs", "2",
                           "--seconds", "1", "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("parent_walls, change_walls, claim_met, regression", [
+    # 10/10 wins, medians apart by more than the parent's IQR
+    ([2.0, 2.1, 1.9, 2.0, 2.05, 1.95, 2.0, 2.1, 1.9, 2.0], [1.5] * 10, True, "ok"),
+    # 9/10 wins and one tie: a tie counts for neither side
+    ([2.0, 2.1, 1.9, 2.0, 2.05, 1.95, 2.0, 2.1, 1.9, 2.0], [1.5] * 9 + [2.0], True, "ok"),
+    # 8/10 wins are not a claim, however far the medians moved
+    ([2.0, 2.1, 1.9, 2.0, 2.05, 1.95, 2.0, 2.1, 1.9, 2.0], [1.5] * 8 + [2.5] * 2,
+     False, "ok"),
+    # 10/10 wins inside the parent's IQR are not a claim either
+    ([1.0, 1.0, 3.0, 3.0], [0.99, 0.99, 2.99, 2.99], False, "unresolved"),
+    # the change's median 30% worse than the parent's, past the 25% bound
+    ([2.0] * 4, [2.6] * 4, False, "worse"),
+    # 20% worse, within the bound, and the parent's runs tight
+    ([2.0] * 4, [2.4] * 4, False, "ok"),
+    # the parent's IQR is wider than the bound: only a clean sweep resolves it
+    ([1.0, 1.5, 2.5, 3.0], [1.2, 1.2, 1.2, 1.2], False, "unresolved"),
+    ([1.0, 1.5, 2.5, 3.0], [0.5, 0.5, 0.5, 0.5], True, "ok"),
+])
+def test_verdicts(tmp_path, parent_walls, change_walls, claim_met, regression):
+    pairs = len(parent_walls)
+    parent = fake_tree(tmp_path / "parent", parent_walls)
+    change = fake_tree(tmp_path / "change", change_walls)
+    out = tmp_path / "out.json"
+    bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                      "--pairs", str(pairs), "--seconds", "1", "--out", str(out)])
+    [result] = json.loads(out.read_text())["results"]
+    wall = result["metrics"]["wall_s"]
+    assert (wall["claim_met"], wall["regression"]) == (claim_met, regression)
+    # equal runs on both sides: no win, no claim, no regression
+    for name in ("setup_s", "peak_rss_mb"):
+        assert result["metrics"][name]["change_wins"] == 0
+        assert not result["metrics"][name]["claim_met"]
+        assert result["metrics"][name]["regression"] == "ok"

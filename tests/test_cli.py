@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 
 import pytest
 
@@ -254,6 +255,21 @@ class TestInputErrors:
         assert main(["experiment", "run", "--config", cfg_file, *flags,
                      "--out", str(out)]) == 2
         self.assert_one_error_line(capsys, f"{named} cannot be used with --config")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("noise", math.nan, "nan"), ("gamma_grid", [math.nan], "nan"),
+        ("beta", math.inf, "inf")])
+    def test_config_refuses_non_finite_values(self, key, value, shown, tmp_path, capsys,
+                                              monkeypatch):
+        # refused while the config is read, before any draw
+        monkeypatch.setattr(harness, "_draw_pairs", None)
+        cfg_file = write(tmp_path / "cfg.json",
+                         {"region": BALL, "b_star": [[1.0], [0.0]], "gamma_grid": [0.5],
+                          "cost_domain": {"kind": "ball", "radius": 1.0}, key: value})
+        out = tmp_path / "out"
+        assert main(["experiment", "run", "--config", cfg_file, "--out", str(out)]) == 2
+        self.assert_one_error_line(capsys, f"{key} must be finite, got {shown}")
         assert not out.exists()
 
     def test_sample_size_budget(self, tmp_path, capsys, monkeypatch):

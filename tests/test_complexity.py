@@ -118,10 +118,11 @@ class TestRademacherSpoMC:
     def test_two_hypotheses_single_point_exact_half_gap(self):
         # losses {0, omega} at one point: exact complexity is omega / 2
         region = LqBall.interval(0.5)
-        table = np.array([[[0.5]], [[-0.5]]])  # direct outputs at the point
-        hyp = FiniteHypothesisSet.from_table(table)
+        # outputs 0.5 and -0.5 at the point, as 1 x 1 matrices on x = e_1
+        hyp = FiniteHypothesisSet.from_matrices([[[0.5]], [[-0.5]]])
         sample = LabeledSample(xs=[[1.0]], cs=[[1.0]])
-        losses = np.stack([spo_loss_batch(region, P, sample.cs) for P in table])
+        losses = np.stack([spo_loss_batch(region, P, sample.cs)
+                           for P in hyp.predictions(sample.xs)])
         assert sorted(losses[:, 0]) == [0.0, 1.0]
         exact = rademacher_exact(losses)
         assert exact == 0.5
@@ -273,7 +274,9 @@ class TestCountRestrictions:
 @st.composite
 def stacked_cases(draw, finite: bool):
     """A region (``finite``: only kinds with finitely many extreme points), a
-    hypothesis set backed by matrices or by a table, points and true costs.
+    hypothesis set, points and true costs.  Half the sets are drawn as
+    tables of outputs, one (n, d) table per hypothesis: matrices on the
+    identity features x_i = e_i, with ``B_h[:, i] = table[h, i]``.
     Integer entries in {-2..2} force oracle ties; floats exercise inexact
     products."""
     kinds = ["simplex", "vertex", "dag"] + ([] if finite else ["ball", "ball_q1.5"])
@@ -302,8 +305,11 @@ def stacked_cases(draw, finite: bool):
         hyp = FiniteHypothesisSet.from_matrices(draw(arrays(float, (H, d, p), elements=entries)))
         xs = draw(arrays(float, (n, p), elements=entries))
     else:
-        hyp = FiniteHypothesisSet.from_table(draw(arrays(float, (H, n, d), elements=entries)))
-        xs = np.zeros((n, 1))
+        table = draw(arrays(float, (H, n, d), elements=entries))
+        hyp = FiniteHypothesisSet.from_matrices(table.transpose(0, 2, 1))
+        xs = np.eye(n)
+        # the products add exact zeros, so only the sign of a zero may move
+        assert np.array_equal(hyp.predictions(xs), table)
     return region, hyp, xs, draw(arrays(float, (n, d), elements=entries))
 
 
@@ -504,8 +510,3 @@ class TestFiniteHypothesisSet:
     def test_shape_consistency(self):
         with pytest.raises(ValueError, match="share one shape"):
             FiniteHypothesisSet.from_matrices([np.eye(2), np.eye(3)])
-
-    def test_table_point_count_checked(self, rng):
-        hyp = FiniteHypothesisSet.from_table(rng.standard_normal((2, 4, 3)))
-        with pytest.raises(ValueError, match="different number"):
-            hyp.predictions(rng.standard_normal((5, 2)))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
 from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
                                 clip_frobenius, config_label, default_suite,
                                 fit_least_squares, generate_sample,
-                                run_bound_validity, run_suite)
+                                run_suite)
 from spo_bounds.losses import (LabeledSample, empirical_risk, margin_mix,
                                predict_batch, spo_loss_batch)
 
@@ -236,21 +237,15 @@ class TestColumnMajorEvaluator:
             else:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
-    @staticmethod
-    def spy_checks(monkeypatch, region) -> list:
-        """Record every cost batch the region validates from here on."""
-        checked = []
-        original = region._check_cost_batch
-        monkeypatch.setattr(region, "_check_cost_batch",
-                            lambda C, rows=None: checked.append(C) or original(C, rows))
-        return checked
-
     def test_costs_validated_once(self, monkeypatch):
         # the costs are checked at init only; a bounded predictor proves its
         # predictions finite, and only the overflow fallback scans them
         config = simplex_config()
         evaluator = RiskEvaluator(config)
-        checked = self.spy_checks(monkeypatch, config.region)
+        checked = []
+        original = config.region._check_cost_batch
+        monkeypatch.setattr(config.region, "_check_cost_batch",
+                            lambda C, rows=None: checked.append(C) or original(C, rows))
         evaluator.true_risk(config.b_star)
         assert checked == []
         huge = np.full(config.b_star.shape, 1e300)  # finite predictions
@@ -289,23 +284,10 @@ class TestColumnMajorEvaluator:
         with pytest.raises(ValueError, match="shape"):
             RiskEvaluator(simplex_config(m_fresh=50)).true_risk(np.zeros(shape))
 
-    def test_callable_predictor_checked(self, monkeypatch):
-        config = simplex_config(m_fresh=100)
-        evaluator = RiskEvaluator(config)
-        B = config.b_star
-        checked = self.spy_checks(monkeypatch, config.region)
-        est, se = evaluator.true_risk(lambda x: B @ x)
-        assert len(checked) == 1 and checked[0].shape == evaluator.C.shape
-        assert (est, se) == pytest.approx(evaluator.true_risk(B), abs=1e-12)
-        with pytest.raises(ValueError, match="non-finite"):
-            evaluator.true_risk(lambda x: np.full(3, np.nan))
-        with pytest.raises(ValueError, match="shape"):
-            evaluator.true_risk(lambda x: np.zeros(2))
-
 
 class TestBoundValidity:
     def test_ball_region_records_and_bounds(self):
-        result = run_bound_validity(ball_config())
+        result = run_suite([ball_config()])[0]
         assert len(result.records) == 2
         rec = result.records[0]
         assert set(rec.bounds) == {"covering", "margin@0.1", "margin@0.5",
@@ -318,14 +300,14 @@ class TestBoundValidity:
             assert stats["frequency"] == 0.0
 
     def test_simplex_region_records_and_bounds(self):
-        result = run_bound_validity(simplex_config())
+        result = run_suite([simplex_config()])[0]
         assert len(result.records) == 4  # two n levels x two trials
         assert set(result.records[0].bounds) == {"linear_polyhedral", "covering"}
         assert not result.summary["any_violation"]
 
     def test_empirical_risks_recomputed(self):
         config = ball_config()
-        result = run_bound_validity(config)
+        result = run_suite([config])[0]
         rec = result.records[0]
         sample = generate_sample(config, 0, n=40)
         predictor = clip_frobenius(fit_least_squares(sample), config.beta)
@@ -340,7 +322,7 @@ class TestBoundValidity:
                              cost_domain=CostDomain.ball(region, 1.0),
                              b_star=0.5 * np.eye(2), seed=3, trials=1,
                              gamma_grid=[0.5], m_fresh=500)
-        rec = run_bound_validity(config).records[0]
+        rec = run_suite([config])[0].records[0]
         sample = generate_sample(config, 0, n=40)
         predictor = clip_frobenius(fit_least_squares(sample), config.beta)
         # the margin risk by hand, predictions measured in the dual of l1.5
@@ -356,8 +338,8 @@ class TestBoundValidity:
     def test_trials_csv_deterministic_and_ordered(self):
         config_a = ball_config()
         config_b = ball_config()
-        csv_a = run_bound_validity(config_a).trials_csv()
-        csv_b = run_bound_validity(config_b).trials_csv()
+        csv_a = run_suite([config_a])[0].trials_csv()
+        csv_b = run_suite([config_b])[0].trials_csv()
         assert csv_a == csv_b
         header = csv_a.splitlines()[0].split(",")
         assert header[:4] == ["trial", "n", "gamma_star", "emp_spo"]
@@ -368,7 +350,7 @@ class TestBoundValidity:
         # two trials per cell of the default grid: below n = 1e3 every bound
         # but the polyhedral one on simplex_d2_p2 is at or above omega
         for config in default_suite(seed=0, trials=2, m_fresh=20_000):
-            result = run_bound_validity(config)
+            result = run_suite([config])[0]
             omega = config.cost_domain.omega
             for bound_id, stats in result.summary["bounds"].items():
                 assert "min_bound" not in stats and "max_true_risk" not in stats
@@ -389,14 +371,14 @@ class TestBoundValidity:
 
     def test_margin_needs_bounded_features(self):
         with pytest.raises(ValueError, match="unbounded"):
-            run_bound_validity(ball_config(feature_dist="gaussian"))
+            run_suite([ball_config(feature_dist="gaussian")])
 
     def test_margin_needs_gamma_grid(self):
         with pytest.raises(ValueError, match="gamma grid"):
-            run_bound_validity(ball_config(gamma_grid=[]))
+            run_suite([ball_config(gamma_grid=[])])
 
     def test_plot_frames_cover_all_bounds(self):
-        result = run_bound_validity(simplex_config())
+        result = run_suite([simplex_config()])[0]
         frames = result.plot_frames()
         assert set(frames) == {"linear_polyhedral", "covering"}
         for rows in frames.values():
@@ -438,7 +420,7 @@ class TestSuite:
         suite = run_suite(configs)
         assert [r.config for r in suite] == configs
         for config, result in zip(configs, suite):
-            assert outputs(result) == outputs(run_bound_validity(config))
+            assert outputs(result) == outputs(run_suite([config])[0])
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_default_grid_grouped_equals_alone(self, seed):
@@ -583,6 +565,12 @@ class TestConfig:
             ball_config(trials=0)
         with pytest.raises(ValueError, match="b_star"):
             ball_config(b_star=np.zeros((3, 2)))
+        # NaN fails no range check by itself, so non-finite values are refused
+        for bad in (math.nan, math.inf, -math.inf):
+            for key, value in (("noise", bad), ("beta", bad), ("delta", bad),
+                               ("gamma_grid", [0.1, bad])):
+                with pytest.raises(ValueError, match=rf"^{key} must be finite, got"):
+                    ball_config(**{key: value})
 
     def test_sample_size_budget(self):
         # 8 * rows * (p + d) bytes of samples must fit the array budget; the

@@ -12,7 +12,7 @@ from spo_bounds.geometry import (DagPathPolytope, LqBall, UnitSimplex,
 from spo_bounds.losses import (LabeledSample, empirical_risk,
                                hard_margin_spo_loss, hard_margin_spo_loss_batch,
                                margin_spo_loss, margin_spo_loss_batch,
-                               predict_batch, spo_loss, spo_loss_batch)
+                               spo_loss, spo_loss_batch)
 
 from conftest import decision_cost_ref, rademacher_spo_mc_ref, square_region
 
@@ -180,7 +180,7 @@ class TestEmpiricalRisk:
         region = UnitSimplex(3)
         xs = rng.standard_normal((10, 3))
         sample = LabeledSample(xs=xs, cs=xs.copy())
-        assert empirical_risk(region, lambda x: x, sample, "spo") == 0.0
+        assert empirical_risk(region, np.eye(3), sample, "spo") == 0.0
 
     def test_binary_mean(self):
         region = interval()
@@ -391,9 +391,3 @@ class TestLabeledSample:
         clone = LabeledSample.from_json(sample.to_json())
         np.testing.assert_array_equal(clone.xs, sample.xs)
         np.testing.assert_array_equal(clone.cs, sample.cs)
-
-    def test_predict_batch_callable_matches_matrix(self, rng):
-        xs = rng.standard_normal((6, 2))
-        B = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(predict_batch(lambda x: B @ x, xs),
-                                   predict_batch(B, xs))

@@ -17,8 +17,19 @@ The output holds, per workload, seed and end-to-end metric of
 ``BENCHMARK.json``: each side's runs with their median and quartiles, the
 change of the medians relative to the parent, how many pairs the change
 won, and whether the medians lie further apart than the parent's
-interquartile range.  It also holds each tree's git sha (and whether its
-working tree was dirty) and the environment block of its last run.
+interquartile range.  Two verdicts combine these, per workload and metric:
+
+- ``claim_met``: the change won at least 9 of every 10 pairs (a tie counts
+  for neither side), and its median is better than the parent's by more
+  than the parent's interquartile range.
+- ``regression``: ``worse`` if the change's median is worse than the
+  parent's by more than the metric's ``bound`` in ``BENCHMARK.json`` (a
+  relative change); ``unresolved`` if the parent's interquartile range is
+  wider than the bound, relative to its median, and not every change run
+  beats every parent run; ``ok`` otherwise.
+
+It also holds each tree's git sha (and whether its working tree was
+dirty) and the environment block of its last run.
 """
 
 from __future__ import annotations
@@ -81,14 +92,24 @@ def spread(values: list[float]) -> dict:
 
 
 def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
-    lower = metric["better"] == "lower"
+    sign = 1.0 if metric["better"] == "lower" else -1.0
     base, new = spread(parent), spread(change)
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+    rel_change = (new["median"] - base["median"]) / base["median"]
+    iqr = base["q3"] - base["q1"]
+    beyond = abs(new["median"] - base["median"]) > iqr
+    if sign * rel_change > metric["bound"]:
+        regression = "worse"
+    elif iqr / base["median"] > metric["bound"] and \
+            not max(sign * c for c in change) < min(sign * p for p in parent):
+        regression = "unresolved"
+    else:
+        regression = "ok"
     return {"unit": metric["unit"], "better": metric["better"],
-            "parent": base, "change": new,
-            "rel_change": (new["median"] - base["median"]) / base["median"],
-            "change_wins": wins, "pairs": len(parent),
-            "beyond_parent_iqr": abs(new["median"] - base["median"]) > base["q3"] - base["q1"]}
+            "parent": base, "change": new, "rel_change": rel_change,
+            "change_wins": wins, "pairs": len(parent), "beyond_parent_iqr": beyond,
+            "claim_met": 10 * wins >= 9 * len(parent) and beyond and sign * rel_change < 0,
+            "regression": regression}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{res['workload']} seed {res['seed']} {name}: "
                   f"{cmp['parent']['median']:.4g} -> {cmp['change']['median']:.4g} "
                   f"{cmp['unit']} ({100 * cmp['rel_change']:+.1f}%, "
-                  f"{cmp['change_wins']}/{cmp['pairs']} wins)")
+                  f"{cmp['change_wins']}/{cmp['pairs']} wins, "
+                  f"claim_met {cmp['claim_met']}, regression {cmp['regression']})")
     return 0
 
 

@@ -1,15 +1,16 @@
 """Deterministic random-stream derivation shared by all sampling code.
 
 ``substream(seed, *path)`` defines every stream: it is the generator numpy
-builds from ``SeedSequence((seed, *path))``.  ``substreams(seed, count)``
-is its batch form for the streams ``substream(seed, i)``, ``i < count``:
-it hashes all ``count`` keys at once with numpy's SeedSequence mixing and
-re-seeds one reused PCG64 generator per index, which yields the same
-streams bit for bit without building ``count`` generators.
+builds from ``SeedSequence((seed, *path))``.  A sampler takes one stream per
+call and draws whole arrays from it (the verifiers in ``geometry`` draw
+every sample from ``substream(seed)``), so no caller builds a generator per
+sample.
 
+The complexity estimators keep one stream per sign draw:
 ``substream_signs(seed, count, size)`` draws the Rademacher signs
 ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0`` of every stream
-``k < count`` in array passes, with no generator at all.  The bits follow
+``k < count`` in array passes, with no generator at all.  It hashes all
+``count`` keys at once with numpy's SeedSequence mixing.  The bits follow
 from three facts about numpy:
 
 * PCG64 is a 128-bit LCG, ``x -> M x + inc (mod 2**128)``, whose 64-bit
@@ -65,9 +66,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Return an independent generator keyed by ``(seed, *path)``.
 
     Identical arguments always yield an identical stream, and different
-    paths yield statistically independent streams, so per-sample or
-    per-draw substreams can be evaluated in any order (or in parallel)
-    without changing results.
+    paths yield statistically independent streams, so substreams can be
+    evaluated in any order (or in parallel) without changing results.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -139,28 +139,6 @@ def _seed_halves(seed: int, count: int) -> np.ndarray:
     (PCG64 reads the 8 SeedSequence words as little-endian uint64 pairs)."""
     words = _pool_states(int(seed), int(count)).astype(np.uint64)
     return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
-
-
-def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """Yield ``substream(seed, i)`` for ``i`` in ``range(count)``, bit for bit.
-
-    One generator object is re-seeded for every index, so each yielded
-    generator is valid only until the next one is drawn.
-    """
-    _check_streams(seed, count)
-    return _reseeded(_seed_halves(seed, count).tolist())
-
-
-def _reseeded(halves: list[list[int]]) -> Iterator[np.random.Generator]:
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for s_hi, s_lo, i_hi, i_lo in halves:
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
 
 
 # ---------------------------------------------------------------------------

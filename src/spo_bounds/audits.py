@@ -384,7 +384,7 @@ def audit_massart_domination(seed: int, scale: int = 1) -> AuditResult:
         n = int(rng.integers(2, 6))
         p = int(rng.integers(1, 3))
         H = int(rng.integers(2, 7))
-        hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((H, d, p)))
+        hyp = FiniteHypothesisSet(rng.standard_normal((H, d, p)))
         xs = rng.standard_normal((n, p))
         cs = rng.standard_normal((n, d))
         sample = LabeledSample(xs=xs, cs=cs)
@@ -409,7 +409,7 @@ def audit_frobenius_domination(seed: int, scale: int = 1) -> AuditResult:
                 mats = rng.standard_normal((50, d, p))
                 norms = np.linalg.norm(mats.reshape(50, -1), axis=1)
                 mats *= (beta * rng.random(50) ** 0.5 / norms)[:, None, None]
-                hyp = FiniteHypothesisSet.from_matrices(mats)
+                hyp = FiniteHypothesisSet(mats)
                 xs = rng.standard_normal((n, p))
                 xs /= np.linalg.norm(xs, axis=1)[:, None]
                 est, se = rademacher_multivariate_mc(hyp, xs,
@@ -428,14 +428,14 @@ def audit_natarajan_linear_cap(seed: int, scale: int = 1) -> AuditResult:
     results = []
     grid = np.linspace(-1.0, 1.0, 5)
     # p = 1, d = 2 on the simplex
-    hyp = FiniteHypothesisSet.from_matrices(
+    hyp = FiniteHypothesisSet(
         [np.array([[a], [b]]) for a in grid for b in grid])
     xs = np.array([[-1.0], [-0.5], [0.5], [1.0]])
     dim = natarajan_dim_bruteforce(oracle_label_table(UnitSimplex(2), hyp, xs))
     results.append(("simplex_d2_p1", dim, 2))
     # p = 2, d = 2 on the square
     small = np.linspace(-1.0, 1.0, 3)
-    hyp2 = FiniteHypothesisSet.from_matrices(
+    hyp2 = FiniteHypothesisSet(
         [np.array([[a, b], [c, e]]) for a in small for b in small
          for c in small for e in small])
     rng = substream(seed, 19)
@@ -459,7 +459,7 @@ def audit_estimator_determinism(seed: int, scale: int = 1) -> AuditResult:
     either estimate at a fixed seed."""
     rng = substream(seed, 20)
     region = UnitSimplex(3)
-    hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((6, 3, 2)))
+    hyp = FiniteHypothesisSet(rng.standard_normal((6, 3, 2)))
     sample = LabeledSample(xs=rng.standard_normal((8, 2)),
                            cs=rng.standard_normal((8, 3)))
     a1 = rademacher_spo_mc(region, hyp, sample, m_draws=500, seed=seed)

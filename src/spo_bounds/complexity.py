@@ -84,16 +84,12 @@ class FiniteHypothesisSet:
         self.d, self.p = shape
 
     @classmethod
-    def from_matrices(cls, matrices) -> "FiniteHypothesisSet":
-        return cls(list(matrices))
-
-    @classmethod
     def from_json(cls, text: str) -> "FiniteHypothesisSet":
         """Parse a JSON list of matrices (each a list of rows)."""
         data = json.loads(text)
         if not isinstance(data, list):
             raise ValueError("hypotheses must be a JSON list of matrices")
-        return cls.from_matrices(data)
+        return cls(data)
 
     def __len__(self) -> int:
         return len(self.matrices)

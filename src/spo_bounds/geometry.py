@@ -12,13 +12,15 @@ lq balls for q in (1, 2].  Every region exposes the same operations:
   the fresh-sample true risk all go through it
 * ``radius(q)``        -- sup of the lq norm over the region
 * ``extreme_point_count()``
-* ``sample(rng)``      -- a feasible point
+* ``sample_batch(rng, m)`` -- m feasible points drawn from one generator,
+  one per row; ``sample(rng)`` is its one-row call
 
-``FeasibleRegion`` defines these oracles once: each validates every cost
-batch once and delegates to an unchecked kernel, ``_linopt``, ``_gap`` or
-``_decision_cost``, the only oracle code a region implements.  Callers
-holding validated batches call the kernels directly; ``linopt(c)`` and
-``gap(c)`` return row 0 of a one-row batch.
+``FeasibleRegion`` defines these operations once: each validates every
+cost batch (or sample count) once and delegates to an unchecked kernel,
+``_linopt``, ``_gap``, ``_decision_cost`` or ``_sample_batch``, the only
+code of them a region implements.  Callers holding validated batches call
+the kernels directly; ``linopt(c)``, ``gap(c)`` and ``sample(rng)`` return
+row 0 of a one-row batch.
 
 ``_decision_cost`` defaults to ``(_linopt(C_hat) * C).sum(axis=1)`` (DAG
 regions, lq balls with q != 2, vertex polytopes) and has two closed forms
@@ -43,13 +45,13 @@ lexicographically smallest arc-index sequence among optimal paths, and
 balls map ``c = 0`` to the center.  Rows are independent: a row's decision
 and cost are the same bits whatever other rows share its batch, so callers
 may stack batches (the complexity estimators stack all hypotheses).  That
-is why the vertex scores and the ball-center offsets use ``einsum``: BLAS
-matrix products round a row differently depending on the batch size.
+is why the vertex scores and the vertex-polytope samples use ``einsum`` and
+the l2 ball's center offsets ``_column_dots``: BLAS matrix products round a
+row differently depending on the batch size.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -57,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import substreams
+from ._rng import substream
 
 #: absolute tolerance for all geometric membership checks
 MEMBERSHIP_TOL = 1e-9
@@ -291,10 +293,18 @@ class FeasibleRegion:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.stack([self.sample(rng) for _ in range(m)])
+        """``m`` feasible points as the rows of an (m, dim) array.  Each draw
+        kind is taken from ``rng`` as one array for all m points, so row i
+        depends on ``m``."""
+        if m < 0:
+            raise ValueError(f"sample count must be >= 0, got {m}")
+        return self._sample_batch(rng, int(m))
+
+    def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        raise NotImplementedError
 
     def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError(
@@ -351,9 +361,9 @@ class VertexPolytope(FeasibleRegion):
         diff = self.vertices[:, None, :] - self.vertices[None, :, :]
         return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        weights = rng.dirichlet(np.ones(self.vertices.shape[0]))
-        return weights @ self.vertices
+    def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        weights = rng.dirichlet(np.ones(self.vertices.shape[0]), m)
+        return np.einsum("ik,kj->ij", weights, self.vertices)
 
     def to_dict(self) -> dict:
         return {
@@ -398,11 +408,7 @@ class UnitSimplex(FeasibleRegion):
     def diameter2(self) -> float:
         return math.sqrt(2.0) if self.dim >= 2 else 0.0
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.dirichlet(np.ones(self.dim))
-
-    def sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        # numpy draws the rows in order, so this equals m sample() calls
+    def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.dirichlet(np.ones(self.dim), m)
 
     def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -457,6 +463,12 @@ class DagPathPolytope(FeasibleRegion):
         # per node, (arc indices, heads) of its arcs into sink-reaching nodes
         self._out = [np.array([a for a in adj if self._reaches_sink[a[1]]],
                               dtype=np.intp).reshape(-1, 2).T for adj in self._adj]
+        # the same arcs as one padded (2, nodes, widest) option table, for
+        # the walks of _sample_batch
+        self._degree = np.array([out.shape[1] for out in self._out])
+        self._options = np.zeros((2, nodes, self._degree.max()), dtype=np.intp)
+        for v, out in enumerate(self._out):
+            self._options[:, v, :out.shape[1]] = out
 
     def _topological_order(self) -> list[int]:
         indeg = [0] * self.nodes
@@ -573,19 +585,23 @@ class DagPathPolytope(FeasibleRegion):
             widest = max(widest, float(d2.max()))
         return math.sqrt(widest)
 
-    def random_path(self, rng: np.random.Generator) -> list[int]:
-        path: list[int] = []
-        v = self.source
-        while v != self.sink:
-            options = self._out[v].T.tolist()
-            idx, v = options[int(rng.integers(len(options)))]
-            path.append(idx)
-        return path
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        paths = [self.random_path(rng) for _ in range(3)]
-        weights = rng.dirichlet(np.ones(len(paths)))
-        return sum(wt * self.path_vector(p) for wt, p in zip(weights, paths))
+    def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """A Dirichlet mix of three uniform random walks per point.  The
+        3m walks (walk k of point i at k * m + i) advance together, one arc
+        per step, and each step draws every live walk's next arc in one
+        ``integers`` call; then the weights are drawn."""
+        at = np.full(3 * m, self.source)
+        flow = np.zeros((3 * m, self.dim))
+        live = np.flatnonzero(at != self.sink)
+        while live.size:
+            nodes = at[live]
+            arcs, heads = self._options[:, nodes, rng.integers(0, self._degree[nodes])]
+            flow[live, arcs] = 1.0
+            at[live] = heads
+            live = live[heads != self.sink]
+        weights = rng.dirichlet(np.ones(3), m)
+        flow = flow.reshape(3, m, self.dim)
+        return sum(weights[:, k, None] * flow[k] for k in range(3))
 
     @classmethod
     def grid(cls, rows: int, cols: int) -> "DagPathPolytope":
@@ -621,10 +637,10 @@ class LqBall(FeasibleRegion):
     :func:`verify_strong_convexity` rather than trusted from a formula
     (for an l2 ball the certified value is ``1 / radius``).
 
-    ``sample(rng)`` draws ``dim`` normals ``g`` and a uniform ``t`` and
-    returns ``center + radius * t ** (1 / dim) * g / ||g||_q``; it is a
-    one-row call of ``_points``, which forms whole batches of such draws
-    (the sampled verifiers' draws) bit for bit alike.
+    ``sample_batch(rng, m)`` draws an (m, dim) array of normals ``G`` and
+    then m uniforms ``T``, and row i is
+    ``center + radius * T[i] ** (1 / dim) * G[i] / ||G[i]||_q``, the same
+    bits as that one-vector formula.
     """
 
     kind = "LqBall"
@@ -714,21 +730,12 @@ class LqBall(FeasibleRegion):
         # diameter is attained along a coordinate axis.
         return 2.0 * self.ball_radius
 
-    def _points(self, G: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """Ball points from raw draws, one per row: the direction
-        ``G[i] / ||G[i]||_q`` scaled by ``radius * T[i] ** (1 / dim)``.
-        The norms and roots are the bit-exact one-vector forms, so row i
-        equals a one-row call on row i."""
+    def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        G = rng.standard_normal((m, self.dim))
+        T = rng.random(m)
+        # the norms and roots are the bit-exact one-vector forms
         U = G / _exact_norm_rows(G, self.q)[:, None]
         return self.center + (self.ball_radius * _scalar_pow(T, 1.0 / self.dim))[:, None] * U
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_normal((1, self.dim))
-        return self._points(g, np.array([rng.random()]))[0]
-
-    def sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        G = rng.standard_normal((m, self.dim))
-        return self._points(G, rng.random(m))
 
     def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
         w = np.asarray(w, dtype=float)
@@ -898,31 +905,6 @@ class CostDomain:
 # sampling-based verification
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
-def _ball_draws(seed: int, n: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw draws of the ball verifiers' samples ``i < n``, read-only.
-
-    Stream ``substream(seed, i)`` draws, in this order: ``G[0, i]`` (dim
-    normals) and ``T[0, i]``, the first point; ``G[1, i]`` and ``T[1, i]``,
-    the second; ``lam[i]``; and the direction ``G[2, i]``.  The draws do
-    not depend on the region, so consecutive verifier calls with the same
-    ``(seed, n, dim)`` share one pass.
-    """
-    G = np.empty((3, n, dim))
-    T = np.empty((2, n))
-    lam = np.empty(n)
-    for i, rng in enumerate(substreams(seed, n)):
-        rng.standard_normal(out=G[0, i])
-        T[0, i] = rng.random()
-        rng.standard_normal(out=G[1, i])
-        T[1, i] = rng.random()
-        lam[i] = rng.random()
-        rng.standard_normal(out=G[2, i])
-    for draws in (G, T, lam):
-        draws.flags.writeable = False
-    return G, T, lam
-
-
 def verify_strong_convexity(region: FeasibleRegion, mu: float,
                             n_samples: int, seed: int) -> ViolationReport:
     """Check the chord-ball inclusion defining mu-strong convexity.
@@ -930,10 +912,13 @@ def verify_strong_convexity(region: FeasibleRegion, mu: float,
     For sampled ``(w1, w2, lam, u)`` the point
     ``lam*w1 + (1-lam)*w2 + (mu/2)*lam*(1-lam)*||w1-w2||**2 * u`` with
     ``||u|| = 1`` must stay inside the region (norms in the region's norm).
-    Sample ``i`` draws ``w1 = region.sample(rng)``, ``w2`` likewise, ``lam``
-    and then the direction from ``rng = substream(seed, i)``.  All samples
-    are formed row-wise from the shared draws of ``_ball_draws``; the
-    witness is the first sample of largest breach.
+    One generator, ``rng = substream(seed)``, draws in this order
+    ``W1 = region.sample_batch(rng, n_samples)``, ``W2`` likewise,
+    ``lam = rng.random(n_samples)`` and the directions
+    ``G = rng.standard_normal((n_samples, dim))``, ``u = G[i] / ||G[i]||_q``.
+    Sample ``i`` is row ``i`` of each, so drawing these arrays again
+    rebuilds any sample from ``(seed, n_samples, i)``; the witness is the
+    first sample of largest breach.
     """
     if not isinstance(region, LqBall):
         raise ValueError("strong-convexity check only supports LqBall regions")
@@ -942,9 +927,12 @@ def verify_strong_convexity(region: FeasibleRegion, mu: float,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     q = region.norm_exponent
-    G, T, lam = _ball_draws(seed, n_samples, region.dim)
-    W1, W2 = region._points(G[0], T[0]), region._points(G[1], T[1])
-    U = G[2] / _exact_norm_rows(G[2], q)[:, None]
+    rng = substream(seed)
+    W1 = region.sample_batch(rng, n_samples)
+    W2 = region.sample_batch(rng, n_samples)
+    lam = rng.random(n_samples)
+    G = rng.standard_normal((n_samples, region.dim))
+    U = G / _exact_norm_rows(G, q)[:, None]
     chord2 = _scalar_pow(_exact_norm_rows(W1 - W2, q), 2)
     ball_r = 0.5 * mu * lam * (1.0 - lam) * chord2
     Z = lam[:, None] * W1 + (1.0 - lam)[:, None] * W2 + ball_r[:, None] * U
@@ -961,11 +949,10 @@ def verify_optimality_condition(region: FeasibleRegion, c,
     """Check the strengthened first-order optimality condition at the oracle
     solution of a linear objective over a strongly convex region:
     ``c @ (w - wbar) >= (mu/2) * ||c||_* * ||w - wbar||**2`` for sampled w.
-    Sample ``i`` is ``region.sample(substream(seed, i))``.  On an lq ball it
-    is the first point of ``_ball_draws``, formed row-wise, so a call after
-    ``verify_strong_convexity`` with the same seed, size and dimension
-    draws nothing; other regions sample stream by stream.  The witness is
-    the first sample of largest breach.
+    The samples are ``region.sample_batch(substream(seed), n_samples)``,
+    so on an lq ball sample ``i`` is the point ``w1`` of sample ``i`` of
+    ``verify_strong_convexity`` with the same seed and size.  The witness
+    is the first sample of largest breach.
     """
     if region.mu is None or region.mu <= 0:
         raise ValueError("region must declare mu > 0")
@@ -977,11 +964,7 @@ def verify_optimality_condition(region: FeasibleRegion, c,
         raise ValueError("n_samples must be >= 1")
     q = region.norm_exponent
     c_star = float(_exact_norm_rows(c[None], dual_exponent(q))[0])
-    if isinstance(region, LqBall):
-        G, T, _ = _ball_draws(seed, n_samples, region.dim)
-        W = region._points(G[0], T[0])
-    else:
-        W = np.stack([region.sample(rng) for rng in substreams(seed, n_samples)])
+    W = region.sample_batch(substream(seed), n_samples)
     D = W - wbar
     rhs = 0.5 * region.mu * c_star * _scalar_pow(_exact_norm_rows(D, q), 2)
     breach = rhs - np.vecdot(D, c)

@@ -202,8 +202,9 @@ def dag_gap_ref(dag, c) -> float:
 
 
 # ---------------------------------------------------------------------------
-# substream references: one generator built per sample or draw index, and
-# the earlier one-vector ball sampler
+# substream references: one generator built per sign draw, the earlier
+# one-vector ball sampler, and the sampled verifiers as one-sample loops
+# over their documented draws
 # ---------------------------------------------------------------------------
 
 def sign_draws_ref(seed: int, m_draws: int, size: int) -> np.ndarray:
@@ -212,33 +213,44 @@ def sign_draws_ref(seed: int, m_draws: int, size: int) -> np.ndarray:
     return np.stack(rows)
 
 
+def lq_ball_point_ref(region: LqBall, g: np.ndarray, t: float) -> np.ndarray:
+    """The one-vector ball point of normals ``g`` and a uniform ``t``."""
+    u = g / np.linalg.norm(g, ord=region.q)
+    return region.center + region.ball_radius * t ** (1.0 / region.dim) * u
+
+
 def lq_ball_sample_ref(region: LqBall, rng: np.random.Generator) -> np.ndarray:
     """The library's earlier one-vector ``LqBall.sample`` body."""
     g = rng.standard_normal(region.dim)
-    u = g / np.linalg.norm(g, ord=region.q)
-    t = rng.random() ** (1.0 / region.dim)
-    return region.center + region.ball_radius * t * u
+    return lq_ball_point_ref(region, g, rng.random())
 
 
-def sample_ref(region, rng: np.random.Generator) -> np.ndarray:
+def sample_draws_ref(region, rng: np.random.Generator, n: int):
+    """The documented draws of ``region.sample_batch(rng, n)`` on an lq ball
+    (normals, then uniforms) or a vertex polytope (Dirichlet weights), and
+    the one-vector formula that builds point ``i`` from them."""
     if isinstance(region, LqBall):
-        return lq_ball_sample_ref(region, rng)
-    return region.sample(rng)
+        G = rng.standard_normal((n, region.dim))
+        T = rng.random(n)
+        return lambda i: lq_ball_point_ref(region, G[i], float(T[i]))
+    weights = rng.dirichlet(np.ones(len(region.vertices)), n)
+    return lambda i: sum(wt * v for wt, v in zip(weights[i], region.vertices))
 
 
 def verify_strong_convexity_ref(region: LqBall, mu: float, n_samples: int,
                                 seed: int) -> ViolationReport:
     q = region.norm_exponent
+    rng = substream(seed)
+    point1 = sample_draws_ref(region, rng, n_samples)
+    point2 = sample_draws_ref(region, rng, n_samples)
+    lams = rng.random(n_samples)
+    G = rng.standard_normal((n_samples, region.dim))
     violations = 0
     max_violation = -math.inf
     witness = None
     for i in range(n_samples):
-        rng = substream(seed, i)
-        w1 = lq_ball_sample_ref(region, rng)
-        w2 = lq_ball_sample_ref(region, rng)
-        lam = rng.random()
-        g = rng.standard_normal(region.dim)
-        u = g / np.linalg.norm(g, ord=q)
+        w1, w2, lam = point1(i), point2(i), float(lams[i])
+        u = G[i] / np.linalg.norm(G[i], ord=q)
         ball_r = 0.5 * mu * lam * (1.0 - lam) * float(np.linalg.norm(w1 - w2, ord=q)) ** 2
         z = lam * w1 + (1.0 - lam) * w2 + ball_r * u
         breach = float(np.linalg.norm(z - region.center, ord=q)) - region.ball_radius
@@ -257,12 +269,12 @@ def verify_optimality_condition_ref(region, c, n_samples: int,
     q = region.norm_exponent
     c_star = float(np.linalg.norm(c, ord=dual_exponent(q)))
     wbar = region.linopt(c)
+    point = sample_draws_ref(region, substream(seed), n_samples)
     violations = 0
     max_violation = -math.inf
     witness = None
     for i in range(n_samples):
-        rng = substream(seed, i)
-        w = sample_ref(region, rng)
+        w = point(i)
         lhs = float(c @ (w - wbar))
         rhs = 0.5 * region.mu * c_star * float(np.linalg.norm(w - wbar, ord=q)) ** 2
         breach = rhs - lhs

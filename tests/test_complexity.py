@@ -109,7 +109,7 @@ class TestSignDraws:
 class TestRademacherSpoMC:
     def test_single_hypothesis_near_zero(self, rng):
         region = UnitSimplex(3)
-        hyp = FiniteHypothesisSet.from_matrices([rng.standard_normal((3, 2))])
+        hyp = FiniteHypothesisSet([rng.standard_normal((3, 2))])
         sample = LabeledSample(xs=rng.standard_normal((20, 2)),
                                cs=rng.standard_normal((20, 3)))
         est, se = rademacher_spo_mc(region, hyp, sample, m_draws=2000, seed=0)
@@ -119,7 +119,7 @@ class TestRademacherSpoMC:
         # losses {0, omega} at one point: exact complexity is omega / 2
         region = LqBall.interval(0.5)
         # outputs 0.5 and -0.5 at the point, as 1 x 1 matrices on x = e_1
-        hyp = FiniteHypothesisSet.from_matrices([[[0.5]], [[-0.5]]])
+        hyp = FiniteHypothesisSet([[[0.5]], [[-0.5]]])
         sample = LabeledSample(xs=[[1.0]], cs=[[1.0]])
         losses = np.stack([spo_loss_batch(region, P, sample.cs)
                            for P in hyp.predictions(sample.xs)])
@@ -131,7 +131,7 @@ class TestRademacherSpoMC:
 
     def test_matches_exhaustive_enumeration(self, rng):
         region = UnitSimplex(2)
-        hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((4, 2, 2)))
+        hyp = FiniteHypothesisSet(rng.standard_normal((4, 2, 2)))
         sample = LabeledSample(xs=rng.standard_normal((6, 2)),
                                cs=rng.standard_normal((6, 2)))
         losses = np.stack([spo_loss_batch(region, P, sample.cs)
@@ -142,7 +142,7 @@ class TestRademacherSpoMC:
 
     def test_deterministic_per_seed(self, rng):
         region = UnitSimplex(2)
-        hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((3, 2, 2)))
+        hyp = FiniteHypothesisSet(rng.standard_normal((3, 2, 2)))
         sample = LabeledSample(xs=rng.standard_normal((5, 2)),
                                cs=rng.standard_normal((5, 2)))
         assert rademacher_spo_mc(region, hyp, sample, seed=42) \
@@ -150,7 +150,7 @@ class TestRademacherSpoMC:
 
     def test_superset_never_decreases_estimate(self, rng):
         region = UnitSimplex(3)
-        hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((8, 3, 2)))
+        hyp = FiniteHypothesisSet(rng.standard_normal((8, 3, 2)))
         sample = LabeledSample(xs=rng.standard_normal((7, 2)),
                                cs=rng.standard_normal((7, 3)))
         full, _ = rademacher_spo_mc(region, hyp, sample, m_draws=400, seed=5)
@@ -162,7 +162,7 @@ class TestRademacherSpoMC:
     def test_massart_domination(self, rng):
         region = square_region()
         for case in range(5):
-            hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((5, 2, 2)))
+            hyp = FiniteHypothesisSet(rng.standard_normal((5, 2, 2)))
             xs = rng.standard_normal((4, 2))
             cs = rng.standard_normal((4, 2))
             sample = LabeledSample(xs=xs, cs=cs)
@@ -176,7 +176,7 @@ class TestRademacherSpoMC:
 
 class TestRademacherMultivariateMC:
     def test_single_hypothesis_near_zero(self, rng):
-        hyp = FiniteHypothesisSet.from_matrices([rng.standard_normal((3, 2))])
+        hyp = FiniteHypothesisSet([rng.standard_normal((3, 2))])
         est, se = rademacher_multivariate_mc(hyp, rng.standard_normal((15, 2)),
                                              m_draws=2000, seed=0)
         assert abs(est) <= 3.0 * se + 1e-12
@@ -186,7 +186,7 @@ class TestRademacherMultivariateMC:
         # {x -> b @ x}; compare against direct enumeration over signs
         xs = rng.standard_normal((8, 2))
         mats = [rng.standard_normal((1, 2)) for _ in range(3)]
-        hyp = FiniteHypothesisSet.from_matrices(mats)
+        hyp = FiniteHypothesisSet(mats)
         losses = np.stack([(xs @ B.T)[:, 0] for B in mats])
         exact = rademacher_exact(losses)
         est, se = rademacher_multivariate_mc(hyp, xs, m_draws=6000, seed=3)
@@ -196,7 +196,7 @@ class TestRademacherMultivariateMC:
         beta, d, p, n = 1.0, 3, 2, 40
         mats = rng.standard_normal((30, d, p))
         mats *= (beta / np.linalg.norm(mats.reshape(30, -1), axis=1))[:, None, None]
-        hyp = FiniteHypothesisSet.from_matrices(mats)
+        hyp = FiniteHypothesisSet(mats)
         xs = rng.standard_normal((n, p))
         xs /= np.linalg.norm(xs, axis=1)[:, None]
         est, se = rademacher_multivariate_mc(hyp, xs, m_draws=2000, seed=4)
@@ -218,14 +218,14 @@ class TestRademacherMultivariateMC:
     ])
     def test_streamed_signs_match_whole_array(self, d, p, n, H, m_draws):
         rng = substream(11, d, p, n)
-        hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((H, d, p)))
+        hyp = FiniteHypothesisSet(rng.standard_normal((H, d, p)))
         xs = rng.standard_normal((n, p))
         for seed in (0, 9001):
             assert (rademacher_multivariate_mc(hyp, xs, m_draws, seed)
                     == rademacher_multivariate_mc_ref(hyp, xs, m_draws, seed))
 
     def test_deterministic_and_monotone(self, rng):
-        hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((6, 2, 2)))
+        hyp = FiniteHypothesisSet(rng.standard_normal((6, 2, 2)))
         xs = rng.standard_normal((5, 2))
         a = rademacher_multivariate_mc(hyp, xs, m_draws=300, seed=9)
         b = rademacher_multivariate_mc(hyp, xs, m_draws=300, seed=9)
@@ -238,7 +238,7 @@ class TestRademacherMultivariateMC:
 class TestCountRestrictions:
     def test_single_hypothesis(self, rng):
         region = UnitSimplex(3)
-        hyp = FiniteHypothesisSet.from_matrices([rng.standard_normal((3, 2))])
+        hyp = FiniteHypothesisSet([rng.standard_normal((3, 2))])
         assert count_restrictions(region, hyp, rng.standard_normal((4, 2))) == 1
 
     def test_collapsed_hypotheses(self):
@@ -246,13 +246,13 @@ class TestCountRestrictions:
         # all map every x to the same argmin coordinate
         mats = [np.array([[-(k + 1.0), 0.0], [0.0, 0.0], [1.0, 1.0]])
                 for k in range(4)]
-        hyp = FiniteHypothesisSet.from_matrices(mats)
+        hyp = FiniteHypothesisSet(mats)
         xs = np.array([[1.0, 0.0], [2.0, 0.0]])
         assert count_restrictions(region, hyp, xs) == 1
 
     def test_matches_manual_enumeration(self, rng):
         region = UnitSimplex(2)
-        hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((3, 2, 2)))
+        hyp = FiniteHypothesisSet(rng.standard_normal((3, 2, 2)))
         xs = rng.standard_normal((2, 2))
         manual = {tuple(int(np.argmin(B @ x)) for x in xs)
                   for B in hyp.matrices}
@@ -260,13 +260,13 @@ class TestCountRestrictions:
 
     def test_upper_bounds(self, rng):
         region = UnitSimplex(3)
-        hyp = FiniteHypothesisSet.from_matrices(rng.standard_normal((6, 3, 2)))
+        hyp = FiniteHypothesisSet(rng.standard_normal((6, 3, 2)))
         xs = rng.standard_normal((2, 2))
         count = count_restrictions(region, hyp, xs)
         assert count <= min(len(hyp), region.extreme_point_count() ** 2)
 
     def test_rejects_ball_regions(self, rng):
-        hyp = FiniteHypothesisSet.from_matrices([np.eye(2)])
+        hyp = FiniteHypothesisSet([np.eye(2)])
         with pytest.raises(ValueError, match="extreme points"):
             count_restrictions(LqBall(2.0, 1.0, [0.0, 0.0]), hyp, np.eye(2))
 
@@ -302,11 +302,11 @@ def stacked_cases(draw, finite: bool):
     H, n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6)), region.dim
     if draw(st.booleans()):
         p = draw(st.integers(1, 3))
-        hyp = FiniteHypothesisSet.from_matrices(draw(arrays(float, (H, d, p), elements=entries)))
+        hyp = FiniteHypothesisSet(draw(arrays(float, (H, d, p), elements=entries)))
         xs = draw(arrays(float, (n, p), elements=entries))
     else:
         table = draw(arrays(float, (H, n, d), elements=entries))
-        hyp = FiniteHypothesisSet.from_matrices(table.transpose(0, 2, 1))
+        hyp = FiniteHypothesisSet(table.transpose(0, 2, 1))
         xs = np.eye(n)
         # the products add exact zeros, so only the sign of a zero may move
         assert np.array_equal(hyp.predictions(xs), table)
@@ -360,7 +360,7 @@ class TestStackedEstimators:
         for H, d, p, n in [(1, 1, 1, 1), (3, 40, 5, 50), (7, 3, 2, 4), (2, 5, 9, 1)]:
             mats = rng.standard_normal((H, d, p))
             xs = rng.standard_normal((n, p))
-            got = FiniteHypothesisSet.from_matrices(mats).predictions(xs)
+            got = FiniteHypothesisSet(mats).predictions(xs)
             assert np.array_equal(got, np.stack([xs @ B.T for B in mats]))
 
 
@@ -403,7 +403,7 @@ class TestNatarajanDim:
 
     def test_linear_class_cap_simplex(self):
         grid = np.linspace(-1.0, 1.0, 5)
-        hyp = FiniteHypothesisSet.from_matrices(
+        hyp = FiniteHypothesisSet(
             [np.array([[a], [b]]) for a in grid for b in grid])
         xs = np.array([[-1.0], [-0.5], [0.5], [1.0]])
         table = oracle_label_table(UnitSimplex(2), hyp, xs)
@@ -411,7 +411,7 @@ class TestNatarajanDim:
 
     def test_linear_class_cap_square(self, rng):
         small = np.linspace(-1.0, 1.0, 3)
-        hyp = FiniteHypothesisSet.from_matrices(
+        hyp = FiniteHypothesisSet(
             [np.array([[a, b], [c, e]]) for a in small for b in small
              for c in small for e in small])
         xs = rng.standard_normal((5, 2))
@@ -509,4 +509,4 @@ class TestFiniteHypothesisSet:
 
     def test_shape_consistency(self):
         with pytest.raises(ValueError, match="share one shape"):
-            FiniteHypothesisSet.from_matrices([np.eye(2), np.eye(3)])
+            FiniteHypothesisSet([np.eye(2), np.eye(3)])

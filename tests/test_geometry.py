@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spo_bounds import _rng, audits
+from spo_bounds import audits
 from spo_bounds._rng import substream
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
-                                 UnitSimplex, VertexPolytope, _ball_draws,
+                                 UnitSimplex, VertexPolytope,
                                  _exact_norm_rows,
                                  _scalar_pow, covering_count_log,
                                  dual_norm_rows, region_from_dict,
@@ -744,8 +744,9 @@ OPTIMALITY_REGIONS = [LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0),
 
 
 class TestBatchSeededVerifiers:
-    """The verifiers seed every sample in one batch; their reports must equal
-    those of the one-generator-per-sample loops field for field."""
+    """The verifiers form every sample from whole-array draws; their reports
+    must equal field for field those of loops that build one sample per
+    iteration from the same documented draws."""
 
     @settings(max_examples=120, deadline=None)
     @given(idx=st.integers(0, len(CONVEXITY_BALLS) - 1),
@@ -793,9 +794,8 @@ class TestBatchSeededVerifiers:
 
 
 class TestRowFormBallSampler:
-    """The verifiers form every ball point from one shared, cached pass of
-    raw per-stream draws; a one-row ``sample`` must equal the earlier
-    one-vector sampler bit for bit."""
+    """A one-row ``sample`` must equal the earlier one-vector sampler bit
+    for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(q=st.floats(1.0, 2.0, exclude_min=True), dim=st.integers(1, 9),
@@ -807,36 +807,9 @@ class TestRowFormBallSampler:
         for _ in range(3):
             assert region.sample(got).tobytes() == lq_ball_sample_ref(region, want).tobytes()
 
-    def test_cached_draws_are_read_only(self):
-        G, T, lam = _ball_draws(3, 10, 2)
-        assert (G.shape, T.shape, lam.shape) == ((3, 10, 2), (2, 10), (10,))
-        for draws in (G, T, lam):
-            assert not draws.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                draws[0] = 0.0
 
-    def test_reports_equal_cold_and_warm(self):
-        ball = LqBall(1.5, 2.0, [0.5, -0.25, 0.0], mu=0.25)
-        _ball_draws.cache_clear()
-        cold = (verify_strong_convexity(ball, 0.25, 500, seed=13),
-                verify_optimality_condition(ball, [0.6, -0.8, 0.1], 500, seed=13))
-        hits = _ball_draws.cache_info().hits
-        warm = (verify_strong_convexity(ball, 0.25, 500, seed=13),
-                verify_optimality_condition(ball, [0.6, -0.8, 0.1], 500, seed=13))
-        assert _ball_draws.cache_info().hits == hits + 2
-        assert cold == warm
-
-    def test_audits_seed_each_stream_once_per_dimension(self, monkeypatch):
-        seeded = []
-        halves = _rng._seed_halves
-        monkeypatch.setattr(_rng, "_seed_halves",
-                            lambda seed, count: seeded.append(count) or halves(seed, count))
-        _ball_draws.cache_clear()
-        assert audits.audit_strong_convexity(7).passed
-        assert audits.audit_optimality_condition(7).passed
-        # the interval's 10,000 streams, then the 2-D balls' 10,000, shared
-        # by the unit ball, the overstated mu and both costs
-        assert seeded == [10_000, 10_000]
+SAMPLED_REGIONS = [LqBall(1.5, 2.0, [0.5, -0.5]), UnitSimplex(4), square_region(),
+                   DagPathPolytope.grid(2, 3)]
 
 
 class TestSampling:
@@ -856,11 +829,53 @@ class TestSampling:
         got = simplex.sample_batch(np.random.default_rng(5), 300)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("region", SAMPLED_REGIONS, ids=lambda r: r.kind)
+    def test_sample_is_one_row_batch(self, region):
+        got, want = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):
+            assert region.sample(got).tobytes() == region.sample_batch(want, 1)[0].tobytes()
+
+    @pytest.mark.parametrize("region", SAMPLED_REGIONS, ids=lambda r: r.kind)
+    def test_sample_counts(self, region, rng):
+        assert region.sample_batch(rng, 0).shape == (0, region.dim)
+        with pytest.raises(ValueError, match="sample count must be >= 0, got -1"):
+            region.sample_batch(rng, -1)
+
+    def test_dag_samples_carry_unit_flow(self, rng):
+        # paths of the skip DAG have 2 or 3 arcs, so the walks end at
+        # different steps
+        skip = audits._small_dags()[3]
+        incidence = np.zeros((skip.nodes, skip.dim))
+        for a, (t, h) in enumerate(skip.arcs):
+            incidence[t, a], incidence[h, a] = -1.0, 1.0
+        net = np.zeros(skip.nodes)
+        net[skip.source], net[skip.sink] = -1.0, 1.0
+        W = skip.sample_batch(rng, 500)
+        assert W.min() >= 0.0
+        np.testing.assert_allclose(W @ incidence.T, np.broadcast_to(net, (500, skip.nodes)),
+                                   rtol=0, atol=1e-12)
+
     def test_dag_samples_are_path_mixtures(self, rng):
         dag = DagPathPolytope.grid(2, 2)
         W = dag.sample_batch(rng, 50)
         # every sample uses exactly 2 arcs' worth of flow
         np.testing.assert_allclose(W.sum(axis=1), 2.0)
+
+    @pytest.mark.parametrize("region", [LqBall(2.0, 1.0, [0.0, 0.0]),
+                                        LqBall(1.5, 2.0, [0.3, -0.2, 0.1])],
+                             ids=["l2", "l1.5"])
+    def test_witness_rebuilt_from_documented_draws(self, region):
+        n = 300
+        report = verify_strong_convexity(region, 10.0, n, seed=21)
+        i = report.witness["sample_index"]
+        rng = substream(21)
+        W1, W2 = region.sample_batch(rng, n), region.sample_batch(rng, n)
+        lam = rng.random(n)
+        g = rng.standard_normal((n, region.dim))[i]
+        assert report.witness == {"w1": W1[i].tolist(), "w2": W2[i].tolist(),
+                                  "lam": float(lam[i]),
+                                  "u": (g / np.linalg.norm(g, ord=region.q)).tolist(),
+                                  "sample_index": i}
 
     def test_sampling_deterministic_per_seed(self):
         ball = LqBall(2.0, 1.0, [0.0, 0.0])

@@ -1,8 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spo_bounds._rng import substream, substreams
+from spo_bounds._rng import _seed_halves, substream, substream_signs
+
+
+def seeds_ref(seed: int, count: int) -> np.ndarray:
+    """PCG64's four seed words of each ``substream(seed, i)``, from one
+    SeedSequence per index."""
+    return np.array([np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+                     for i in range(count)], dtype=np.uint64).reshape(count, 4)
 
 
 class TestSubstreams:
@@ -11,28 +19,19 @@ class TestSubstreams:
     @example(seed=0, count=0)
     @example(seed=2 ** 200, count=64)
     def test_matches_substream(self, seed, count):
-        seen = 0
-        for i, rng in enumerate(substreams(seed, count)):
-            ref = substream(seed, i)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert rng.random() == ref.random()
-            assert rng.integers(0, 2, 7).tolist() == ref.integers(0, 2, 7).tolist()
-            seen += 1
-        assert seen == count
+        # the sign kernel seeds every stream at once from these words
+        np.testing.assert_array_equal(_seed_halves(seed, count), seeds_ref(seed, count))
 
     @pytest.mark.parametrize("seed", [2 ** 32 - 1, 2 ** 32, 2 ** 96 - 1, 2 ** 96,
                                       2 ** 128 + 7])
     def test_word_boundaries(self, seed):
         # keys of 2 to 6 uint32 words cross the 4-word hash pool
-        for i, rng in enumerate(substreams(seed, 5)):
-            assert rng.bit_generator.state == substream(seed, i).bit_generator.state
+        np.testing.assert_array_equal(_seed_halves(seed, 5), seeds_ref(seed, 5))
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            substreams(-1, 3)
         with pytest.raises(ValueError, match="non-negative"):
             substream(-1, 0)
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="count"):
-            substreams(0, -1)
+            substream_signs(0, -1, 3)

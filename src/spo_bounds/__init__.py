@@ -5,11 +5,10 @@ from .bounds import (BoundInputs, BoundReport, bound_covering,
                      bound_linear_polyhedral, bound_margin,
                      bound_margin_uniform, bound_natarajan, bound_rademacher,
                      evaluate, evaluate_all, margin_rad_bound)
-from .complexity import (FiniteHypothesisSet, LabelTable, LinearPredictorClass,
-                         count_restrictions, linear_class_rad_bound,
-                         massart_bound, natarajan_dim_bruteforce,
-                         oracle_label_table, rademacher_multivariate_mc,
-                         rademacher_spo_mc)
+from .complexity import (FiniteHypothesisSet, count_restrictions,
+                         linear_class_rad_bound, massart_bound,
+                         natarajan_dim_bruteforce, oracle_label_table,
+                         rademacher_multivariate_mc, rademacher_spo_mc)
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, ViolationReport,
                        covering_count_log, region_from_dict, region_from_json,
@@ -25,9 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundInputs", "BoundReport", "CostDomain", "DagPathPolytope",
     "ExperimentConfig", "FeasibleRegion", "FiniteHypothesisSet",
-    "LabelTable", "LabeledSample", "LinearPredictorClass", "LqBall",
-    "RiskEvaluator", "TrialRecord", "UnitSimplex", "VertexPolytope",
-    "ViolationReport",
+    "LabeledSample", "LqBall", "RiskEvaluator", "TrialRecord", "UnitSimplex",
+    "VertexPolytope", "ViolationReport",
     "bound_covering", "bound_linear_polyhedral", "bound_margin",
     "bound_margin_uniform", "bound_natarajan", "bound_rademacher",
     "count_restrictions", "covering_count_log", "default_suite",

@@ -16,9 +16,8 @@ from ._rng import substream
 from .bounds import (BoundInputs, bound_covering, bound_linear_polyhedral,
                      bound_margin, bound_margin_uniform, bound_natarajan,
                      bound_rademacher)
-from .complexity import (FiniteHypothesisSet, LabelTable,
-                         count_restrictions, linear_class_rad_bound,
-                         LinearPredictorClass, massart_bound,
+from .complexity import (FiniteHypothesisSet, count_restrictions,
+                         linear_class_rad_bound, massart_bound,
                          natarajan_dim_bruteforce, oracle_label_table,
                          rademacher_multivariate_mc, rademacher_spo_mc)
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
@@ -415,8 +414,7 @@ def audit_frobenius_domination(seed: int, scale: int = 1) -> AuditResult:
                 est, se = rademacher_multivariate_mc(hyp, xs,
                                                      m_draws=2000 // scale,
                                                      seed=seed + d + p + n)
-                cap = linear_class_rad_bound(
-                    LinearPredictorClass("frobenius", beta, d, p), 1.0, n)
+                cap = linear_class_rad_bound("frobenius", beta, d, p, 1.0, n)
                 worst_excess = max(worst_excess, est - (cap + 3.0 * se))
     return AuditResult("frobenius_domination", worst_excess <= 0.0,
                        f"max estimate minus (bound + 3se) {_fmt(worst_excess)}")
@@ -446,8 +444,7 @@ def audit_natarajan_linear_cap(seed: int, scale: int = 1) -> AuditResult:
     xs3 = rng.standard_normal((5, 2))
     dim3 = natarajan_dim_bruteforce(oracle_label_table(UnitSimplex(2), hyp2, xs3))
     results.append(("simplex_d2_p2", dim3, 4))
-    full = natarajan_dim_bruteforce(LabelTable(np.array([[1, 1, 2, 2],
-                                                         [1, 2, 1, 2]])))
+    full = natarajan_dim_bruteforce(np.array([[1, 1, 2, 2], [1, 2, 1, 2]]))
     passed = all(dim <= cap for _, dim, cap in results) and full == 2
     detail = ", ".join(f"{name} dim {dim} <= {cap}" for name, dim, cap in results)
     return AuditResult("natarajan_linear_cap", passed,

@@ -16,14 +16,11 @@ from dataclasses import dataclass, fields
 
 VARIANTS = ("expected", "empirical")
 
-THEOREM_IDS = (
-    "rademacher",
-    "natarajan",
-    "linear_polyhedral",
-    "covering",
-    "margin",
-    "margin_uniform",
-)
+#: the additive terms a report may hold, in the ``bound all`` column order
+TERMS = ("empirical_risk", "complexity", "deviation", "uniformity", "remainder")
+
+#: the count inputs, which must be Python ints
+_COUNTS = ("n", "d_N", "card_S", "d", "p")
 
 
 @dataclass(frozen=True)
@@ -46,13 +43,17 @@ class BoundInputs:
     rad: float | None = None
 
     def __post_init__(self):
-        # plain type tests, a float passing on its class alone: the
-        # experiment builds thousands of these
+        # plain type tests, a count passing on its class int and any other
+        # value on its class float alone: the experiment builds thousands
         for name, val in vars(self).items():
-            if val.__class__ is float or (val is None and name not in ("n", "delta")):
+            count = name in _COUNTS
+            if val.__class__ is (int if count else float) \
+                    or (val is None and name not in ("n", "delta")):
                 continue
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ValueError(f"{name} must be a number, got {val!r}")
+            if count and not isinstance(val, int):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not (0.0 < self.delta < 1.0):
@@ -131,12 +132,16 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _deviation(omega: float, delta: float, n: int, variant: str) -> float:
+def _deviation(omega: float, delta: float, n: int, variant: str,
+               split: float = 1.0) -> float:
     """High-probability deviation term: one-sided for the expected-complexity
-    variant, tripled two-sided for the empirical-complexity variant."""
+    variant, tripled two-sided for the empirical-complexity variant.  A
+    bound that spends delta over ``split`` events by a union bound puts
+    ``split`` in the log's numerator (delta itself is never divided, so a
+    subnormal delta gives an infinite term, not a division by zero)."""
     if variant == "expected":
-        return omega * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
-    return 3.0 * omega * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+        return omega * math.sqrt(math.log(split / delta) / (2.0 * n))
+    return 3.0 * omega * math.sqrt(math.log(2.0 * split / delta) / (2.0 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +196,7 @@ def bound_covering(inputs: BoundInputs) -> BoundReport:
     terms = {
         "empirical_risk": inputs.empirical_risk,
         "complexity": 4.0 * inputs.d * inputs.omega * root,
-        "deviation": 3.0 * inputs.omega
-        * math.sqrt(math.log(2.0 / inputs.delta) / (2.0 * inputs.n)),
+        "deviation": _deviation(inputs.omega, inputs.delta, inputs.n, "empirical"),
         "remainder": 2.0 * (2.0 * inputs.rho2_C / inputs.n) * (1.0 + 2.0 * inputs.d * root),
     }
     return _report("covering", terms, inputs)
@@ -232,38 +236,39 @@ def bound_margin_uniform(inputs: BoundInputs, variant: str = "empirical") -> Bou
         raise ValueError("gamma must satisfy gamma <= gamma_bar")
     uniformity = inputs.omega * math.sqrt(
         math.log(math.log2(2.0 * inputs.gamma_bar / inputs.gamma)) / inputs.n)
-    if variant == "expected":
-        deviation = inputs.omega * math.sqrt(
-            math.log(2.0 / inputs.delta) / (2.0 * inputs.n))
-    else:
-        deviation = 3.0 * inputs.omega * math.sqrt(
-            math.log(4.0 / inputs.delta) / (2.0 * inputs.n))
     terms = {
         "empirical_risk": inputs.empirical_risk,
         "complexity": 4.0 * margin_rad_bound(inputs.rho2_C, inputs.rad,
                                              inputs.gamma, inputs.mu),
         "uniformity": uniformity,
-        "deviation": deviation,
+        "deviation": _deviation(inputs.omega, inputs.delta, inputs.n, variant, 2.0),
     }
     return _report("margin_uniform", terms, inputs, variant)
 
 
+#: theorem id -> (calculator, whether it takes a complexity variant)
+THEOREMS = {
+    "rademacher": (bound_rademacher, True),
+    "natarajan": (bound_natarajan, False),
+    "linear_polyhedral": (bound_linear_polyhedral, False),
+    "covering": (bound_covering, False),
+    "margin": (bound_margin, True),
+    "margin_uniform": (bound_margin_uniform, True),
+}
+
+
 def evaluate(theorem_id: str, inputs: BoundInputs,
-             variant: str = "empirical") -> BoundReport:
-    """Evaluate one bound by identifier."""
-    if theorem_id == "rademacher":
-        return bound_rademacher(inputs, variant)
-    if theorem_id == "natarajan":
-        return bound_natarajan(inputs)
-    if theorem_id == "linear_polyhedral":
-        return bound_linear_polyhedral(inputs)
-    if theorem_id == "covering":
-        return bound_covering(inputs)
-    if theorem_id == "margin":
-        return bound_margin(inputs, variant)
-    if theorem_id == "margin_uniform":
-        return bound_margin_uniform(inputs, variant)
-    raise ValueError(f"unknown theorem id: {theorem_id!r}")
+             variant: str | None = None) -> BoundReport:
+    """Evaluate one bound by identifier.  A theorem with variants reads an
+    unset variant as ``"empirical"``; one without refuses any variant."""
+    if theorem_id not in THEOREMS:
+        raise ValueError(f"unknown theorem id: {theorem_id!r}")
+    calculator, takes_variant = THEOREMS[theorem_id]
+    if takes_variant:
+        return calculator(inputs, "empirical" if variant is None else variant)
+    if variant is not None:
+        raise ValueError(f"{theorem_id} takes no variant, got {variant!r}")
+    return calculator(inputs)
 
 
 def evaluate_all(inputs: BoundInputs) -> list[BoundReport]:
@@ -271,11 +276,8 @@ def evaluate_all(inputs: BoundInputs) -> list[BoundReport]:
     applicable.  Bounds with missing inputs are skipped; present but invalid
     inputs raise."""
     reports = []
-    for theorem_id in THEOREM_IDS:
-        for variant in VARIANTS:
-            if variant == "expected" and theorem_id in ("natarajan", "linear_polyhedral",
-                                                        "covering"):
-                continue
+    for theorem_id, (_, takes_variant) in THEOREMS.items():
+        for variant in VARIANTS if takes_variant else (None,):
             try:
                 reports.append(evaluate(theorem_id, inputs, variant))
             except MissingInputError:

@@ -6,7 +6,10 @@ Subcommands:
 * ``complexity rad-spo``  -- MC Rademacher complexity of the loss class
 * ``complexity rad-multi``-- MC multivariate Rademacher complexity
 * ``complexity natarajan``-- brute-force Natarajan dimension
-* ``bound <id> | all``    -- evaluate generalization bounds from a JSON input file
+* ``bound <id> | all``    -- evaluate generalization bounds from a JSON input file;
+  ``--variant`` applies to the theorems with a complexity variant
+  (``rademacher``, ``margin``, ``margin_uniform``; unset reads as
+  ``empirical``) and is refused on the others and on ``all``
 * ``experiment run``      -- bound-validity experiment (trials.csv, summary.json, plotdata/)
 * ``verify all``          -- run every property audit; nonzero exit on any failure
 """
@@ -23,10 +26,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from .audits import render_report, run_all_audits
 from .bounds import BoundInputs
-from .complexity import (FiniteHypothesisSet, LabelTable,
-                         check_natarajan_budget, natarajan_dim_bruteforce,
-                         oracle_label_table, rademacher_multivariate_mc,
-                         rademacher_spo_mc)
+from .complexity import (FiniteHypothesisSet, check_natarajan_budget,
+                         natarajan_dim_bruteforce, oracle_label_table,
+                         rademacher_multivariate_mc, rademacher_spo_mc)
 from .geometry import _exact_norm_rows, dual_exponent, region_from_json
 from .harness import (BoundValidityResult, ExperimentConfig, config_label,
                       default_suite, run_suite)
@@ -102,8 +104,8 @@ def _cmd_complexity(args) -> int:
         return 0
     # natarajan
     if args.table is not None:
-        # no dtype: LabelTable rejects labels that are not integers
-        table = LabelTable(np.asarray(json.loads(Path(args.table).read_text())))
+        # no dtype: the search rejects labels that are not integers
+        table = np.asarray(json.loads(Path(args.table).read_text()))
     else:
         if not (args.region and args.hypotheses and args.xs):
             raise ValueError("natarajan needs --table or all of "
@@ -113,33 +115,28 @@ def _cmd_complexity(args) -> int:
         xs = _load_vectors(args.xs)
         check_natarajan_budget(len(xs), len(hyp))
         table = oracle_label_table(region, hyp, xs)
-    _emit({"estimator": "natarajan", "dimension": natarajan_dim_bruteforce(table),
-           "points": table.n_points, "hypotheses": table.n_hypotheses})
+    dimension = natarajan_dim_bruteforce(table)
+    _emit({"estimator": "natarajan", "dimension": dimension,
+           "points": table.shape[0], "hypotheses": table.shape[1]})
     return 0
 
 
-def _report_csv_row(report) -> dict:
-    row = {"theorem_id": report.theorem_id,
-           "variant": report.inputs.get("variant", ""),
-           "value": report.value}
-    for term in ("empirical_risk", "complexity", "deviation", "uniformity",
-                 "remainder"):
-        row[term] = report.terms.get(term, "")
-    return row
+def _csv_cell(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _cmd_bound(args) -> int:
     inputs = BoundInputs.from_dict(json.loads(Path(args.inputs).read_text()))
     if args.theorem == "all":
+        if args.variant is not None:
+            raise ValueError("--variant does not apply to 'all', which "
+                             "evaluates every variant")
         reports = bounds_mod.evaluate_all(inputs)
-        header = ["theorem_id", "variant", "value", "empirical_risk",
-                  "complexity", "deviation", "uniformity", "remainder"]
-        lines = [",".join(header)]
+        lines = [",".join(("theorem_id", "variant", "value") + bounds_mod.TERMS)]
         for report in reports:
-            row = _report_csv_row(report)
-            lines.append(",".join(
-                repr(row[h]) if isinstance(row[h], float) else str(row[h])
-                for h in header))
+            cells = [report.theorem_id, report.inputs.get("variant", ""), report.value]
+            cells += [report.terms.get(term, "") for term in bounds_mod.TERMS]
+            lines.append(",".join(map(_csv_cell, cells)))
         text = "\n".join(lines) + "\n"
         if args.csv:
             Path(args.csv).write_text(text)
@@ -248,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
         est.set_defaults(handler=_cmd_complexity)
 
     bound = sub.add_parser("bound", help="evaluate generalization bounds")
-    bound.add_argument("theorem",
-                       choices=list(bounds_mod.THEOREM_IDS) + ["all"])
+    bound.add_argument("theorem", choices=[*bounds_mod.THEOREMS, "all"])
     bound.add_argument("--inputs", required=True, help="JSON file of bound inputs")
-    bound.add_argument("--variant", choices=list(bounds_mod.VARIANTS),
-                       default="empirical")
+    bound.add_argument("--variant", choices=bounds_mod.VARIANTS, default=None,
+                       help="rademacher, margin and margin_uniform only "
+                            "(default empirical)")
     bound.add_argument("--csv", default=None, help="write the 'all' table here")
     bound.set_defaults(handler=_cmd_bound)
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -102,47 +101,9 @@ class FiniteHypothesisSet:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.p:
             raise ValueError(f"xs must have shape (n, {self.p})")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("xs must be finite")
         return xs @ self.matrices.transpose(0, 2, 1)
-
-
-@dataclass(frozen=True)
-class LinearPredictorClass:
-    """Norm-ball-constrained linear predictor family ``{x -> B x}``."""
-
-    constraint_kind: str  # frobenius | l1_vec | group_lasso
-    beta: float
-    d: int
-    p: int
-
-    def __post_init__(self):
-        if self.constraint_kind not in ("frobenius", "l1_vec", "group_lasso"):
-            raise ValueError(f"unknown constraint kind: {self.constraint_kind!r}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError("beta must be positive and finite")
-        if self.d < 1 or self.p < 1:
-            raise ValueError("d and p must be >= 1")
-
-
-@dataclass(eq=False)
-class LabelTable:
-    """points x hypotheses table of integer labels."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise ValueError("label table must be a non-empty 2-D array")
-        if not np.issubdtype(self.values.dtype, np.integer):
-            raise ValueError("labels must be integers")
-
-    @property
-    def n_points(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_hypotheses(self) -> int:
-        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +184,17 @@ def count_restrictions(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
 
 
 def oracle_label_table(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
-                       xs) -> LabelTable:
-    """Label table of oracle decisions: entry (i, j) is an integer id of the
-    extreme point chosen by hypothesis j at point i.  Ids are numbered in
-    order of first appearance, hypothesis by hypothesis."""
+                       xs) -> np.ndarray:
+    """Label table of oracle decisions, an (n, H) int64 array: entry (i, j)
+    is an integer id of the extreme point chosen by hypothesis j at point i.
+    Ids are numbered in order of first appearance, hypothesis by hypothesis."""
     region.extreme_point_count()
     decisions = _stacked_decisions(region, hypotheses, xs)
     H, n, d = decisions.shape
     ids: dict[bytes, int] = {}
     labels = [ids.setdefault(w.tobytes(), len(ids) + 1)
               for w in decisions.reshape(H * n, d)]
-    return LabelTable(np.array(labels, dtype=np.int64).reshape(H, n).T)
+    return np.array(labels, dtype=np.int64).reshape(H, n).T
 
 
 def massart_bound(card: float, n: int, omega: float) -> float:
@@ -289,8 +250,9 @@ def _flip_closed_core(pool: set[tuple], size: int) -> set[tuple]:
         core = kept
 
 
-def natarajan_dim_bruteforce(table: LabelTable | np.ndarray) -> int:
-    """Largest point set witnessed as N-shattered by the label table.
+def natarajan_dim_bruteforce(table) -> int:
+    """Largest point set witnessed as N-shattered by the label table, a
+    non-empty points x hypotheses array of integer labels.
 
     A set is N-shattered when two hypotheses disagree on every point of it
     and every way of mixing their labels across the set is realized by
@@ -300,11 +262,14 @@ def natarajan_dim_bruteforce(table: LabelTable | np.ndarray) -> int:
     is searched only if its restricted labels could hold a shattered cube
     (see the module docstring for why both prunes are exact).
     """
-    if not isinstance(table, LabelTable):
-        table = LabelTable(np.asarray(table))
-    m, H = table.n_points, table.n_hypotheses
+    table = np.asarray(table)
+    if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
+        raise ValueError("label table must be a non-empty 2-D array")
+    if not np.issubdtype(table.dtype, np.integer):
+        raise ValueError("labels must be integers")
+    m, H = table.shape
     check_natarajan_budget(m, H)
-    columns = {tuple(col) for col in table.values.T.tolist()}
+    columns = {tuple(col) for col in table.T.tolist()}
     dim = 0
     for size in range(1, m + 1):
         cube = 1 << size
@@ -327,21 +292,26 @@ def natarajan_dim_bruteforce(table: LabelTable | np.ndarray) -> int:
 # closed-form multivariate Rademacher bounds for constrained linear classes
 # ---------------------------------------------------------------------------
 
-def linear_class_rad_bound(predictor_class: LinearPredictorClass,
+def linear_class_rad_bound(kind: str, beta: float, d: int, p: int,
                            x_radius: float, n: int) -> float:
     """Closed-form upper bound on the multivariate Rademacher complexity of
-    a norm-constrained linear class.
+    the linear class ``{x -> B x}`` with B (d x p) in a norm ball of radius
+    ``beta``, on features of norm at most ``x_radius``.
 
     * frobenius   : ``rho2(X) * beta * sqrt(2 d / n)``
     * l1_vec      : ``rho_inf(X) * beta * sqrt(6 ln(p d) / n)``
     * group_lasso : ``rho_inf(X) * beta * sqrt(6 d ln(p) / n)``
     """
+    if kind not in ("frobenius", "l1_vec", "group_lasso"):
+        raise ValueError(f"unknown constraint kind: {kind!r}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError("beta must be positive and finite")
+    if d < 1 or p < 1:
+        raise ValueError("d and p must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
     if x_radius < 0:
         raise ValueError("x_radius must be >= 0")
-    kind = predictor_class.constraint_kind
-    beta, d, p = predictor_class.beta, predictor_class.d, predictor_class.p
     if kind == "frobenius":
         return x_radius * beta * math.sqrt(2.0 * d / n)
     if kind == "l1_vec":

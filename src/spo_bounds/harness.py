@@ -11,13 +11,14 @@ such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from ._rng import ARRAY_BYTES_MAX, substream
 from .bounds import (BoundInputs, bound_covering, bound_linear_polyhedral,
                      bound_margin, bound_margin_uniform)
+from .complexity import linear_class_rad_bound
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, _is_number,
                        dual_norm_rows, region_from_dict)
@@ -28,9 +29,8 @@ GENERATOR_NOTE = "gaussian-linear synthetic generator (artifact choice; not pres
 _STREAM_SAMPLE = 1
 _STREAM_RISK = 2
 
-#: the keys ``ExperimentConfig.to_dict`` writes and ``from_dict`` reads
-_CONFIG_KEYS = {"region", "cost_domain", "b_star", "noise", "feature_dist", "n",
-                "trials", "delta", "gamma_grid", "beta", "m_fresh", "seed"}
+#: config fields whose dict key is not their name
+_CONFIG_KEY_OF = {"ns": "n"}
 
 
 def _require_number(key: str, val, integer: bool) -> None:
@@ -135,46 +135,28 @@ class ExperimentConfig:
         return isinstance(self.region, (VertexPolytope, UnitSimplex, DagPathPolytope))
 
     def to_dict(self) -> dict:
-        return {
-            "region": self.region.to_dict(),
-            "cost_domain": self.cost_domain.to_dict(),
-            "b_star": self.b_star.tolist(),
-            "noise": self.noise,
-            "feature_dist": self.feature_dist,
-            "n": self.ns,
-            "trials": self.trials,
-            "delta": self.delta,
-            "gamma_grid": self.gamma_grid,
-            "beta": self.beta,
-            "m_fresh": self.m_fresh,
-            "seed": self.seed,
-        }
+        data = {_CONFIG_KEY_OF.get(f.name, f.name): getattr(self, f.name)
+                for f in fields(self)}
+        data.update(region=self.region.to_dict(), cost_domain=self.cost_domain.to_dict(),
+                    b_star=self.b_star.tolist())
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config ``to_dict`` wrote; an absent key takes its field's default."""
         if not isinstance(data, dict):
             raise ValueError("an experiment config must be a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        by_key = {_CONFIG_KEY_OF.get(f.name, f.name): f for f in fields(cls)}
+        unknown = set(data) - set(by_key)
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-        for key in ("region", "cost_domain", "b_star"):
-            if key not in data:
+        for key, f in by_key.items():
+            if f.default is MISSING and f.default_factory is MISSING and key not in data:
                 raise ValueError(f"experiment config is missing key {key!r}")
-        region = region_from_dict(data["region"])
-        return cls(
-            region=region,
-            cost_domain=CostDomain.from_dict(region, data["cost_domain"]),
-            b_star=np.asarray(data["b_star"], dtype=float),
-            noise=data.get("noise", 0.0),
-            feature_dist=data.get("feature_dist", "sphere"),
-            ns=data.get("n", [100]),
-            trials=data.get("trials", 1),
-            delta=data.get("delta", 0.05),
-            gamma_grid=data.get("gamma_grid", []),
-            beta=data.get("beta"),
-            m_fresh=data.get("m_fresh", 100_000),
-            seed=data.get("seed", 0),
-        )
+        kwargs = {by_key[key].name: val for key, val in data.items()}
+        kwargs["region"] = region = region_from_dict(data["region"])
+        kwargs["cost_domain"] = CostDomain.from_dict(region, data["cost_domain"])
+        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +394,14 @@ def _bound_inputs(config: ExperimentConfig, n: int) -> BoundInputs:
     empirical risk and the margin's gamma and gamma_bar.  A polyhedral
     region adds its extreme-point count; a strongly convex one adds mu and
     the closed-form multivariate complexity bound of the clipped predictors,
-    ``x_radius * beta * sqrt(2 d / n)``."""
+    the Frobenius ball of radius beta."""
     region, domain = config.region, config.cost_domain
     card_S = region.extreme_point_count() if config.polyhedral else None
     mu = rad = None
     if config.strongly_convex:
         mu = region.mu
-        rad = config.x_radius * config.beta * math.sqrt(2.0 * config.d / n)
+        rad = linear_class_rad_bound("frobenius", config.beta, config.d, config.p,
+                                     config.x_radius, n)
     return BoundInputs(n=n, delta=config.delta, omega=domain.omega, rho2_C=domain.rho2,
                        rho2_S=region.radius(2.0), d=config.d, p=config.p,
                        card_S=card_S, mu=mu, rad=rad)

@@ -53,7 +53,8 @@ def test_records_medians_quartiles_and_wins(tmp_path):
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
                              "--pairs", "4", "--seconds", "1", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
-    assert set(record["trees"]["change"]) == {"git_sha", "dirty"}
+    assert set(record["trees"]["change"]) == {"git_sha", "dirty", "src_lines",
+                                              "tests_lines"}
     assert record["environment"]["parent"] == {"nproc": 2}
     [result] = record["results"]
     assert (result["workload"], result["seed"]) == ("w", 0)
@@ -67,6 +68,22 @@ def test_records_medians_quartiles_and_wins(tmp_path):
     assert wall["beyond_parent_iqr"]
     assert result["metrics"]["setup_s"]["change_wins"] == 0
     assert not result["metrics"]["setup_s"]["beyond_parent_iqr"]
+
+
+def test_records_line_counts_as_wc_does(tmp_path):
+    tree = fake_tree(tmp_path / "tree", [1.0, 1.0])
+    (tree / "src" / "pkg").mkdir(parents=True)
+    (tree / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tree / "src" / "pkg" / "b.py").write_text("z = 3")  # no final newline: 0 lines
+    (tree / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    (tree / "tests").mkdir()
+    (tree / "tests" / "test_a.py").write_text("\n" * 5)
+    assert bench_pairs.line_counts(tree) == {"src_lines": 2, "tests_lines": 5}
+    out = tmp_path / "out.json"
+    bench_pairs.main(["--parent", str(tree), "--change", str(tree), "--pairs", "1",
+                      "--seconds", "1", "--out", str(out)])
+    trees = json.loads(out.read_text())["trees"]
+    assert trees["parent"]["src_lines"] == trees["change"]["src_lines"] == 2
 
 
 def test_alternates_which_tree_runs_first(tmp_path, monkeypatch):

@@ -1,18 +1,26 @@
+import itertools
 import math
 
 import pytest
 
-from spo_bounds.bounds import (BoundInputs, bound_covering,
-                               bound_linear_polyhedral, bound_margin,
-                               bound_margin_uniform, bound_natarajan,
-                               bound_rademacher, evaluate, evaluate_all,
-                               MissingInputError, margin_rad_bound)
+from spo_bounds.bounds import (TERMS, THEOREMS, VARIANTS, BoundInputs,
+                               bound_covering, bound_linear_polyhedral,
+                               bound_margin, bound_margin_uniform,
+                               bound_natarajan, bound_rademacher, evaluate,
+                               evaluate_all, MissingInputError,
+                               margin_rad_bound)
 
 
 def inputs(**kwargs):
     base = dict(n=100, delta=0.05)
     base.update(kwargs)
     return BoundInputs(**base)
+
+
+#: every input present, so every theorem evaluates
+FULL = BoundInputs(n=200, delta=0.05, empirical_risk=0.1, omega=1.5, rho2_C=1.0,
+                   rho2_S=1.0, mu=1.0, gamma=0.5, gamma_bar=1.0, d_N=2, card_S=4,
+                   d=2, p=3, rad=0.1)
 
 
 class TestRademacherBound:
@@ -260,10 +268,85 @@ class TestReports:
         with pytest.raises(ValueError, match="n \\* card_S\\*\\*2 must exceed 1"):
             evaluate_all(bad)
 
+    def test_evaluate_is_the_calculator_bit_for_bit(self):
+        full = FULL
+        calls = {
+            ("rademacher", "expected"): lambda: bound_rademacher(full, "expected"),
+            ("rademacher", "empirical"): lambda: bound_rademacher(full, "empirical"),
+            ("rademacher", None): lambda: bound_rademacher(full),
+            ("natarajan", None): lambda: bound_natarajan(full),
+            ("linear_polyhedral", None): lambda: bound_linear_polyhedral(full),
+            ("covering", None): lambda: bound_covering(full),
+            ("margin", "expected"): lambda: bound_margin(full, "expected"),
+            ("margin", "empirical"): lambda: bound_margin(full, "empirical"),
+            ("margin", None): lambda: bound_margin(full),
+            ("margin_uniform", "expected"): lambda: bound_margin_uniform(full, "expected"),
+            ("margin_uniform", "empirical"): lambda: bound_margin_uniform(full, "empirical"),
+            ("margin_uniform", None): lambda: bound_margin_uniform(full),
+        }
+        assert {tid for tid, _ in calls} == set(THEOREMS)
+        for (tid, variant), call in calls.items():
+            assert evaluate(tid, full, variant).to_dict() == call().to_dict()
+
+    def test_evaluate_all_is_every_theorem_and_variant_in_table_order(self):
+        got = [(r.theorem_id, r.inputs.get("variant")) for r in evaluate_all(FULL)]
+        assert got == [(tid, v) for tid, (_, takes) in THEOREMS.items()
+                       for v in (VARIANTS if takes else (None,))]
+
+    @pytest.mark.parametrize("theorem_id", ["natarajan", "linear_polyhedral", "covering"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_variant_refused_where_there_is_none(self, theorem_id, variant):
+        assert not THEOREMS[theorem_id][1]
+        with pytest.raises(ValueError, match=f"^{theorem_id} takes no variant"):
+            evaluate(theorem_id, FULL, variant)
+
+    def test_terms_name_every_report_term(self):
+        assert TERMS == ("empirical_risk", "complexity", "deviation", "uniformity",
+                         "remainder")
+        assert set().union(*(r.terms for r in evaluate_all(FULL))) == set(TERMS)
+
     def test_missing_inputs_raise_a_value_error_subclass(self):
         with pytest.raises(MissingInputError, match="missing bound inputs"):
             evaluate("natarajan", inputs(omega=1.0))
         assert issubclass(MissingInputError, ValueError)
+
+
+def covering_deviation_ref(omega, delta, n):
+    """The covering bound's deviation as it was written inline."""
+    return 3.0 * omega * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+
+
+def uniform_deviation_ref(omega, delta, n, variant):
+    """The uniform margin bound's deviation as it was written inline."""
+    if variant == "expected":
+        return omega * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+    return 3.0 * omega * math.sqrt(math.log(4.0 / delta) / (2.0 * n))
+
+
+class TestSharedDeviation:
+    """The covering and uniform margin bounds take their deviation from
+    ``_deviation``; the references are the expressions it replaced."""
+
+    @pytest.mark.parametrize("delta", [0.5, 0.05, 1e-3, 1e-12, 1e-300, 5e-324,
+                                       1.0 - 1e-16])
+    def test_same_bits_as_the_inline_forms(self, delta):
+        for n, omega in itertools.product([1, 7, 200, 10 ** 9],
+                                          [0.0, 1.0, math.sqrt(2.0), 1e300]):
+            inputs = BoundInputs(n=n, delta=delta, omega=omega, rho2_C=1.0, rho2_S=1.0,
+                                 d=2, p=1, mu=1.0, gamma=0.5, gamma_bar=1.0, rad=0.1)
+            pairs = [(bound_covering(inputs), covering_deviation_ref(omega, delta, n))]
+            pairs += [(bound_margin_uniform(inputs, v),
+                       uniform_deviation_ref(omega, delta, n, v)) for v in VARIANTS]
+            for report, want in pairs:
+                # repr compares infinities and NaNs as well as finite bits
+                assert repr(report.terms["deviation"]) == repr(want)
+
+    def test_subnormal_delta_gives_an_infinite_term(self):
+        base = BoundInputs(n=10, delta=5e-324, omega=1.0, rho2_C=1.0, rho2_S=1.0, d=2,
+                           p=1, mu=1.0, gamma=0.5, gamma_bar=1.0, rad=0.1)
+        assert bound_covering(base).terms["deviation"] == math.inf
+        for variant in VARIANTS:
+            assert bound_margin_uniform(base, variant).terms["deviation"] == math.inf
 
 
 class TestInputValidation:
@@ -283,6 +366,18 @@ class TestInputValidation:
     def test_non_numbers_rejected_by_name(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be a number"):
             BoundInputs(**{"n": 10, "delta": 0.5, key: value})
+
+    @pytest.mark.parametrize("key", ["n", "d_N", "card_S", "d", "p"])
+    @pytest.mark.parametrize("value, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                              (100.5, "100.5"), (3.0, "3.0")])
+    def test_counts_must_be_integers(self, key, value, shown):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {shown}$"):
+            BoundInputs(**{"n": 10, "delta": 0.5, key: value})
+
+    def test_non_count_fields_take_ints_and_floats(self):
+        a = BoundInputs(n=10, delta=0.5, omega=2, rho2_C=1, rad=0)
+        b = BoundInputs(n=10, delta=0.5, omega=2.0, rho2_C=1.0, rad=0.0)
+        assert evaluate("rademacher", a).value == evaluate("rademacher", b).value
 
     def test_round_trip(self):
         original = inputs(omega=1.0, rho2_C=0.5, mu=2.0, gamma=0.1, rad=0.2)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from spo_bounds import cli, harness
+from spo_bounds.bounds import TERMS
 from spo_bounds.cli import main
 from spo_bounds.geometry import UnitSimplex
 
@@ -128,6 +129,23 @@ class TestBoundCommands:
         ids = {line.split(",")[0] for line in lines[1:]}
         assert "margin_uniform" in ids and "covering" in ids
 
+    def test_all_header_is_the_terms(self, tmp_path, capsys):
+        inputs_file = write(tmp_path / "inputs.json",
+                            {"n": 200, "delta": 0.05, "omega": 1.0, "rad": 0.1})
+        assert main(["bound", "all", "--inputs", inputs_file]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == "theorem_id,variant,value," + ",".join(TERMS)
+
+    @pytest.mark.parametrize("flags, variant", [([], "empirical"),
+                                                (["--variant", "empirical"], "empirical"),
+                                                (["--variant", "expected"], "expected")])
+    def test_variant_theorems_read_unset_as_empirical(self, flags, variant, tmp_path,
+                                                       capsys):
+        inputs_file = write(tmp_path / "inputs.json",
+                            {"n": 200, "delta": 0.05, "omega": 1.0, "rad": 0.1})
+        assert main(["bound", "rademacher", "--inputs", inputs_file, *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["variant"] == variant
+
 
 class TestExperimentCommand:
     def test_run_writes_outputs_deterministically(self, tmp_path, capsys):
@@ -227,6 +245,38 @@ class TestInputErrors:
                              "card_S": 1})
         assert main(["bound", "all", "--inputs", inputs_file]) == 2
         self.assert_one_error_line(capsys, "card_S")
+
+    @pytest.mark.parametrize("theorem", ["natarajan", "linear_polyhedral", "covering",
+                                         "all"])
+    @pytest.mark.parametrize("variant", ["expected", "empirical"])
+    def test_variant_refused_where_there_is_none(self, theorem, variant, tmp_path,
+                                                 capsys):
+        inputs_file = write(tmp_path / "inputs.json",
+                            {"n": 200, "delta": 0.05, "omega": 1.0, "rho2_C": 1.0,
+                             "rho2_S": 1.0, "d": 2, "p": 2, "d_N": 2, "card_S": 4})
+        assert main(["bound", theorem, "--inputs", inputs_file,
+                     "--variant", variant]) == 2
+        self.assert_one_error_line(capsys, "variant")
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("n", math.nan, "nan"), ("n", 100.5, "100.5"), ("d", 2.5, "2.5"),
+        ("card_S", math.inf, "inf")])
+    def test_bound_inputs_refuse_non_integer_counts(self, key, value, shown, tmp_path,
+                                                    capsys):
+        # json reads the NaN and Infinity literals as floats
+        inputs_file = write(tmp_path / "inputs.json",
+                            {"n": 100, "delta": 0.05, "omega": 1.0, "rho2_C": 1.0,
+                             "rho2_S": 1.0, "d": 2, "p": 2, "card_S": 4, key: value})
+        assert main(["bound", "all", "--inputs", inputs_file]) == 2
+        self.assert_one_error_line(capsys, f"{key} must be an integer, got {shown}")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rad_multi_refuses_non_finite_features(self, bad, tmp_path, capsys):
+        hyp_file = write(tmp_path / "hyp.json", [[[1.0, 0.0]], [[0.0, 1.0]]])
+        xs_file = write(tmp_path / "xs.json", [[1.0, 0.0], [bad, 1.0]])
+        assert main(["complexity", "rad-multi", "--hypotheses", hyp_file,
+                     "--xs", xs_file, "--draws", "10"]) == 2
+        self.assert_one_error_line(capsys, "xs must be finite")
 
     def test_malformed_region_json(self, tmp_path, capsys):
         region_file = tmp_path / "region.json"

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 from spo_bounds import _rng, complexity
 from spo_bounds._rng import (ARRAY_BYTES_MAX, SIGN_BLOCK_ROWS, substream,
                              substream_sign_blocks, substream_signs)
-from spo_bounds.complexity import (FiniteHypothesisSet, LabelTable,
-                                   LinearPredictorClass, count_restrictions,
+from spo_bounds.complexity import (FiniteHypothesisSet, count_restrictions,
                                    linear_class_rad_bound, massart_bound,
                                    natarajan_dim_bruteforce, oracle_label_table,
                                    rademacher_multivariate_mc,
@@ -200,8 +199,7 @@ class TestRademacherMultivariateMC:
         xs = rng.standard_normal((n, p))
         xs /= np.linalg.norm(xs, axis=1)[:, None]
         est, se = rademacher_multivariate_mc(hyp, xs, m_draws=2000, seed=4)
-        cap = linear_class_rad_bound(LinearPredictorClass("frobenius", beta, d, p),
-                                     1.0, n)
+        cap = linear_class_rad_bound("frobenius", beta, d, p, 1.0, n)
         assert est <= cap + 3.0 * se
 
     @pytest.mark.parametrize("d, p, n, H, m_draws", [
@@ -353,7 +351,7 @@ class TestStackedEstimators:
             == count_restrictions_ref(region, hyp, xs)
         table = oracle_label_table(region, hyp, xs)
         want = oracle_label_table_ref(region, hyp, xs)
-        assert table.values.dtype == want.dtype and np.array_equal(table.values, want)
+        assert table.dtype == want.dtype and np.array_equal(table, want)
         assert natarajan_dim_bruteforce(table) == natarajan_dim_ref(want)
 
     def test_predictions_match_per_matrix_products(self, rng):
@@ -385,20 +383,20 @@ class TestMassartBound:
 
 class TestNatarajanDim:
     def test_single_hypothesis_dimension_zero(self):
-        assert natarajan_dim_bruteforce(LabelTable(np.ones((3, 1), dtype=int))) == 0
+        assert natarajan_dim_bruteforce(np.ones((3, 1), dtype=int)) == 0
 
     def test_full_function_table_two_points(self):
-        table = LabelTable(np.array([[1, 1, 2, 2], [1, 2, 1, 2]]))
+        table = np.array([[1, 1, 2, 2], [1, 2, 1, 2]])
         assert natarajan_dim_bruteforce(table) == 2
 
     def test_missing_pattern_drops_dimension(self):
         # remove the (2, 1) column: the pair must realize all four mixtures
-        table = LabelTable(np.array([[1, 1, 2], [1, 2, 2]]))
+        table = np.array([[1, 1, 2], [1, 2, 2]])
         assert natarajan_dim_bruteforce(table) == 1
 
     def test_three_labels_shattering(self):
         # two everywhere-disagreeing witnesses plus both mixtures
-        table = LabelTable(np.array([[1, 3, 1, 3], [2, 3, 3, 2]]))
+        table = np.array([[1, 3, 1, 3], [2, 3, 3, 2]])
         assert natarajan_dim_bruteforce(table) == 2
 
     def test_linear_class_cap_simplex(self):
@@ -420,10 +418,27 @@ class TestNatarajanDim:
 
     def test_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
-            natarajan_dim_bruteforce(LabelTable(np.ones((13, 2), dtype=int)))
+            natarajan_dim_bruteforce(np.ones((13, 2), dtype=int))
 
     def test_accepts_plain_arrays(self):
         assert natarajan_dim_bruteforce(np.array([[1, 2], [1, 2]])) == 1
+
+    @pytest.mark.parametrize("table, message", [
+        (np.array([[1.0, 2.0], [1.0, 2.0]]), "labels must be integers"),
+        (np.array([[True, False], [False, True]]), "labels must be integers"),
+        (np.array([1, 2, 3]), "non-empty 2-D"),
+        (np.ones((0, 3), dtype=int), "non-empty 2-D"),
+        (np.ones((3, 0), dtype=int), "non-empty 2-D"),
+    ])
+    def test_refuses_tables_that_are_not_integer_matrices(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            natarajan_dim_bruteforce(table)
+
+    def test_oracle_table_is_an_int64_array(self):
+        hyp = FiniteHypothesisSet([np.array([[1.0], [0.0]]), np.array([[-1.0], [0.0]])])
+        table = oracle_label_table(UnitSimplex(2), hyp, np.array([[1.0], [2.0], [-1.0]]))
+        assert table.dtype == np.int64 and table.shape == (3, 2)
+        assert table.tolist() == [[1, 2], [1, 2], [2, 1]]
 
 
 @st.composite
@@ -456,7 +471,7 @@ class TestPrunedNatarajan:
     @settings(max_examples=600, deadline=None)
     def test_matches_unpruned_search(self, case):
         values, planted = case
-        dim = natarajan_dim_bruteforce(LabelTable(values))
+        dim = natarajan_dim_bruteforce(values)
         assert dim == natarajan_dim_ref(values)
         assert dim >= planted
 
@@ -470,35 +485,37 @@ class TestPrunedNatarajan:
 
 class TestLinearClassRadBound:
     def test_frobenius_anchor(self):
-        cls = LinearPredictorClass("frobenius", 1.0, 4, 3)
-        assert linear_class_rad_bound(cls, 1.0, 100) \
+        assert linear_class_rad_bound("frobenius", 1.0, 4, 3, 1.0, 100) \
             == pytest.approx(math.sqrt(8.0) / 10.0)
 
     def test_l1_anchor(self):
-        cls = LinearPredictorClass("l1_vec", 1.0, 10, 10)
-        assert linear_class_rad_bound(cls, 1.0, 100) \
+        assert linear_class_rad_bound("l1_vec", 1.0, 10, 10, 1.0, 100) \
             == pytest.approx(math.sqrt(6.0 * math.log(100.0) / 100.0))
 
     def test_group_lasso_formula(self):
-        cls = LinearPredictorClass("group_lasso", 2.0, 3, 8)
-        assert linear_class_rad_bound(cls, 0.5, 200) \
+        assert linear_class_rad_bound("group_lasso", 2.0, 3, 8, 0.5, 200) \
             == pytest.approx(0.5 * 2.0 * math.sqrt(6.0 * 3.0 * math.log(8.0) / 200.0))
 
     def test_quadrupling_n_halves_bound(self):
-        cls = LinearPredictorClass("frobenius", 1.0, 4, 3)
-        assert linear_class_rad_bound(cls, 1.0, 400) \
-            == pytest.approx(0.5 * linear_class_rad_bound(cls, 1.0, 100))
+        assert linear_class_rad_bound("frobenius", 1.0, 4, 3, 1.0, 400) \
+            == pytest.approx(0.5 * linear_class_rad_bound("frobenius", 1.0, 4, 3, 1.0, 100))
 
     def test_log_domain_validation(self):
         with pytest.raises(ValueError, match="p \\* d"):
-            linear_class_rad_bound(LinearPredictorClass("l1_vec", 1.0, 1, 1), 1.0, 10)
+            linear_class_rad_bound("l1_vec", 1.0, 1, 1, 1.0, 10)
         with pytest.raises(ValueError, match="p > 1"):
-            linear_class_rad_bound(LinearPredictorClass("group_lasso", 1.0, 2, 1),
-                                   1.0, 10)
+            linear_class_rad_bound("group_lasso", 1.0, 2, 1, 1.0, 10)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="constraint"):
-            LinearPredictorClass("spectral", 1.0, 2, 2)
+            linear_class_rad_bound("spectral", 1.0, 2, 2, 1.0, 10)
+
+    @pytest.mark.parametrize("beta, d, p, message", [
+        (0.0, 2, 2, "beta"), (math.inf, 2, 2, "beta"), (math.nan, 2, 2, "beta"),
+        (1.0, 0, 2, "d and p"), (1.0, 2, 0, "d and p")])
+    def test_class_parameters_checked(self, beta, d, p, message):
+        with pytest.raises(ValueError, match=message):
+            linear_class_rad_bound("frobenius", beta, d, p, 1.0, 10)
 
 
 class TestFiniteHypothesisSet:
@@ -510,3 +527,15 @@ class TestFiniteHypothesisSet:
     def test_shape_consistency(self):
         with pytest.raises(ValueError, match="share one shape"):
             FiniteHypothesisSet([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_refused(self, bad):
+        # predictions is where features enter every estimator and table
+        hyp = FiniteHypothesisSet([np.eye(2)])
+        xs = np.array([[1.0, 0.0], [bad, 1.0]])
+        for call in (lambda: hyp.predictions(xs),
+                     lambda: rademacher_multivariate_mc(hyp, xs, m_draws=10),
+                     lambda: count_restrictions(UnitSimplex(2), hyp, xs),
+                     lambda: oracle_label_table(UnitSimplex(2), hyp, xs)):
+            with pytest.raises(ValueError, match="xs must be finite"):
+                call()

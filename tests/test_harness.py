@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spo_bounds import audits, harness
 from spo_bounds._rng import ARRAY_BYTES_MAX
+from spo_bounds.complexity import linear_class_rad_bound
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope, dual_norm_rows)
 from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
@@ -550,6 +551,28 @@ class TestConfig:
         clone = ExperimentConfig.from_dict(config.to_dict())
         assert clone.to_dict() == config.to_dict()
 
+    def test_minimal_dict_takes_the_field_defaults(self):
+        region = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)
+        domain = CostDomain.ball(region, 1.0)
+        b_star = [[0.6, -0.2], [0.1, 0.7]]
+        config = ExperimentConfig.from_dict({"region": region.to_dict(),
+                                             "cost_domain": domain.to_dict(),
+                                             "b_star": b_star})
+        assert config.to_dict() == ExperimentConfig(region, domain, b_star).to_dict()
+
+    def test_round_trip_keeps_every_key(self):
+        config = ball_config(beta=3.5, delta=0.1, feature_dist="gaussian", ns=[40, 80])
+        data = config.to_dict()
+        assert set(data) == {"region", "cost_domain", "b_star", "noise", "feature_dist",
+                             "n", "trials", "delta", "gamma_grid", "beta", "m_fresh",
+                             "seed"}
+        # every value differs from its default, so a dropped key would show
+        defaults = ExperimentConfig(config.region, config.cost_domain,
+                                    config.b_star).to_dict()
+        assert all(data[key] != defaults[key] for key in data
+                   if key not in ("region", "cost_domain", "b_star"))
+        assert ExperimentConfig.from_dict(data).to_dict() == data
+
     def test_from_dict_rejects_unknown_keys(self):
         # a misspelt key must not silently fall back to its default
         data = {**ball_config().to_dict(), "trails": 50}
@@ -583,6 +606,12 @@ class TestConfig:
             ball_config(m_fresh=rows + 1)
         with pytest.raises(ValueError, match=rf"n = {10 ** 9} needs"):
             ball_config(ns=[40, 10 ** 9])
+
+    def test_bound_inputs_rad_is_the_frobenius_class_bound(self):
+        config = ball_config(beta=3.5)
+        for n in (1, 40, 12345):
+            assert harness._bound_inputs(config, n).rad == linear_class_rad_bound(
+                "frobenius", 3.5, config.d, config.p, config.x_radius, n)
 
     def test_binary_case_anchors(self):
         # interval region with costs {-1, +1}: omega = rho2 = 1, mu = 2

@@ -29,7 +29,9 @@ interquartile range.  Two verdicts combine these, per workload and metric:
   beats every parent run; ``ok`` otherwise.
 
 It also holds each tree's git sha (and whether its working tree was
-dirty) and the environment block of its last run.
+dirty), its ``src`` and ``tests`` line counts (``wc -l`` of
+``src/**/*.py`` and ``tests/**/*.py``), and the environment block of its
+last run.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ def git_state(tree: Path) -> dict:
 
     return {"git_sha": git("rev-parse", "HEAD") or None,
             "dirty": bool(git("status", "--porcelain"))}
+
+
+def line_counts(tree: Path) -> dict:
+    """Lines of the tree's Python sources and tests, as ``wc -l`` counts them."""
+    return {f"{top}_lines": sum(path.read_bytes().count(b"\n")
+                                for path in (tree / top).rglob("*.py"))
+            for top in ("src", "tests")}
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -119,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     runs = args.run or [f"{w['name']}:0" for w in spec["workloads"]]
     trees = {"parent": args.parent, "change": args.change}
     record = {"pairs": args.pairs, "seconds": args.seconds,
-              "trees": {side: git_state(tree) for side, tree in trees.items()},
+              "trees": {side: {**git_state(tree), **line_counts(tree)}
+                        for side, tree in trees.items()},
               "environment": {}, "results": []}
     for item in runs:
         workload, _, seed = item.partition(":")

@@ -112,8 +112,8 @@ def _report(theorem_id: str, terms: dict[str, float], inputs: BoundInputs,
     if variant is not None:
         echo["variant"] = variant
     for name, val in terms.items():
-        if val < 0:
-            raise ValueError(f"term {name!r} is negative: {val}")
+        if not val >= 0:
+            raise ValueError(f"term {name!r} is negative or NaN: {val}")
     return BoundReport(theorem_id, math.fsum(terms.values()), terms, echo)
 
 
@@ -138,7 +138,10 @@ def _deviation(omega: float, delta: float, n: int, variant: str,
     variant, tripled two-sided for the empirical-complexity variant.  A
     bound that spends delta over ``split`` events by a union bound puts
     ``split`` in the log's numerator (delta itself is never divided, so a
-    subnormal delta gives an infinite term, not a division by zero)."""
+    subnormal delta gives an infinite term, not a division by zero).  The
+    term is 0 when omega is 0, however small delta is."""
+    if omega == 0:
+        return 0.0
     if variant == "expected":
         return omega * math.sqrt(math.log(split / delta) / (2.0 * n))
     return 3.0 * omega * math.sqrt(math.log(2.0 * split / delta) / (2.0 * n))

@@ -17,6 +17,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -126,6 +127,9 @@ def _csv_cell(value) -> str:
 
 
 def _cmd_bound(args) -> int:
+    if args.csv and args.theorem != "all":
+        raise ValueError(f"--csv applies to 'all' only; {args.theorem} prints "
+                         f"one JSON report")
     inputs = BoundInputs.from_dict(json.loads(Path(args.inputs).read_text()))
     if args.theorem == "all":
         if args.variant is not None:
@@ -211,7 +215,9 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by ``main``."""
     parser = argparse.ArgumentParser(prog="spo-bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -63,6 +63,9 @@ from ._rng import substream
 
 #: absolute tolerance for all geometric membership checks
 MEMBERSHIP_TOL = 1e-9
+#: arc of the sink's option in a DAG walk: past every flat position of
+#: a decision batch, so a clipping ``put`` sends it to the spare entry
+_SPARE_ARC = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +431,16 @@ class DagPathPolytope(FeasibleRegion):
 
     Arcs are given as ``(tail, head)`` pairs; the position in the list is
     the arc index and the decision coordinate.  The graph must be acyclic
-    and at least one source->sink path must exist.
+    and at least one source->sink path must exist (source == sink is the
+    one empty path).
+
+    The oracles share one node-major dynamic program on a transposed
+    (d, m) copy of the costs: each node's contiguous row of best costs is
+    folded over its arcs in arc order, and ``_linopt``'s min fold records
+    the slot of the first arc attaining each minimum (the lowest-index tie
+    rule, which yields the lexicographically smallest optimal path).  All
+    rows then walk from the source in lockstep through the recorded slots
+    by flat ``take``s; a row at the sink writes to one spare entry.
     """
 
     kind = "DagPathPolytope"
@@ -460,15 +472,20 @@ class DagPathPolytope(FeasibleRegion):
         if not self._reaches_sink[self.source]:
             raise ValueError("no source->sink path exists")
         self._path_count = paths_to_sink[self.source]
-        # per node, (arc indices, heads) of its arcs into sink-reaching nodes
-        self._out = [np.array([a for a in adj if self._reaches_sink[a[1]]],
-                              dtype=np.intp).reshape(-1, 2).T for adj in self._adj]
+        # per node, the (arc, head) pairs of its arcs into sink-reaching
+        # nodes, ascending arc index (none at the sink: the graph is acyclic)
+        self._out = [[(a, h) for a, h in adj if self._reaches_sink[h]] for adj in self._adj]
         # the same arcs as one padded (2, nodes, widest) option table, for
-        # the walks of _sample_batch
-        self._degree = np.array([out.shape[1] for out in self._out])
-        self._options = np.zeros((2, nodes, self._degree.max()), dtype=np.intp)
+        # the walks of _sample_batch and _linopt; the sink's first option is
+        # _linopt's spare arc, a step that stays at the sink
+        self._degree = np.array([len(out) for out in self._out])
+        self._options = np.zeros((2, nodes, max(1, self._degree.max())), dtype=np.intp)
         for v, out in enumerate(self._out):
-            self._options[:, v, :out.shape[1]] = out
+            self._options[:, v, :len(out)] = np.reshape(out, (-1, 2)).T
+        self._options[:, self.sink, 0] = _SPARE_ARC, self.sink
+        # option slots in the narrowest integer type that holds them
+        self._slot_type = np.min_scalar_type(self._options.shape[2] - 1)
+        self._longest = self._path_costs(np.ones((self.dim, 1)), np.maximum)[self.source, 0]
 
     def _topological_order(self) -> list[int]:
         indeg = [0] * self.nodes
@@ -496,53 +513,52 @@ class DagPathPolytope(FeasibleRegion):
                 count[v] = sum(count[h] for _, h in self._adj[v])
         return count
 
-    def _path_costs(self, C: np.ndarray, maximize: bool) -> np.ndarray:
-        """Best cost from each node to the sink, one row per cost row
-        (inf/-inf where no path continues)."""
-        best = np.max if maximize else np.min
-        dist = np.full((C.shape[0], self.nodes), -math.inf if maximize else math.inf)
-        dist[:, self.sink] = 0.0
+    def _path_costs(self, CT: np.ndarray, keep, slots: np.ndarray | None = None) -> np.ndarray:
+        """Best cost from each node to the sink, (nodes, m), of the (d, m)
+        costs ``CT`` (inf/-inf where no path continues), folded by ``keep``
+        (``np.minimum`` or ``np.maximum``).  ``slots`` gets each strict
+        improvement's option slot, which leaves the first minimizing arc's."""
+        m = CT.shape[1]
+        dist = np.full((self.nodes, m), -math.inf if keep is np.maximum else math.inf)
+        dist[self.sink] = 0.0
+        cand, won = np.empty(m), np.empty(m, dtype=bool)
         for v in reversed(self._topo):
-            idx, heads = self._out[v]
-            if v != self.sink and idx.size:
-                dist[:, v] = best(C[:, idx] + dist[:, heads], axis=1)
+            for j, (a, h) in enumerate(self._out[v]):
+                np.add(CT[a], dist[h], out=cand)
+                if slots is not None:
+                    np.less(cand, dist[v], out=won)
+                    np.copyto(slots[v], j, where=won)
+                keep(dist[v], cand, out=dist[v])
         return dist
 
     def _linopt(self, C: np.ndarray) -> np.ndarray:
-        dist = self._path_costs(C, maximize=False)
-        W = np.zeros_like(C)
-        at = np.full(C.shape[0], self.source)
-        # forward topological order: every row reaches a node before it
-        # leaves it
-        for v in self._topo:
-            if v == self.sink:
-                continue
-            rows = np.flatnonzero(at == v)
-            # dist[v] is an exact minimum of these candidate values, so each
-            # row matches at least one arc; the first match (lowest arc
-            # index) yields the lexicographically smallest arc sequence.
-            for idx, h in zip(*self._out[v]):
-                if not rows.size:
-                    break
-                hit = C[rows, idx] + dist[rows, h] == dist[rows, v]
-                W[rows[hit], idx] = 1.0
-                at[rows[hit]] = h
-                rows = rows[~hit]
-            if rows.size:  # pragma: no cover - unreachable by construction
-                raise RuntimeError("optimal-path backtrack failed")
-        return W
+        m, d = C.shape
+        slots = np.zeros((self.nodes, m), dtype=self._slot_type)
+        self._path_costs(np.ascontiguousarray(C.T), np.minimum, slots)
+        # every row walks from the source in lockstep, one arc per step; a
+        # row at the sink takes the spare arc, which put clips to W's one
+        # spare entry past the m x d decisions
+        W = np.zeros(m * d + 1)
+        at = np.full(m, self.source)
+        rows, offsets = np.arange(m), np.arange(0, m * d, d)
+        arcs, heads = (table.ravel() for table in self._options)
+        for _ in range(int(self._longest)):
+            option = at * self._options.shape[2] + slots.ravel().take(at * m + rows)
+            at = heads.take(option)
+            W.put(offsets + arcs.take(option), 1.0, mode="clip")
+        return W[:-1].reshape(m, d)
 
     def _gap(self, C: np.ndarray) -> np.ndarray:
-        hi = self._path_costs(C, maximize=True)[:, self.source]
-        return hi - self._path_costs(C, maximize=False)[:, self.source]
+        CT = np.ascontiguousarray(C.T)
+        hi = self._path_costs(CT, np.maximum)[self.source]
+        return hi - self._path_costs(CT, np.minimum)[self.source]
 
     def radius(self, q: float = 2.0) -> float:
-        longest = self._path_costs(np.ones((1, self.dim)), maximize=True)[0, self.source]
         if q < 1:
             raise ValueError(f"norm exponent must be >= 1, got {q}")
         if math.isinf(q):
-            return 1.0 if longest >= 1 else 0.0
-        return float(longest ** (1.0 / q))
+            return 1.0 if self._longest >= 1 else 0.0
+        return float(self._longest ** (1.0 / q))
 
     def extreme_point_count(self) -> int:
         return self._path_count
@@ -557,7 +573,7 @@ class DagPathPolytope(FeasibleRegion):
             if v == self.sink:
                 paths.append(list(prefix))
                 return
-            for idx, h in self._out[v].T.tolist():
+            for idx, h in self._out[v]:
                 prefix.append(idx)
                 extend(h, prefix)
                 prefix.pop()

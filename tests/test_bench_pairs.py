@@ -3,6 +3,7 @@ writes a result file."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,26 @@ def test_records_medians_quartiles_and_wins(tmp_path):
     assert wall["beyond_parent_iqr"]
     assert result["metrics"]["setup_s"]["change_wins"] == 0
     assert not result["metrics"]["setup_s"]["beyond_parent_iqr"]
+
+
+def test_records_the_malloc_and_blas_variables_it_ran_under(tmp_path, monkeypatch):
+    for name in bench_pairs.THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "131072")
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+    tree = fake_tree(tmp_path / "tree", [1.0, 1.0])
+    out = tmp_path / "out.json"
+    bench_pairs.main(["--parent", str(tree), "--change", str(tree), "--pairs", "1",
+                      "--seconds", "1", "--out", str(out)])
+    variables = json.loads(out.read_text())["environment"]["variables"]
+    assert variables["OPENBLAS_NUM_THREADS"] == "1"
+    assert variables["OMP_NUM_THREADS"] is None
+    assert set(bench_pairs.THREAD_VARS) <= set(variables)
+    assert variables["MALLOC_MMAP_THRESHOLD_"] == "131072"
+    assert variables["MALLOC_ARENA_MAX"] == "2"
+    assert {name for name in variables if name.startswith("MALLOC_")} \
+        == {name for name in os.environ if name.startswith("MALLOC_")}
 
 
 def test_records_line_counts_as_wc_does(tmp_path):

@@ -338,7 +338,10 @@ class TestSharedDeviation:
             pairs += [(bound_margin_uniform(inputs, v),
                        uniform_deviation_ref(omega, delta, n, v)) for v in VARIANTS]
             for report, want in pairs:
-                # repr compares infinities and NaNs as well as finite bits
+                # omega = 0 gives a zero term at every delta, where the
+                # inline forms gave 0 * inf = NaN at delta = 5e-324; repr
+                # compares infinities as well as finite bits
+                want = 0.0 if omega == 0 else want
                 assert repr(report.terms["deviation"]) == repr(want)
 
     def test_subnormal_delta_gives_an_infinite_term(self):
@@ -347,6 +350,24 @@ class TestSharedDeviation:
         assert bound_covering(base).terms["deviation"] == math.inf
         for variant in VARIANTS:
             assert bound_margin_uniform(base, variant).terms["deviation"] == math.inf
+
+
+    def test_zero_omega_gives_a_zero_term_at_a_subnormal_delta(self):
+        base = BoundInputs(n=2, delta=5e-324, omega=0.0, rho2_C=1.0, rho2_S=1.0, d=2,
+                           p=2, d_N=1, card_S=4, mu=1.0, gamma=0.5, gamma_bar=1.0,
+                           rad=0.1)
+        reports = evaluate_all(base)
+        assert len(reports) == 9
+        for report in reports:
+            assert report.terms["deviation"] == 0.0
+            assert report.value == math.fsum(report.terms.values())
+
+    def test_nan_term_refused(self):
+        # omega = 0 times the infinite log of an overflowing gamma ratio
+        base = BoundInputs(n=2, delta=0.05, omega=0.0, rho2_C=1.0, mu=1.0,
+                           gamma=1e-300, gamma_bar=1e300, rad=0.1)
+        with pytest.raises(ValueError, match="'uniformity' is negative or NaN: nan"):
+            bound_margin_uniform(base)
 
 
 class TestInputValidation:

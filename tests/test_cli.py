@@ -147,6 +147,40 @@ class TestBoundCommands:
         assert json.loads(capsys.readouterr().out)["inputs"]["variant"] == variant
 
 
+    def test_zero_omega_with_a_subnormal_delta_prints_no_nan(self, tmp_path, capsys):
+        inputs_file = write(tmp_path / "inputs.json",
+                            {"n": 2, "delta": 5e-324, "omega": 0.0, "rad": 0.1,
+                             "rho2_C": 1.0, "rho2_S": 1.0, "d": 2, "p": 2, "d_N": 1,
+                             "card_S": 4, "mu": 1.0, "gamma": 0.5, "gamma_bar": 1.0})
+        assert main(["bound", "all", "--inputs", inputs_file]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        deviation = header.split(",").index("deviation")
+        assert len(rows) == 9 and "nan" not in "".join(rows)
+        assert {row.split(",")[deviation] for row in rows} == {"0.0"}
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        table_file = write(tmp_path / "table.json", [[1, 1, 2, 2], [1, 2, 1, 2]])
+        inputs_file = write(tmp_path / "inputs.json",
+                            {"n": 100, "delta": 0.05, "omega": 1.0, "d_N": 2,
+                             "card_S": 3})
+        assert main(["complexity", "natarajan", "--table", table_file]) == 0
+        assert json.loads(capsys.readouterr().out)["dimension"] == 2
+        assert main(["bound", "natarajan", "--inputs", inputs_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["theorem_id"] == "natarajan" and "variant" not in report["inputs"]
+        # a usage error still exits 2, and the next call parses afresh
+        with pytest.raises(SystemExit) as stop:
+            main(["bound", "natarajan"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: the following arguments are required: --inputs")
+        assert main(["complexity", "natarajan", "--table", table_file]) == 0
+        assert json.loads(capsys.readouterr().out)["dimension"] == 2
+
+
 class TestExperimentCommand:
     def test_run_writes_outputs_deterministically(self, tmp_path, capsys):
         cfg = {"region": {"kind": "UnitSimplex", "dim": 2},
@@ -330,6 +364,17 @@ class TestInputErrors:
         self.assert_one_error_line(
             capsys, "m_fresh = 1000000000 needs 32000000000 bytes of samples, over the "
                     "1073741824-byte budget")
+
+    @pytest.mark.parametrize("theorem", ["natarajan", "rademacher"])
+    def test_csv_refused_for_a_single_theorem(self, theorem, tmp_path, capsys):
+        inputs_file = write(tmp_path / "inputs.json",
+                            {"n": 100, "delta": 0.05, "omega": 1.0, "d_N": 2,
+                             "card_S": 3, "rad": 0.1})
+        out_file = tmp_path / "table.csv"
+        assert main(["bound", theorem, "--inputs", inputs_file,
+                     "--csv", str(out_file)]) == 2
+        self.assert_one_error_line(capsys, "--csv applies to 'all' only")
+        assert not out_file.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["loss", "eval", "--region", str(tmp_path / "none.json"),

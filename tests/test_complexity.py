@@ -26,9 +26,10 @@ from conftest import (count_restrictions_ref, natarajan_dim_ref,
 
 
 class TestSignDraws:
-    """The array kernel against one numpy generator per draw: exactly equal
-    signs over one and many lane blocks, ragged last blocks, odd sizes and
-    seeds at the SeedSequence word boundaries."""
+    """Both sign paths against one numpy generator per draw: exactly equal
+    signs over one and many lane blocks, ragged last blocks, odd sizes,
+    rows on either side of the wide-row switch and seeds at the
+    SeedSequence word boundaries."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 70), m_draws=st.integers(1, 40),
@@ -62,6 +63,30 @@ class TestSignDraws:
             seen.append(len(signs))
             buffers.add(signs.__array_interface__["data"][0])
         assert seen == heights and len(buffers) == 1
+
+    @pytest.mark.parametrize("size", [397, 398, 399, 400, 401, 402])
+    @pytest.mark.parametrize("rows", [1, 7, 512, 520])
+    def test_rows_around_the_wide_switch(self, size, rows):
+        # 2 * 199, 2 * 200 and 2 * 201 signs, odd and even, on either side
+        # of the switch to numpy's PCG64, in blocks of each height
+        assert _rng._WIDE_ROW_OUTPUTS == 200
+        want = sign_draws_ref(11, 520, size)
+        got = np.concatenate([signs.copy() for _, signs in
+                              substream_sign_blocks(11, 520, size, rows)])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 70), count=st.integers(1, 40),
+           size=st.integers(1, 700))
+    def test_both_paths_draw_the_same_rows(self, seed, count, size):
+        drawn = []
+        for switch in (1, 10 ** 9):  # every row wide, then none
+            original, _rng._WIDE_ROW_OUTPUTS = _rng._WIDE_ROW_OUTPUTS, switch
+            try:
+                drawn.append(substream_signs(seed, count, size).tobytes())
+            finally:
+                _rng._WIDE_ROW_OUTPUTS = original
+        assert drawn[0] == drawn[1]
 
     def test_blocks_check_the_whole_request(self, monkeypatch):
         def no_allocation(*args, **kwargs):

@@ -136,6 +136,46 @@ class TestDagBatchOracle:
         assert dag.radius(2.0) == float(longest ** 0.5)
 
 
+    @given(random_dags(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_costs(self, dag, data):
+        m = data.draw(st.integers(1, 40))
+        entries = st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+        C = np.array(data.draw(st.lists(st.lists(entries, min_size=dag.dim,
+                                                 max_size=dag.dim),
+                                        min_size=m, max_size=m)))
+        assert np.array_equal(dag.linopt_batch(C),
+                              np.stack([dag_linopt_ref(dag, c) for c in C]))
+        assert np.array_equal(dag.gap_batch(C), [dag_gap_ref(dag, c) for c in C])
+
+    def test_node_with_300_parallel_arcs(self, rng):
+        # option slots past 255 need a two-byte slot type
+        dag = DagPathPolytope(3, [(0, 1)] * 300 + [(1, 2)], 0, 2)
+        assert dag._slot_type == np.uint16
+        C = rng.standard_normal((64, dag.dim))
+        C[0] = 1.0
+        C[0, [150, 280]] = -1.0  # tied minima: the lower arc index wins
+        C[1] = 1.0
+        C[1, 299] = -2.0
+        C[2:8] = rng.integers(-1, 2, (6, dag.dim))
+        W = dag.linopt_batch(C)
+        assert np.array_equal(W, np.stack([dag_linopt_ref(dag, c) for c in C]))
+        assert np.flatnonzero(W[0]).tolist() == [150, 300]
+        assert np.flatnonzero(W[1]).tolist() == [299, 300]
+        assert np.array_equal(dag.gap_batch(C), [dag_gap_ref(dag, c) for c in C])
+
+    @pytest.mark.parametrize("arcs", [[(0, 1)], [(1, 0), (2, 1), (2, 0)]])
+    def test_source_is_sink(self, arcs, rng):
+        # the one path is empty: every decision is zero, every gap 0
+        dag = DagPathPolytope(3, arcs, 0, 0)
+        assert dag.extreme_point_count() == 1
+        C = rng.standard_normal((9, dag.dim))
+        assert np.array_equal(dag.linopt_batch(C), np.zeros((9, dag.dim)))
+        assert np.array_equal(dag.gap_batch(C), np.zeros(9))
+        assert dag.radius(2.0) == 0.0
+        assert dag.linopt_batch(C[:0]).shape == (0, dag.dim)
+
+
 class TestDagDiameter:
     @given(random_dags())
     @settings(max_examples=200, deadline=None)

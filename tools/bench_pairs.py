@@ -31,17 +31,29 @@ interquartile range.  Two verdicts combine these, per workload and metric:
 It also holds each tree's git sha (and whether its working tree was
 dirty), its ``src`` and ``tests`` line counts (``wc -l`` of
 ``src/**/*.py`` and ``tests/**/*.py``), and the environment block of its
-last run.
+last run.  ``environment.variables`` holds the glibc malloc tunables
+(``MALLOC_*``) and BLAS thread variables the script ran under, which every
+run inherits (a BLAS variable left unset reads null); for example
+
+    MALLOC_MMAP_THRESHOLD_=131072 python3 tools/bench_pairs.py ...
+
+records the fixed mmap threshold of a control run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+#: BLAS thread variables recorded in ``environment.variables``
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -78,6 +90,12 @@ def line_counts(tree: Path) -> dict:
     return {f"{top}_lines": sum(path.read_bytes().count(b"\n")
                                 for path in (tree / top).rglob("*.py"))
             for top in ("src", "tests")}
+
+
+def run_variables() -> dict:
+    """The ``MALLOC_*`` and BLAS thread variables of this process."""
+    return {name: os.environ.get(name) for name in THREAD_VARS} | {
+        name: value for name, value in sorted(os.environ.items()) if name.startswith("MALLOC_")}
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -130,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {"pairs": args.pairs, "seconds": args.seconds,
               "trees": {side: {**git_state(tree), **line_counts(tree)}
                         for side, tree in trees.items()},
-              "environment": {}, "results": []}
+              "environment": {"variables": run_variables()}, "results": []}
     for item in runs:
         workload, _, seed = item.partition(":")
         seed = int(seed or 0)

@@ -8,14 +8,14 @@ so two runs with the same seed produce byte-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import bounds
 from ._rng import substream
-from .bounds import (BoundInputs, bound_covering, bound_linear_polyhedral,
-                     bound_margin, bound_margin_uniform, bound_natarajan,
-                     bound_rademacher)
+from .bounds import (_COUNTS, BoundInputs, bound_linear_polyhedral,
+                     bound_margin, bound_margin_uniform, bound_natarajan)
 from .complexity import (FiniteHypothesisSet, count_restrictions,
                          linear_class_rad_bound, massart_bound,
                          natarajan_dim_bruteforce, oracle_label_table,
@@ -501,60 +501,60 @@ def audit_bound_anchors(seed: int, scale: int = 1) -> AuditResult:
                        f"uniformity term at gamma=gamma_bar {_fmt(uni.terms['uniformity'])}")
 
 
+#: +1 where a larger input must not lower a bound, -1 where a smaller one
+#: must not (n only while n * card_S**2 and 2 * n * rho2_S * d stay >= e)
+DIRECTIONS = {"n": -1, "delta": -1, "empirical_risk": 1, "omega": 1, "rho2_C": 1,
+              "rho2_S": 1, "mu": -1, "gamma": -1, "gamma_bar": 1, "d_N": 1,
+              "card_S": 1, "d": 1, "p": 1, "rad": 1}
+_CONTRACT_INPUTS = BoundInputs(n=200, delta=0.05, empirical_risk=0.1, omega=1.5,
+                               rho2_C=1.0, rho2_S=1.0, mu=1.0, gamma=0.5,
+                               gamma_bar=1.0, d_N=2, card_S=4, d=2, p=3, rad=0.1)
+
+
+def _bound_breaches(inputs: BoundInputs) -> list[tuple[str, str, float]]:
+    """The (check, where, size) breaches at ``inputs`` (every field set) of the
+    contract of each ``bounds.evaluate_all`` report: value == fsum(terms)
+    ("sum") >= R_hat ("risk"), no term < 0 or NaN ("term"), and no one-field
+    step along DIRECTIONS (a count +-1, else x2 or /2) lowers it ("monotone")."""
+    base = bounds.evaluate_all(inputs)
+    names = [f"{r.theorem_id} {r.inputs.get('variant', '')}".rstrip() for r in base]
+    breaches = []
+    for where, report in zip(names, base):
+        gap = abs(report.value - math.fsum(report.terms.values()))
+        if not gap == 0:
+            breaches.append(("sum", where, gap))
+        if not report.value >= inputs.empirical_risk:
+            breaches.append(("risk", where, inputs.empirical_risk - report.value))
+        breaches += [("term", f"{where} {term}", val)
+                     for term, val in report.terms.items() if not val >= 0]
+    for name, sign in DIRECTIONS.items():
+        val = getattr(inputs, name)
+        val = val + sign if name in _COUNTS else val * 2.0 ** sign
+        if name == "n" and min(val * inputs.card_S ** 2,
+                               2.0 * val * inputs.rho2_S * inputs.d) < math.e:
+            continue
+        moved = bounds.evaluate_all(replace(inputs, **{name: val}))
+        breaches += [("monotone", f"{where} {name}", a.value - b.value)
+                     for where, a, b in zip(names, base, moved, strict=True)
+                     if not b.value >= a.value]
+    return breaches
+
+
 def audit_bound_monotonicity(seed: int, scale: int = 1) -> AuditResult:
-    """Bounds shrink with n and grow with omega, 1/delta, d_N, |S| and 1/gamma."""
-    base = dict(delta=0.05, omega=1.0, d_N=3, card_S=4)
-    ok = True
-    ns = [50, 100, 200, 400, 800, 1600]
-    vals = [bound_natarajan(BoundInputs(n=n, **base)).value for n in ns]
-    ok &= all(a >= b for a, b in zip(vals, vals[1:]))
-    for name, grid in (("omega", [0.5, 1.0, 2.0, 4.0]),
-                       ("d_N", [0, 1, 2, 4, 8]),
-                       ("card_S", [2, 3, 5, 9])):
-        vals = [bound_natarajan(BoundInputs(n=200, **{**base, name: v})).value
-                for v in grid]
-        ok &= all(a <= b for a, b in zip(vals, vals[1:]))
-    vals = [bound_natarajan(BoundInputs(n=200, **{**base, "delta": v})).value
-            for v in [0.2, 0.1, 0.05, 0.01]]
-    ok &= all(a <= b for a, b in zip(vals, vals[1:]))
-    margin_base = dict(n=200, delta=0.05, omega=1.0, rho2_C=1.0, mu=1.0, rad=0.1)
-    vals = [bound_margin(BoundInputs(gamma=g, **margin_base)).value
-            for g in [1.0, 0.5, 0.25, 0.1]]
-    ok &= all(a <= b for a, b in zip(vals, vals[1:]))
-    cov_base = dict(delta=0.05, omega=1.0, rho2_C=1.0, rho2_S=1.0, d=2, p=3)
-    vals = [bound_covering(BoundInputs(n=n, **cov_base)).value for n in ns]
-    ok &= all(a >= b for a, b in zip(vals, vals[1:]))
-    return AuditResult("bound_monotonicity", bool(ok),
-                       "bounds monotone on all tested grids" if ok
-                       else "monotonicity breach on a tested grid")
+    """No bound falls when one input moves a step in its DIRECTIONS entry."""
+    breaches = [w for c, w, _ in _bound_breaches(_CONTRACT_INPUTS) if c == "monotone"]
+    return AuditResult("bound_monotonicity", not breaches,
+                       "bounds monotone on all tested grids" if not breaches
+                       else f"monotonicity breach: {', '.join(breaches)}")
 
 
 def audit_bound_term_consistency(seed: int, scale: int = 1) -> AuditResult:
-    """Every report's terms are non-negative, sum to its value to 1e-12, and
-    its value is at least the empirical-risk term."""
-    reports = [
-        bound_rademacher(BoundInputs(n=100, delta=0.05, empirical_risk=0.2,
-                                     omega=1.0, rad=0.1), "expected"),
-        bound_rademacher(BoundInputs(n=100, delta=0.05, empirical_risk=0.2,
-                                     omega=1.0, rad=0.1), "empirical"),
-        bound_natarajan(BoundInputs(n=100, delta=0.05, empirical_risk=0.1,
-                                    omega=2.0, d_N=4, card_S=6)),
-        bound_covering(BoundInputs(n=1000, delta=0.05, empirical_risk=0.3,
-                                   omega=2.0, rho2_C=1.0, rho2_S=1.0, d=2, p=3)),
-        bound_margin(BoundInputs(n=400, delta=0.05, empirical_risk=0.15,
-                                 omega=1.0, rho2_C=1.0, mu=2.0, gamma=0.5,
-                                 rad=0.05), "empirical"),
-        bound_margin_uniform(BoundInputs(n=400, delta=0.1, empirical_risk=0.15,
-                                         omega=1.0, rho2_C=1.0, mu=2.0,
-                                         gamma=0.25, gamma_bar=1.0, rad=0.05),
-                             "empirical"),
-    ]
-    worst = max(abs(r.value - math.fsum(r.terms.values())) for r in reports)
-    non_negative = all(v >= 0.0 for r in reports for v in r.terms.values())
-    dominates = all(r.value >= r.terms["empirical_risk"] for r in reports)
-    passed = worst <= 1e-12 and non_negative and dominates
-    return AuditResult("bound_term_consistency", passed,
-                       f"max |value - sum(terms)| {_fmt(worst)}")
+    """Every value is the exact sum of non-negative terms and at least R_hat."""
+    breaches = [b for b in _bound_breaches(_CONTRACT_INPUTS) if b[0] != "monotone"]
+    worst = max((size for check, _, size in breaches if check == "sum"), default=0.0)
+    return AuditResult("bound_term_consistency", not breaches,
+                       f"max |value - sum(terms)| {_fmt(worst)}"
+                       + "".join(f", {c} breach: {w}" for c, w, _ in breaches))
 
 
 AUDITS = (

@@ -208,8 +208,8 @@ def bound_covering(inputs: BoundInputs) -> BoundReport:
 def margin_rad_bound(rho2_C: float, rad: float, gamma: float, mu: float) -> float:
     """Margin-loss Rademacher complexity from the multivariate complexity of
     the prediction class: ``5 * sqrt(2) * rho2_C * rad / (gamma * mu)``."""
-    if gamma <= 0 or mu <= 0:
-        raise ValueError("gamma and mu must be positive")
+    if gamma <= 0 or mu <= 0 or gamma * mu == 0:
+        raise ValueError(f"gamma, mu and gamma * mu must be > 0, got {gamma!r}, {mu!r}")
     if rho2_C < 0 or rad < 0:
         raise ValueError("rho2_C and rad must be >= 0")
     return 5.0 * math.sqrt(2.0) * rho2_C * rad / (gamma * mu)

@@ -351,6 +351,7 @@ class BoundValidityResult:
 
     def trials_csv(self) -> str:
         lines = [",".join(self.columns())]
+        bound_ids = _bound_ids(self.config)
         for rec in self.records:
             row = [str(rec.trial), str(rec.n),
                    "" if rec.gamma_star is None else repr(rec.gamma_star),
@@ -358,7 +359,6 @@ class BoundValidityResult:
             if self.config.strongly_convex:
                 row += [repr(rec.emp_margin[g]) for g in self.config.gamma_grid]
             row += [repr(rec.true_risk), repr(rec.true_risk_stderr)]
-            bound_ids = _bound_ids(self.config)
             row += [repr(rec.bounds[b]) for b in bound_ids]
             row += [str(int(rec.violations[b])) for b in bound_ids]
             lines.append(",".join(row))
@@ -511,10 +511,9 @@ def _run_group(group: list[ExperimentConfig]) -> list[list[TrialRecord]]:
 
 
 def _result(config: ExperimentConfig, records: list[TrialRecord]) -> BoundValidityResult:
-    bound_ids = _bound_ids(config)
     omega = config.cost_domain.omega
     per_bound = {}
-    for bound_id in bound_ids:
+    for bound_id in _bound_ids(config):
         count = sum(r.violations[bound_id] for r in records)
         # slack of the violation test, per trial: negative exactly when the
         # trial's violation flag is set

@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spo_bounds.bounds import (TERMS, THEOREMS, VARIANTS, BoundInputs,
+from spo_bounds import audits, bounds
+from spo_bounds.bounds import (TERMS, THEOREMS, VARIANTS, BoundInputs, BoundReport,
                                bound_covering, bound_linear_polyhedral,
                                bound_margin, bound_margin_uniform,
                                bound_natarajan, bound_rademacher, evaluate,
@@ -164,6 +168,12 @@ class TestMarginBound:
         assert report.terms["complexity"] == pytest.approx(
             2.0 * margin_rad_bound(1.0, 0.05, 0.5, 2.0))
 
+    def test_underflowing_gamma_mu_refused_and_a_subnormal_product_kept(self):
+        with pytest.raises(ValueError, match="gamma \\* mu must be > 0"):
+            margin_rad_bound(1.0, 0.1, 1e-200, 1e-200)
+        # 1e-160 * 1e-160 is subnormal, not 0: the quotient overflows as before
+        assert margin_rad_bound(1.0, 0.1, 1e-160, 1e-160) == math.inf
+
     def test_requires_positive_gamma_mu(self):
         with pytest.raises(ValueError, match="gamma"):
             inputs(omega=1.0, rho2_C=1.0, mu=2.0, gamma=0.0, rad=0.05)
@@ -205,38 +215,6 @@ class TestMarginUniformBound:
 
 
 class TestReports:
-    def test_terms_sum_to_value(self):
-        reports = [
-            bound_rademacher(inputs(empirical_risk=0.2, omega=1.0, rad=0.1)),
-            bound_natarajan(inputs(empirical_risk=0.1, omega=1.5, d_N=3,
-                                   card_S=5)),
-            bound_covering(inputs(n=500, empirical_risk=0.4, omega=1.0,
-                                  rho2_C=0.5, rho2_S=2.0, d=3, p=2)),
-            bound_margin_uniform(inputs(empirical_risk=0.05, omega=1.0,
-                                        rho2_C=1.0, mu=1.0, gamma=0.1,
-                                        gamma_bar=0.4, rad=0.02)),
-        ]
-        for report in reports:
-            assert report.value == pytest.approx(sum(report.terms.values()),
-                                                 abs=1e-12)
-            assert all(v >= 0.0 for v in report.terms.values())
-            assert report.value >= report.terms["empirical_risk"]
-
-    def test_monotone_in_n(self):
-        vals = [bound_natarajan(BoundInputs(n=n, delta=0.05, omega=1.0, d_N=3,
-                                            card_S=4)).value
-                for n in (50, 100, 200, 400, 800)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_monotone_in_omega_and_delta(self):
-        vals = [bound_natarajan(inputs(omega=w, d_N=3, card_S=4)).value
-                for w in (0.5, 1.0, 2.0)]
-        assert vals == sorted(vals)
-        vals = [bound_natarajan(BoundInputs(n=100, delta=d, omega=1.0, d_N=3,
-                                            card_S=4)).value
-                for d in (0.2, 0.1, 0.01)]
-        assert vals == sorted(vals)
-
     def test_inputs_echoed(self):
         report = bound_margin(inputs(omega=1.0, rho2_C=1.0, mu=2.0, gamma=0.5,
                                      rad=0.05), "expected")
@@ -408,3 +386,52 @@ class TestInputValidation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown bound inputs"):
             BoundInputs.from_dict({"n": 10, "delta": 0.5, "slack": 1.0})
+
+
+#: bound inputs with every field set and every theorem defined
+CONTRACT_INPUTS = st.builds(
+    BoundInputs, n=st.integers(1, 10 ** 6), delta=st.floats(1e-300, 0.98),
+    empirical_risk=st.floats(0.0, 10.0), omega=st.just(0.0) | st.floats(1e-3, 1e2),
+    rho2_C=st.floats(0.0, 1e2), rho2_S=st.floats(1e-3, 1e2), mu=st.floats(1e-3, 1e3),
+    gamma=st.floats(1e-3, 1.0), gamma_bar=st.floats(1.0, 1e3), d_N=st.integers(0, 100),
+    card_S=st.integers(1, 10 ** 4), d=st.integers(1, 100), p=st.integers(1, 100),
+    rad=st.floats(0.0, 1e2),
+).filter(lambda i: i.n * i.card_S ** 2 > 1 and 2.0 * i.n * i.rho2_S * i.d > 1.0)
+
+
+class TestContract:
+    """The contract the ``bound_monotonicity`` and ``bound_term_consistency``
+    audits hold every theorem and variant of ``THEOREMS`` to."""
+
+    def test_every_input_field_has_a_direction(self):
+        assert set(audits.DIRECTIONS) == {f.name for f in dataclasses.fields(BoundInputs)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONTRACT_INPUTS)
+    def test_holds_on_random_valid_inputs(self, inputs):
+        assert audits._bound_breaches(inputs) == []
+
+    def test_audits_pass_on_the_table(self):
+        assert audits.audit_bound_monotonicity(0) == audits.AuditResult(
+            "bound_monotonicity", True, "bounds monotone on all tested grids")
+        assert audits.audit_bound_term_consistency(0) == audits.AuditResult(
+            "bound_term_consistency", True, "max |value - sum(terms)| 0")
+
+    @pytest.mark.parametrize("theorem_id, complexity, offset, failing, detail", [
+        ("grows_in_n", lambda i: 1e-3 * i.n, 0.0, "bound_monotonicity",
+         "monotonicity breach: grows_in_n n"),
+        ("off_the_sum", lambda i: 0.5, 1e-3, "bound_term_consistency",
+         "max |value - sum(terms)| 0.001, sum breach: off_the_sum")],
+        ids=["grows_in_n", "off_the_sum"])
+    def test_a_broken_theorem_fails_its_audit(self, theorem_id, complexity, offset,
+                                              failing, detail, monkeypatch):
+        def broken(inputs):
+            terms = {"empirical_risk": inputs.empirical_risk,
+                     "complexity": complexity(inputs)}
+            return BoundReport(theorem_id, math.fsum(terms.values()) + offset, terms, {})
+
+        monkeypatch.setattr(bounds, "THEOREMS", {**THEOREMS, theorem_id: (broken, False)})
+        results = {r.name: r for r in (audits.audit_bound_monotonicity(0),
+                                       audits.audit_bound_term_consistency(0))}
+        assert results.pop(failing) == audits.AuditResult(failing, False, detail)
+        assert results.popitem()[1].passed

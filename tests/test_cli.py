@@ -376,6 +376,15 @@ class TestInputErrors:
         self.assert_one_error_line(capsys, "--csv applies to 'all' only")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("theorem", ["margin", "margin_uniform", "all"])
+    def test_margin_refuses_an_underflowing_gamma_mu(self, theorem, tmp_path, capsys):
+        inputs_file = write(tmp_path / "inputs.json",
+                            {"n": 100, "delta": 0.05, "omega": 1.0, "rho2_C": 1.0,
+                             "rad": 0.1, "mu": 1e-200, "gamma": 1e-200, "gamma_bar": 1.0})
+        assert main(["bound", theorem, "--inputs", inputs_file]) == 2
+        self.assert_one_error_line(capsys, "gamma, mu and gamma * mu must be > 0, "
+                                           "got 1e-200, 1e-200")
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["loss", "eval", "--region", str(tmp_path / "none.json"),
                      "--c-hat", "1,0", "--c", "1,0"]) == 2

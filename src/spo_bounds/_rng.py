@@ -24,17 +24,18 @@ from three facts about numpy:
   threshold ``2**32 mod 2`` is 0, so it never draws again.
 
 So sign ``2i`` of a row is bit 31 and sign ``2i + 1`` bit 63 of the
-stream's output ``i``.  The kernel jumps the LCG ahead in closed form,
-``x -> A_n x + G_n inc`` for n steps, multiplies 128-bit numbers from
-32-bit limbs, and writes each sign bit straight into the sign bit of 1.0.
+stream's output ``i``.  The kernel steps the LCG of every stream at once,
+one array pass per output, multiplies 128-bit numbers from 32-bit limbs,
+and writes each sign bit straight into the sign bit of 1.0.
 
 A row of ``_WIDE_ROW_OUTPUTS`` (200) outputs or more, 399+ signs, is drawn
 by numpy's own PCG64 instead, set to each stream's seeded state
 ``M (initstate + inc) + inc``, and the same top bits become the signs.  A
-state costs about 4 us per stream against the kernel's 0.2 us, but numpy
-draws an output in a quarter of the kernel's time (9 against 37 ns on
-2,000-sign rows), so the two meet near 200 outputs.  The switch reads only
-the row width, and both paths give the same bits.
+state costs about 5 us per stream, then an output a few ns; an array pass
+costs about 35 us whatever the stream count, up to a few thousand (2-core
+Xeon, numpy 2.4).  So the kernel wins on many narrow rows (2,000 rows of 50
+signs: 1.5 ms) and loses on few streams (one row of 398 signs: 7 ms).  The
+switch reads only the row width, and both paths give the same bits.
 
 Row ``k`` depends on the stream index alone, so ``substream_sign_blocks``
 yields the rows of a request in blocks of a caller's height, a short tail
@@ -45,9 +46,9 @@ height, which BLAS does not promise.  OpenBLAS 0.3.31 (SkylakeX kernels)
 was seen to on the estimators' shapes only past its small-matrix kernels'
 bound, which ``complexity`` sizes the blocks by, and never at 1, 7 or 64
 rows; so those blocks also have at least ``SIGN_BLOCK_ROWS`` rows, pinned,
-unless the whole request has fewer.  Each block pays its own lane set-up,
-which at 256 rows cost up to 5 ms more per 2,000-draw call on the
-estimators' shapes; 512 rows halve that.
+unless the whole request has fewer.  A narrow block pays one array pass
+per output whatever its height: 2,000 rows of 398 signs took 32 ms in
+blocks of 256 rows, 19 ms in blocks of 512 and 11 ms whole.
 """
 
 from __future__ import annotations
@@ -153,14 +154,14 @@ def _seed_halves(seed: int, count: int) -> np.ndarray:
 # Rademacher signs straight from the PCG64 arithmetic
 # ---------------------------------------------------------------------------
 
-#: ``substream_signs`` advances this many stream outputs per array pass,
-#: split evenly over the streams, so its scratch arrays hold that many
-#: elements (one per stream when there are more streams)
+#: ``_fill_wide_signs`` buffers this many raw outputs per pass, in whole
+#: rows (one row when a row is longer)
 _LANE_BLOCK = 1 << 15
 #: largest array request the package accepts, in bytes: ``substream_signs``
 #: and the experiment's sample sizes are refused over it
 ARRAY_BYTES_MAX = 1 << 30
-#: bytes per stream that the seeding holds at its peak (145 measured)
+#: bytes per stream that the seeding and the kernel hold at their peak
+#: (129 measured at 4,096 x 50 signs)
 _SEED_BYTES = 256
 #: least PCG64 outputs per row (two signs each) drawn by numpy's PCG64
 _WIDE_ROW_OUTPUTS = 200
@@ -175,58 +176,6 @@ _ROT_MASK = np.uint64(63)
 _SIGN32 = np.uint32(1 << 31)
 #: high 32 bits of -1.0; XOR with a word's top bit gives those of +-1.0
 _NEG_ONE_HIGH = np.uint32(0xBFF00000)
-
-
-def _lcg_power(n: int) -> tuple[int, int]:
-    """``(A, G)`` with ``LCG^n(x) = A x + G inc (mod 2**128)``."""
-    a, g = 1, 0
-    step_a, step_g = _PCG_MULT, 1
-    while n:
-        if n & 1:
-            a, g = (step_a * a) & _MASK128, (step_a * g + step_g) & _MASK128
-        step_a, step_g = (step_a * step_a) & _MASK128, (step_a * step_g + step_g) & _MASK128
-        n >>= 1
-    return a, g
-
-
-def _mul128(a: int, x_hi, x_lo, hi=None, lo=None, t=None, u=None):
-    """``a x (mod 2**128)`` on uint64 (high, low) halves, from the 32-bit
-    limbs of the low halves.  ``hi``, ``lo``, ``t`` and ``u`` are optional
-    output and scratch buffers of the product's shape."""
-    a_hi, a_lo = np.uint64(a >> 64), np.uint64(a & 0xFFFFFFFFFFFFFFFF)
-    a0, a1 = a_lo & _LOW32, a_lo >> _U32
-    lo = np.bitwise_and(x_lo, _LOW32, out=lo)  # x0
-    t = np.multiply(lo, a0, out=t)
-    t >>= _U32
-    u = np.multiply(lo, a1, out=u)
-    t += u  # x0 a1 + carry of x0 a0
-    np.right_shift(x_lo, _U32, out=lo)  # x1
-    np.bitwise_and(t, _LOW32, out=u)
-    hi = np.multiply(lo, a1, out=hi)
-    lo *= a0
-    u += lo  # x1 a0 + low half of t
-    t >>= _U32
-    hi += t
-    u >>= _U32
-    hi += u  # high 64 bits of a_lo x_lo
-    hi += np.multiply(x_lo, a_hi, out=t)
-    hi += np.multiply(x_hi, a_lo, out=t)
-    np.multiply(x_lo, a_lo, out=lo)
-    return hi, lo
-
-
-def _jump(jump: tuple[int, int], x, inc, hi=None, lo=None, t=None, u=None,
-          carry=None):
-    """``A x + G inc (mod 2**128)`` for ``jump = (A, G)``; ``x`` is (high,
-    low) halves and ``inc`` the per-stream (high, low) column halves."""
-    a, g = jump
-    hi, lo = _mul128(a, *x, hi, lo, t, u)
-    d_hi, d_lo = _mul128(g, *inc)
-    t = np.add(lo, d_lo, out=t)
-    carry = np.less(t, lo, out=carry)
-    hi += d_hi
-    hi += carry
-    return hi, t
 
 
 def _check_sign_request(seed: int, count: int, size: int) -> None:
@@ -301,41 +250,49 @@ def _fill_signs(seeds: np.ndarray, out: np.ndarray) -> None:
     if outputs >= _WIDE_ROW_OUTPUTS:
         _fill_wide_signs(seeds, out, outputs)
         return
-    inc = (seeds[:, 2:3] << np.uint64(1) | seeds[:, 3:4] >> np.uint64(63),
-           seeds[:, 3:4] << np.uint64(1) | np.uint64(1))
-    # lane l holds LCG^l of the seeded state, so the states of outputs
-    # start .. start + lanes - 1 are one jump of the lanes, LCG^(start + 1)
-    lanes = min(outputs, max(1, _LANE_BLOCK // count))
-    lane_hi = np.empty((count, lanes), np.uint64)
-    lane_lo = np.empty((count, lanes), np.uint64)
-    lane_hi[:, :1], lane_lo[:, :1] = _jump((_PCG_MULT, _PCG_MULT + 1),
-                                           (seeds[:, 0:1], seeds[:, 1:2]), inc)
-    width = 1
-    while width < lanes:
-        w = min(width, lanes - width)
-        lane_hi[:, width:width + w], lane_lo[:, width:width + w] = _jump(
-            _lcg_power(width), (lane_hi[:, :w], lane_lo[:, :w]), inc)
-        width += w
-    # little-endian buffers, so the word views below hold on any host
-    hi_buf, lo_buf, t_buf, u_buf = (np.empty((count, lanes), "<u8") for _ in range(4))
-    carry_buf = np.empty((count, lanes), bool)
+    inc_hi = seeds[:, 2:3] << np.uint64(1) | seeds[:, 3:4] >> np.uint64(63)
+    inc_lo = seeds[:, 3:4] << np.uint64(1) | np.uint64(1)
+    hi, lo = seeds[:, 0:1] + inc_hi, seeds[:, 1:2] + inc_lo
+    hi += lo < inc_lo
+    # the multiplier's 64-bit halves and the 32-bit limbs of its low half
+    m_hi, m_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+    m0, m1 = m_lo & _LOW32, m_lo >> _U32
+    # little-endian scratch, for the word views of ``_write_signs``
+    x, t, u, v = (np.empty((count, 1), "<u8") for _ in range(4))
     # high 32-bit words of the float64 output; +-1.0 has a zero low word
     high = out.view("<u4")[:, 1::2]
-    for start in range(0, outputs, lanes):
-        k = min(lanes, outputs - start)
-        hi, lo = _jump(_lcg_power(start + 1), (lane_hi[:, :k], lane_lo[:, :k]), inc,
-                       hi_buf[:, :k], lo_buf[:, :k], t_buf[:, :k], u_buf[:, :k],
-                       carry_buf[:, :k])
+    # step -1 makes the seeded state; step i >= 0 makes output i's state
+    for i in range(-1, outputs):
+        # x -> M x + inc (mod 2**128) in place, from 32-bit limbs of lo
+        np.bitwise_and(lo, _LOW32, out=x)
+        np.multiply(x, m0, out=t)
+        t >>= _U32
+        t += np.multiply(x, m1, out=u)  # x0 m1 + carry of x0 m0
+        np.right_shift(lo, _U32, out=x)
+        np.bitwise_and(t, _LOW32, out=u)
+        u += np.multiply(x, m0, out=v)  # x1 m0 + low half of t
+        t >>= _U32
+        u >>= _U32
+        t += u
+        t += np.multiply(x, m1, out=v)  # high half of lo m_lo
+        hi *= m_lo
+        hi += np.multiply(lo, m_hi, out=v)
+        hi += t
+        lo *= m_lo
+        lo += inc_lo
+        hi += inc_hi
+        hi += np.less(lo, inc_lo, out=v)
+        if i < 0:
+            continue
         # XSL-RR output: hi ^ lo rotated right by the top 6 bits of hi
-        rot = np.right_shift(hi, _ROT_SHIFT, out=lo_buf[:, :k])
-        np.bitwise_xor(hi, lo, out=lo)
-        np.right_shift(lo, rot, out=hi)
-        np.negative(rot, out=rot)
-        rot &= _ROT_MASK
-        np.left_shift(lo, rot, out=lo)
-        lo |= hi
-        n = min(2 * k, size - 2 * start)
-        _write_signs(lo, high[:, 2 * start:2 * start + n])
+        np.right_shift(hi, _ROT_SHIFT, out=x)
+        np.bitwise_xor(hi, lo, out=t)
+        np.right_shift(t, x, out=u)
+        np.negative(x, out=x)
+        x &= _ROT_MASK
+        t <<= x
+        t |= u
+        _write_signs(t, high[:, 2 * i:2 * i + 2])
 
 
 def _fill_wide_signs(seeds: np.ndarray, out: np.ndarray, outputs: int) -> None:

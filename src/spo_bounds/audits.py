@@ -14,8 +14,9 @@ import numpy as np
 
 from . import bounds
 from ._rng import substream
-from .bounds import (_COUNTS, BoundInputs, bound_linear_polyhedral,
-                     bound_margin, bound_margin_uniform, bound_natarajan)
+from .bounds import (_COUNTS, BoundInputs, bound_covering,
+                     bound_linear_polyhedral, bound_margin, bound_margin_uniform,
+                     bound_natarajan, bound_rademacher)
 from .complexity import (FiniteHypothesisSet, count_restrictions,
                          linear_class_rad_bound, massart_bound,
                          natarajan_dim_bruteforce, oracle_label_table,
@@ -492,13 +493,35 @@ def audit_bound_anchors(seed: int, scale: int = 1) -> AuditResult:
                                            gamma_bar=0.5, rad=0.05))
     fixed = bound_margin(BoundInputs(n=400, delta=0.05, omega=1.0, rho2_C=1.0,
                                      mu=2.0, gamma=0.5, rad=0.05))
+    # each theorem's value against its formula, written out by hand
+    root = math.sqrt(6.0 * math.log(400.0) / 100.0)
+    exact = {
+        "covering": (bound_covering(BoundInputs(n=100, delta=0.05, omega=1.0, rho2_C=1.0,
+                                                rho2_S=1.0, d=2, p=3)).value,
+                     8.0 * root + 3.0 * math.sqrt(math.log(40.0) / 200.0)
+                     + 0.04 * (1.0 + 4.0 * root)),
+        "margin": (fixed.value,
+                   0.5 * math.sqrt(2.0) + 3.0 * math.sqrt(math.log(40.0) / 800.0)),
+        "margin_uniform": (bound_margin_uniform(BoundInputs(
+            n=400, delta=0.05, omega=1.0, rho2_C=1.0, mu=2.0, gamma=0.25,
+            gamma_bar=1.0, rad=0.05)).value,
+            2.0 * math.sqrt(2.0) + math.sqrt(math.log(3.0) / 400.0)
+            + 3.0 * math.sqrt(math.log(80.0) / 800.0)),
+        "rademacher": (bound_rademacher(BoundInputs(n=100, delta=0.05, empirical_risk=0.2,
+                                                    omega=1.0, rad=0.1)).value,
+                       0.4 + 3.0 * math.sqrt(math.log(40.0) / 200.0)),
+    }
+    off = [name for name, (got, want) in exact.items()
+           if not math.isclose(got, want, rel_tol=1e-14)]
     passed = (abs(anchor - expected) <= 1e-14 and abs(anchor - 1.1656) <= 5e-4
               and same and uni.terms["uniformity"] == 0.0
-              and uni.value >= fixed.value)
+              and uni.value >= fixed.value and not off)
     return AuditResult("bound_anchors", passed,
                        f"natarajan anchor {_fmt(anchor)} (expected {_fmt(expected)}), "
                        f"linear_polyhedral equals natarajan(d_N=dp): {same}, "
-                       f"uniformity term at gamma=gamma_bar {_fmt(uni.terms['uniformity'])}")
+                       f"uniformity term at gamma=gamma_bar {_fmt(uni.terms['uniformity'])}, "
+                       f"covering/margin/margin_uniform/rademacher anchors off: "
+                       f"{', '.join(off) or 'none'}")
 
 
 #: +1 where a larger input must not lower a bound, -1 where a smaller one
@@ -579,8 +602,21 @@ AUDITS = (
 
 
 def run_all_audits(seed: int, fast: bool = False) -> list[AuditResult]:
+    """Every audit's result in ``AUDITS`` order.  A negative seed is refused
+    before any audit runs; an audit that raises a ValueError or
+    ArithmeticError fails with the exception as its detail, and the others
+    still run."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     scale = 10 if fast else 1
-    return [audit(seed, scale) for audit in AUDITS]
+    results = []
+    for audit in AUDITS:
+        try:
+            results.append(audit(seed, scale))
+        except (ValueError, ArithmeticError) as exc:
+            results.append(AuditResult(audit.__name__.removeprefix("audit_"), False,
+                                       f"raised {type(exc).__name__}: {exc}"))
+    return results
 
 
 def render_report(results: list[AuditResult], seed: int) -> str:

@@ -6,9 +6,10 @@ The Monte-Carlo estimators take the sup over a caller-supplied *finite*
 hypothesis set exactly (this lower-bounds the complexity of any larger
 class containing it).  Sign draw ``k`` comes from ``substream(seed, k)``,
 the definition in ``_rng``; ``_rng.substream_signs`` draws all of them,
-bit for bit the signs of those streams: rows under 399 signs in array
-passes from the PCG64 arithmetic, wider ones (as a rule the multivariate
-rows of n*d signs) by numpy's own PCG64 set to each stream's state.  So
+bit for bit the signs of those streams: rows under 399 signs by one LCG
+step of every stream per PCG64 output, in array passes, and wider ones (as
+a rule the multivariate rows of n*d signs) by numpy's own PCG64 set to
+each stream's state.  So
 estimates are deterministic per seed and monotone under adding
 hypotheses.  ``rademacher_multivariate_mc`` correlates the
 pinned blocks of ``_rng.substream_sign_blocks`` and keeps each draw's sup,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from spo_bounds import cli, harness
+from spo_bounds import bounds, cli, harness
 from spo_bounds.bounds import TERMS
 from spo_bounds.cli import main
 from spo_bounds.geometry import UnitSimplex
@@ -262,6 +262,21 @@ class TestVerifyCommand:
         assert (tmp_path / "r1.txt").read_bytes() == (tmp_path / "r2.txt").read_bytes()
         assert "PASS oracle_optimality" in out1
 
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_a_raising_audit_fails_alone(self, error, monkeypatch, capsys):
+        def raises(inputs):
+            raise error("no bound today")
+
+        monkeypatch.setattr(bounds, "THEOREMS",
+                            {**bounds.THEOREMS, "natarajan": (raises, False)})
+        assert main(["verify", "all", "--seed", "3", "--fast"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines[1:-1]) == 17 and lines[-1] == "15/17 audits passed"
+        # the two bound-contract audits evaluate THEOREMS; the rest still report
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            f"FAIL {name}: raised {error.__name__}: no bound today"
+            for name in ("bound_monotonicity", "bound_term_consistency")]
+
 
 class TestInputErrors:
     """Invalid input ends in one stderr line and exit 2, never a traceback."""
@@ -272,6 +287,10 @@ class TestInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and needle in lines[0]
+
+    def test_verify_refuses_a_negative_seed(self, capsys):
+        assert main(["verify", "all", "--seed", "-1", "--fast"]) == 2
+        self.assert_one_error_line(capsys, "seed must be non-negative")
 
     def test_bound_all_rejects_single_sample_single_point(self, tmp_path, capsys):
         inputs_file = write(tmp_path / "inputs.json",

@@ -27,9 +27,9 @@ from conftest import (count_restrictions_ref, natarajan_dim_ref,
 
 class TestSignDraws:
     """Both sign paths against one numpy generator per draw: exactly equal
-    signs over one and many lane blocks, ragged last blocks, odd sizes,
-    rows on either side of the wide-row switch and seeds at the
-    SeedSequence word boundaries."""
+    signs over one and many streams, the widest narrow rows, ragged last
+    blocks, odd sizes, rows on either side of the wide-row switch and seeds
+    at the SeedSequence word boundaries."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 70), m_draws=st.integers(1, 40),
@@ -38,6 +38,9 @@ class TestSignDraws:
     @example(seed=2 ** 64 * 40, m_draws=1, size=5001)
     @example(seed=0, m_draws=5000, size=3)
     @example(seed=3, m_draws=17, size=3001)
+    @example(seed=2 ** 64 - 1, m_draws=1, size=397)
+    @example(seed=2 ** 64, m_draws=1, size=398)
+    @example(seed=7, m_draws=2000, size=50)  # the bench rad-spo shape
     def test_matches_one_generator_per_draw(self, seed, m_draws, size):
         signs = substream_signs(seed, m_draws, size)
         assert signs.dtype == np.float64 and signs.flags.c_contiguous

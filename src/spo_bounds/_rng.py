@@ -7,11 +7,11 @@ every sample from ``substream(seed)``), so no caller builds a generator per
 sample.
 
 The complexity estimators keep one stream per sign draw:
-``substream_signs(seed, count, size)`` draws the Rademacher signs
-``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0`` of every stream
-``k < count`` in array passes, with no generator at all.  It hashes all
-``count`` keys at once with numpy's SeedSequence mixing.  The bits follow
-from three facts about numpy:
+``substream_sign_blocks(seed, count, size, rows)`` yields the Rademacher
+signs ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0`` of every
+stream ``k < count`` in blocks of rows, with no generator per stream.  It
+hashes all ``count`` keys at once with numpy's SeedSequence mixing.  The
+bits follow from three facts about numpy:
 
 * PCG64 is a 128-bit LCG, ``x -> M x + inc (mod 2**128)``, whose 64-bit
   output is the XSL-RR permutation of the new state: ``hi ^ lo`` rotated
@@ -28,27 +28,19 @@ stream's output ``i``.  The kernel steps the LCG of every stream at once,
 one array pass per output, multiplies 128-bit numbers from 32-bit limbs,
 and writes each sign bit straight into the sign bit of 1.0.
 
-A row of ``_WIDE_ROW_OUTPUTS`` (200) outputs or more, 399+ signs, is drawn
-by numpy's own PCG64 instead, set to each stream's seeded state
-``M (initstate + inc) + inc``, and the same top bits become the signs.  A
-state costs about 5 us per stream, then an output a few ns; an array pass
-costs about 35 us whatever the stream count, up to a few thousand (2-core
-Xeon, numpy 2.4).  So the kernel wins on many narrow rows (2,000 rows of 50
-signs: 1.5 ms) and loses on few streams (one row of 398 signs: 7 ms).  The
-switch reads only the row width, and both paths give the same bits.
+The other path draws each row by numpy's own PCG64, set to the stream's
+seeded state ``M (initstate + inc) + inc``, and the same top bits become
+the signs.  A state costs about 5 us per stream, then an output a few ns;
+an array pass of the kernel costs about 35 us whatever the stream count,
+up to a few thousand (2-core Xeon, numpy 2.4).  So the kernel wins only on
+many narrow rows (2,000 rows of 50 signs: 1.5 ms), and a block goes to
+numpy's PCG64 when its rows have ``_WIDE_ROW_OUTPUTS`` (200) outputs or
+more, 399+ signs, or when it has fewer than ``_WIDE_STREAMS_PER_OUTPUT``
+(7, about 35 us / 5 us) streams per output (one row of 398 signs: 0.02 ms
+against 7.5 ms in the kernel).  Both paths give the same bits.
 
-Row ``k`` depends on the stream index alone, so ``substream_sign_blocks``
-yields the rows of a request in blocks of a caller's height, a short tail
-folded into the last block, all written into one reused buffer.  A caller
-that multiplies each block by a matrix gets the rows of the whole-array
-product bit for bit only if BLAS rounds a row the same at every block
-height, which BLAS does not promise.  OpenBLAS 0.3.31 (SkylakeX kernels)
-was seen to on the estimators' shapes only past its small-matrix kernels'
-bound, which ``complexity`` sizes the blocks by, and never at 1, 7 or 64
-rows; so those blocks also have at least ``SIGN_BLOCK_ROWS`` rows, pinned,
-unless the whole request has fewer.  A narrow block pays one array pass
-per output whatever its height: 2,000 rows of 398 signs took 32 ms in
-blocks of 256 rows, 19 ms in blocks of 512 and 11 ms whole.
+Row ``k`` depends on the stream index alone, so the blocks of a request
+hold the rows of the whole request, in order, whatever their height.
 """
 
 from __future__ import annotations
@@ -135,13 +127,6 @@ def _pool_states(seed: int, count: int) -> np.ndarray:
     return out
 
 
-def _check_streams(seed: int, count: int) -> None:
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if not 0 <= count <= 1 << 32:
-        raise ValueError("count must be in [0, 2**32]")
-
-
 def _seed_halves(seed: int, count: int) -> np.ndarray:
     """PCG64's seed of ``substream(seed, i)`` for every ``i < count``, shape
     ``(count, 4)`` uint64: initstate high and low, initseq high and low
@@ -157,17 +142,17 @@ def _seed_halves(seed: int, count: int) -> np.ndarray:
 #: ``_fill_wide_signs`` buffers this many raw outputs per pass, in whole
 #: rows (one row when a row is longer)
 _LANE_BLOCK = 1 << 15
-#: largest array request the package accepts, in bytes: ``substream_signs``
-#: and the experiment's sample sizes are refused over it
+#: largest array request the package accepts, in bytes: sign requests and
+#: the experiment's sample sizes are refused over it
 ARRAY_BYTES_MAX = 1 << 30
 #: bytes per stream that the seeding and the kernel hold at their peak
 #: (129 measured at 4,096 x 50 signs)
 _SEED_BYTES = 256
 #: least PCG64 outputs per row (two signs each) drawn by numpy's PCG64
 _WIDE_ROW_OUTPUTS = 200
-#: least rows per block of ``substream_sign_blocks`` in the estimators; see
-#: the module docstring for why it is pinned and at least 256 rows
-SIGN_BLOCK_ROWS = 512
+#: least streams per output of a block the kernel draws; fewer go to
+#: numpy's PCG64
+_WIDE_STREAMS_PER_OUTPUT = 7
 
 _LOW32 = np.uint64(_MASK32)
 _U32 = np.uint64(32)
@@ -178,44 +163,30 @@ _SIGN32 = np.uint32(1 << 31)
 _NEG_ONE_HIGH = np.uint32(0xBFF00000)
 
 
-def _check_sign_request(seed: int, count: int, size: int) -> None:
-    """Refuse, before anything is allocated, an invalid request or one whose
-    signs and seeding scratch need over ``ARRAY_BYTES_MAX`` bytes."""
-    _check_streams(seed, count)
+def substream_sign_blocks(seed: int, count: int, size: int,
+                          rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The ``(count, size)`` float64 signs whose row ``k`` is
+    ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0``, bit for bit, in
+    order, as ``(first, signs)`` blocks of ``rows`` rows; a last block
+    shorter than that is folded into the one before it, so every block has
+    at least ``rows`` rows unless the whole request has fewer.
+
+    Each block is a C-contiguous view of one buffer reused for every block,
+    valid only until the next block is drawn, so a request holds fewer than
+    ``2 * rows`` rows of signs at once.  Refuses, before allocating
+    anything, an invalid request or one whose signs and seeding scratch
+    need over ``ARRAY_BYTES_MAX`` bytes as a whole.
+    """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if not 0 <= count <= 1 << 32:
+        raise ValueError("count must be in [0, 2**32]")
     if size < 0:
         raise ValueError("size must be non-negative")
     need = count * (8 * size + _SEED_BYTES)
     if need > ARRAY_BYTES_MAX:
         raise ValueError(f"{count} x {size} sign draws need {need} bytes, "
                          f"over the {ARRAY_BYTES_MAX}-byte budget")
-
-
-def substream_signs(seed: int, count: int, size: int) -> np.ndarray:
-    """``(count, size)`` C-contiguous float64 signs whose row ``k`` is
-    ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0``, bit for bit.
-
-    Refuses, before allocating anything, a request whose signs and seeding
-    scratch need over ``ARRAY_BYTES_MAX`` bytes.
-    """
-    _check_sign_request(seed, count, size)
-    out = np.zeros((count, size), dtype="<f8")
-    _fill_signs(_seed_halves(seed, count), out)
-    return out
-
-
-def substream_sign_blocks(seed: int, count: int, size: int,
-                          rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The rows of ``substream_signs(seed, count, size)`` in order, as
-    ``(first, signs)`` blocks of ``rows`` rows; a last block shorter than
-    that is folded into the one before it, so every block has at least
-    ``rows`` rows unless the whole request has fewer.
-
-    Each block is a view of one buffer reused for every block, valid only
-    until the next block is drawn, so a request holds fewer than
-    ``2 * rows`` rows of signs at once.  The request is checked against the
-    budget as a whole.
-    """
-    _check_sign_request(seed, count, size)
     if rows < 1:
         raise ValueError("rows must be >= 1")
     return _sign_blocks(seed, count, size, rows)
@@ -239,17 +210,18 @@ def _fill_signs(seeds: np.ndarray, out: np.ndarray) -> None:
     """Write the signs of the streams with PCG64 seeds ``seeds`` (rows of
     ``_seed_halves``) into the rows of ``out``, a C-contiguous little-endian
     float64 array whose low 32-bit words are zero: only each element's high
-    word is written.  Rows of at least ``_WIDE_ROW_OUTPUTS`` outputs are
-    drawn by numpy's PCG64, narrower ones by the array kernel."""
+    word is written.  Rows of at least ``_WIDE_ROW_OUTPUTS`` outputs, and
+    blocks of fewer than ``_WIDE_STREAMS_PER_OUTPUT`` streams per output,
+    are drawn by numpy's PCG64, the rest by the array kernel."""
     count, size = out.shape
     outputs = (size + 1) // 2
     if count == 0 or outputs == 0:
         return
-    # PCG64 seeding: inc = 2 initseq + 1, and the state is
-    # LCG(initstate + inc) = M initstate + (M + 1) inc
-    if outputs >= _WIDE_ROW_OUTPUTS:
+    if outputs >= _WIDE_ROW_OUTPUTS or count < _WIDE_STREAMS_PER_OUTPUT * outputs:
         _fill_wide_signs(seeds, out, outputs)
         return
+    # PCG64 seeding: inc = 2 initseq + 1, and the state is
+    # LCG(initstate + inc) = M initstate + (M + 1) inc
     inc_hi = seeds[:, 2:3] << np.uint64(1) | seeds[:, 3:4] >> np.uint64(63)
     inc_lo = seeds[:, 3:4] << np.uint64(1) | np.uint64(1)
     hi, lo = seeds[:, 0:1] + inc_hi, seeds[:, 1:2] + inc_lo

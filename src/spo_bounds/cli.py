@@ -232,22 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("complexity", help="complexity estimators")
     comp_sub = comp.add_subparsers(dest="estimator", required=True)
-    for name in ("rad-spo", "rad-multi", "natarajan"):
-        est = comp_sub.add_parser(name)
-        # natarajan may take a --table in place of region, hypotheses and points
-        est.add_argument("--region", required=name == "rad-spo", default=None)
-        est.add_argument("--hypotheses", required=name != "natarajan", default=None,
-                         help="JSON list of d x p matrices")
-        if name == "rad-spo":
-            est.add_argument("--sample", required=True, help="sample CSV or JSON")
-        if name == "rad-multi":
-            est.add_argument("--xs", required=True, help="JSON list of feature vectors")
-        if name == "natarajan":
-            est.add_argument("--xs", default=None)
-            est.add_argument("--table", default=None,
-                             help="JSON points x hypotheses label table")
+    # each estimator registers only the options it reads
+    rad_spo, rad_multi, natarajan = (comp_sub.add_parser(name) for name in
+                                     ("rad-spo", "rad-multi", "natarajan"))
+    rad_spo.add_argument("--region", required=True)
+    for est, data, text in ((rad_spo, "--sample", "sample CSV or JSON"),
+                            (rad_multi, "--xs", "JSON list of feature vectors")):
+        est.add_argument("--hypotheses", required=True, help="JSON list of d x p matrices")
+        est.add_argument(data, required=True, help=text)
         est.add_argument("--draws", type=int, default=2000)
         est.add_argument("--seed", type=int, default=0)
+    # natarajan may take a --table in place of region, hypotheses and points
+    for flag in ("--region", "--hypotheses", "--xs"):
+        natarajan.add_argument(flag, default=None)
+    natarajan.add_argument("--table", default=None,
+                           help="JSON points x hypotheses label table")
+    for est in (rad_spo, rad_multi, natarajan):
         est.set_defaults(handler=_cmd_complexity)
 
     bound = sub.add_parser("bound", help="evaluate generalization bounds")

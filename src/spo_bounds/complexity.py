@@ -5,19 +5,20 @@ complexity bounds for norm-constrained linear predictor classes.
 The Monte-Carlo estimators take the sup over a caller-supplied *finite*
 hypothesis set exactly (this lower-bounds the complexity of any larger
 class containing it).  Sign draw ``k`` comes from ``substream(seed, k)``,
-the definition in ``_rng``; ``_rng.substream_signs`` draws all of them,
-bit for bit the signs of those streams: rows under 399 signs by one LCG
-step of every stream per PCG64 output, in array passes, and wider ones (as
-a rule the multivariate rows of n*d signs) by numpy's own PCG64 set to
-each stream's state.  So
-estimates are deterministic per seed and monotone under adding
-hypotheses.  ``rademacher_multivariate_mc`` correlates the
-pinned blocks of ``_rng.substream_sign_blocks`` and keeps each draw's sup,
-so it need not hold the whole m x n*d sign array.  Its estimate
-equals the whole-array form's bits only where BLAS rounds each row of a
-block's product as in the whole-array product.  OpenBLAS's SkylakeX dgemm
-takes a small-matrix kernel when M * N * K <= 1e6, and that kernel rounds a
-row by its place in the batch; so a block has at least 512 rows and enough
+the definition in ``_rng``, so estimates are deterministic per seed and
+monotone under adding hypotheses.  Both estimators hand an (H, K) stack of
+values to ``_sup_correlations``: ``rademacher_spo_mc`` its SPO losses
+(K = n) and ``rademacher_multivariate_mc`` its flattened predictions
+(K = n*d).  It is the one place where signs meet values: it correlates the
+blocks of ``_rng.substream_sign_blocks`` with the stack and keeps each
+draw's sup, so no estimator holds the whole m x K sign array.
+
+A blocked estimate equals the whole-array product's bits only where BLAS
+rounds each row of a block's product as in the whole-array product, which
+BLAS does not promise.  OpenBLAS's SkylakeX dgemm takes a small-matrix
+kernel when M * N * K <= 1e6, and that kernel rounds a row by its place in
+the batch (blocks of 1, 7 or 64 rows were seen to move the last digit).
+So a block has at least ``SIGN_BLOCK_ROWS`` (512) rows, pinned, and enough
 more to lie past that bound, and a product within it is one block.  A
 single hypothesis makes the product a gemv, which also rounds a row by its
 place (and its threads split the rows), so its signs are drawn whole.
@@ -54,13 +55,16 @@ from itertools import combinations
 
 import numpy as np
 
-from ._rng import SIGN_BLOCK_ROWS, substream_sign_blocks, substream_signs
+from ._rng import substream_sign_blocks
 from .geometry import FeasibleRegion
 from .losses import LabeledSample
 
 #: exhaustive-search budget for the Natarajan dimension
 NATARAJAN_MAX_POINTS = 12
 NATARAJAN_MAX_HYPOTHESES = 1 << 16
+#: least rows per sign block of ``_sup_correlations``; see the module
+#: docstring for why it is pinned
+SIGN_BLOCK_ROWS = 512
 #: M * N * K up to which OpenBLAS's SkylakeX dgemm takes its small-matrix
 #: kernel; see the module docstring
 _SMALL_GEMM_MNK = 10 ** 6
@@ -113,6 +117,22 @@ class FiniteHypothesisSet:
 # Monte-Carlo Rademacher estimators
 # ---------------------------------------------------------------------------
 
+def _sup_correlations(values: np.ndarray, n: int, m_draws: int,
+                      seed: int) -> np.ndarray:
+    """``sup_h (signs_k @ values[h]) / n`` for every sign draw ``k <
+    m_draws``, from sign rows of ``values.shape[1]`` signs drawn in the
+    blocks the module docstring sizes."""
+    H, k = values.shape
+    values_t = values.T
+    rows = m_draws if H == 1 else max(SIGN_BLOCK_ROWS,
+                                      _SMALL_GEMM_MNK // max(1, H * k) + 1)
+    sup = np.empty(m_draws)
+    for first, signs in substream_sign_blocks(seed, m_draws, k, rows):
+        corr = signs @ values_t / n  # (rows, H)
+        corr.max(axis=1, out=sup[first:first + len(signs)])
+    return sup
+
+
 def _mc_summary(values: np.ndarray) -> tuple[float, float]:
     est = float(values.mean())
     if values.size < 2:
@@ -140,9 +160,7 @@ def rademacher_spo_mc(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
     opt = region._decision_cost(cs, cs)
     realized = region._decision_cost(stacked, np.tile(cs, (H, 1)))
     losses = realized.reshape(H, n) - opt
-    signs = substream_signs(seed, m_draws, sample.n)
-    corr = signs @ losses.T / sample.n  # (m, H)
-    return _mc_summary(corr.max(axis=1))
+    return _mc_summary(_sup_correlations(losses, n, m_draws, seed))
 
 
 def rademacher_multivariate_mc(hypotheses: FiniteHypothesisSet, xs,
@@ -157,16 +175,7 @@ def rademacher_multivariate_mc(hypotheses: FiniteHypothesisSet, xs,
     xs = np.asarray(xs, dtype=float)
     preds = hypotheses.predictions(xs)  # (H, n, d)
     H, n, d = preds.shape
-    flat_t = preds.reshape(H, n * d).T
-    # blocks past the small-matrix bound, or the whole product if it is
-    # within it; a single hypothesis (numpy's gemv) is drawn whole
-    rows = m_draws if H == 1 else max(SIGN_BLOCK_ROWS,
-                                      _SMALL_GEMM_MNK // max(1, H * n * d) + 1)
-    sup = np.empty(m_draws)
-    for first, signs in substream_sign_blocks(seed, m_draws, n * d, rows):
-        corr = signs @ flat_t / n  # (rows, H)
-        corr.max(axis=1, out=sup[first:first + len(signs)])
-    return _mc_summary(sup)
+    return _mc_summary(_sup_correlations(preds.reshape(H, n * d), n, m_draws, seed))
 
 
 def _stacked_decisions(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,

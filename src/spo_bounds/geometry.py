@@ -840,14 +840,12 @@ class CostDomain:
 
     Either an enumerated set of vectors or a centered l2 ball of a given
     radius.  ``omega`` is the worst-case linear-optimization gap of the
-    region over the domain, ``rho2`` the l2 radius of the domain and
-    ``rho_star`` its radius in the dual of the region's norm.
+    region over the domain and ``rho2`` the l2 radius of the domain.
     """
 
     def __init__(self, region: FeasibleRegion, members=None, radius: float | None = None):
         if (members is None) == (radius is None):
             raise ValueError("specify exactly one of members / radius")
-        qd = dual_exponent(region.norm_exponent)
         if members is not None:
             M = np.asarray(members, dtype=float)
             if M.ndim != 2 or M.shape[1] != region.dim or M.shape[0] < 1:
@@ -858,7 +856,6 @@ class CostDomain:
             self.members = M
             self.ball_radius = None
             self.rho2 = float(vector_norm_rows(M, 2.0).max())
-            self.rho_star = float(vector_norm_rows(M, qd).max())
             self.omega = float(region._gap(M).max())
         else:
             if not (radius >= 0 and math.isfinite(radius)):
@@ -867,12 +864,6 @@ class CostDomain:
             self.members = None
             self.ball_radius = float(radius)
             self.rho2 = float(radius)
-            # sup of the dual norm over the l2 ball of this radius
-            if qd >= 2.0:
-                factor = 1.0
-            else:
-                factor = region.dim ** (1.0 / qd - 0.5)
-            self.rho_star = float(radius) * factor
             self.omega = float(radius) * region.diameter2()
 
     @classmethod

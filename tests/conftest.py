@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spo_bounds._rng import substream, substream_signs
+from spo_bounds._rng import substream, substream_sign_blocks
 from spo_bounds.complexity import _mc_summary
 from spo_bounds.geometry import (MEMBERSHIP_TOL, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope, ViolationReport,
@@ -355,11 +355,17 @@ def spo_loss_stack_ref(region, hypotheses, sample) -> np.ndarray:
     return np.stack([region.decision_cost_batch(P, sample.cs) - opt for P in preds])
 
 
+def whole_signs(seed: int, count: int, size: int) -> np.ndarray:
+    """Every row of a sign request at once: its single block."""
+    [(_, signs)] = substream_sign_blocks(seed, count, size, max(count, 1))
+    return signs
+
+
 def rademacher_spo_mc_ref(region, hypotheses, sample, m_draws: int,
                           seed: int) -> tuple[float, float]:
+    """The earlier whole-array estimator: all m x n signs in one product."""
     losses = spo_loss_stack_ref(region, hypotheses, sample)
-    signs = substream_signs(seed, m_draws, sample.n)
-    corr = signs @ losses.T / sample.n  # (m, H)
+    corr = whole_signs(seed, m_draws, sample.n) @ losses.T / sample.n  # (m, H)
     return _mc_summary(corr.max(axis=1))
 
 
@@ -369,7 +375,7 @@ def rademacher_multivariate_mc_ref(hypotheses, xs, m_draws: int,
     preds = hypotheses.predictions(np.asarray(xs, dtype=float))
     H, n, d = preds.shape
     flat = preds.reshape(H, n * d)
-    corr = substream_signs(seed, m_draws, n * d) @ flat.T / n  # (m, H)
+    corr = whole_signs(seed, m_draws, n * d) @ flat.T / n  # (m, H)
     return _mc_summary(corr.max(axis=1))
 
 

@@ -421,6 +421,19 @@ class TestInputErrors:
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             f"error: the following arguments are required: {missing}")
 
+    @pytest.mark.parametrize("argv, unread", [
+        (["natarajan", "--table", "t.json", "--draws", "5"], "--draws 5"),
+        (["natarajan", "--table", "t.json", "--seed", "3"], "--seed 3"),
+        (["rad-multi", "--hypotheses", "h.json", "--xs", "xs.json",
+          "--region", "/nonexistent.json"], "--region /nonexistent.json"),
+    ])
+    def test_estimator_refuses_an_option_it_does_not_read(self, argv, unread, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["complexity", *argv])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: unrecognized arguments: {unread}")
+
     def test_natarajan_rejects_non_integer_labels(self, tmp_path, capsys):
         table_file = write(tmp_path / "table.json", [[1.5, 2.7], [1.2, 2.2]])
         assert main(["complexity", "natarajan", "--table", table_file]) == 2

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spo_bounds import _rng, complexity
-from spo_bounds._rng import (ARRAY_BYTES_MAX, SIGN_BLOCK_ROWS, substream,
-                             substream_sign_blocks, substream_signs)
-from spo_bounds.complexity import (FiniteHypothesisSet, count_restrictions,
+from spo_bounds._rng import ARRAY_BYTES_MAX, substream, substream_sign_blocks
+from spo_bounds.complexity import (SIGN_BLOCK_ROWS, FiniteHypothesisSet,
+                                   count_restrictions,
                                    linear_class_rad_bound, massart_bound,
                                    natarajan_dim_bruteforce, oracle_label_table,
                                    rademacher_multivariate_mc,
@@ -22,14 +22,15 @@ from conftest import (count_restrictions_ref, natarajan_dim_ref,
                       oracle_label_table_ref, rademacher_exact,
                       rademacher_multivariate_mc_ref, rademacher_spo_mc_ref,
                       random_dags, sign_draws_ref, spo_loss_stack_ref,
-                      square_region)
+                      square_region, whole_signs)
 
 
 class TestSignDraws:
     """Both sign paths against one numpy generator per draw: exactly equal
     signs over one and many streams, the widest narrow rows, ragged last
-    blocks, odd sizes, rows on either side of the wide-row switch and seeds
-    at the SeedSequence word boundaries."""
+    blocks, odd sizes, rows and stream counts on either side of the switches
+    to numpy's PCG64 and seeds at the SeedSequence word boundaries.  A whole
+    request is drawn as its single block (``whole_signs``)."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 70), m_draws=st.integers(1, 40),
@@ -42,7 +43,7 @@ class TestSignDraws:
     @example(seed=2 ** 64, m_draws=1, size=398)
     @example(seed=7, m_draws=2000, size=50)  # the bench rad-spo shape
     def test_matches_one_generator_per_draw(self, seed, m_draws, size):
-        signs = substream_signs(seed, m_draws, size)
+        signs = whole_signs(seed, m_draws, size)
         assert signs.dtype == np.float64 and signs.flags.c_contiguous
         np.testing.assert_array_equal(signs, sign_draws_ref(seed, m_draws, size))
 
@@ -50,7 +51,7 @@ class TestSignDraws:
                                       2 ** 96 - 1, 2 ** 96, 2 ** 128 + 7])
     def test_word_boundaries(self, seed):
         # keys of 2 to 6 uint32 words cross the 4-word hash pool
-        np.testing.assert_array_equal(substream_signs(seed, 9, 41),
+        np.testing.assert_array_equal(whole_signs(seed, 9, 41),
                                       sign_draws_ref(seed, 9, 41))
 
     @pytest.mark.parametrize("count, rows, heights", [
@@ -58,7 +59,7 @@ class TestSignDraws:
         (1535, 512, [512, 1023]), (2000, 512, [512, 512, 976]), (2000, 700, [700, 1300])])
     def test_blocks_are_pinned_and_fold_the_tail(self, count, rows, heights):
         assert SIGN_BLOCK_ROWS == 512
-        whole = substream_signs(5, count, 9)
+        whole = whole_signs(5, count, 9)
         seen, buffers = [], set()
         for first, signs in substream_sign_blocks(5, count, 9, rows):
             assert first == sum(seen) and signs.flags.c_contiguous
@@ -84,12 +85,27 @@ class TestSignDraws:
     def test_both_paths_draw_the_same_rows(self, seed, count, size):
         drawn = []
         for switch in (1, 10 ** 9):  # every row wide, then none
-            original, _rng._WIDE_ROW_OUTPUTS = _rng._WIDE_ROW_OUTPUTS, switch
-            try:
-                drawn.append(substream_signs(seed, count, size).tobytes())
-            finally:
-                _rng._WIDE_ROW_OUTPUTS = original
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_rng, "_WIDE_ROW_OUTPUTS", switch)
+                patch.setattr(_rng, "_WIDE_STREAMS_PER_OUTPUT", 0)
+                drawn.append(whole_signs(seed, count, size).tobytes())
         assert drawn[0] == drawn[1]
+
+    @pytest.mark.parametrize("count, size, wide", [
+        (1, 398, True), (2000, 50, False), (512, 2000, True),
+        (512, 250, True),  # a verify-all Frobenius block
+        (174, 50, True), (175, 50, False),  # either side of 7 streams per output
+    ])
+    def test_routing_reads_row_width_and_stream_count(self, count, size, wide,
+                                                      monkeypatch):
+        assert _rng._WIDE_STREAMS_PER_OUTPUT == 7
+        calls = []
+        fill_wide = _rng._fill_wide_signs
+        monkeypatch.setattr(_rng, "_fill_wide_signs",
+                            lambda *args: calls.append(fill_wide(*args)))
+        signs = whole_signs(3, count, size)
+        assert len(calls) == wide
+        assert signs.tobytes() == sign_draws_ref(3, count, size).tobytes()
 
     def test_blocks_check_the_whole_request(self, monkeypatch):
         def no_allocation(*args, **kwargs):
@@ -109,16 +125,16 @@ class TestSignDraws:
         assert isinstance(substream(5, 0).bit_generator, np.random.PCG64)
 
     def test_empty_requests(self):
-        assert substream_signs(1, 0, 5).shape == (0, 5)
-        assert substream_signs(1, 4, 0).shape == (4, 0)
+        assert whole_signs(1, 0, 5).shape == (0, 5)
+        assert whole_signs(1, 4, 0).shape == (4, 0)
 
     def test_rejects_invalid_arguments(self):
         with pytest.raises(ValueError, match="non-negative"):
-            substream_signs(-1, 3, 3)
+            whole_signs(-1, 3, 3)
         with pytest.raises(ValueError, match="size"):
-            substream_signs(0, 3, -1)
+            whole_signs(0, 3, -1)
         with pytest.raises(ValueError, match="count"):
-            substream_signs(0, 2 ** 32 + 1, 1)
+            whole_signs(0, 2 ** 32 + 1, 1)
 
     def test_over_budget_request_fails_before_allocating(self, monkeypatch):
         def no_allocation(*args, **kwargs):
@@ -127,10 +143,10 @@ class TestSignDraws:
         monkeypatch.setattr(_rng, "_pool_states", no_allocation)
         monkeypatch.setattr(np, "zeros", no_allocation)
         with pytest.raises(ValueError, match=r"1000000 x 1000000 sign draws need \d+ bytes"):
-            substream_signs(0, 10 ** 6, 10 ** 6)
+            whole_signs(0, 10 ** 6, 10 ** 6)
         # the budget counts the seeding scratch, so many short rows fail too
         with pytest.raises(ValueError, match="budget"):
-            substream_signs(0, ARRAY_BYTES_MAX // 256, 1)
+            whole_signs(0, ARRAY_BYTES_MAX // 256, 1)
 
 
 class TestRademacherSpoMC:
@@ -185,6 +201,27 @@ class TestRademacherSpoMC:
             part, _ = rademacher_spo_mc(region, hyp.subset(range(k)), sample,
                                         m_draws=400, seed=5)
             assert part <= full + 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 9001])
+    def test_blocked_signs_match_whole_array_at_bench_shape(self, seed, monkeypatch):
+        # H = 100, n = 50, m = 2,000, as complexity-shortest-path's rad-spo
+        rng = substream(12)
+        region = UnitSimplex(5)
+        hyp = FiniteHypothesisSet(rng.standard_normal((100, 5, 3)))
+        sample = LabeledSample(xs=rng.standard_normal((50, 3)),
+                               cs=rng.standard_normal((50, 5)))
+        heights = []
+        draw_blocks = complexity.substream_sign_blocks
+
+        def recorded(*args):
+            for first, signs in draw_blocks(*args):
+                heights.append(len(signs))
+                yield first, signs
+
+        monkeypatch.setattr(complexity, "substream_sign_blocks", recorded)
+        assert (rademacher_spo_mc(region, hyp, sample, 2000, seed)
+                == rademacher_spo_mc_ref(region, hyp, sample, 2000, seed))
+        assert heights == [512, 512, 976]
 
     def test_massart_domination(self, rng):
         region = square_region()
@@ -341,16 +378,15 @@ def stacked_cases(draw, finite: bool):
 
 def estimator_losses(region, hyp, sample) -> np.ndarray:
     """The (H, n) SPO loss stack ``rademacher_spo_mc`` correlates with its
-    sign draws, recorded by standing in for the draws."""
+    sign draws, recorded by standing in for the correlation."""
     seen = []
 
-    class Recorder:
-        def __matmul__(self, losses_t):
-            seen.append(losses_t.T.copy())
-            return np.zeros((1, losses_t.shape[1]))
+    def record(values, n, m_draws, seed):
+        seen.append(values.copy())
+        return np.zeros(m_draws)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(complexity, "substream_signs", lambda seed, m, size: Recorder())
+        patch.setattr(complexity, "_sup_correlations", record)
         rademacher_spo_mc(region, hyp, sample, m_draws=1)
     return seen[0]
 

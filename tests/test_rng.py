@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spo_bounds._rng import _seed_halves, substream, substream_signs
+from spo_bounds._rng import _seed_halves, substream
+
+from conftest import whole_signs
 
 
 def seeds_ref(seed: int, count: int) -> np.ndarray:
@@ -34,4 +36,4 @@ class TestSubstreams:
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="count"):
-            substream_signs(0, -1, 3)
+            whole_signs(0, -1, 3)

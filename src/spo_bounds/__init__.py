@@ -11,7 +11,7 @@ from .complexity import (FiniteHypothesisSet, count_restrictions,
                          rademacher_multivariate_mc, rademacher_spo_mc)
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, ViolationReport,
-                       covering_count_log, region_from_dict, region_from_json,
+                       region_from_dict, region_from_json,
                        verify_optimality_condition, verify_strong_convexity)
 from .harness import (ExperimentConfig, RiskEvaluator, TrialRecord,
                       default_suite, fit_least_squares, generate_sample,
@@ -28,7 +28,7 @@ __all__ = [
     "VertexPolytope", "ViolationReport",
     "bound_covering", "bound_linear_polyhedral", "bound_margin",
     "bound_margin_uniform", "bound_natarajan", "bound_rademacher",
-    "count_restrictions", "covering_count_log", "default_suite",
+    "count_restrictions", "default_suite",
     "empirical_risk", "evaluate", "evaluate_all", "fit_least_squares",
     "generate_sample", "hard_margin_spo_loss", "linear_class_rad_bound",
     "margin_rad_bound", "margin_spo_loss", "massart_bound",

@@ -83,7 +83,7 @@ def audit_oracle_optimality(seed: int, scale: int = 1) -> AuditResult:
         elif isinstance(region, UnitSimplex):
             W = np.vstack([region.vertices, region.sample_batch(rng, n_points)])
         elif isinstance(region, DagPathPolytope):
-            W = np.vstack([region.path_vectors(), region.sample_batch(rng, n_points)])
+            W = np.vstack([_dag_path_vectors(region), region.sample_batch(rng, n_points)])
         else:
             W = region.sample_batch(rng, n_points)
         opt = (region.linopt_batch(C) * C).sum(axis=1)
@@ -345,6 +345,28 @@ def audit_multiclass_equivalence(seed: int, scale: int = 1) -> AuditResult:
 # DAG audits
 # ---------------------------------------------------------------------------
 
+def _dag_path_vectors(dag: DagPathPolytope) -> np.ndarray:
+    """The arc-incidence vectors of every source->sink path, one row per
+    path in lexicographic arc-index order: the brute-force reference of the
+    DAG audits, for DAGs of few paths."""
+    paths: list[list[int]] = []
+
+    def extend(v: int, prefix: list[int]) -> None:
+        if v == dag.sink:
+            paths.append(list(prefix))
+            return
+        for idx, h in dag._out[v]:
+            prefix.append(idx)
+            extend(h, prefix)
+            prefix.pop()
+
+    extend(dag.source, [])
+    V = np.zeros((len(paths), dag.dim))
+    for row, path in zip(V, paths):
+        row[path] = 1.0
+    return V
+
+
 def _small_dags() -> list[DagPathPolytope]:
     diamond = DagPathPolytope(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
     skip = DagPathPolytope(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (1, 4)], 0, 4)
@@ -357,11 +379,11 @@ def audit_dag_enumeration(seed: int, scale: int = 1) -> AuditResult:
     worst = -math.inf
     counts_ok = True
     for dag in _small_dags():
-        paths = dag.enumerate_paths()
+        paths = _dag_path_vectors(dag)
         counts_ok = counts_ok and len(paths) == dag.extreme_point_count()
         C = rng.standard_normal((200 // scale + 1, dag.dim))
         oracle = (dag.linopt_batch(C) * C).sum(axis=1)
-        brute = (C @ dag.path_vectors().T).min(axis=1)
+        brute = (C @ paths.T).min(axis=1)
         worst = max(worst, float(np.abs(oracle - brute).max()))
     passed = worst <= 1e-12 and counts_ok
     return AuditResult("dag_enumeration", passed,

@@ -55,7 +55,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._rng import substream_sign_blocks
+from ._rng import ARRAY_BYTES_MAX, substream_sign_blocks
 from .geometry import FeasibleRegion
 from .losses import LabeledSample
 
@@ -104,12 +104,18 @@ class FiniteHypothesisSet:
         return FiniteHypothesisSet(self.matrices[list(indices)])
 
     def predictions(self, xs: np.ndarray) -> np.ndarray:
-        """Outputs of every hypothesis on the given points, shape (H, n, d)."""
+        """Outputs of every hypothesis on the given points, shape (H, n, d);
+        refused before it is formed when over ``ARRAY_BYTES_MAX`` bytes."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.p:
             raise ValueError(f"xs must have shape (n, {self.p})")
         if not np.all(np.isfinite(xs)):
             raise ValueError("xs must be finite")
+        H, n = len(self), xs.shape[0]
+        need = 8 * H * n * self.d
+        if need > ARRAY_BYTES_MAX:
+            raise ValueError(f"{H} hypotheses x {n} points x {self.d} outputs need {need} "
+                             f"bytes of predictions, over the {ARRAY_BYTES_MAX}-byte budget")
         return xs @ self.matrices.transpose(0, 2, 1)
 
 

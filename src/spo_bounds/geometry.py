@@ -11,6 +11,9 @@ lq balls for q in (1, 2].  Every region exposes the same operations:
   of acting on each prediction row; the SPO loss, the margin losses and
   the fresh-sample true risk all go through it
 * ``radius(q)``        -- sup of the lq norm over the region
+* ``diameter2()``      -- sup of the l2 distance between two points of the
+  region; on a DAG an exact dynamic program over node pairs that lists no
+  paths (see ``DagPathPolytope.diameter2``)
 * ``extreme_point_count()``
 * ``sample_batch(rng, m)`` -- m feasible points drawn from one generator,
   one per row; ``sample(rng)`` is its one-row call
@@ -59,13 +62,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import ARRAY_BYTES_MAX, substream
 
 #: absolute tolerance for all geometric membership checks
 MEMBERSHIP_TOL = 1e-9
 #: arc of the sink's option in a DAG walk: past every flat position of
 #: a decision batch, so a clipping ``put`` sends it to the spare entry
 _SPARE_ARC = 1 << 62
+#: most cells of the differences of one ``_sq_distance_blocks`` block
+_PAIR_BLOCK_CELLS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +188,15 @@ def _column_dots(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
-def covering_count_log(rho2_S: float, d: int, eps: float) -> float:
-    """log of the euclidean-ball covering count ``(2 * rho2_S * sqrt(d) / eps) ** d``.
-
-    Returned in log form so large dimensions do not overflow.
-    """
-    if rho2_S <= 0:
-        raise ValueError("rho2_S must be positive")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return d * (math.log(2.0 * rho2_S) + 0.5 * math.log(d) - math.log(eps))
+def _sq_distance_blocks(A: np.ndarray, B: np.ndarray):
+    """``(rows, ((A[rows, None] - B) ** 2).sum(axis=2))`` for consecutive row
+    blocks of A, each of whose (rows, len(B), dim) differences holds at most
+    ``_PAIR_BLOCK_CELLS`` cells (one row when a row alone holds more).  An
+    entry is the same expression whatever the block, so it has the same bits."""
+    step = max(1, _PAIR_BLOCK_CELLS // max(1, B.size))
+    for start in range(0, A.shape[0], step):
+        rows = slice(start, start + step)
+        yield rows, ((A[rows, None] - B) ** 2).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +363,8 @@ class VertexPolytope(FeasibleRegion):
         return self.vertices.shape[0]
 
     def diameter2(self) -> float:
-        diff = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+        V = self.vertices
+        return float(max(np.sqrt(d2).max() for _, d2 in _sq_distance_blocks(V, V)))
 
     def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         weights = rng.dirichlet(np.ones(self.vertices.shape[0]), m)
@@ -563,43 +565,32 @@ class DagPathPolytope(FeasibleRegion):
     def extreme_point_count(self) -> int:
         return self._path_count
 
-    def enumerate_paths(self, limit: int = 1_000_000) -> list[list[int]]:
-        """All source->sink paths as arc-index lists, lexicographic order."""
-        if self._path_count > limit:
-            raise ValueError(f"path count {self._path_count} exceeds limit {limit}")
-        paths: list[list[int]] = []
-
-        def extend(v: int, prefix: list[int]) -> None:
-            if v == self.sink:
-                paths.append(list(prefix))
-                return
-            for idx, h in self._out[v]:
-                prefix.append(idx)
-                extend(h, prefix)
-                prefix.pop()
-
-        extend(self.source, [])
-        return paths
-
-    def path_vector(self, path: Sequence[int]) -> np.ndarray:
-        w = np.zeros(self.dim)
-        w[list(path)] = 1.0
-        return w
-
-    def path_vectors(self, limit: int = 1_000_000) -> np.ndarray:
-        return np.stack([self.path_vector(p) for p in self.enumerate_paths(limit)])
-
-    def diameter2(self, limit: int = 4096) -> float:
-        # paths are 0/1 vectors: ||v_i - v_j||^2 = len_i + len_j - 2 v_i @ v_j,
-        # exact in floats; blocks of 256 rows keep memory at O(256 * paths)
-        V = self.path_vectors(limit)
-        lengths = V.sum(axis=1)
-        widest = 0.0
-        for start in range(0, V.shape[0], 256):
-            rows = slice(start, start + 256)
-            d2 = lengths[rows, None] + lengths[None, :] - 2.0 * (V[rows] @ V.T)
-            widest = max(widest, float(d2.max()))
-        return math.sqrt(widest)
+    def diameter2(self) -> float:
+        """Exact, by a dynamic program over pairs of the N sink-reaching
+        nodes, without listing paths.  Path vectors are 0/1, so the squared
+        diameter is the most arcs in exactly one of two source->sink paths.
+        ``F[i, j]`` is that count over paths to the sink from the i-th and
+        j-th nodes in topological order.  For i < j the path from node j
+        never meets node i, so the walker at i steps alone (+1); at i = j
+        both take an arc, +2 unless it is the same one.  Refuses an (N, N)
+        int32 table over ``ARRAY_BYTES_MAX`` bytes before allocating it."""
+        order = [v for v in self._topo if self._reaches_sink[v]]  # the sink is last
+        n = len(order)
+        need = 4 * n * n
+        if need > ARRAY_BYTES_MAX:
+            raise ValueError(f"the diameter of a DAG with {n} sink-reaching nodes needs "
+                             f"{need} bytes, over the {ARRAY_BYTES_MAX}-byte budget")
+        index = {v: i for i, v in enumerate(order)}
+        F = np.zeros((n, n), dtype=np.int32)
+        for i in range(n - 2, -1, -1):
+            heads = [index[h] for _, h in self._out[order[i]]]
+            F[i, i + 1:] = F[heads, i + 1:].max(axis=0) + 1
+            F[i + 1:, i] = F[i, i + 1:]
+            # arc pairs: 2 for every pair of distinct arcs, parallel ones too
+            pairs = F[np.ix_(heads, heads)] + 2
+            pairs[np.diag_indices(len(heads))] -= 2
+            F[i, i] = pairs.max()
+        return math.sqrt(F[index[self.source], index[self.source]])
 
     def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """A Dirichlet mix of three uniform random walks per point.  The
@@ -880,10 +871,8 @@ class CostDomain:
         C = np.asarray(C, dtype=float)
         if self.kind == "enumerated":
             nearest = np.empty(C.shape[0], dtype=np.int64)
-            for start in range(0, C.shape[0], 4096):
-                block = slice(start, start + 4096)
-                d2 = ((C[block, None, :] - self.members[None, :, :]) ** 2).sum(axis=2)
-                nearest[block] = np.argmin(d2, axis=1)
+            for rows, d2 in _sq_distance_blocks(C, self.members):
+                nearest[rows] = np.argmin(d2, axis=1)
             return self.members[nearest].copy()
         norms = np.linalg.norm(C, axis=1)
         scale = np.where(norms > self.ball_radius,

@@ -120,6 +120,16 @@ def enumerate_paths_brute(nodes: int, arcs, source: int, sink: int) -> list[list
     return out
 
 
+def path_vectors_brute(dag) -> np.ndarray:
+    """The arc-incidence vectors of ``enumerate_paths_brute``'s paths, one row
+    per path, in its order (lexicographic in the arc indices)."""
+    paths = enumerate_paths_brute(dag.nodes, dag.arcs, dag.source, dag.sink)
+    V = np.zeros((len(paths), dag.dim))
+    for row, path in zip(V, paths):
+        row[path] = 1.0
+    return V
+
+
 def rademacher_exact(losses: np.ndarray) -> float:
     """Exact E_sigma[max_h (1/n) sum_i sigma_i * losses[h, i]] by enumerating
     all sign vectors (n <= 16)."""

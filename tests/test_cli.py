@@ -20,6 +20,16 @@ def write(path, data):
     return str(path)
 
 
+def chain_config(nodes):
+    """An experiment config on the one path of a ``nodes``-node chain DAG,
+    with a ball cost domain, whose omega is the DAG's diameter."""
+    return {"region": {"kind": "DagPathPolytope", "nodes": nodes,
+                       "arcs": [[v, v + 1] for v in range(nodes - 1)],
+                       "source": 0, "sink": nodes - 1},
+            "cost_domain": {"kind": "ball", "radius": 1.0},
+            "b_star": [[0.01]] * (nodes - 1), "n": [10], "m_fresh": 100}
+
+
 @pytest.fixture
 def ball_region_file(tmp_path):
     return write(tmp_path / "region.json",
@@ -203,6 +213,14 @@ class TestExperimentCommand:
         plot = (tmp_path / "out1" / "plotdata" / "covering.csv").read_text()
         assert plot.splitlines()[0] == "n,mean_bound,mean_true_risk"
 
+    def test_long_chain_with_a_ball_domain(self, tmp_path, capsys):
+        # the diameter of a 1,200-node path polytope, past the recursion limit
+        cfg_file = write(tmp_path / "cfg.json", chain_config(1200))
+        out = tmp_path / "out"
+        assert main(["experiment", "run", "--config", cfg_file, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "summary.json").read_text())["any_violation"] is False
+
     def assert_argparse_error(self, flags, message, capsys):
         with pytest.raises(SystemExit) as stop:
             main(["experiment", "run", *flags, "--out", "nowhere"])
@@ -383,6 +401,32 @@ class TestInputErrors:
         self.assert_one_error_line(
             capsys, "m_fresh = 1000000000 needs 32000000000 bytes of samples, over the "
                     "1073741824-byte budget")
+
+    def test_dag_diameter_table_budget(self, tmp_path, capsys):
+        # a (16,385 x 16,385) int32 pair table is over the 1 GiB budget
+        cfg_file = write(tmp_path / "cfg.json", chain_config(16385))
+        out = tmp_path / "out"
+        assert main(["experiment", "run", "--config", cfg_file, "--out", str(out)]) == 2
+        self.assert_one_error_line(
+            capsys, "the diameter of a DAG with 16385 sink-reaching nodes needs "
+                    "1073872900 bytes, over the 1073741824-byte budget")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", ["rad-spo", "rad-multi"])
+    def test_estimator_prediction_budget(self, estimator, tmp_path, capsys):
+        # 1,000 hypotheses x 4,000 points x 40 outputs: 1.28e9 bytes of
+        # predictions, refused before they are formed
+        hyp_file = write(tmp_path / "hyp.json", [[[0.5]] * 40] * 1000)
+        xs = [[1.0]] * 4000
+        argv = {"rad-spo": ["--region", write(tmp_path / "simplex.json",
+                                               {"kind": "UnitSimplex", "dim": 40}),
+                            "--sample", write(tmp_path / "sample.json",
+                                              {"xs": xs, "cs": [[0.0] * 40] * 4000})],
+                "rad-multi": ["--xs", write(tmp_path / "xs.json", xs)]}[estimator]
+        assert main(["complexity", estimator, "--hypotheses", hyp_file, *argv]) == 2
+        self.assert_one_error_line(
+            capsys, "1000 hypotheses x 4000 points x 40 outputs need 1280000000 bytes of "
+                    "predictions, over the 1073741824-byte budget")
 
     @pytest.mark.parametrize("theorem", ["natarajan", "rademacher"])
     def test_csv_refused_for_a_single_theorem(self, theorem, tmp_path, capsys):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spo_bounds import audits
+from spo_bounds import audits, geometry
 from spo_bounds._rng import substream
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope,
                                  _exact_norm_rows,
-                                 _scalar_pow, covering_count_log,
+                                 _scalar_pow,
                                  dual_norm_rows, region_from_dict,
                                  region_from_json, vector_norm_rows,
                                  verify_optimality_condition,
@@ -20,7 +20,7 @@ from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
 
 from conftest import (dag_gap_ref, dag_linopt_ref, dag_path_costs_ref,
                       decision_cost_ref, enumerate_paths_brute, l2_decision_cost_ref,
-                      lq_ball_sample_ref,
+                      lq_ball_sample_ref, path_vectors_brute,
                       pgd_lq_minimize, project_lq_ball,
                       random_dags, square_region,
                       verify_optimality_condition_ref,
@@ -54,7 +54,7 @@ class TestLinoptOracle:
         w = grid.linopt(np.ones(4))
         assert float(np.ones(4) @ w) == min(costs) == 2
         lex_first = sorted(brute)[0]
-        np.testing.assert_array_equal(w, grid.path_vector(lex_first))
+        np.testing.assert_array_equal(w, np.isin(np.arange(4), lex_first))
 
     def test_ball_zero_cost_returns_center(self):
         ball = LqBall(2.0, 2.0, [0.5, -1.0])
@@ -180,17 +180,16 @@ class TestDagDiameter:
     @given(random_dags())
     @settings(max_examples=200, deadline=None)
     def test_matches_pairwise_differences(self, dag):
-        V = dag.path_vectors()
+        V = path_vectors_brute(dag)
         diff = V[:, None, :] - V[None, :, :]
         assert dag.diameter2() == float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
-    def test_blocks_match_pairwise_differences(self):
-        # 924 paths span four row blocks
-        dag = DagPathPolytope.grid(7, 7)
-        V = dag.path_vectors()
-        expected = max(float(np.sqrt(((V[i] - V) ** 2).sum(axis=1)).max())
-                       for i in range(V.shape[0]))
-        assert dag.diameter2() == expected
+    def test_grid_closed_form(self):
+        # two k x k grid paths share no arc at best: 2(k - 1) arcs each;
+        # from 9 x 9 on (12,870 paths) enumerating them is out of reach
+        for k in range(2, 21):
+            omega = CostDomain.ball(DagPathPolytope.grid(k, k), 1.0).omega
+            assert omega == math.sqrt(4 * (k - 1))
 
     def test_eight_by_eight_grid_in_bounded_memory(self):
         # 3432 paths of 14 arcs over 112 arcs; two disjoint paths are 28 apart
@@ -507,7 +506,7 @@ class TestGapRadiusCounts:
 
     def test_dag_gap_matches_enumeration(self, rng):
         dag = DagPathPolytope.grid(3, 2)
-        vectors = dag.path_vectors()
+        vectors = path_vectors_brute(dag)
         for _ in range(20):
             c = rng.standard_normal(dag.dim)
             scores = vectors @ c
@@ -544,12 +543,13 @@ class TestGapRadiusCounts:
         assert grid.extreme_point_count() == len(
             enumerate_paths_brute(4, grid.arcs, 0, 3))
 
-    def test_dag_count_matches_enumeration(self):
-        dag = DagPathPolytope(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (1, 4)],
-                              0, 4)
-        brute = enumerate_paths_brute(5, dag.arcs, 0, 4)
+    @given(random_dags())
+    @settings(max_examples=100, deadline=None)
+    def test_dag_count_matches_enumeration(self, dag):
+        brute = path_vectors_brute(dag)
         assert dag.extreme_point_count() == len(brute)
-        assert sorted(dag.enumerate_paths()) == sorted(brute)
+        # the audits' reference enumerator lists the same paths in the same order
+        assert np.array_equal(audits._dag_path_vectors(dag), brute)
 
     def test_ball_has_no_finite_extreme_points(self):
         with pytest.raises(ValueError, match="infinitely many"):
@@ -557,7 +557,7 @@ class TestGapRadiusCounts:
 
 
 # ---------------------------------------------------------------------------
-# dual norm and covering count
+# dual norm
 # ---------------------------------------------------------------------------
 
 class TestDualNormCovering:
@@ -579,23 +579,6 @@ class TestDualNormCovering:
                    np.sign(rng.standard_normal((500, d)))
                    * rng.dirichlet(np.ones(d), 500) ** (1.0 / q))
         assert best <= dual_norm_rows(c[None], q)[0] + 1e-9
-
-    def test_covering_anchors(self):
-        assert covering_count_log(1.0, 2, 1.0) == pytest.approx(math.log(8.0))
-        assert covering_count_log(1.0, 1, 0.5) == pytest.approx(math.log(4.0))
-        # eps = 2 * rho * sqrt(d): base is exactly one
-        assert covering_count_log(1.5, 4, 2 * 1.5 * 2.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_covering_log_form_avoids_overflow(self):
-        log_count = covering_count_log(10.0, 2000, 0.01)
-        assert math.isfinite(log_count)
-        # the count itself exceeds the largest double
-        assert log_count > math.log(np.finfo(float).max)
-
-    def test_covering_validation(self):
-        for bad in ((0.0, 2, 1.0), (1.0, 0, 1.0), (1.0, 2, 0.0)):
-            with pytest.raises(ValueError):
-                covering_count_log(*bad)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +681,60 @@ class TestCostDomain:
         out = domain.project(np.array([[3.0, 4.0], [0.1, 0.0]]))
         np.testing.assert_allclose(np.linalg.norm(out[0]), 1.0)
         np.testing.assert_array_equal(out[1], [0.1, 0.0])
+
+
+class TestSquaredDistanceBlocks:
+    """``VertexPolytope.diameter2`` and the enumerated ``CostDomain.project``
+    read pairwise squared distances in row blocks of bounded size, with the
+    bits of the whole (rows, k, d) difference array."""
+
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 12),
+           st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_match_the_whole_array(self, m, k, d, cells, seed):
+        rng = np.random.default_rng(seed)
+        A, B = rng.standard_normal((m, d)), rng.standard_normal((k, d))
+        whole = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_PAIR_BLOCK_CELLS", cells)
+            blocks = list(geometry._sq_distance_blocks(A, B))
+            region = VertexPolytope(B)
+            diameter = region.diameter2()
+            projected = CostDomain.enumerated(region, B).project(A)
+        assert all(d2.size * d <= max(cells, k * d) for _, d2 in blocks)
+        assert np.array_equal(np.concatenate([d2 for _, d2 in blocks]), whole)
+        vertex_d2 = ((B[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+        assert diameter == float(np.sqrt(vertex_d2).max())
+        assert np.array_equal(projected, B[np.argmin(whole, axis=1)])
+
+    def test_vertex_diameter_in_bounded_memory(self):
+        # the whole difference array of 2,000 vertices in d = 10 is 305 MiB
+        V = np.random.default_rng(0).standard_normal((2000, 10))
+        region = VertexPolytope(V)
+        tracemalloc.start()
+        try:
+            diameter = region.diameter2()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert diameter == max(float(np.sqrt(((v - V) ** 2).sum(axis=1)).max()) for v in V)
+
+    def test_enumerated_projection_in_bounded_memory(self):
+        # 4,096 rows against 500 members in d = 12 were one 188 MiB block
+        rng = np.random.default_rng(1)
+        members = rng.standard_normal((500, 12))
+        domain = CostDomain.enumerated(UnitSimplex(12), members)
+        C = rng.standard_normal((5000, 12))
+        tracemalloc.start()
+        try:
+            projected = domain.project(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        nearest = [np.argmin(((c - members) ** 2).sum(axis=1)) for c in C]
+        assert np.array_equal(projected, members[nearest])
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,10 @@ _LANE_BLOCK = 1 << 15
 #: largest array request the package accepts, in bytes: sign requests and
 #: the experiment's sample sizes are refused over it
 ARRAY_BYTES_MAX = 1 << 30
+#: bytes of one block of a streamed array: the estimators' sign rows and
+#: their hypotheses' predictions are formed a block at a time (see
+#: ``complexity``)
+BLOCK_BYTES_MAX = 1 << 20
 #: bytes per stream that the seeding and the kernel hold at their peak
 #: (129 measured at 4,096 x 50 signs)
 _SEED_BYTES = 256
@@ -167,15 +171,16 @@ def substream_sign_blocks(seed: int, count: int, size: int,
                           rows: int) -> Iterator[tuple[int, np.ndarray]]:
     """The ``(count, size)`` float64 signs whose row ``k`` is
     ``substream(seed, k).integers(0, 2, size) * 2.0 - 1.0``, bit for bit, in
-    order, as ``(first, signs)`` blocks of ``rows`` rows; a last block
-    shorter than that is folded into the one before it, so every block has
-    at least ``rows`` rows unless the whole request has fewer.
+    order, as ``(first, signs)`` blocks: the request split as evenly as it
+    goes into ``count // rows`` blocks (one if it has fewer rows), longer
+    blocks first, so every block has at least ``rows`` rows unless the
+    whole request has fewer.
 
     Each block is a C-contiguous view of one buffer reused for every block,
-    valid only until the next block is drawn, so a request holds fewer than
-    ``2 * rows`` rows of signs at once.  Refuses, before allocating
-    anything, an invalid request or one whose signs and seeding scratch
-    need over ``ARRAY_BYTES_MAX`` bytes as a whole.
+    valid only until the next block is drawn, so a request holds the
+    ``ceil(count / blocks)`` rows of its longest block at once.  Refuses,
+    before allocating anything, an invalid request or one whose signs and
+    seeding scratch need over ``ARRAY_BYTES_MAX`` bytes as a whole.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -196,14 +201,16 @@ def _sign_blocks(seed: int, count: int, size: int,
                  rows: int) -> Iterator[tuple[int, np.ndarray]]:
     seeds = _seed_halves(seed, count)
     blocks = max(1, count // rows)
-    # sized for the last, longest block; the kernel writes only the high
+    height, longer = divmod(count, blocks)
+    # sized for the first, longest block; the kernel writes only the high
     # words, so the low words stay zero from one block to the next
-    buffer = np.zeros((count - (blocks - 1) * rows, size), dtype="<f8")
+    buffer = np.zeros((height + (longer > 0), size), dtype="<f8")
+    first = 0
     for b in range(blocks):
-        signs = buffer if b == blocks - 1 else buffer[:rows]
-        first = b * rows
+        signs = buffer[:height + (b < longer)]
         _fill_signs(seeds[first:first + len(signs)], signs)
         yield first, signs
+        first += len(signs)
 
 
 def _fill_signs(seeds: np.ndarray, out: np.ndarray) -> None:

@@ -19,19 +19,32 @@ BLAS does not promise.  OpenBLAS's SkylakeX dgemm takes a small-matrix
 kernel when M * N * K <= 1e6, and that kernel rounds a row by its place in
 the batch (blocks of 1, 7 or 64 rows were seen to move the last digit).
 So a block has at least ``SIGN_BLOCK_ROWS`` (512) rows, pinned, and enough
-more to lie past that bound, and a product within it is one block.  A
-single hypothesis makes the product a gemv, which also rounds a row by its
-place (and its threads split the rows), so its signs are drawn whole.
-Equality was checked on OpenBLAS 0.3.31 (SkylakeX kernels) on the shapes
-of the tests; another BLAS build may move the last digit, and any one
-build gives the same estimate per seed.
+more to lie past that bound, and a product within it is one block.  It
+also has as many rows as ``BLOCK_BYTES_MAX`` (1 MiB) holds of signs, or of
+correlations when there are more hypotheses than signs in a row, when that
+is more: the narrow sign kernel pays its array passes once per block, so
+narrow rows are drawn in few blocks.  ``_rng.substream_sign_blocks``
+splits the request evenly into blocks of at least that height.  A single
+hypothesis makes the product a gemv, which also rounds a row by its place
+(and its threads split the rows), so its signs are drawn whole.  Equality
+was checked on OpenBLAS 0.3.31 (SkylakeX kernels) on the shapes of the
+tests; another BLAS build may move the last digit, and any one build gives
+the same estimate per seed.
 
 The hypothesis axis is a batch axis.  A hypothesis set stores its
-matrices as one (H, d, p) array and predicts all of them at once, and
+matrices as one (H, d, p) array and predicts a block of them at once:
+``FiniteHypothesisSet.prediction_blocks`` yields as many hypotheses'
+(h, n, d) predictions as fit in ``BLOCK_BYTES_MAX`` bytes, one at least.
 ``rademacher_spo_mc``, ``count_restrictions`` and ``oracle_label_table``
-each make one oracle call on the stacked (H * n, d) predictions.  The
-oracles work row by row, so each row's decision and cost is the one a
-per-hypothesis call would give, ties included.
+make one oracle call per block, so of their arrays only the (H, n) SPO
+losses or int64 labels span every hypothesis, and each call refuses those
+over ``ARRAY_BYTES_MAX`` before any oracle work.  Stacked ``matmul``
+computes each hypothesis apart and the oracles work row by row, so each
+row's prediction, decision and cost is the one a per-hypothesis call would
+give, ties included, whatever the block height.  Oracle decisions get
+label ids by their bytes, in order of first appearance; a block groups its
+rows by a float key and checks every row against its group's first row, so
+only a block's distinct decisions meet the id table.
 
 ``natarajan_dim_bruteforce`` prunes its search with two exact rules.  A
 set of s points is N-shattered when some pair of label tuples that differ
@@ -52,10 +65,11 @@ import json
 import math
 from collections import Counter
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
-from ._rng import ARRAY_BYTES_MAX, substream_sign_blocks
+from ._rng import ARRAY_BYTES_MAX, BLOCK_BYTES_MAX, substream_sign_blocks
 from .geometry import FeasibleRegion
 from .losses import LabeledSample
 
@@ -74,20 +88,22 @@ class FiniteHypothesisSet:
     """A finite set of linear cost-vector predictors ``x -> B @ x``, stored
     as one (H, d, p) stack of matrices."""
 
-    def __init__(self, matrices: list[np.ndarray]):
-        mats = [np.asarray(B, dtype=float) for B in matrices]
-        if not mats:
+    def __init__(self, matrices):
+        try:
+            stacked = np.array(matrices, dtype=float)
+        except ValueError as exc:
+            # ragged nesting; an entry that is not a number keeps numpy's message
+            if "inhomogeneous" not in str(exc):
+                raise
+            raise ValueError("all hypothesis matrices must share one shape") from None
+        if stacked.ndim > 0 and len(stacked) == 0:
             raise ValueError("hypothesis set must be non-empty")
-        shape = mats[0].shape
-        if len(shape) != 2:
+        if stacked.ndim != 3:
             raise ValueError("each hypothesis must be a 2-D matrix")
-        if any(B.shape != shape for B in mats):
-            raise ValueError("all hypothesis matrices must share one shape")
-        stacked = np.stack(mats)
         if not np.all(np.isfinite(stacked)):
             raise ValueError("hypothesis matrices must be finite")
         self.matrices = stacked
-        self.d, self.p = shape
+        self.d, self.p = stacked.shape[1:]
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteHypothesisSet":
@@ -103,20 +119,43 @@ class FiniteHypothesisSet:
     def subset(self, indices) -> "FiniteHypothesisSet":
         return FiniteHypothesisSet(self.matrices[list(indices)])
 
-    def predictions(self, xs: np.ndarray) -> np.ndarray:
-        """Outputs of every hypothesis on the given points, shape (H, n, d);
-        refused before it is formed when over ``ARRAY_BYTES_MAX`` bytes."""
+    def _points(self, xs, hypotheses: int) -> np.ndarray:
+        """``xs`` as a checked (n, p) float array; refuses predictions of
+        ``hypotheses`` hypotheses on it over ``ARRAY_BYTES_MAX`` bytes."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.p:
             raise ValueError(f"xs must have shape (n, {self.p})")
         if not np.all(np.isfinite(xs)):
             raise ValueError("xs must be finite")
-        H, n = len(self), xs.shape[0]
-        need = 8 * H * n * self.d
-        if need > ARRAY_BYTES_MAX:
-            raise ValueError(f"{H} hypotheses x {n} points x {self.d} outputs need {need} "
-                             f"bytes of predictions, over the {ARRAY_BYTES_MAX}-byte budget")
-        return xs @ self.matrices.transpose(0, 2, 1)
+        _check_budget("predictions", hypotheses, xs.shape[0], self.d)
+        return xs
+
+    def predictions(self, xs) -> np.ndarray:
+        """Outputs of every hypothesis on the given points, shape (H, n, d);
+        refused before it is formed when over ``ARRAY_BYTES_MAX`` bytes."""
+        return self._points(xs, len(self)) @ self.matrices.transpose(0, 2, 1)
+
+    def prediction_blocks(self, xs) -> Iterator[tuple[int, np.ndarray]]:
+        """``predictions(xs)`` in order as ``(first, block)`` pairs: the
+        (h, n, d) outputs of hypotheses ``first`` to ``first + h``, as many as
+        fit in ``BLOCK_BYTES_MAX`` bytes, one at least.  Checks ``xs``, and
+        refuses one hypothesis's outputs over ``ARRAY_BYTES_MAX``, before it
+        returns."""
+        xs = self._points(xs, 1)
+        step = max(1, BLOCK_BYTES_MAX // max(1, 8 * xs.shape[0] * self.d))
+        mats = self.matrices.transpose(0, 2, 1)
+        return ((first, xs @ mats[first:first + step])
+                for first in range(0, len(self), step))
+
+
+def _check_budget(what: str, hypotheses: int, n: int, d: int | None = None) -> None:
+    """Refuse an array of 8-byte ``what`` per hypothesis and point (and
+    output, given ``d``) over ``ARRAY_BYTES_MAX`` bytes."""
+    need = 8 * hypotheses * n * (1 if d is None else d)
+    if need > ARRAY_BYTES_MAX:
+        outputs = "" if d is None else f" x {d} outputs"
+        raise ValueError(f"{hypotheses} hypotheses x {n} points{outputs} need {need} "
+                         f"bytes of {what}, over the {ARRAY_BYTES_MAX}-byte budget")
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +170,13 @@ def _sup_correlations(values: np.ndarray, n: int, m_draws: int,
     H, k = values.shape
     values_t = values.T
     rows = m_draws if H == 1 else max(SIGN_BLOCK_ROWS,
-                                      _SMALL_GEMM_MNK // max(1, H * k) + 1)
+                                      _SMALL_GEMM_MNK // max(1, H * k) + 1,
+                                      BLOCK_BYTES_MAX // (8 * max(k, H)))
     sup = np.empty(m_draws)
     for first, signs in substream_sign_blocks(seed, m_draws, k, rows):
-        corr = signs @ values_t / n  # (rows, H)
-        corr.max(axis=1, out=sup[first:first + len(signs)])
+        (signs @ values_t).max(axis=1, out=sup[first:first + len(signs)])
+    # rounding is monotone, so the sup divided is the sup of the quotients
+    sup /= n
     return sup
 
 
@@ -156,16 +197,23 @@ def rademacher_spo_mc(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
     """
     if m_draws < 1:
         raise ValueError("m_draws must be >= 1")
-    preds = hypotheses.predictions(sample.xs)
-    H, n, d = preds.shape
-    # SPO losses, (H, n), from one oracle call on the stacked predictions;
+    blocks = hypotheses.prediction_blocks(sample.xs)
+    H, n, d = len(hypotheses), sample.n, hypotheses.d
+    _check_budget("SPO losses", H, n)
+    # SPO losses, (H, n), from one oracle call per block of hypotheses;
     # the optimal costs c @ w*(c) are solved once for every hypothesis.
-    # Each distinct batch is validated once; the tiled copy needs no check.
+    # Each distinct batch is validated once; the tiled costs need no check.
     cs = region._check_cost_batch(sample.cs)
-    stacked = region._check_cost_batch(preds.reshape(H * n, d))
     opt = region._decision_cost(cs, cs)
-    realized = region._decision_cost(stacked, np.tile(cs, (H, 1)))
-    losses = realized.reshape(H, n) - opt
+    losses = np.empty((H, n))
+    tiled = None
+    for first, preds in blocks:
+        h = len(preds)
+        if tiled is None:  # the first block is the tallest
+            tiled = np.tile(cs, (h, 1))
+        stacked = region._check_cost_batch(preds.reshape(h * n, d))
+        realized = region._decision_cost(stacked, tiled[:h * n])
+        np.subtract(realized.reshape(h, n), opt, out=losses[first:first + h])
     return _mc_summary(_sup_correlations(losses, n, m_draws, seed))
 
 
@@ -184,21 +232,50 @@ def rademacher_multivariate_mc(hypotheses: FiniteHypothesisSet, xs,
     return _mc_summary(_sup_correlations(preds.reshape(H, n * d), n, m_draws, seed))
 
 
-def _stacked_decisions(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
-                       xs) -> np.ndarray:
-    """Oracle decisions ``w*(f(x_i))`` of every hypothesis at every point,
-    shape (H, n, d), from one oracle call on the stacked predictions."""
-    preds = hypotheses.predictions(np.asarray(xs, dtype=float))
-    return region.linopt_batch(preds.reshape(-1, preds.shape[2])).reshape(preds.shape)
+def _decision_ids(decisions: np.ndarray, weights: np.ndarray,
+                  ids: dict[bytes, int]) -> np.ndarray:
+    """Ids of the rows of ``decisions`` by their bytes: ``ids`` gives those
+    seen before, and a new row takes the next id in order of first
+    appearance, which ``ids`` records.  Rows are grouped by their float key
+    ``decisions @ weights``; any weights give exact ids, since every row is
+    checked against its group's first row."""
+    decisions = np.ascontiguousarray(decisions)
+    words = decisions.view(np.uint64)
+    _, first, inverse = np.unique(decisions @ weights, return_index=True,
+                                  return_inverse=True)
+    if not np.array_equal(words, words[first[inverse]]):
+        # equal keys on unequal rows: one group per row
+        first = inverse = np.arange(len(decisions))
+    group_ids = np.empty(len(first), dtype=np.int64)
+    for group in np.argsort(first):
+        group_ids[group] = ids.setdefault(decisions[first[group]].tobytes(), len(ids) + 1)
+    return group_ids[inverse]
+
+
+def _oracle_labels(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
+                   xs) -> np.ndarray:
+    """The (H, n) int64 ids of ``oracle_label_table``, hypothesis by
+    hypothesis, from one oracle call per block of hypotheses."""
+    region.extreme_point_count()  # rejects regions without finite extreme points
+    xs = np.asarray(xs, dtype=float)
+    blocks = hypotheses.prediction_blocks(xs)
+    H, n = len(hypotheses), xs.shape[0]
+    _check_budget("labels", H, n)
+    labels = np.empty((H, n), dtype=np.int64)
+    ids: dict[bytes, int] = {}
+    weights = np.random.default_rng(0).uniform(1.0, 2.0, region.dim)
+    for first, preds in blocks:
+        h = len(preds)
+        decisions = region.linopt_batch(preds.reshape(h * n, hypotheses.d))
+        labels[first:first + h] = _decision_ids(decisions, weights, ids).reshape(h, n)
+    return labels
 
 
 def count_restrictions(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
                        xs) -> int:
     """Number of distinct decision-vector tuples ``(w*(f(x_1)), ..., w*(f(x_n)))``
-    over the hypothesis set."""
-    region.extreme_point_count()  # rejects regions without finite extreme points
-    decisions = _stacked_decisions(region, hypotheses, xs)
-    return len({row.tobytes() for row in decisions.reshape(len(decisions), -1)})
+    over the hypothesis set: the distinct columns of ``oracle_label_table``."""
+    return len({row.tobytes() for row in _oracle_labels(region, hypotheses, xs)})
 
 
 def oracle_label_table(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
@@ -206,13 +283,7 @@ def oracle_label_table(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
     """Label table of oracle decisions, an (n, H) int64 array: entry (i, j)
     is an integer id of the extreme point chosen by hypothesis j at point i.
     Ids are numbered in order of first appearance, hypothesis by hypothesis."""
-    region.extreme_point_count()
-    decisions = _stacked_decisions(region, hypotheses, xs)
-    H, n, d = decisions.shape
-    ids: dict[bytes, int] = {}
-    labels = [ids.setdefault(w.tobytes(), len(ids) + 1)
-              for w in decisions.reshape(H * n, d)]
-    return np.array(labels, dtype=np.int64).reshape(H, n).T
+    return _oracle_labels(region, hypotheses, xs).T
 
 
 def massart_bound(card: float, n: int, omega: float) -> float:

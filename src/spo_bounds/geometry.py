@@ -47,7 +47,7 @@ regions pick the lowest vertex index, the DAG oracle picks the
 lexicographically smallest arc-index sequence among optimal paths, and
 balls map ``c = 0`` to the center.  Rows are independent: a row's decision
 and cost are the same bits whatever other rows share its batch, so callers
-may stack batches (the complexity estimators stack all hypotheses).  That
+may stack batches (the complexity estimators stack blocks of hypotheses).  That
 is why the vertex scores and the vertex-polytope samples use ``einsum`` and
 the l2 ball's center offsets ``_column_dots``: BLAS matrix products round a
 row differently depending on the batch size.
@@ -565,21 +565,33 @@ class DagPathPolytope(FeasibleRegion):
     def extreme_point_count(self) -> int:
         return self._path_count
 
+    def _path_nodes(self) -> list[int]:
+        """The nodes on some source->sink path, in topological order: the
+        source first, the sink last."""
+        reached = [False] * self.nodes
+        reached[self.source] = True
+        for v in self._topo:
+            if reached[v]:
+                for _, h in self._out[v]:  # heads that reach the sink
+                    reached[h] = True
+        return [v for v in self._topo if reached[v]]
+
     def diameter2(self) -> float:
-        """Exact, by a dynamic program over pairs of the N sink-reaching
-        nodes, without listing paths.  Path vectors are 0/1, so the squared
-        diameter is the most arcs in exactly one of two source->sink paths.
-        ``F[i, j]`` is that count over paths to the sink from the i-th and
-        j-th nodes in topological order.  For i < j the path from node j
-        never meets node i, so the walker at i steps alone (+1); at i = j
-        both take an arc, +2 unless it is the same one.  Refuses an (N, N)
-        int32 table over ``ARRAY_BYTES_MAX`` bytes before allocating it."""
-        order = [v for v in self._topo if self._reaches_sink[v]]  # the sink is last
+        """Exact, by a dynamic program over pairs of the N nodes on some
+        source->sink path, without listing paths.  Path vectors are 0/1, so
+        the squared diameter is the most arcs in exactly one of two
+        source->sink paths.  ``F[i, j]`` is that count over paths to the sink
+        from the i-th and j-th nodes in topological order.  For i < j the
+        path from node j never meets node i, so the walker at i steps alone
+        (+1); at i = j both take an arc, +2 unless it is the same one.
+        Refuses an (N, N) int32 table over ``ARRAY_BYTES_MAX`` bytes before
+        allocating it."""
+        order = self._path_nodes()
         n = len(order)
         need = 4 * n * n
         if need > ARRAY_BYTES_MAX:
-            raise ValueError(f"the diameter of a DAG with {n} sink-reaching nodes needs "
-                             f"{need} bytes, over the {ARRAY_BYTES_MAX}-byte budget")
+            raise ValueError(f"the diameter of a DAG with {n} nodes on source-sink paths "
+                             f"needs {need} bytes, over the {ARRAY_BYTES_MAX}-byte budget")
         index = {v: i for i, v in enumerate(order)}
         F = np.zeros((n, n), dtype=np.int32)
         for i in range(n - 2, -1, -1):
@@ -590,7 +602,7 @@ class DagPathPolytope(FeasibleRegion):
             pairs = F[np.ix_(heads, heads)] + 2
             pairs[np.diag_indices(len(heads))] -= 2
             F[i, i] = pairs.max()
-        return math.sqrt(F[index[self.source], index[self.source]])
+        return math.sqrt(F[0, 0])
 
     def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """A Dirichlet mix of three uniform random walks per point.  The

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ def rng():
 
 def square_region() -> VertexPolytope:
     return VertexPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the call's result and the most bytes that
+    tracemalloc saw allocated at once during it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -408,25 +408,32 @@ class TestInputErrors:
         out = tmp_path / "out"
         assert main(["experiment", "run", "--config", cfg_file, "--out", str(out)]) == 2
         self.assert_one_error_line(
-            capsys, "the diameter of a DAG with 16385 sink-reaching nodes needs "
+            capsys, "the diameter of a DAG with 16385 nodes on source-sink paths needs "
                     "1073872900 bytes, over the 1073741824-byte budget")
         assert not out.exists()
 
     @pytest.mark.parametrize("estimator", ["rad-spo", "rad-multi"])
     def test_estimator_prediction_budget(self, estimator, tmp_path, capsys):
-        # 1,000 hypotheses x 4,000 points x 40 outputs: 1.28e9 bytes of
-        # predictions, refused before they are formed
-        hyp_file = write(tmp_path / "hyp.json", [[[0.5]] * 40] * 1000)
-        xs = [[1.0]] * 4000
-        argv = {"rad-spo": ["--region", write(tmp_path / "simplex.json",
-                                               {"kind": "UnitSimplex", "dim": 40}),
-                            "--sample", write(tmp_path / "sample.json",
-                                              {"xs": xs, "cs": [[0.0] * 40] * 4000})],
-                "rad-multi": ["--xs", write(tmp_path / "xs.json", xs)]}[estimator]
+        # rad-multi holds every prediction: 1,000 hypotheses x 4,000 points x
+        # 40 outputs, 1.28e9 bytes; rad-spo streams them and holds the SPO
+        # losses: 1,000 hypotheses x 140,000 points, 1.12e9 bytes; each is
+        # refused before it is formed
+        if estimator == "rad-spo":
+            hyp_file = write(tmp_path / "hyp.json", [[[0.5]]] * 1000)
+            xs = [[1.0]] * 140000
+            argv = ["--region", write(tmp_path / "simplex.json",
+                                      {"kind": "UnitSimplex", "dim": 1}),
+                    "--sample", write(tmp_path / "sample.json",
+                                      {"xs": xs, "cs": [[0.0]] * 140000})]
+            message = ("1000 hypotheses x 140000 points need 1120000000 bytes of "
+                       "SPO losses, over the 1073741824-byte budget")
+        else:
+            hyp_file = write(tmp_path / "hyp.json", [[[0.5]] * 40] * 1000)
+            argv = ["--xs", write(tmp_path / "xs.json", [[1.0]] * 4000)]
+            message = ("1000 hypotheses x 4000 points x 40 outputs need 1280000000 bytes "
+                       "of predictions, over the 1073741824-byte budget")
         assert main(["complexity", estimator, "--hypotheses", hyp_file, *argv]) == 2
-        self.assert_one_error_line(
-            capsys, "1000 hypotheses x 4000 points x 40 outputs need 1280000000 bytes of "
-                    "predictions, over the 1073741824-byte budget")
+        self.assert_one_error_line(capsys, message)
 
     @pytest.mark.parametrize("theorem", ["natarajan", "rademacher"])
     def test_csv_refused_for_a_single_theorem(self, theorem, tmp_path, capsys):

@@ -7,22 +7,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spo_bounds import _rng, complexity
-from spo_bounds._rng import ARRAY_BYTES_MAX, substream, substream_sign_blocks
+from spo_bounds._rng import (ARRAY_BYTES_MAX, BLOCK_BYTES_MAX, substream,
+                             substream_sign_blocks)
 from spo_bounds.complexity import (SIGN_BLOCK_ROWS, FiniteHypothesisSet,
                                    count_restrictions,
                                    linear_class_rad_bound, massart_bound,
                                    natarajan_dim_bruteforce, oracle_label_table,
                                    rademacher_multivariate_mc,
                                    rademacher_spo_mc)
-from spo_bounds.geometry import (CostDomain, LqBall, UnitSimplex,
-                                 VertexPolytope)
+from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
+                                 UnitSimplex, VertexPolytope)
 from spo_bounds.losses import LabeledSample, spo_loss_batch
 
 from conftest import (count_restrictions_ref, natarajan_dim_ref,
                       oracle_label_table_ref, rademacher_exact,
                       rademacher_multivariate_mc_ref, rademacher_spo_mc_ref,
                       random_dags, sign_draws_ref, spo_loss_stack_ref,
-                      square_region, whole_signs)
+                      square_region, traced_peak, whole_signs)
 
 
 class TestSignDraws:
@@ -56,7 +57,7 @@ class TestSignDraws:
 
     @pytest.mark.parametrize("count, rows, heights", [
         (1, 512, [1]), (511, 512, [511]), (1023, 512, [1023]), (1024, 512, [512, 512]),
-        (1535, 512, [512, 1023]), (2000, 512, [512, 512, 976]), (2000, 700, [700, 1300])])
+        (1535, 512, [768, 767]), (2000, 512, [667, 667, 666]), (2000, 700, [1000, 1000])])
     def test_blocks_are_pinned_and_fold_the_tail(self, count, rows, heights):
         assert SIGN_BLOCK_ROWS == 512
         whole = whole_signs(5, count, 9)
@@ -221,7 +222,7 @@ class TestRademacherSpoMC:
         monkeypatch.setattr(complexity, "substream_sign_blocks", recorded)
         assert (rademacher_spo_mc(region, hyp, sample, 2000, seed)
                 == rademacher_spo_mc_ref(region, hyp, sample, 2000, seed))
-        assert heights == [512, 512, 976]
+        assert heights == [2000]
 
     def test_massart_domination(self, rng):
         region = square_region()
@@ -273,10 +274,12 @@ class TestRademacherMultivariateMC:
         (5, 5, 400, 50, 2000),
         (40, 5, 50, 100, 2000),  # complexity-shortest-path
         (3, 2, 8, 6, 500),  # estimator determinism, one block
-        (2, 2, 50, 50, 1300),  # a 276-row tail folded into a 788-row block
+        (2, 2, 50, 50, 1300),  # one block: 1 MiB of signs is 1,310 rows
+        (2, 2, 50, 50, 2700),  # two blocks of 1,350 rows
         (1, 2, 1, 3, 2000),  # n*d = 1
         (2, 2, 50, 2, 1300),  # within OpenBLAS's small-matrix bound whole
-        (2, 2, 50, 10, 2500),  # 1001 and 1499 rows, past that bound
+        (2, 2, 50, 10, 2500),  # one block, under twice 1,310 rows
+        (2, 2, 50, 5, 4002),  # two blocks of 2,001 rows, just past that bound
         (40, 2, 50, 1, 1300),  # one hypothesis: numpy's gemv
     ])
     def test_streamed_signs_match_whole_array(self, d, p, n, H, m_draws):
@@ -391,29 +394,41 @@ def estimator_losses(region, hyp, sample) -> np.ndarray:
     return seen[0]
 
 
-class TestStackedEstimators:
-    """One oracle call on the stacked hypotheses against the earlier
-    per-hypothesis loops kept in conftest: exactly equal losses, counts and
-    label tables on every region kind, ties included."""
+def block_cap(height, hyp, xs) -> int:
+    """A ``BLOCK_BYTES_MAX`` that puts ``height`` of ``hyp``'s hypotheses in
+    each block of predictions on ``xs`` (``None``: all of them in one)."""
+    return 8 * len(xs) * hyp.d * (len(hyp) if height is None else height)
 
-    @given(stacked_cases(finite=False), st.integers(0, 2 ** 40))
+
+class TestStackedEstimators:
+    """One oracle call per block of hypotheses, in blocks of 1, 7 or every
+    hypothesis, against the earlier per-hypothesis loops kept in conftest:
+    exactly equal losses, counts and label tables on every region kind,
+    ties included."""
+
+    @given(stacked_cases(finite=False), st.integers(0, 2 ** 40),
+           st.sampled_from([1, 7, None]))
     @settings(max_examples=300, deadline=None)
-    def test_spo_losses_and_estimate(self, case, seed):
+    def test_spo_losses_and_estimate(self, case, seed, height):
         region, hyp, xs, cs = case
         sample = LabeledSample(xs=xs, cs=cs)
         want = spo_loss_stack_ref(region, hyp, sample)
-        got = estimator_losses(region, hyp, sample)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(complexity, "BLOCK_BYTES_MAX", block_cap(height, hyp, xs))
+            got = estimator_losses(region, hyp, sample)
+            estimate = rademacher_spo_mc(region, hyp, sample, m_draws=40, seed=seed)
         assert got.shape == want.shape and np.array_equal(got, want)
-        assert rademacher_spo_mc(region, hyp, sample, m_draws=40, seed=seed) \
-            == rademacher_spo_mc_ref(region, hyp, sample, 40, seed)
+        assert estimate == rademacher_spo_mc_ref(region, hyp, sample, 40, seed)
 
-    @given(stacked_cases(finite=True))
+    @given(stacked_cases(finite=True), st.sampled_from([1, 7, None]))
     @settings(max_examples=300, deadline=None)
-    def test_restrictions_labels_and_dimension(self, case):
+    def test_restrictions_labels_and_dimension(self, case, height):
         region, hyp, xs, _ = case
-        assert count_restrictions(region, hyp, xs) \
-            == count_restrictions_ref(region, hyp, xs)
-        table = oracle_label_table(region, hyp, xs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(complexity, "BLOCK_BYTES_MAX", block_cap(height, hyp, xs))
+            count = count_restrictions(region, hyp, xs)
+            table = oracle_label_table(region, hyp, xs)
+        assert count == count_restrictions_ref(region, hyp, xs)
         want = oracle_label_table_ref(region, hyp, xs)
         assert table.dtype == want.dtype and np.array_equal(table, want)
         assert natarajan_dim_bruteforce(table) == natarajan_dim_ref(want)
@@ -424,6 +439,93 @@ class TestStackedEstimators:
             xs = rng.standard_normal((n, p))
             got = FiniteHypothesisSet(mats).predictions(xs)
             assert np.array_equal(got, np.stack([xs @ B.T for B in mats]))
+
+
+class TestEstimatorMemory:
+    """One memory budget per estimator call: blocks of predictions and of
+    signs, and refusals of the arrays that span every hypothesis."""
+
+    @pytest.mark.parametrize("rows, heights", [
+        (512, [667, 667, 666]), (700, [1000, 1000]), (2000, [2000])])
+    def test_sign_block_heights_keep_the_bits(self, rows, heights, monkeypatch):
+        # H = 100, n = 50, m = 2,000, as complexity-shortest-path's rad-spo,
+        # and rad-multi on the same points (n * d = 250 signs a row)
+        rng = substream(12)
+        region = UnitSimplex(5)
+        hyp = FiniteHypothesisSet(rng.standard_normal((100, 5, 3)))
+        sample = LabeledSample(xs=rng.standard_normal((50, 3)),
+                               cs=rng.standard_normal((50, 5)))
+        seen = []
+        draw_blocks = complexity.substream_sign_blocks
+
+        def recorded(*args):
+            for first, signs in draw_blocks(*args):
+                seen.append(len(signs))
+                yield first, signs
+
+        monkeypatch.setattr(complexity, "substream_sign_blocks", recorded)
+        for width, estimate, reference in (
+                (50, lambda: rademacher_spo_mc(region, hyp, sample, 2000, 3),
+                 lambda: rademacher_spo_mc_ref(region, hyp, sample, 2000, 3)),
+                (250, lambda: rademacher_multivariate_mc(hyp, sample.xs, 2000, 3),
+                 lambda: rademacher_multivariate_mc_ref(hyp, sample.xs, 2000, 3))):
+            monkeypatch.setattr(complexity, "BLOCK_BYTES_MAX", 8 * max(width, 100) * rows)
+            seen.clear()
+            assert estimate() == reference()
+            assert seen == heights
+
+    def test_call_peaks_stay_within_the_budgeted_arrays(self):
+        # 200 hypotheses on 400 points of the 5 x 5 grid DAG (d = 40): 24.4
+        # MiB of predictions, which each call once held about four times
+        rng = substream(26)
+        dag = DagPathPolytope.grid(5, 5)
+        hyp = FiniteHypothesisSet(rng.standard_normal((200, 40, 5)))
+        sample = LabeledSample(xs=rng.standard_normal((400, 5)),
+                               cs=rng.uniform(1.0, 5.0, (400, 40)))
+        spanning = 8 * 200 * 400  # the (H, n) losses or labels
+        for call in (lambda: rademacher_spo_mc(dag, hyp, sample, m_draws=200, seed=1),
+                     lambda: count_restrictions(dag, hyp, sample.xs),
+                     lambda: oracle_label_table(dag, hyp, sample.xs)):
+            _, peak = traced_peak(call)
+            assert peak < 4 * (spanning + BLOCK_BYTES_MAX)
+
+    @pytest.mark.parametrize("estimator, what", [
+        ("rad-spo", "SPO losses"), ("count", "labels"), ("table", "labels")])
+    def test_hypothesis_stacks_refused_before_oracle_work(self, estimator, what,
+                                                          monkeypatch):
+        # 1,000 hypotheses x 140,000 points: 1.12e9 bytes of float64 losses
+        # or int64 labels, while one block of predictions is small
+        def no_oracle(*args):
+            raise AssertionError("an oracle ran on an over-budget request")
+
+        region = UnitSimplex(1)
+        monkeypatch.setattr(region, "_linopt", no_oracle)
+        monkeypatch.setattr(region, "_decision_cost", no_oracle)
+        hyp = FiniteHypothesisSet(np.full((1000, 1, 1), 0.5))
+        xs = np.ones((140000, 1))
+        call = {"rad-spo": lambda: rademacher_spo_mc(region, hyp, LabeledSample(xs, xs)),
+                "count": lambda: count_restrictions(region, hyp, xs),
+                "table": lambda: oracle_label_table(region, hyp, xs)}[estimator]
+        with pytest.raises(ValueError, match=f"1000 hypotheses x 140000 points need "
+                                             f"1120000000 bytes of {what}, over"):
+            call()
+
+    def test_one_hypothesis_over_the_budget_is_refused(self, monkeypatch):
+        # a block holds one hypothesis at least, so its predictions are
+        # refused as a whole stack's are
+        monkeypatch.setattr(complexity, "ARRAY_BYTES_MAX", 8 * 4 * 3 - 1)
+        hyp = FiniteHypothesisSet(np.ones((2, 3, 1)))
+        with pytest.raises(ValueError, match="1 hypotheses x 4 points x 3 outputs need 96"):
+            count_restrictions(UnitSimplex(3), hyp, np.ones((4, 1)))
+
+    def test_decision_ids_tell_rows_apart_by_their_bytes(self):
+        # zero weights give every row one key, and -0.0 and 0.0 are one
+        # float key under any weights; row 2 was seen in an earlier block
+        D = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-0.0, 1.0]])
+        for weights in (np.zeros(2), np.ones(2)):
+            ids = {D[2].tobytes(): 1}
+            assert complexity._decision_ids(D, weights, ids).tolist() == [2, 3, 1, 2, 3]
+            assert len(ids) == 3
 
 
 class TestMassartBound:
@@ -591,6 +693,14 @@ class TestFiniteHypothesisSet:
     def test_shape_consistency(self):
         with pytest.raises(ValueError, match="share one shape"):
             FiniteHypothesisSet([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "JSON list"), ("[]", "non-empty"), ("[[1.0, 2.0]]", "2-D matrix"),
+        ("[[[1.0]], [[1.0, 2.0]]]", "share one shape"), ("[[[1.0, 2.0], [3.0]]]", "share one shape"),
+        ("[[[NaN]]]", "finite"), ('[[["a"]]]', "could not convert string to float")])
+    def test_json_refusals(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteHypothesisSet.from_json(text)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_features_refused(self, bad):

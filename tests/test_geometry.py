@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from conftest import (dag_gap_ref, dag_linopt_ref, dag_path_costs_ref,
                       decision_cost_ref, enumerate_paths_brute, l2_decision_cost_ref,
                       lq_ball_sample_ref, path_vectors_brute,
                       pgd_lq_minimize, project_lq_ball,
-                      random_dags, square_region,
+                      random_dags, square_region, traced_peak,
                       verify_optimality_condition_ref,
                       verify_strong_convexity_ref)
 
@@ -193,14 +192,17 @@ class TestDagDiameter:
 
     def test_eight_by_eight_grid_in_bounded_memory(self):
         # 3432 paths of 14 arcs over 112 arcs; two disjoint paths are 28 apart
-        tracemalloc.start()
-        try:
-            omega = CostDomain.ball(DagPathPolytope.grid(8, 8), 1.0).omega
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        omega, peak = traced_peak(lambda: CostDomain.ball(DagPathPolytope.grid(8, 8), 1.0).omega)
         assert omega == math.sqrt(28)
         assert peak < 64 * 2 ** 20
+
+    def test_nodes_off_every_path_take_no_table(self):
+        # one source->sink arc, and a 16,385-node chain into the sink that
+        # the source never reaches: a table over the sink-reaching nodes
+        # would be over the 1 GiB budget
+        nodes = 16387
+        arcs = [(0, 1)] + [(v, v + 1) for v in range(2, nodes - 1)] + [(nodes - 1, 1)]
+        assert DagPathPolytope(nodes, arcs, 0, 1).diameter2() == 0.0
 
 
 @st.composite
@@ -711,12 +713,7 @@ class TestSquaredDistanceBlocks:
         # the whole difference array of 2,000 vertices in d = 10 is 305 MiB
         V = np.random.default_rng(0).standard_normal((2000, 10))
         region = VertexPolytope(V)
-        tracemalloc.start()
-        try:
-            diameter = region.diameter2()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        diameter, peak = traced_peak(region.diameter2)
         assert peak < 8 * 2 ** 20
         assert diameter == max(float(np.sqrt(((v - V) ** 2).sum(axis=1)).max()) for v in V)
 
@@ -726,12 +723,7 @@ class TestSquaredDistanceBlocks:
         members = rng.standard_normal((500, 12))
         domain = CostDomain.enumerated(UnitSimplex(12), members)
         C = rng.standard_normal((5000, 12))
-        tracemalloc.start()
-        try:
-            projected = domain.project(C)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        projected, peak = traced_peak(lambda: domain.project(C))
         assert peak < 8 * 2 ** 20
         nearest = [np.argmin(((c - members) ** 2).sum(axis=1)) for c in C]
         assert np.array_equal(projected, members[nearest])

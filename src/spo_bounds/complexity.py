@@ -38,13 +38,16 @@ matrices as one (H, d, p) array and predicts a block of them at once:
 ``rademacher_spo_mc``, ``count_restrictions`` and ``oracle_label_table``
 make one oracle call per block, so of their arrays only the (H, n) SPO
 losses or int64 labels span every hypothesis, and each call refuses those
-over ``ARRAY_BYTES_MAX`` before any oracle work.  Stacked ``matmul``
-computes each hypothesis apart and the oracles work row by row, so each
-row's prediction, decision and cost is the one a per-hypothesis call would
-give, ties included, whatever the block height.  Oracle decisions get
-label ids by their bytes, in order of first appearance; a block groups its
-rows by a float key and checks every row against its group's first row, so
-only a block's distinct decisions meet the id table.
+over ``ARRAY_BYTES_MAX`` before any oracle work.  So does each Monte-Carlo
+estimator with its sign request and with its longest sign block's (rows, H)
+correlations, the one array of ``_sup_correlations`` that spans every
+hypothesis.  Stacked ``matmul`` computes each hypothesis apart and the
+oracles work row by row, so each row's prediction, decision and cost is the
+one a per-hypothesis call would give, ties included, whatever the block
+height.  Oracle decisions get label ids by their bytes, in order of first
+appearance; a block groups its rows by a float key and checks every row
+against its group's first row, so only a block's distinct decisions meet
+the id table.
 
 ``natarajan_dim_bruteforce`` prunes its search with two exact rules.  A
 set of s points is N-shattered when some pair of label tuples that differ
@@ -162,18 +165,31 @@ def _check_budget(what: str, hypotheses: int, n: int, d: int | None = None) -> N
 # Monte-Carlo Rademacher estimators
 # ---------------------------------------------------------------------------
 
-def _sup_correlations(values: np.ndarray, n: int, m_draws: int,
-                      seed: int) -> np.ndarray:
-    """``sup_h (signs_k @ values[h]) / n`` for every sign draw ``k <
-    m_draws``, from sign rows of ``values.shape[1]`` signs drawn in the
-    blocks the module docstring sizes."""
-    H, k = values.shape
-    values_t = values.T
+def _correlation_signs(H: int, k: int, m_draws: int,
+                       seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The sign blocks ``_sup_correlations`` correlates with an (H, k)
+    stack, sized as the module docstring says.  Refuses, before any draw, a
+    sign request or a longest block's (rows, H) correlations over
+    ``ARRAY_BYTES_MAX`` bytes."""
     rows = m_draws if H == 1 else max(SIGN_BLOCK_ROWS,
                                       _SMALL_GEMM_MNK // max(1, H * k) + 1,
                                       BLOCK_BYTES_MAX // (8 * max(k, H)))
+    # the longest of the m_draws // rows even blocks ``substream_sign_blocks`` draws
+    height = -(-m_draws // max(1, m_draws // rows))
+    need = 8 * height * H
+    if need > ARRAY_BYTES_MAX:
+        raise ValueError(f"{height} sign draws x {H} hypotheses need {need} bytes of "
+                         f"correlations, over the {ARRAY_BYTES_MAX}-byte budget")
+    return substream_sign_blocks(seed, m_draws, k, rows)
+
+
+def _sup_correlations(values: np.ndarray, n: int, m_draws: int,
+                      blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+    """``sup_h (signs_k @ values[h]) / n`` for every sign draw ``k <
+    m_draws``, from the sign rows of ``blocks`` (see ``_correlation_signs``)."""
+    values_t = values.T
     sup = np.empty(m_draws)
-    for first, signs in substream_sign_blocks(seed, m_draws, k, rows):
+    for first, signs in blocks:
         (signs @ values_t).max(axis=1, out=sup[first:first + len(signs)])
     # rounding is monotone, so the sup divided is the sup of the quotients
     sup /= n
@@ -200,6 +216,7 @@ def rademacher_spo_mc(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
     blocks = hypotheses.prediction_blocks(sample.xs)
     H, n, d = len(hypotheses), sample.n, hypotheses.d
     _check_budget("SPO losses", H, n)
+    signs = _correlation_signs(H, n, m_draws, seed)
     # SPO losses, (H, n), from one oracle call per block of hypotheses;
     # the optimal costs c @ w*(c) are solved once for every hypothesis.
     # Each distinct batch is validated once; the tiled costs need no check.
@@ -214,7 +231,7 @@ def rademacher_spo_mc(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
         stacked = region._check_cost_batch(preds.reshape(h * n, d))
         realized = region._decision_cost(stacked, tiled[:h * n])
         np.subtract(realized.reshape(h, n), opt, out=losses[first:first + h])
-    return _mc_summary(_sup_correlations(losses, n, m_draws, seed))
+    return _mc_summary(_sup_correlations(losses, n, m_draws, signs))
 
 
 def rademacher_multivariate_mc(hypotheses: FiniteHypothesisSet, xs,
@@ -226,10 +243,13 @@ def rademacher_multivariate_mc(hypotheses: FiniteHypothesisSet, xs,
     """
     if m_draws < 1:
         raise ValueError("m_draws must be >= 1")
-    xs = np.asarray(xs, dtype=float)
+    H, d = len(hypotheses), hypotheses.d
+    # the predictions' refusals, then the signs', before any array is formed
+    xs = hypotheses._points(xs, H)
+    n = len(xs)
+    signs = _correlation_signs(H, n * d, m_draws, seed)
     preds = hypotheses.predictions(xs)  # (H, n, d)
-    H, n, d = preds.shape
-    return _mc_summary(_sup_correlations(preds.reshape(H, n * d), n, m_draws, seed))
+    return _mc_summary(_sup_correlations(preds.reshape(H, n * d), n, m_draws, signs))
 
 
 def _decision_ids(decisions: np.ndarray, weights: np.ndarray,

@@ -16,8 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from ._rng import ARRAY_BYTES_MAX, substream
-from .bounds import (BoundInputs, bound_covering, bound_linear_polyhedral,
-                     bound_margin, bound_margin_uniform)
+from .bounds import BoundInputs, evaluate
 from .complexity import linear_class_rad_bound
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, _is_number,
@@ -320,7 +319,11 @@ class RiskEvaluator:
 
 @dataclass
 class TrialRecord:
-    """Per-trial risks, bound values, and violation flags."""
+    """One trial of one config: its empirical risks, its fresh-sample true
+    risk, and the value of each bound ``run_trial`` scored, by column id
+    (``covering``, ``margin@0.5``, ...) in output order.  Every output
+    (``trials.csv``, the summary, the plot frames) reads its bound columns
+    from here."""
 
     trial: int
     n: int
@@ -330,7 +333,24 @@ class TrialRecord:
     true_risk: float
     true_risk_stderr: float
     bounds: dict[str, float]
-    violations: dict[str, bool]
+
+    def slack(self, bound_id: str) -> float:
+        """The bound minus the true-risk estimate less three standard
+        errors; the trial violates the bound exactly when this is
+        negative."""
+        return self.bounds[bound_id] - (self.true_risk - 3.0 * self.true_risk_stderr)
+
+    def row(self) -> dict[str, str]:
+        """This trial's ``trials.csv`` cells, by column name in order."""
+        cells = {"trial": str(self.trial), "n": str(self.n),
+                 "gamma_star": "" if self.gamma_star is None else repr(self.gamma_star),
+                 "emp_spo": repr(self.emp_spo)}
+        cells.update((f"emp_margin@{g!r}", repr(risk)) for g, risk in self.emp_margin.items())
+        cells.update(true_risk=repr(self.true_risk),
+                     true_risk_stderr=repr(self.true_risk_stderr))
+        cells.update((f"bound@{b}", repr(val)) for b, val in self.bounds.items())
+        cells.update((f"violation@{b}", str(int(self.slack(b) < 0))) for b in self.bounds)
+        return cells
 
 
 @dataclass
@@ -339,35 +359,15 @@ class BoundValidityResult:
     records: list[TrialRecord]
     summary: dict
 
-    def columns(self) -> list[str]:
-        cols = ["trial", "n", "gamma_star", "emp_spo"]
-        cols += [f"emp_margin@{g!r}" for g in self.config.gamma_grid
-                 if self.config.strongly_convex]
-        cols += ["true_risk", "true_risk_stderr"]
-        bound_ids = _bound_ids(self.config)
-        cols += [f"bound@{b}" for b in bound_ids]
-        cols += [f"violation@{b}" for b in bound_ids]
-        return cols
-
     def trials_csv(self) -> str:
-        lines = [",".join(self.columns())]
-        bound_ids = _bound_ids(self.config)
-        for rec in self.records:
-            row = [str(rec.trial), str(rec.n),
-                   "" if rec.gamma_star is None else repr(rec.gamma_star),
-                   repr(rec.emp_spo)]
-            if self.config.strongly_convex:
-                row += [repr(rec.emp_margin[g]) for g in self.config.gamma_grid]
-            row += [repr(rec.true_risk), repr(rec.true_risk_stderr)]
-            row += [repr(rec.bounds[b]) for b in bound_ids]
-            row += [str(int(rec.violations[b])) for b in bound_ids]
-            lines.append(",".join(row))
+        rows = [rec.row() for rec in self.records]
+        lines = [",".join(rows[0])] + [",".join(row.values()) for row in rows]
         return "\n".join(lines) + "\n"
 
     def plot_frames(self) -> dict[str, list[tuple[int, float, float]]]:
         """Per bound id: rows of (n, mean bound value, mean true risk)."""
         frames: dict[str, list[tuple[int, float, float]]] = {}
-        for bound_id in _bound_ids(self.config):
+        for bound_id in self.records[0].bounds:
             rows = []
             for n in self.config.ns:
                 recs = [r for r in self.records if r.n == n]
@@ -376,17 +376,6 @@ class BoundValidityResult:
                              float(np.mean([r.true_risk for r in recs]))))
             frames[bound_id] = rows
         return frames
-
-
-def _bound_ids(config: ExperimentConfig) -> list[str]:
-    ids: list[str] = []
-    if config.polyhedral:
-        ids.append("linear_polyhedral")
-    ids.append("covering")
-    if config.strongly_convex:
-        ids += [f"margin@{g!r}" for g in config.gamma_grid]
-        ids.append("margin_uniform")
-    return ids
 
 
 def _bound_inputs(config: ExperimentConfig, n: int) -> BoundInputs:
@@ -410,7 +399,9 @@ def _bound_inputs(config: ExperimentConfig, n: int) -> BoundInputs:
 def run_trial(config: ExperimentConfig, sample: LabeledSample, fit: np.ndarray,
               trial: int, evaluator: RiskEvaluator) -> TrialRecord:
     """One trial of one config, on a training sample and its least-squares
-    fit that every config of its data source shares."""
+    fit that every config of its data source shares.  The one place that
+    decides a config's bound columns: each is scored through
+    ``bounds.evaluate`` into ``bounds``, in output order."""
     region, n = config.region, sample.n
     predictor = clip_frobenius(fit, config.beta) if config.strongly_convex else fit
 
@@ -422,8 +413,8 @@ def run_trial(config: ExperimentConfig, sample: LabeledSample, fit: np.ndarray,
     bounds_vals: dict[str, float] = {}
     inputs = replace(fixed, empirical_risk=emp_spo)
     if config.polyhedral:
-        bounds_vals["linear_polyhedral"] = bound_linear_polyhedral(inputs).value
-    bounds_vals["covering"] = bound_covering(inputs).value
+        bounds_vals["linear_polyhedral"] = evaluate("linear_polyhedral", inputs).value
+    bounds_vals["covering"] = evaluate("covering", inputs).value
 
     emp_margin: dict[float, float] = {}
     gamma_star = None
@@ -439,7 +430,7 @@ def run_trial(config: ExperimentConfig, sample: LabeledSample, fit: np.ndarray,
         for g in config.gamma_grid:
             emp_margin[g] = margin_risk(g)
             inputs = replace(fixed, empirical_risk=emp_margin[g], gamma=g)
-            bounds_vals[f"margin@{g!r}"] = bound_margin(inputs, "expected").value
+            bounds_vals[f"margin@{g!r}"] = evaluate("margin", inputs, "expected").value
         # data-driven gamma via the uniform bound, capped at the largest
         # prediction norm seen in training
         gamma_bar = max(float(norms.max()), 1e-12)
@@ -450,19 +441,16 @@ def run_trial(config: ExperimentConfig, sample: LabeledSample, fit: np.ndarray,
             if risk is None:
                 risk = margin_risk(g)
             inputs = replace(fixed, empirical_risk=risk, gamma=g, gamma_bar=gamma_bar)
-            val = bound_margin_uniform(inputs, "expected").value
+            val = evaluate("margin_uniform", inputs, "expected").value
             if val < best_val:
                 best_val, best_gamma = val, g
         bounds_vals["margin_uniform"] = best_val
         gamma_star = best_gamma
 
     true_est, true_se = evaluator.true_risk(predictor, region)
-    violations = {key: bool(true_est - 3.0 * true_se > val)
-                  for key, val in bounds_vals.items()}
     return TrialRecord(trial=trial, n=n, gamma_star=gamma_star, emp_spo=emp_spo,
                        emp_margin=emp_margin, true_risk=true_est,
-                       true_risk_stderr=true_se, bounds=bounds_vals,
-                       violations=violations)
+                       true_risk_stderr=true_se, bounds=bounds_vals)
 
 
 def run_suite(configs) -> list[BoundValidityResult]:
@@ -513,12 +501,9 @@ def _run_group(group: list[ExperimentConfig]) -> list[list[TrialRecord]]:
 def _result(config: ExperimentConfig, records: list[TrialRecord]) -> BoundValidityResult:
     omega = config.cost_domain.omega
     per_bound = {}
-    for bound_id in _bound_ids(config):
-        count = sum(r.violations[bound_id] for r in records)
-        # slack of the violation test, per trial: negative exactly when the
-        # trial's violation flag is set
-        slacks = [r.bounds[bound_id] - (r.true_risk - 3.0 * r.true_risk_stderr)
-                  for r in records]
+    for bound_id in records[0].bounds:
+        slacks = [r.slack(bound_id) for r in records]
+        count = sum(slack < 0 for slack in slacks)
         tightest = slacks.index(min(slacks))
         per_bound[bound_id] = {
             "trials": len(records),

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from spo_bounds import bounds, cli, harness
+from spo_bounds import bounds, cli, complexity, harness
 from spo_bounds.bounds import TERMS
 from spo_bounds.cli import main
 from spo_bounds.geometry import UnitSimplex
@@ -434,6 +434,21 @@ class TestInputErrors:
                        "of predictions, over the 1073741824-byte budget")
         assert main(["complexity", estimator, "--hypotheses", hyp_file, *argv]) == 2
         self.assert_one_error_line(capsys, message)
+
+    @pytest.mark.parametrize("estimator", ["rad-spo", "rad-multi"])
+    def test_estimator_correlation_budget(self, estimator, tmp_path, capsys, monkeypatch):
+        # 2 hypotheses on 2 points, 100 draws: one block of 100 x 2
+        # correlations, 1,600 bytes, over a budget cut to 1,000 bytes
+        monkeypatch.setattr(complexity, "ARRAY_BYTES_MAX", 1000)
+        hyp_file = write(tmp_path / "hyp.json", [[[1.0]], [[0.5]]])
+        xs = [[1.0], [0.0]]
+        argv = (["--region", write(tmp_path / "simplex.json", {"kind": "UnitSimplex", "dim": 1}),
+                 "--sample", write(tmp_path / "sample.json", {"xs": xs, "cs": [[0.0]] * 2})]
+                if estimator == "rad-spo" else ["--xs", write(tmp_path / "xs.json", xs)])
+        assert main(["complexity", estimator, "--hypotheses", hyp_file, *argv,
+                     "--draws", "100"]) == 2
+        self.assert_one_error_line(capsys, "100 sign draws x 2 hypotheses need 1600 bytes "
+                                           "of correlations, over the 1000-byte budget")
 
     @pytest.mark.parametrize("theorem", ["natarajan", "rademacher"])
     def test_csv_refused_for_a_single_theorem(self, theorem, tmp_path, capsys):

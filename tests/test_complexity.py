@@ -384,7 +384,7 @@ def estimator_losses(region, hyp, sample) -> np.ndarray:
     sign draws, recorded by standing in for the correlation."""
     seen = []
 
-    def record(values, n, m_draws, seed):
+    def record(values, n, m_draws, blocks):
         seen.append(values.copy())
         return np.zeros(m_draws)
 
@@ -508,6 +508,49 @@ class TestEstimatorMemory:
                 "table": lambda: oracle_label_table(region, hyp, xs)}[estimator]
         with pytest.raises(ValueError, match=f"1000 hypotheses x 140000 points need "
                                              f"1120000000 bytes of {what}, over"):
+            call()
+
+    def test_sign_request_refused_before_the_loss_pass(self, monkeypatch):
+        # 3,000,000 draws of 50 signs need 1,968,000,000 bytes: refused
+        # before one oracle row is solved
+        rows = []
+        region = UnitSimplex(5)
+        real = region._decision_cost
+
+        def counted(C_hat, C):
+            rows.append(len(C_hat))
+            return real(C_hat, C)
+
+        monkeypatch.setattr(region, "_decision_cost", counted)
+        rng = substream(27)
+        hyp = FiniteHypothesisSet(rng.standard_normal((20, 5, 3)))
+        sample = LabeledSample(xs=rng.standard_normal((50, 3)),
+                               cs=rng.standard_normal((50, 5)))
+        with pytest.raises(ValueError, match="3000000 x 50 sign draws need 1968000000 bytes"):
+            rademacher_spo_mc(region, hyp, sample, m_draws=3_000_000)
+        assert rows == []
+        rademacher_spo_mc(region, hyp, sample, m_draws=10)
+        assert rows == [50, 20 * 50]  # the optimal costs, then one block
+
+    @pytest.mark.parametrize("estimator", ["rad-spo", "rad-multi"])
+    def test_correlation_block_refused_before_any_draw(self, estimator, monkeypatch):
+        # 1,000 hypotheses on 2 points: 2,000 draws in three blocks of at
+        # most 667 rows (the pinned 512-row floor), whose correlations
+        # need 8 * 667 * 1000 = 5,336,000 bytes; the budget is cut below
+        # that, above the losses and predictions
+        def no_work(*args):
+            raise AssertionError("worked on an over-budget request")
+
+        region = UnitSimplex(1)
+        monkeypatch.setattr(region, "_decision_cost", no_work)
+        monkeypatch.setattr(complexity, "substream_sign_blocks", no_work)
+        monkeypatch.setattr(complexity, "ARRAY_BYTES_MAX", 5_335_999)
+        hyp = FiniteHypothesisSet(np.full((1000, 1, 1), 0.5))
+        xs = np.ones((2, 1))
+        call = {"rad-spo": lambda: rademacher_spo_mc(region, hyp, LabeledSample(xs, xs)),
+                "rad-multi": lambda: rademacher_multivariate_mc(hyp, xs)}[estimator]
+        with pytest.raises(ValueError, match="667 sign draws x 1000 hypotheses need 5336000 "
+                                             "bytes of correlations, over the 5335999-byte"):
             call()
 
     def test_one_hypothesis_over_the_budget_is_refused(self, monkeypatch):

@@ -337,15 +337,53 @@ class TestBoundValidity:
         assert dual != l2
 
     def test_trials_csv_deterministic_and_ordered(self):
-        config_a = ball_config()
-        config_b = ball_config()
-        csv_a = run_suite([config_a])[0].trials_csv()
-        csv_b = run_suite([config_b])[0].trials_csv()
-        assert csv_a == csv_b
-        header = csv_a.splitlines()[0].split(",")
-        assert header[:4] == ["trial", "n", "gamma_star", "emp_spo"]
-        assert header[4:6] == ["emp_margin@0.1", "emp_margin@0.5"]
-        assert header[6:8] == ["true_risk", "true_risk_stderr"]
+        for make_config, bound_ids, risks in (
+                (ball_config, ["covering", "margin@0.1", "margin@0.5", "margin_uniform"],
+                 ["emp_margin@0.1", "emp_margin@0.5"]),
+                (simplex_config, ["linear_polyhedral", "covering"], [])):
+            csv_a = run_suite([make_config()])[0].trials_csv()
+            csv_b = run_suite([make_config()])[0].trials_csv()
+            assert csv_a == csv_b
+            lines = csv_a.splitlines()
+            header = lines[0].split(",")
+            assert header == (["trial", "n", "gamma_star", "emp_spo", *risks,
+                               "true_risk", "true_risk_stderr"]
+                              + [f"bound@{b}" for b in bound_ids]
+                              + [f"violation@{b}" for b in bound_ids])
+            for line in lines[1:]:
+                row = dict(zip(header, line.split(",")))
+                below = float(row["true_risk"]) - 3.0 * float(row["true_risk_stderr"])
+                for b in bound_ids:
+                    slack = float(row[f"bound@{b}"]) - below
+                    assert row[f"violation@{b}"] == str(int(slack < 0))
+
+    def test_a_bound_added_in_run_trial_reaches_every_output(self, monkeypatch):
+        # a column scored in run_trial alone, violated in trial 0 only,
+        # shows in trials.csv, the summary and the plot frames
+        real = harness.run_trial
+
+        def with_fake(config, sample, fit, trial, evaluator):
+            rec = real(config, sample, fit, trial, evaluator)
+            below = rec.true_risk - 3.0 * rec.true_risk_stderr
+            rec.bounds["fake"] = below - 0.5 if trial == 0 else 100.0
+            return rec
+
+        monkeypatch.setattr(harness, "run_trial", with_fake)
+        result = run_suite([simplex_config()])[0]
+        lines = result.trials_csv().splitlines()
+        header = lines[0].split(",")
+        assert header[-6:] == ["bound@linear_polyhedral", "bound@covering", "bound@fake",
+                               "violation@linear_polyhedral", "violation@covering",
+                               "violation@fake"]
+        flags = [dict(zip(header, line.split(",")))["violation@fake"] for line in lines[1:]]
+        assert flags == ["1", "0", "1", "0"]  # two n levels x trials 0 and 1
+        stats = result.summary["bounds"]["fake"]
+        assert (stats["violations"], stats["trials"]) == (2, 4)
+        assert stats["min_slack"] < 0 and stats["min_slack_trial"] == 0
+        assert result.summary["any_violation"]
+        frames = result.plot_frames()
+        assert list(frames) == ["linear_polyhedral", "covering", "fake"]
+        assert [mean for _, mean, _ in frames["fake"]][0] < 100.0
 
     def test_summary_slack_and_vacuous_counts(self):
         # two trials per cell of the default grid: below n = 1e3 every bound

@@ -197,20 +197,26 @@ def substream_sign_blocks(seed: int, count: int, size: int,
     return _sign_blocks(seed, count, size, rows)
 
 
+def sign_block_heights(count: int, rows: int) -> Iterator[int]:
+    """Row counts of the even blocks ``substream_sign_blocks`` splits ``count``
+    rows into (``count // rows`` of them, at least one), longest first."""
+    blocks = max(1, count // rows)
+    height, longer = divmod(count, blocks)
+    return (height + (b < longer) for b in range(blocks))
+
+
 def _sign_blocks(seed: int, count: int, size: int,
                  rows: int) -> Iterator[tuple[int, np.ndarray]]:
     seeds = _seed_halves(seed, count)
-    blocks = max(1, count // rows)
-    height, longer = divmod(count, blocks)
     # sized for the first, longest block; the kernel writes only the high
     # words, so the low words stay zero from one block to the next
-    buffer = np.zeros((height + (longer > 0), size), dtype="<f8")
+    buffer = np.zeros((next(sign_block_heights(count, rows)), size), dtype="<f8")
     first = 0
-    for b in range(blocks):
-        signs = buffer[:height + (b < longer)]
-        _fill_signs(seeds[first:first + len(signs)], signs)
+    for height in sign_block_heights(count, rows):
+        signs = buffer[:height]
+        _fill_signs(seeds[first:first + height], signs)
         yield first, signs
-        first += len(signs)
+        first += height
 
 
 def _fill_signs(seeds: np.ndarray, out: np.ndarray) -> None:

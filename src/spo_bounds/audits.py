@@ -22,8 +22,8 @@ from .complexity import (FiniteHypothesisSet, count_restrictions,
                          natarajan_dim_bruteforce, oracle_label_table,
                          rademacher_multivariate_mc, rademacher_spo_mc)
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
-                       UnitSimplex, VertexPolytope, _exact_norm_rows,
-                       dual_norm_rows, vector_norm_rows,
+                       UnitSimplex, VertexPolytope, dual_norm_rows,
+                       vector_norm_rows,
                        verify_optimality_condition, verify_strong_convexity)
 from .losses import (LabeledSample, hard_margin_spo_loss_batch, margin_mix,
                      margin_spo_loss_batch, spo_loss_batch)
@@ -103,7 +103,7 @@ def _sample_costs(rng: np.random.Generator, n_pairs: int, d: int,
                   lo: float, hi: float) -> np.ndarray:
     """Cost rows with uniform directions and log-uniform l2 norms in [lo, hi]."""
     G = rng.standard_normal((n_pairs, d))
-    norms = np.linalg.norm(G, axis=1)
+    norms = vector_norm_rows(G, 2.0)
     norms[norms == 0] = 1.0
     return G / norms[:, None] * _log_uniform(rng, lo, hi, n_pairs)[:, None]
 
@@ -237,7 +237,7 @@ def audit_optimality_condition(seed: int, scale: int = 1) -> AuditResult:
     wbar = region.linopt(c)
     w = np.array([0.0, 1.0])
     lhs = float(c @ (w - wbar))
-    c_star = float(_exact_norm_rows(c[None], 2.0)[0])  # l2 is self-dual
+    c_star = float(dual_norm_rows(c[None], 2.0)[0])
     rhs = 0.5 * region.mu * c_star * float(np.sum((w - wbar) ** 2))
     passed = (all(r.ok for r in reports) and abs(lhs - rhs) <= TOL
               and abs(lhs - 1.0) <= TOL)
@@ -429,11 +429,11 @@ def audit_frobenius_domination(seed: int, scale: int = 1) -> AuditResult:
             for n in (50, 400):
                 rng = substream(seed, 18, d, p, n)
                 mats = rng.standard_normal((50, d, p))
-                norms = np.linalg.norm(mats.reshape(50, -1), axis=1)
+                norms = vector_norm_rows(mats.reshape(50, -1), 2.0)
                 mats *= (beta * rng.random(50) ** 0.5 / norms)[:, None, None]
                 hyp = FiniteHypothesisSet(mats)
                 xs = rng.standard_normal((n, p))
-                xs /= np.linalg.norm(xs, axis=1)[:, None]
+                xs /= vector_norm_rows(xs, 2.0)[:, None]
                 est, se = rademacher_multivariate_mc(hyp, xs,
                                                      m_draws=2000 // scale,
                                                      seed=seed + d + p + n)

@@ -30,7 +30,7 @@ from .bounds import BoundInputs
 from .complexity import (FiniteHypothesisSet, check_natarajan_budget,
                          natarajan_dim_bruteforce, oracle_label_table,
                          rademacher_multivariate_mc, rademacher_spo_mc)
-from .geometry import _exact_norm_rows, dual_exponent, region_from_json
+from .geometry import dual_norm_rows, region_from_json
 from .harness import (BoundValidityResult, ExperimentConfig, config_label,
                       default_suite, run_suite)
 from .losses import (LabeledSample, hard_margin_spo_loss, margin_spo_loss,
@@ -74,8 +74,7 @@ def _cmd_loss(args) -> int:
     out = {
         "spo": spo_loss(region, c_hat, c),
         "omega": region.gap(c),
-        "dual_norm_c_hat": float(_exact_norm_rows(
-            c_hat[None], dual_exponent(region.norm_exponent))[0]),
+        "dual_norm_c_hat": float(dual_norm_rows(c_hat[None], region.norm_exponent)[0]),
     }
     if args.gamma is not None:
         out["gamma"] = args.gamma

@@ -72,7 +72,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ._rng import ARRAY_BYTES_MAX, BLOCK_BYTES_MAX, substream_sign_blocks
+from ._rng import (ARRAY_BYTES_MAX, BLOCK_BYTES_MAX, sign_block_heights,
+                   substream_sign_blocks)
 from .geometry import FeasibleRegion
 from .losses import LabeledSample
 
@@ -174,8 +175,7 @@ def _correlation_signs(H: int, k: int, m_draws: int,
     rows = m_draws if H == 1 else max(SIGN_BLOCK_ROWS,
                                       _SMALL_GEMM_MNK // max(1, H * k) + 1,
                                       BLOCK_BYTES_MAX // (8 * max(k, H)))
-    # the longest of the m_draws // rows even blocks ``substream_sign_blocks`` draws
-    height = -(-m_draws // max(1, m_draws // rows))
+    height = next(sign_block_heights(m_draws, rows))
     need = 8 * height * H
     if need > ARRAY_BYTES_MAX:
         raise ValueError(f"{height} sign draws x {H} hypotheses need {need} bytes of "

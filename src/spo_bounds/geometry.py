@@ -50,7 +50,10 @@ and cost are the same bits whatever other rows share its batch, so callers
 may stack batches (the complexity estimators stack blocks of hypotheses).  That
 is why the vertex scores and the vertex-polytope samples use ``einsum`` and
 the l2 ball's center offsets ``_column_dots``: BLAS matrix products round a
-row differently depending on the batch size.
+row differently depending on the batch size.  Row norms all go through
+``vector_norm_rows``, which works row-major and calls no BLAS, so the l2
+ball's oracles, sampler and membership test and the sampled verifiers give
+the same bits on every OpenBLAS kernel and in every memory layout.
 """
 
 from __future__ import annotations
@@ -90,7 +93,9 @@ def dual_exponent(q: float) -> float:
 
 def vector_norm_rows(C: np.ndarray, q: float) -> np.ndarray:
     """Row-wise lq norms of a 2-D array, computed row-major so the bits do
-    not depend on the memory layout (row sums round by layout once d >= 8)."""
+    not depend on the memory layout (row sums round by layout once d >= 8)
+    or on the rest of the batch, and take no BLAS call.  Every row norm of
+    the package goes through it."""
     if q < 1:
         raise ValueError(f"norm exponent must be >= 1, got {q}")
     return np.linalg.norm(np.ascontiguousarray(C, dtype=float), ord=q, axis=1)
@@ -103,20 +108,9 @@ def dual_norm_rows(C: np.ndarray, q: float = 2.0) -> np.ndarray:
 
 def _scalar_pow(values: np.ndarray, exponent: float) -> np.ndarray:
     """Elementwise ``v ** exponent`` with Python's float power (libm
-    ``pow``), which numpy's array power does not match in the last ulp."""
+    ``pow``), whose bits, unlike those of numpy's array power, do not
+    follow numpy's CPU dispatch."""
     return np.array([v ** exponent for v in values.tolist()])
-
-
-def _exact_norm_rows(D: np.ndarray, q: float) -> np.ndarray:
-    """``np.linalg.norm(D[i], ord=q)`` for every row, bit for bit, q in [1, inf).
-
-    The one-vector norm takes a BLAS dot for q = 2 (``np.vecdot`` calls the
-    same one) and a scalar power for the root otherwise; the row-wise
-    ``vector_norm_rows`` does neither, so it can differ in the last ulp.
-    """
-    if q == 2:
-        return np.sqrt(np.vecdot(D, D))
-    return _scalar_pow(np.add.reduce(np.abs(D) ** q, axis=1), 1.0 / q)
 
 
 def _column_fold(C: np.ndarray, keep, step=None) -> np.ndarray:
@@ -312,9 +306,16 @@ class FeasibleRegion:
         raise NotImplementedError
 
     def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
-        raise NotImplementedError(
-            f"membership test not available for {self.kind}"
-        )
+        """Whether the point ``w`` lies in the region, up to ``tol``."""
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.dim,):
+            raise ValueError(f"point has shape {w.shape}, expected ({self.dim},)")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("point has non-finite entries")
+        return self._contains(w, tol)
+
+    def _contains(self, w: np.ndarray, tol: float) -> bool:
+        raise NotImplementedError(f"membership test not available for {self.kind}")
 
     # -- serialization
     def to_dict(self) -> dict:
@@ -416,8 +417,7 @@ class UnitSimplex(FeasibleRegion):
     def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.dirichlet(np.ones(self.dim), m)
 
-    def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
-        w = np.asarray(w, dtype=float)
+    def _contains(self, w: np.ndarray, tol: float) -> bool:
         return bool(w.min() >= -tol and abs(w.sum() - 1.0) <= tol)
 
     @property
@@ -659,7 +659,8 @@ class LqBall(FeasibleRegion):
     ``sample_batch(rng, m)`` draws an (m, dim) array of normals ``G`` and
     then m uniforms ``T``, and row i is
     ``center + radius * T[i] ** (1 / dim) * G[i] / ||G[i]||_q``, the same
-    bits as that one-vector formula.
+    bits as that formula on row i alone: the norm is ``vector_norm_rows``
+    and the root Python's float power.
     """
 
     kind = "LqBall"
@@ -690,16 +691,15 @@ class LqBall(FeasibleRegion):
         # Hoelder equality direction: the minimizer sits on the boundary
         # opposite the unit-q-norm maximizer of c @ u
         if self.q == 2.0:
-            norms = np.linalg.norm(C, axis=1)
+            norms = vector_norm_rows(C, 2.0)
             U = C / np.where(norms > 0, norms, 1.0)[:, None]
             return self.center - self.ball_radius * U
         A = np.abs(C)
         m = A.max(axis=1)
         safe = np.where(m > 0, m, 1.0)
         U = np.sign(C) * (A / safe[:, None]) ** (dual_exponent(self.q) - 1.0)
-        norms = np.linalg.norm(U, ord=self.q, axis=1)
-        norms = np.where(norms > 0, norms, 1.0)
-        U /= norms[:, None]
+        norms = vector_norm_rows(U, self.q)
+        U /= np.where(norms > 0, norms, 1.0)[:, None]
         U[m == 0] = 0.0
         return self.center - self.ball_radius * U
 
@@ -728,18 +728,12 @@ class LqBall(FeasibleRegion):
     def radius(self, q: float = 2.0) -> float:
         if q < 1:
             raise ValueError(f"norm exponent must be >= 1, got {q}")
-        centered = bool(np.all(self.center == 0.0))
-        if centered:
-            if q >= self.q:
-                factor = 1.0
-            else:
-                factor = self.dim ** (1.0 / q - 1.0 / self.q)
+        if not self.center.any():
+            factor = 1.0 if q >= self.q else self.dim ** (1.0 / q - 1.0 / self.q)
             return self.ball_radius * factor
         if q == self.q:
-            return float(_exact_norm_rows(self.center[None], q)[0]) + self.ball_radius
-        raise ValueError(
-            f"radius in l{q} norm is only exact for centered balls or q == {self.q}"
-        )
+            return float(vector_norm_rows(self.center[None], q)[0]) + self.ball_radius
+        raise ValueError(f"radius in l{q} norm is only exact for centered balls or q == {self.q}")
 
     def extreme_point_count(self) -> int:
         raise ValueError("an lq ball has infinitely many extreme points")
@@ -752,14 +746,12 @@ class LqBall(FeasibleRegion):
     def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         G = rng.standard_normal((m, self.dim))
         T = rng.random(m)
-        # the norms and roots are the bit-exact one-vector forms
-        U = G / _exact_norm_rows(G, self.q)[:, None]
+        U = G / vector_norm_rows(G, self.q)[:, None]
+        # the radial root takes libm's power (see ``_scalar_pow``)
         return self.center + (self.ball_radius * _scalar_pow(T, 1.0 / self.dim))[:, None] * U
 
-    def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
-        w = np.asarray(w, dtype=float)
-        return bool(_exact_norm_rows((w - self.center)[None], self.q)[0]
-                    <= self.ball_radius + tol)
+    def _contains(self, w: np.ndarray, tol: float) -> bool:
+        return bool(vector_norm_rows((w - self.center)[None], self.q)[0] <= self.ball_radius + tol)
 
     def to_dict(self) -> dict:
         return {
@@ -886,7 +878,7 @@ class CostDomain:
             for rows, d2 in _sq_distance_blocks(C, self.members):
                 nearest[rows] = np.argmin(d2, axis=1)
             return self.members[nearest].copy()
-        norms = np.linalg.norm(C, axis=1)
+        norms = vector_norm_rows(C, 2.0)
         scale = np.where(norms > self.ball_radius,
                          self.ball_radius / np.where(norms > 0, norms, 1.0), 1.0)
         return C * scale[:, None]
@@ -940,11 +932,11 @@ def verify_strong_convexity(region: FeasibleRegion, mu: float,
     W2 = region.sample_batch(rng, n_samples)
     lam = rng.random(n_samples)
     G = rng.standard_normal((n_samples, region.dim))
-    U = G / _exact_norm_rows(G, q)[:, None]
-    chord2 = _scalar_pow(_exact_norm_rows(W1 - W2, q), 2)
+    U = G / vector_norm_rows(G, q)[:, None]
+    chord2 = np.square(vector_norm_rows(W1 - W2, q))
     ball_r = 0.5 * mu * lam * (1.0 - lam) * chord2
     Z = lam[:, None] * W1 + (1.0 - lam)[:, None] * W2 + ball_r[:, None] * U
-    breach = _exact_norm_rows(Z - region.center, q) - region.ball_radius
+    breach = vector_norm_rows(Z - region.center, q) - region.ball_radius
     i = int(np.argmax(breach))
     witness = {"w1": W1[i].tolist(), "w2": W2[i].tolist(), "lam": float(lam[i]),
                "u": U[i].tolist(), "sample_index": i}
@@ -971,11 +963,11 @@ def verify_optimality_condition(region: FeasibleRegion, c,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     q = region.norm_exponent
-    c_star = float(_exact_norm_rows(c[None], dual_exponent(q))[0])
+    c_star = float(dual_norm_rows(c[None], q)[0])
     W = region.sample_batch(substream(seed), n_samples)
     D = W - wbar
-    rhs = 0.5 * region.mu * c_star * _scalar_pow(_exact_norm_rows(D, q), 2)
-    breach = rhs - np.vecdot(D, c)
+    rhs = 0.5 * region.mu * c_star * np.square(vector_norm_rows(D, q))
+    breach = rhs - _column_dots(D, c)
     i = int(np.argmax(breach))
     witness = {"w": W[i].tolist(), "sample_index": i}
     return ViolationReport(n_samples, int((breach > MEMBERSHIP_TOL).sum()),

@@ -20,7 +20,7 @@ from .bounds import BoundInputs, evaluate
 from .complexity import linear_class_rad_bound
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
                        UnitSimplex, VertexPolytope, _is_number,
-                       dual_norm_rows, region_from_dict)
+                       dual_norm_rows, region_from_dict, vector_norm_rows)
 from .losses import LabeledSample, margin_mix, predict_batch, spo_loss_batch
 
 GENERATOR_NOTE = "gaussian-linear synthetic generator (artifact choice; not prescribed by the theory)"
@@ -166,7 +166,7 @@ def _draw_features(config: ExperimentConfig, rng: np.random.Generator,
                    n: int) -> np.ndarray:
     X = rng.standard_normal((n, config.p))
     if config.feature_dist == "sphere":
-        norms = np.linalg.norm(X, axis=1)
+        norms = vector_norm_rows(X, 2.0)
         norms[norms == 0] = 1.0
         X /= norms[:, None]
     return X

@@ -235,9 +235,22 @@ def sign_draws_ref(seed: int, m_draws: int, size: int) -> np.ndarray:
     return np.stack(rows)
 
 
+def norm_ref(v: np.ndarray, q: float) -> float:
+    """The lq norm of one vector, taken as a one-row batch."""
+    return np.linalg.norm(v[None], ord=q, axis=1)[0]
+
+
+def dot_ref(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` summed entry by entry from entry 0."""
+    total = a[0] * b[0]
+    for j in range(1, len(a)):
+        total += a[j] * b[j]
+    return total
+
+
 def lq_ball_point_ref(region: LqBall, g: np.ndarray, t: float) -> np.ndarray:
     """The one-vector ball point of normals ``g`` and a uniform ``t``."""
-    u = g / np.linalg.norm(g, ord=region.q)
+    u = g / norm_ref(g, region.q)
     return region.center + region.ball_radius * t ** (1.0 / region.dim) * u
 
 
@@ -272,10 +285,10 @@ def verify_strong_convexity_ref(region: LqBall, mu: float, n_samples: int,
     witness = None
     for i in range(n_samples):
         w1, w2, lam = point1(i), point2(i), float(lams[i])
-        u = G[i] / np.linalg.norm(G[i], ord=q)
-        ball_r = 0.5 * mu * lam * (1.0 - lam) * float(np.linalg.norm(w1 - w2, ord=q)) ** 2
+        u = G[i] / norm_ref(G[i], q)
+        ball_r = 0.5 * mu * lam * (1.0 - lam) * np.square(norm_ref(w1 - w2, q))
         z = lam * w1 + (1.0 - lam) * w2 + ball_r * u
-        breach = float(np.linalg.norm(z - region.center, ord=q)) - region.ball_radius
+        breach = float(norm_ref(z - region.center, q)) - region.ball_radius
         if breach > max_violation:
             max_violation = breach
             witness = {"w1": w1.tolist(), "w2": w2.tolist(), "lam": lam,
@@ -289,7 +302,7 @@ def verify_optimality_condition_ref(region, c, n_samples: int,
                                     seed: int) -> ViolationReport:
     c = np.asarray(c, dtype=float)
     q = region.norm_exponent
-    c_star = float(np.linalg.norm(c, ord=dual_exponent(q)))
+    c_star = float(norm_ref(c, dual_exponent(q)))
     wbar = region.linopt(c)
     point = sample_draws_ref(region, substream(seed), n_samples)
     violations = 0
@@ -297,9 +310,9 @@ def verify_optimality_condition_ref(region, c, n_samples: int,
     witness = None
     for i in range(n_samples):
         w = point(i)
-        lhs = float(c @ (w - wbar))
-        rhs = 0.5 * region.mu * c_star * float(np.linalg.norm(w - wbar, ord=q)) ** 2
-        breach = rhs - lhs
+        lhs = dot_ref(w - wbar, c)
+        rhs = 0.5 * region.mu * c_star * np.square(norm_ref(w - wbar, q))
+        breach = float(rhs - lhs)
         if breach > max_violation:
             max_violation = breach
             witness = {"w": w.tolist(), "sample_index": i}

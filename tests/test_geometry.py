@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,6 @@ from spo_bounds import audits, geometry
 from spo_bounds._rng import substream
 from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
                                  UnitSimplex, VertexPolytope,
-                                 _exact_norm_rows,
-                                 _scalar_pow,
                                  dual_norm_rows, region_from_dict,
                                  region_from_json, vector_norm_rows,
                                  verify_optimality_condition,
@@ -19,7 +21,7 @@ from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall,
 
 from conftest import (dag_gap_ref, dag_linopt_ref, dag_path_costs_ref,
                       decision_cost_ref, enumerate_paths_brute, l2_decision_cost_ref,
-                      lq_ball_sample_ref, path_vectors_brute,
+                      lq_ball_sample_ref, norm_ref, path_vectors_brute,
                       pgd_lq_minimize, project_lq_ball,
                       random_dags, square_region, traced_peak,
                       verify_optimality_condition_ref,
@@ -437,6 +439,26 @@ class TestColumnSweeps:
         got = ball.decision_cost_batch(relayout(C_hat, layout), relayout(C, layout))
         assert got.tobytes() == decision_cost_ref(ball, C_hat, C).tobytes()
 
+    @pytest.mark.parametrize("q", [2.0, 1.5])
+    @pytest.mark.parametrize("d", [8, 12, 40])
+    @given(layout_hat=layouts, layout=layouts, seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_lq_balls_ignore_layout_past_eight_columns(self, q, d, layout_hat,
+                                                       layout, seed):
+        # every row norm is taken row-major, which row sums need once d >= 8
+        rng = np.random.default_rng(seed)
+        C_hat, C = rng.standard_normal((2, 500, d))
+        C_hat[::9] = 0.0
+        ball = LqBall(q, 1.5, np.linspace(-0.5, 0.5, d))
+        domain = CostDomain.ball(ball, math.sqrt(d))
+        A_hat, A = relayout(C_hat, layout_hat), relayout(C, layout)
+        for got, want in ((ball.linopt_batch(A_hat), ball.linopt_batch(C_hat)),
+                          (ball.gap_batch(A_hat), ball.gap_batch(C_hat)),
+                          (ball.decision_cost_batch(A_hat, A),
+                           ball.decision_cost_batch(C_hat, C)),
+                          (domain.project(A), domain.project(C))):
+            assert got.tobytes() == want.tobytes()
+
     @given(regions_with_cost_pairs(), layouts, layouts)
     @settings(max_examples=300, deadline=None)
     def test_every_region_ignores_layout(self, case, layout_hat, layout):
@@ -616,6 +638,18 @@ class TestValidation:
     def test_simplex_dim_positive(self):
         with pytest.raises(ValueError, match="dim"):
             UnitSimplex(0)
+
+    @pytest.mark.parametrize("region", [UnitSimplex(3), LqBall(2.0, 1.0, [0.0, 0.0, 0.0])])
+    @pytest.mark.parametrize("point", [[1.0], [0.5, 0.5], [[1.0, 0.0, 0.0]]])
+    def test_membership_rejects_wrong_length(self, region, point):
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            region.contains(point)
+
+    @pytest.mark.parametrize("region", [UnitSimplex(3), LqBall(2.0, 1.0, [0.0, 0.0, 0.0])])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_membership_rejects_non_finite_points(self, region, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            region.contains([bad, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -848,13 +882,12 @@ class TestBatchSeededVerifiers:
                 == verify_optimality_condition_ref(ball, c, 2000, seed))
 
     @pytest.mark.parametrize("q", [2.0, 1.5, 1.2, 3.0, 6.0])
-    def test_exact_norm_rows_match_one_vector_norms(self, q):
-        D = np.random.default_rng(4).standard_normal((20_000, 3))
+    def test_row_norms_match_one_row_norms(self, q):
+        # the one-vector references take each norm of a one-row batch
+        D = np.random.default_rng(4).standard_normal((5_000, 3))
         D[:, :int(q)] *= 7.3
-        norms = _exact_norm_rows(D, q)
-        ref = [float(np.linalg.norm(d, ord=q)) for d in D]
-        np.testing.assert_array_equal(norms, ref)
-        np.testing.assert_array_equal(_scalar_pow(norms, 2), [r ** 2 for r in ref])
+        norms = vector_norm_rows(D, q)
+        np.testing.assert_array_equal(norms, [norm_ref(d, q) for d in D])
 
     def test_optimality_rejects_zero_samples(self):
         region = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)
@@ -875,6 +908,37 @@ class TestRowFormBallSampler:
         got, want = substream(seed, 0), substream(seed, 0)
         for _ in range(3):
             assert region.sample(got).tobytes() == lq_ball_sample_ref(region, want).tobytes()
+
+
+#: prints one hash of l2-ball samples and verifier reports at d = 2, 5, 9, 24
+L2_BALL_HASH = """
+import hashlib, json
+import numpy as np
+from spo_bounds._rng import substream
+from spo_bounds.geometry import LqBall, verify_optimality_condition, verify_strong_convexity
+h = hashlib.sha256()
+for d in (2, 5, 9, 24):
+    ball = LqBall(2.0, 1.5, np.linspace(-0.5, 0.5, d), mu=1.0 / 1.5)
+    h.update(ball.sample_batch(substream(d), 2000).tobytes())
+    for report in (verify_strong_convexity(ball, 2.0 / 1.5, 2000, d),
+                   verify_optimality_condition(ball, np.linspace(1.0, -2.0, d), 2000, d)):
+        h.update(json.dumps(vars(report), sort_keys=True).encode())
+print(h.hexdigest())
+"""
+
+
+def test_l2_ball_bits_ignore_the_openblas_kernel():
+    # the sampler and the verifiers take no BLAS call, so OpenBLAS's choice
+    # of kernel for this CPU cannot move their bits
+    env = dict(os.environ, PYTHONPATH=str(Path(geometry.__file__).parents[1]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    hashes = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Haswell"}):
+        proc = subprocess.run([sys.executable, "-c", L2_BALL_HASH], env={**env, **kernel},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout)
+    assert hashes[0] == hashes[1]
 
 
 SAMPLED_REGIONS = [LqBall(1.5, 2.0, [0.5, -0.5]), UnitSimplex(4), square_region(),

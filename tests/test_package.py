@@ -37,3 +37,32 @@ def test_audits_import_nothing_from_the_harness():
             modules |= {alias.name for alias in node.names}
     assert "spo_bounds.geometry" in modules
     assert "spo_bounds.harness" not in modules
+
+
+def row_norm_sites() -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every ``linalg.norm`` call
+    with an ``axis`` keyword and every ``vecdot`` in the package."""
+    sites = set()
+
+    def visit(node: ast.AST, module: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Attribute) and child.attr == "vecdot":
+                sites.add((module, inner))
+            if (isinstance(child, ast.Call)
+                    and ast.unparse(child.func).endswith("linalg.norm")
+                    and any(kw.arg == "axis" for kw in child.keywords)):
+                sites.add((module, inner))
+            visit(child, module, inner)
+
+    for path in Path(spo_bounds.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return sites
+
+
+def test_row_norms_have_one_home():
+    # every row norm goes through vector_norm_rows, which calls no BLAS and
+    # works row-major; whole-array norms (no axis) stay allowed
+    assert row_norm_sites() == {("geometry", "vector_norm_rows")}

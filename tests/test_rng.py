@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spo_bounds._rng import _seed_halves, substream
+from spo_bounds._rng import (_seed_halves, sign_block_heights, substream,
+                             substream_sign_blocks)
 
 from conftest import whole_signs
 
@@ -37,3 +38,15 @@ class TestSubstreams:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="count"):
             whole_signs(0, -1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(0, 300), rows=st.integers(1, 60))
+def test_sign_block_heights_are_the_blocks_drawn(count, rows):
+    heights = list(sign_block_heights(count, rows))
+    drawn = [len(signs) for _, signs in substream_sign_blocks(0, count, 1, rows)]
+    assert heights == drawn
+    assert sum(heights) == count
+    assert heights == sorted(heights, reverse=True)
+    assert heights[0] - heights[-1] <= 1
+    assert count < rows or min(heights) >= rows

@@ -14,6 +14,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, fields
 
+from ._inputs import _read_object
+
 VARIANTS = ("expected", "empirical")
 
 #: the additive terms a report may hold, in the ``bound all`` column order
@@ -48,7 +50,7 @@ class BoundInputs:
         for name, val in vars(self).items():
             count = name in _COUNTS
             if val.__class__ is (int if count else float) \
-                    or (val is None and name not in ("n", "delta")):
+                    or (val is None and name not in ("n", "delta", "empirical_risk")):
                 continue
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ValueError(f"{name} must be a number, got {val!r}")
@@ -80,16 +82,9 @@ class BoundInputs:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundInputs":
-        if not isinstance(data, dict):
-            raise ValueError("bound inputs must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown bound inputs: {sorted(unknown)}")
-        missing = [f.name for f in fields(cls)
-                   if f.default is dataclasses.MISSING and f.name not in data]
-        if missing:
-            raise ValueError(f"missing bound inputs: {missing}")
-        return cls(**data)
+        """The inputs ``to_dict`` wrote; ``__post_init__`` checks their types."""
+        keys = dict.fromkeys((f.name for f in fields(cls)), object)
+        return cls(**_read_object(data, "bound inputs", keys, ("n", "delta")))
 
 
 @dataclass

@@ -25,20 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
+from ._inputs import _read_array
 from .audits import render_report, run_all_audits
 from .bounds import BoundInputs
 from .complexity import (FiniteHypothesisSet, check_natarajan_budget,
                          natarajan_dim_bruteforce, oracle_label_table,
                          rademacher_multivariate_mc, rademacher_spo_mc)
-from .geometry import dual_norm_rows, region_from_json
+from .geometry import dual_norm_rows, region_from_dict
 from .harness import (BoundValidityResult, ExperimentConfig, config_label,
                       default_suite, run_suite)
 from .losses import (LabeledSample, hard_margin_spo_loss, margin_spo_loss,
                      spo_loss)
-
-
-def _load_region(path: str):
-    return region_from_json(Path(path).read_text())
 
 
 def _load_sample(path: str) -> LabeledSample:
@@ -48,11 +45,8 @@ def _load_sample(path: str) -> LabeledSample:
     return LabeledSample.from_json(text)
 
 
-def _load_vectors(path: str) -> np.ndarray:
-    xs = np.asarray(json.loads(Path(path).read_text()), dtype=float)
-    if xs.ndim != 2:
-        raise ValueError(f"{path}: expected a JSON list of feature vectors")
-    return xs
+def _load_json(path: str):
+    return json.loads(Path(path).read_text())
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -68,7 +62,7 @@ def _emit(data: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_loss(args) -> int:
-    region = _load_region(args.region)
+    region = region_from_dict(_load_json(args.region))
     c_hat = _parse_vector(args.c_hat)
     c = _parse_vector(args.c)
     out = {
@@ -86,7 +80,7 @@ def _cmd_loss(args) -> int:
 
 def _cmd_complexity(args) -> int:
     if args.estimator == "rad-spo":
-        region = _load_region(args.region)
+        region = region_from_dict(_load_json(args.region))
         hyp = FiniteHypothesisSet.from_json(Path(args.hypotheses).read_text())
         sample = _load_sample(args.sample)
         est, se = rademacher_spo_mc(region, hyp, sample, m_draws=args.draws,
@@ -96,7 +90,7 @@ def _cmd_complexity(args) -> int:
         return 0
     if args.estimator == "rad-multi":
         hyp = FiniteHypothesisSet.from_json(Path(args.hypotheses).read_text())
-        xs = _load_vectors(args.xs)
+        xs = _read_array(_load_json(args.xs), "xs", 2)
         est, se = rademacher_multivariate_mc(hyp, xs, m_draws=args.draws,
                                              seed=args.seed)
         _emit({"estimator": "rad-multi", "estimate": est, "std_error": se,
@@ -104,15 +98,15 @@ def _cmd_complexity(args) -> int:
         return 0
     # natarajan
     if args.table is not None:
-        # no dtype: the search rejects labels that are not integers
-        table = np.asarray(json.loads(Path(args.table).read_text()))
+        # the search rejects labels that are not integers
+        table = _read_array(_load_json(args.table), "label table", 2)
     else:
         if not (args.region and args.hypotheses and args.xs):
             raise ValueError("natarajan needs --table or all of "
                              "--region/--hypotheses/--xs")
-        region = _load_region(args.region)
+        region = region_from_dict(_load_json(args.region))
         hyp = FiniteHypothesisSet.from_json(Path(args.hypotheses).read_text())
-        xs = _load_vectors(args.xs)
+        xs = _read_array(_load_json(args.xs), "xs", 2)
         check_natarajan_budget(len(xs), len(hyp))
         table = oracle_label_table(region, hyp, xs)
     dimension = natarajan_dim_bruteforce(table)
@@ -129,7 +123,7 @@ def _cmd_bound(args) -> int:
     if args.csv and args.theorem != "all":
         raise ValueError(f"--csv applies to 'all' only; {args.theorem} prints "
                          f"one JSON report")
-    inputs = BoundInputs.from_dict(json.loads(Path(args.inputs).read_text()))
+    inputs = BoundInputs.from_dict(_load_json(args.inputs))
     if args.theorem == "all":
         if args.variant is not None:
             raise ValueError("--variant does not apply to 'all', which "
@@ -176,7 +170,7 @@ def _cmd_experiment(args) -> int:
             flags = ", ".join("--" + key.replace("_", "-") for key in sizes)
             raise ValueError(f"{flags} cannot be used with --config; "
                              f"set them in the config file")
-        config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
+        config = ExperimentConfig.from_dict(_load_json(args.config))
         [result] = run_suite([config])
         _write_experiment(result, outdir)
         print(f"wrote {outdir}/trials.csv ({len(result.records)} trials), "
@@ -224,8 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     loss_sub = loss.add_subparsers(dest="loss_command", required=True)
     loss_eval = loss_sub.add_parser("eval")
     loss_eval.add_argument("--region", required=True, help="region JSON file")
-    loss_eval.add_argument("--c-hat", required=True, help="comma-separated prediction")
-    loss_eval.add_argument("--c", required=True, help="comma-separated true cost")
+    loss_eval.add_argument("--c-hat", required=True,
+                           help="comma-separated prediction, e.g. --c-hat=-0.5,0.3")
+    loss_eval.add_argument("--c", required=True,
+                           help="comma-separated true cost, e.g. --c=-1,0")
     loss_eval.add_argument("--gamma", type=float, default=None)
     loss_eval.set_defaults(handler=_cmd_loss)
 

@@ -72,6 +72,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._inputs import _read_array
 from ._rng import (ARRAY_BYTES_MAX, BLOCK_BYTES_MAX, sign_block_heights,
                    substream_sign_blocks)
 from .geometry import FeasibleRegion
@@ -93,13 +94,7 @@ class FiniteHypothesisSet:
     as one (H, d, p) stack of matrices."""
 
     def __init__(self, matrices):
-        try:
-            stacked = np.array(matrices, dtype=float)
-        except ValueError as exc:
-            # ragged nesting; an entry that is not a number keeps numpy's message
-            if "inhomogeneous" not in str(exc):
-                raise
-            raise ValueError("all hypothesis matrices must share one shape") from None
+        stacked = np.array(matrices, dtype=float)
         if stacked.ndim > 0 and len(stacked) == 0:
             raise ValueError("hypothesis set must be non-empty")
         if stacked.ndim != 3:
@@ -112,10 +107,7 @@ class FiniteHypothesisSet:
     @classmethod
     def from_json(cls, text: str) -> "FiniteHypothesisSet":
         """Parse a JSON list of matrices (each a list of rows)."""
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("hypotheses must be a JSON list of matrices")
-        return cls(data)
+        return cls(_read_array(json.loads(text), "hypotheses", 3))
 
     def __len__(self) -> int:
         return len(self.matrices)

@@ -65,6 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._inputs import _read_kind
 from ._rng import ARRAY_BYTES_MAX, substream
 
 #: absolute tolerance for all geometric membership checks
@@ -225,14 +226,11 @@ class FeasibleRegion:
 
     kind = "abstract"
 
-    def __init__(self, dim: int, mu: float | None = None):
+    def __init__(self, dim: int):
         dim = int(dim)
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if mu is not None and (not math.isfinite(mu) or mu < 0):
-            raise ValueError("mu must be a finite value >= 0")
         self.dim = dim
-        self.mu = None if mu is None else float(mu)
 
     # -- norm the region's geometry (mu, dual norms) refers to
     @property
@@ -335,7 +333,7 @@ class VertexPolytope(FeasibleRegion):
 
     kind = "VertexPolytope"
 
-    def __init__(self, vertices, mu: float | None = None):
+    def __init__(self, vertices):
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2 or V.shape[0] < 1:
             raise ValueError("vertices must be a non-empty list of equal-length vectors")
@@ -343,7 +341,7 @@ class VertexPolytope(FeasibleRegion):
             raise ValueError("vertices must be finite")
         if len({row.tobytes() for row in V}) < V.shape[0]:
             raise ValueError("duplicate vertices are not allowed")
-        super().__init__(V.shape[1], mu)
+        super().__init__(V.shape[1])
         self.vertices = V
 
     def _scores(self, C: np.ndarray) -> np.ndarray:
@@ -376,7 +374,6 @@ class VertexPolytope(FeasibleRegion):
             "kind": self.kind,
             "dim": self.dim,
             "vertices": self.vertices.tolist(),
-            "mu": self.mu,
         }
 
 
@@ -386,7 +383,7 @@ class UnitSimplex(FeasibleRegion):
     kind = "UnitSimplex"
 
     def __init__(self, dim: int):
-        super().__init__(dim, None)
+        super().__init__(dim)
 
     def _linopt(self, C: np.ndarray) -> np.ndarray:
         W = np.zeros(C.shape)
@@ -451,15 +448,16 @@ class DagPathPolytope(FeasibleRegion):
         nodes = int(nodes)
         if nodes < 1:
             raise ValueError("node count must be >= 1")
-        arcs = [(int(t), int(h)) for t, h in arcs]
-        if not arcs:
-            raise ValueError("arc list must be non-empty")
+        pairs = np.asarray(arcs)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError("arcs must be a non-empty list of (tail, head) integer pairs")
+        arcs = [tuple(a) for a in pairs.tolist()]
         for t, h in arcs:
             if not (0 <= t < nodes and 0 <= h < nodes):
                 raise ValueError(f"arc ({t}, {h}) out of node range")
         if not (0 <= source < nodes and 0 <= sink < nodes):
             raise ValueError("source/sink out of node range")
-        super().__init__(len(arcs), None)
+        super().__init__(len(arcs))
         self.nodes = nodes
         self.arcs = arcs
         self.source = int(source)
@@ -652,9 +650,9 @@ class DagPathPolytope(FeasibleRegion):
 class LqBall(FeasibleRegion):
     """lq ball ``{w : ||w - center||_q <= radius}`` for q in (1, 2].
 
-    A declared strong-convexity constant ``mu`` is certified by
-    :func:`verify_strong_convexity` rather than trusted from a formula
-    (for an l2 ball the certified value is ``1 / radius``).
+    A declared strong-convexity constant ``mu`` (no other kind declares one)
+    is certified by :func:`verify_strong_convexity` rather than trusted from
+    a formula (for an l2 ball the certified value is ``1 / radius``).
 
     ``sample_batch(rng, m)`` draws an (m, dim) array of normals ``G`` and
     then m uniforms ``T``, and row i is
@@ -673,7 +671,10 @@ class LqBall(FeasibleRegion):
         center = np.asarray(center, dtype=float)
         if center.ndim != 1 or not np.all(np.isfinite(center)):
             raise ValueError("center must be a finite vector")
-        super().__init__(center.shape[0], mu)
+        super().__init__(center.shape[0])
+        if mu is not None and (not math.isfinite(mu) or mu < 0):
+            raise ValueError("mu must be a finite value >= 0")
+        self.mu = None if mu is None else float(mu)
         self.q = float(q)
         self.ball_radius = float(radius)
         self.center = center
@@ -768,58 +769,27 @@ class LqBall(FeasibleRegion):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _is_number(val, integer: bool = False) -> bool:
-    """A number (bools excluded), or an integer where one is required."""
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    return not isinstance(val, bool) and isinstance(val, kinds)
-
-
-def _is_list(val, item) -> bool:
-    return isinstance(val, (list, tuple)) and all(item(v) for v in val)
-
-
-def _is_integer(val) -> bool:
-    return _is_number(val, integer=True)
-
-
-#: what each region key must hold, and the test for it; ``mu`` may be null
-_REGION_VALUES = {
-    "q": ("a number", _is_number),
-    "radius": ("a number", _is_number),
-    "mu": ("a number", _is_number),
-    "dim": ("an integer", _is_integer),
-    "nodes": ("an integer", _is_integer),
-    "source": ("an integer", _is_integer),
-    "sink": ("an integer", _is_integer),
-    "center": ("a list of numbers", lambda v: _is_list(v, _is_number)),
-    "vertices": ("a list of lists of numbers",
-                 lambda v: _is_list(v, lambda row: _is_list(row, _is_number))),
-    "arcs": ("a list of [tail, head] integer pairs",
-             lambda v: _is_list(v, lambda a: _is_list(a, _is_integer) and len(a) == 2)),
+#: each region kind's keys with their JSON types, and the keys it requires;
+#: every kind takes the ``dim`` that ``to_dict`` writes
+_REGION_KINDS = {
+    "VertexPolytope": ({"dim": int, "vertices": 2, "mu": None}, ("vertices",)),
+    "UnitSimplex": ({"dim": int}, ("dim",)),
+    "DagPathPolytope": ({"dim": int, "nodes": int, "arcs": 2, "source": int, "sink": int},
+                        ("nodes", "arcs", "source", "sink")),
+    "LqBall": ({"dim": int, "q": float, "radius": float, "center": 1, "mu": float},
+               ("q", "radius", "center")),
 }
 
 
 def region_from_dict(data: dict) -> FeasibleRegion:
-    if not isinstance(data, dict):
-        raise ValueError("a region must be a JSON object")
-    kind = data.get("kind")
-    for key, (expected, valid) in _REGION_VALUES.items():
-        val = data.get(key)
-        if key in data and not (valid(val) or (key == "mu" and val is None)):
-            raise ValueError(f"region {key} must be {expected}, got {val!r}")
-    try:
-        if kind == "VertexPolytope":
-            return VertexPolytope(data["vertices"], mu=data.get("mu"))
-        if kind == "UnitSimplex":
-            return UnitSimplex(data["dim"])
-        if kind == "DagPathPolytope":
-            return DagPathPolytope(data["nodes"], [tuple(a) for a in data["arcs"]],
-                                   data["source"], data["sink"])
-        if kind == "LqBall":
-            return LqBall(data["q"], data["radius"], data["center"], mu=data.get("mu"))
-    except KeyError as exc:
-        raise ValueError(f"{kind} region is missing key {exc}") from None
-    raise ValueError(f"unknown region kind: {kind!r}")
+    kind, data = _read_kind(data, "region", _REGION_KINDS)
+    if kind == "VertexPolytope":
+        return VertexPolytope(data["vertices"])
+    if kind == "UnitSimplex":
+        return UnitSimplex(data["dim"])
+    if kind == "DagPathPolytope":
+        return DagPathPolytope(data["nodes"], data["arcs"], data["source"], data["sink"])
+    return LqBall(data["q"], data["radius"], data["center"], mu=data.get("mu"))
 
 
 def region_from_json(text: str) -> FeasibleRegion:
@@ -829,6 +799,11 @@ def region_from_json(text: str) -> FeasibleRegion:
 # ---------------------------------------------------------------------------
 # cost domains
 # ---------------------------------------------------------------------------
+
+#: each cost-domain kind's keys with their JSON types, and the keys it requires
+_DOMAIN_KINDS = {"enumerated": ({"members": 2}, ("members",)),
+                 "ball": ({"radius": float}, ("radius",))}
+
 
 class CostDomain:
     """The set of realized cost vectors, with its key scalars precomputed.
@@ -890,15 +865,8 @@ class CostDomain:
 
     @classmethod
     def from_dict(cls, region: FeasibleRegion, data: dict) -> "CostDomain":
-        if not isinstance(data, dict):
-            raise ValueError("a cost domain must be a JSON object")
-        kind = data.get("kind")
-        key = {"enumerated": "members", "ball": "radius"}.get(kind)
-        if key is None:
-            raise ValueError(f"unknown cost-domain kind: {kind!r}")
-        if key not in data:
-            raise ValueError(f"{kind} cost domain is missing key {key!r}")
-        return cls(region, **{key: data[key]})
+        _, data = _read_kind(data, "cost domain", _DOMAIN_KINDS)
+        return cls(region, members=data.get("members"), radius=data.get("radius"))
 
 
 # ---------------------------------------------------------------------------
@@ -954,8 +922,8 @@ def verify_optimality_condition(region: FeasibleRegion, c,
     ``verify_strong_convexity`` with the same seed and size.  The witness
     is the first sample of largest breach.
     """
-    if region.mu is None or region.mu <= 0:
-        raise ValueError("region must declare mu > 0")
+    if not isinstance(region, LqBall) or region.mu is None or region.mu <= 0:
+        raise ValueError("region must be an lq ball that declares mu > 0")
     c = np.asarray(c, dtype=float)
     wbar = region.linopt(c)  # validates c
     if not np.any(c):

@@ -11,16 +11,17 @@ such.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from ._inputs import _is_number, _read_object
 from ._rng import ARRAY_BYTES_MAX, substream
 from .bounds import BoundInputs, evaluate
 from .complexity import linear_class_rad_bound
 from .geometry import (CostDomain, DagPathPolytope, FeasibleRegion, LqBall,
-                       UnitSimplex, VertexPolytope, _is_number,
-                       dual_norm_rows, region_from_dict, vector_norm_rows)
+                       UnitSimplex, VertexPolytope, dual_norm_rows,
+                       region_from_dict, vector_norm_rows)
 from .losses import LabeledSample, margin_mix, predict_batch, spo_loss_batch
 
 GENERATOR_NOTE = "gaussian-linear synthetic generator (artifact choice; not prescribed by the theory)"
@@ -94,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("gamma grid must be positive")
         if any(a >= b for a, b in zip(self.gamma_grid, self.gamma_grid[1:])):
             raise ValueError("gamma grid must be strictly ascending")
+        if self.gamma_grid and not self.strongly_convex:
+            raise ValueError("a gamma grid is read only by the margin bounds, which need mu > 0")
         if self.m_fresh < 1:
             raise ValueError("m_fresh must be >= 1")
         # a sample of `rows` draws holds 8 * rows * (p + d) bytes of
@@ -127,7 +130,8 @@ class ExperimentConfig:
 
     @property
     def strongly_convex(self) -> bool:
-        return self.region.mu is not None and self.region.mu > 0
+        region = self.region
+        return isinstance(region, LqBall) and region.mu is not None and region.mu > 0
 
     @property
     def polyhedral(self) -> bool:
@@ -142,17 +146,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config ``to_dict`` wrote; an absent key takes its field's default."""
-        if not isinstance(data, dict):
-            raise ValueError("an experiment config must be a JSON object")
-        by_key = {_CONFIG_KEY_OF.get(f.name, f.name): f for f in fields(cls)}
-        unknown = set(data) - set(by_key)
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-        for key, f in by_key.items():
-            if f.default is MISSING and f.default_factory is MISSING and key not in data:
-                raise ValueError(f"experiment config is missing key {key!r}")
-        kwargs = {by_key[key].name: val for key, val in data.items()}
+        """The config ``to_dict`` wrote; an absent key takes its field's
+        default, and ``__post_init__`` checks the types of the scalars."""
+        by_key = {_CONFIG_KEY_OF.get(f.name, f.name): f.name for f in fields(cls)}
+        keys = {**dict.fromkeys(by_key, object), "b_star": 2}
+        data = _read_object(data, "experiment config", keys, ("region", "cost_domain", "b_star"))
+        kwargs = {by_key[key]: val for key, val in data.items()}
         kwargs["region"] = region = region_from_dict(data["region"])
         kwargs["cost_domain"] = CostDomain.from_dict(region, data["cost_domain"])
         return cls(**kwargs)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import _read_object
 from .geometry import FeasibleRegion, dual_norm_rows
 
 
@@ -72,6 +73,9 @@ class LabeledSample:
         if p < 1 or d < 1 or header != [f"x{j}" for j in range(p)] + [f"c{j}" for j in range(d)]:
             raise ValueError("csv header must be x0..x<p-1> then c0..c<d-1>, got "
                              + ",".join(header))
+        for line, row in enumerate(rows[1:], start=2):
+            if len(row) != len(header):
+                raise ValueError(f"csv line {line} has {len(row)} cells, the header {len(header)}")
         data = np.array([[float(v) for v in row] for row in rows[1:]])
         return cls(xs=data[:, :p], cs=data[:, p:])
 
@@ -80,12 +84,7 @@ class LabeledSample:
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledSample":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("a sample must be a JSON object")
-        for key in ("xs", "cs"):
-            if key not in data:
-                raise ValueError(f"sample is missing key {key!r}")
+        data = _read_object(json.loads(text), "sample", {"xs": 2, "cs": 2}, ("xs", "cs"))
         return cls(xs=data["xs"], cs=data["cs"])
 
 

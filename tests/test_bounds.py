@@ -384,7 +384,7 @@ class TestInputValidation:
         assert clone == original
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown bound inputs"):
+        with pytest.raises(ValueError, match="unknown key 'slack' in bound inputs"):
             BoundInputs.from_dict({"n": 10, "delta": 0.5, "slack": 1.0})
 
 

@@ -49,6 +49,22 @@ class TestLossEval:
         assert "margin" in out and "hard_margin" in out
 
 
+    def test_a_negative_first_entry_takes_the_equals_form(self, ball_region_file, capsys):
+        # argparse reads "-0.5,0.3" after a space as an option, not a value
+        with pytest.raises(SystemExit) as stop:
+            main(["loss", "eval", "--region", ball_region_file, "--c-hat", "-0.5,0.3",
+                  "--c", "1,0"])
+        assert stop.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(["loss", "eval", "--region", ball_region_file, "--c-hat=-0.5,0.3",
+                     "--c=-1,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["dual_norm_c_hat"] == pytest.approx(
+            math.hypot(0.5, 0.3))
+        with pytest.raises(SystemExit):
+            main(["loss", "eval", "--help"])
+        assert "--c-hat=-0.5,0.3" in capsys.readouterr().out
+
+
 class TestComplexityCommands:
     def test_rad_spo(self, tmp_path, ball_region_file, capsys):
         region_file = write(tmp_path / "simplex.json",
@@ -535,22 +551,23 @@ class TestInputErrors:
     @pytest.mark.parametrize("command, data, needle", [
         pytest.param("rad-spo", {"xs": [[1.0, 0.0]]}, "sample is missing key 'cs'",
                      id="sample-missing-cs"),
-        pytest.param("rad-spo", [[1.0, 0.0]], "a sample must be a JSON object",
+        pytest.param("rad-spo", [[1.0, 0.0]], "sample must be a JSON object",
                      id="sample-not-object"),
-        pytest.param("rad-multi", 5, "hypotheses must be a JSON list of matrices",
+        pytest.param("rad-multi", 5, "hypotheses must be a non-empty JSON list of numbers "
+                                     "nested 3 deep",
                      id="hypotheses-not-list"),
         pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]]},
                      "experiment config is missing key 'cost_domain'",
                      id="config-missing-cost-domain"),
-        pytest.param("experiment", [1, 2], "an experiment config must be a JSON object",
+        pytest.param("experiment", [1, 2], "experiment config must be a JSON object",
                      id="config-not-object"),
         pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
                                     "cost_domain": {"kind": "ball"}},
                      "ball cost domain is missing key 'radius'", id="domain-missing-radius"),
         pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
                                     "cost_domain": 3},
-                     "a cost domain must be a JSON object", id="domain-not-object"),
-        pytest.param("bound", {"delta": 0.05, "omega": 1.0}, "missing bound inputs: ['n']",
+                     "cost domain must be a JSON object", id="domain-not-object"),
+        pytest.param("bound", {"delta": 0.05, "omega": 1.0}, "bound inputs is missing key 'n'",
                      id="bound-inputs-missing-n"),
         pytest.param("bound", [1, 2], "bound inputs must be a JSON object",
                      id="bound-inputs-not-object"),
@@ -572,11 +589,55 @@ class TestInputErrors:
           for region, key, value, expected in [
               (BALL, "q", "x", "a number"),
               (BALL, "radius", [1.0], "a number"),
-              (BALL, "center", [0.0, "a"], "a list of numbers"),
               (BALL, "mu", True, "a number"),
               (SIMPLEX, "dim", 2.5, "an integer"),
-              (DAG, "nodes", "3", "an integer"),
-              (DAG, "arcs", [[0, 1], [1]], "a list of [tail, head] integer pairs")]],
+              (DAG, "nodes", "3", "an integer")]],
+        *[pytest.param("region", {**region, key: value}, f"{region['kind']} region {key} must be "
+                       f"a non-empty JSON list of numbers{nesting}", id=f"region-{key}")
+          for region, key, value, nesting in [
+              (BALL, "center", [0.0, "a"], ""),
+              (DAG, "arcs", [[0, 1], [1]], " nested 2 deep, whose lists share one shape")]],
+        # each row below exited 1 with a traceback, or 0, before every input
+        # went through one reader
+        *[pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
+                                      "cost_domain": domain}, needle, id=f"domain-{name}")
+          for name, domain, needle in [
+              ("string-radius", {"kind": "ball", "radius": "1"},
+               "ball cost domain radius must be a number, got '1'"),
+              ("bool-radius", {"kind": "ball", "radius": True},
+               "ball cost domain radius must be a number, got True"),
+              ("radius-and-members", {"kind": "ball", "radius": 1.0, "members": [[1.0, 0.0]]},
+               "unknown key 'members' in ball cost domain"),
+              ("object-member", {"kind": "enumerated", "members": [{"a": 1}]},
+               "enumerated cost domain members must be a non-empty JSON list of numbers "
+               "nested 2 deep")]],
+        pytest.param("xs", {"a": 1}, "xs must be a non-empty JSON list of numbers nested 2 deep",
+                     id="xs-object"),
+        pytest.param("rad-multi", [{"a": 1}], "hypotheses must be a non-empty JSON list of "
+                     "numbers nested 3 deep", id="hypotheses-object"),
+        pytest.param("rad-spo", {"xs": [[1.0, 0.0]], "cs": {"a": 1}},
+                     "sample cs must be a non-empty JSON list of numbers nested 2 deep",
+                     id="sample-object-cs"),
+        pytest.param("rad-spo", {"xs": [[1.0, 0.0]], "cs": [[0.0, 1.0]], "w": [1.0]},
+                     "unknown key 'w' in sample", id="sample-extra-key"),
+        pytest.param("experiment", {"region": SIMPLEX, "b_star": {"a": 1},
+                                    "cost_domain": {"kind": "ball", "radius": 1.0}},
+                     "experiment config b_star must be a non-empty JSON list of numbers "
+                     "nested 2 deep", id="config-object-b-star"),
+        pytest.param("region", {**BALL, "mu_": 1.0}, "unknown key 'mu_' in region",
+                     id="region-misspelt-mu"),
+        pytest.param("table", [[0, 1], [1]], "label table must be a non-empty JSON list of "
+                     "numbers nested 2 deep", id="table-ragged"),
+        pytest.param("region", {"kind": "VertexPolytope", "vertices": [[0.0, 0.0], [1.0, 0.0]],
+                                "mu": 1e6}, "VertexPolytope region mu must be null, got 1000000.0",
+                     id="polytope-mu"),
+        pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
+                                    "cost_domain": {"kind": "ball", "radius": 1.0},
+                                    "gamma_grid": [0.5]},
+                     "gamma grid is read only by the margin bounds", id="config-unread-gamma-grid"),
+        pytest.param("bound", {"n": 10, "delta": 0.05, "empirical_risk": None, "omega": 1.0,
+                               "rad": 0.1}, "empirical_risk must be a number, got None",
+                     id="bound-inputs-null-risk"),
     ])
     def test_malformed_json_input(self, command, data, needle, tmp_path, capsys):
         path = write(tmp_path / "input.json", data)
@@ -590,6 +651,10 @@ class TestInputErrors:
             "experiment": ["experiment", "run", "--config", path,
                            "--out", str(tmp_path / "out")],
             "bound": ["bound", "all", "--inputs", path],
+            "xs": ["complexity", "rad-multi", "--hypotheses",
+                   write(tmp_path / "hyp.json", [[[1.0, 0.0]]]), "--xs", path],
+            "table": ["complexity", "natarajan", "--table", path],
+            "region": ["loss", "eval", "--region", path, "--c-hat", "1,0", "--c", "1,0"],
         }[command]
         assert main(argv) == 2
         self.assert_one_error_line(capsys, needle)

@@ -734,13 +734,13 @@ class TestFiniteHypothesisSet:
         assert hyp.d == 1 and hyp.p == 2
 
     def test_shape_consistency(self):
-        with pytest.raises(ValueError, match="share one shape"):
+        with pytest.raises(ValueError, match="inhomogeneous"):
             FiniteHypothesisSet([np.eye(2), np.eye(3)])
 
     @pytest.mark.parametrize("text, message", [
-        ("{}", "JSON list"), ("[]", "non-empty"), ("[[1.0, 2.0]]", "2-D matrix"),
+        ("{}", "JSON list"), ("[]", "non-empty"), ("[[1.0, 2.0]]", "nested 3 deep"),
         ("[[[1.0]], [[1.0, 2.0]]]", "share one shape"), ("[[[1.0, 2.0], [3.0]]]", "share one shape"),
-        ("[[[NaN]]]", "finite"), ('[[["a"]]]', "could not convert string to float")])
+        ("[[[NaN]]]", "finite"), ('[[["a"]]]', "JSON list of numbers")])
     def test_json_refusals(self, text, message):
         with pytest.raises(ValueError, match=message):
             FiniteHypothesisSet.from_json(text)

@@ -660,7 +660,7 @@ class TestSerialization:
     @pytest.mark.parametrize("region", [
         LqBall(1.5, 2.0, [0.5, -1.0], mu=0.25),
         UnitSimplex(4),
-        VertexPolytope([[1.0, 1.0], [0.0, -1.0]], mu=None),
+        VertexPolytope([[1.0, 1.0], [0.0, -1.0]]),
         DagPathPolytope.grid(2, 3),
     ])
     def test_round_trip(self, region, rng):
@@ -829,6 +829,13 @@ class TestOptimalityCondition:
             verify_optimality_condition(LqBall(2.0, 1.0, [0.0, 0.0]),
                                         [1.0, 0.0], 10, seed=0)
 
+    def test_refuses_a_polytope(self):
+        # only an lq ball declares mu: no polytope of two or more vertices
+        # is strongly convex
+        with pytest.raises(ValueError, match="an lq ball that declares mu > 0"):
+            verify_optimality_condition(VertexPolytope([[1.0, 1.0], [1.0, -1.0]]),
+                                        [1.0, 0.0], 10, seed=0)
+
     def test_requires_nonzero_cost(self):
         region = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)
         with pytest.raises(ValueError, match="nonzero"):
@@ -841,9 +848,7 @@ CONVEXITY_BALLS = [LqBall.interval(0.5), LqBall(2.0, 1.0, [0.0, 0.0]),
                    LqBall(1.5, 1.0, [0.3, -0.2])]
 OPTIMALITY_REGIONS = [LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0),
                       LqBall(1.5, 2.0, [0.0, 0.0, 0.0], mu=0.25),
-                      LqBall(2.0, 2.0, [0.5, -0.25, 0.0], mu=0.5),
-                      VertexPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0],
-                                      [-1.0, -1.0]], mu=0.5)]
+                      LqBall(2.0, 2.0, [0.5, -0.25, 0.0], mu=0.5)]
 
 
 class TestBatchSeededVerifiers:

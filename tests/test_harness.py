@@ -611,10 +611,17 @@ class TestConfig:
                    if key not in ("region", "cost_domain", "b_star"))
         assert ExperimentConfig.from_dict(data).to_dict() == data
 
+    @pytest.mark.parametrize("region", [UnitSimplex(2), LqBall(2.0, 1.0, [0.0, 0.0])])
+    def test_gamma_grid_needs_a_region_with_mu(self, region):
+        # only the margin bounds read the grid, and they need mu > 0
+        with pytest.raises(ValueError, match="gamma grid is read only by the margin bounds"):
+            ExperimentConfig(region, CostDomain.ball(region, 1.0), [[1.0], [0.0]],
+                             gamma_grid=[0.5])
+
     def test_from_dict_rejects_unknown_keys(self):
         # a misspelt key must not silently fall back to its default
         data = {**ball_config().to_dict(), "trails": 50}
-        with pytest.raises(ValueError, match=r"unknown .*keys: \['trails'\]"):
+        with pytest.raises(ValueError, match="unknown key 'trails' in experiment config"):
             ExperimentConfig.from_dict(data)
 
     def test_validation(self):

@@ -385,6 +385,14 @@ class TestLabeledSample:
                 f"csv header must be x0..x<p-1> then c0..c<d-1>, got {header}")):
             LabeledSample.from_csv(f"{header}\n{row}\n")
 
+    @pytest.mark.parametrize("rows, line, cells", [("1.0,2.0", 2, 2),
+                                                   ("1.0,2.0,3.0\n4.0,5.0,6.0,7.0", 3, 4)])
+    def test_csv_rows_must_match_the_header(self, rows, line, cells):
+        # a short row under x0,c0,c1 used to read as d = 1, with its columns
+        # shifted against a 1-D region
+        with pytest.raises(ValueError, match=f"csv line {line} has {cells} cells, the header 3"):
+            LabeledSample.from_csv(f"x0,c0,c1\n{rows}\n")
+
     def test_json_round_trip(self, rng):
         sample = LabeledSample(xs=rng.standard_normal((4, 2)),
                                cs=rng.standard_normal((4, 3)))

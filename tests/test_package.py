@@ -66,3 +66,28 @@ def test_row_norms_have_one_home():
     # every row norm goes through vector_norm_rows, which calls no BLAS and
     # works row-major; whole-array norms (no axis) stay allowed
     assert row_norm_sites() == {("geometry", "vector_norm_rows")}
+
+
+def dict_test_sites() -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every ``isinstance(..., dict)``
+    in the package."""
+    sites = set()
+
+    def visit(node: ast.AST, module: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)) else scope
+            if (isinstance(child, ast.Call) and ast.unparse(child.func) == "isinstance"
+                    and "dict" in ast.unparse(child.args[1])):
+                sites.add((module, inner))
+            visit(child, module, inner)
+
+    for path in Path(spo_bounds.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return sites
+
+
+def test_json_objects_have_one_reader():
+    # every JSON object from outside the program goes through _read_object,
+    # which refuses non-objects, unknown and missing keys and wrong types
+    assert dict_test_sites() == {("_inputs", "_read_object")}

@@ -4,39 +4,44 @@ keep their own range, shape and finiteness checks."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-#: how messages name the JSON type a key holds (see ``_read_object``)
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
-
-def _is_number(val, integer: bool = False) -> bool:
-    """A number (bools excluded), or an integer where one is required."""
+def _require_number(name: str, val, integer: bool = False) -> None:
+    """Refuse a value that is not a number (bools included), not an integer
+    where one is required, or not finite (NaN passes every range check,
+    since each comparison with it is false)."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    return not isinstance(val, bool) and isinstance(val, kinds)
+    if isinstance(val, bool) or not isinstance(val, kinds):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                         f"got {val!r}")
+    if isinstance(val, (float, np.floating)) and not math.isfinite(val):
+        raise ValueError(f"{name} must be finite, got {val!r}")
 
 
 def _read_object(data, what: str, keys: dict, required=()) -> dict:
-    """``data``, a JSON object (``what`` in messages) whose keys are among
-    ``keys``, include every ``required`` one, and hold the type ``keys`` gives
-    them: ``float`` any number and ``int`` an integer (a bool is neither),
-    ``str``, ``None`` null, ``object`` any value (its constructor checks it),
-    or a depth n: an array of numbers that ``_read_array`` reads into the new
-    dict returned.  Null stands for an absent optional key."""
+    """``data``, a JSON object (``what`` in messages), as a new dict whose keys
+    are among ``keys`` and include the ``required`` ones.  ``keys`` gives each
+    key's type: ``float`` or ``int`` (see ``_require_number``), ``str``, ``None``
+    null, ``object`` any value (its constructor checks it), or a depth n, an
+    array read by ``_read_array``.  Null stands for an absent optional key."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
     read = dict(data)
     for key, val in data.items():
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {what}")
-        kind = keys[key]
+        kind, name = keys[key], f"{what} {key}"
         if type(kind) is int:
-            read[key] = _read_array(val, f"{what} {key}", kind)
-        elif (val is not None or key in required) and not (
-                _is_number(val, kind is int) if kind in (int, float)
-                else isinstance(val, kind or type(None))):
-            raise ValueError(f"{what} {key} must be {_TYPE_NAMES.get(kind, 'null')}, "
-                             f"got {val!r}")
+            read[key] = _read_array(val, name, kind)
+        elif val is None and key not in required:
+            continue
+        elif kind in (int, float):
+            _require_number(name, val, kind is int)
+        elif not isinstance(val, kind or type(None)):
+            raise ValueError(f"{name} must be {'a string' if kind else 'null'}, got {val!r}")
     for key in required:
         if key not in data:
             raise ValueError(f"{what} is missing key {key!r}")
@@ -44,9 +49,8 @@ def _read_object(data, what: str, keys: dict, required=()) -> dict:
 
 
 def _read_kind(data, what: str, kinds: dict) -> tuple[str, dict]:
-    """A JSON object whose keys depend on its string ``kind``: ``kinds``
-    maps each kind to its ``(keys, required)`` for ``_read_object``."""
-    # the kind is read first; no other value is read twice
+    """A JSON object whose keys depend on its string ``kind``, read first and
+    alone: ``kinds`` maps each kind to its ``(keys, required)``."""
     every = {key: object for keys, _ in kinds.values() for key in keys}
     kind = _read_object(data, what, {**every, "kind": str}, ("kind",))["kind"]
     if kind not in kinds:

@@ -10,9 +10,8 @@ complexity bound are available, callers should pass the closed form in
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from ._inputs import _read_object
 
@@ -82,7 +81,6 @@ class BoundInputs:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundInputs":
-        """The inputs ``to_dict`` wrote; ``__post_init__`` checks their types."""
         keys = dict.fromkeys((f.name for f in fields(cls)), object)
         return cls(**_read_object(data, "bound inputs", keys, ("n", "delta")))
 
@@ -178,7 +176,7 @@ def bound_natarajan(inputs: BoundInputs) -> BoundReport:
 def bound_linear_polyhedral(inputs: BoundInputs) -> BoundReport:
     """Natarajan bound with the linear-class dimension cap ``d_N = d * p``."""
     _require(inputs, "d", "p")
-    report = bound_natarajan(dataclasses.replace(inputs, d_N=inputs.d * inputs.p))
+    report = bound_natarajan(replace(inputs, d_N=inputs.d * inputs.p))
     report.theorem_id = "linear_polyhedral"
     return report
 

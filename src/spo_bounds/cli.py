@@ -79,21 +79,16 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    if args.estimator == "rad-spo":
-        region = region_from_dict(_load_json(args.region))
+    if args.estimator != "natarajan":
         hyp = FiniteHypothesisSet.from_json(Path(args.hypotheses).read_text())
-        sample = _load_sample(args.sample)
-        est, se = rademacher_spo_mc(region, hyp, sample, m_draws=args.draws,
-                                    seed=args.seed)
-        _emit({"estimator": "rad-spo", "estimate": est, "std_error": se,
-               "draws": args.draws, "seed": args.seed})
-        return 0
-    if args.estimator == "rad-multi":
-        hyp = FiniteHypothesisSet.from_json(Path(args.hypotheses).read_text())
-        xs = _read_array(_load_json(args.xs), "xs", 2)
-        est, se = rademacher_multivariate_mc(hyp, xs, m_draws=args.draws,
-                                             seed=args.seed)
-        _emit({"estimator": "rad-multi", "estimate": est, "std_error": se,
+        if args.estimator == "rad-spo":
+            region = region_from_dict(_load_json(args.region))
+            est, se = rademacher_spo_mc(region, hyp, _load_sample(args.sample),
+                                        m_draws=args.draws, seed=args.seed)
+        else:
+            xs = _read_array(_load_json(args.xs), "xs", 2)
+            est, se = rademacher_multivariate_mc(hyp, xs, m_draws=args.draws, seed=args.seed)
+        _emit({"estimator": args.estimator, "estimate": est, "std_error": se,
                "draws": args.draws, "seed": args.seed})
         return 0
     # natarajan
@@ -218,10 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     loss_sub = loss.add_subparsers(dest="loss_command", required=True)
     loss_eval = loss_sub.add_parser("eval")
     loss_eval.add_argument("--region", required=True, help="region JSON file")
-    loss_eval.add_argument("--c-hat", required=True,
-                           help="comma-separated prediction, e.g. --c-hat=-0.5,0.3")
-    loss_eval.add_argument("--c", required=True,
-                           help="comma-separated true cost, e.g. --c=-1,0")
+    loss_eval.add_argument("--c-hat", required=True, help="prediction, e.g. --c-hat=-0.5,0.3")
+    loss_eval.add_argument("--c", required=True, help="true cost, e.g. --c=-1,0")
     loss_eval.add_argument("--gamma", type=float, default=None)
     loss_eval.set_defaults(handler=_cmd_loss)
 

@@ -800,11 +800,6 @@ def region_from_json(text: str) -> FeasibleRegion:
 # cost domains
 # ---------------------------------------------------------------------------
 
-#: each cost-domain kind's keys with their JSON types, and the keys it requires
-_DOMAIN_KINDS = {"enumerated": ({"members": 2}, ("members",)),
-                 "ball": ({"radius": float}, ("radius",))}
-
-
 class CostDomain:
     """The set of realized cost vectors, with its key scalars precomputed.
 
@@ -865,7 +860,8 @@ class CostDomain:
 
     @classmethod
     def from_dict(cls, region: FeasibleRegion, data: dict) -> "CostDomain":
-        _, data = _read_kind(data, "cost domain", _DOMAIN_KINDS)
+        _, data = _read_kind(data, "cost domain", {"enumerated": ({"members": 2}, ("members",)),
+                                                   "ball": ({"radius": float}, ("radius",))})
         return cls(region, members=data.get("members"), radius=data.get("radius"))
 
 

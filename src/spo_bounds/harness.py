@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ._inputs import _is_number, _read_object
+from ._inputs import _read_object, _require_number
 from ._rng import ARRAY_BYTES_MAX, substream
 from .bounds import BoundInputs, evaluate
 from .complexity import linear_class_rad_bound
@@ -31,17 +31,6 @@ _STREAM_RISK = 2
 
 #: config fields whose dict key is not their name
 _CONFIG_KEY_OF = {"ns": "n"}
-
-
-def _require_number(key: str, val, integer: bool) -> None:
-    """Reject a config value that is not a number (bools included), not an
-    integer where one is required, or not finite (NaN passes every range
-    check, since each comparison with it is false)."""
-    if not _is_number(val, integer):
-        raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, "
-                         f"got {val!r}")
-    if isinstance(val, (float, np.floating)) and not math.isfinite(val):
-        raise ValueError(f"{key} must be finite, got {val!r}")
 
 
 @dataclass(eq=False)
@@ -146,8 +135,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config ``to_dict`` wrote; an absent key takes its field's
-        default, and ``__post_init__`` checks the types of the scalars."""
+        """The config ``to_dict`` wrote; an absent key takes its field's default."""
         by_key = {_CONFIG_KEY_OF.get(f.name, f.name): f.name for f in fields(cls)}
         keys = {**dict.fromkeys(by_key, object), "b_star": 2}
         data = _read_object(data, "experiment config", keys, ("region", "cost_domain", "b_star"))

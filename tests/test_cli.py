@@ -597,8 +597,6 @@ class TestInputErrors:
           for region, key, value, nesting in [
               (BALL, "center", [0.0, "a"], ""),
               (DAG, "arcs", [[0, 1], [1]], " nested 2 deep, whose lists share one shape")]],
-        # each row below exited 1 with a traceback, or 0, before every input
-        # went through one reader
         *[pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
                                       "cost_domain": domain}, needle, id=f"domain-{name}")
           for name, domain, needle in [

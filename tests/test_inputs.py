@@ -2,6 +2,7 @@
 ValueError: the CLI turns that into one ``error:`` line and exit 2."""
 
 import json
+import math
 
 import pytest
 
@@ -108,3 +109,14 @@ def test_arrays_keep_their_inferred_dtype():
     assert _read_array([[0.5, 1]], "xs", 2).dtype.kind == "f"
     with pytest.raises(ValueError, match="label table must be"):
         _read_array([[2 ** 70]], "label table", 2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_number_key_refuses_a_non_finite_value(value):
+    # json reads NaN and Infinity; a number key refuses them as it is read,
+    # with the message the experiment config gives its own scalars
+    with pytest.raises(ValueError, match=f"^ball cost domain radius must be finite, got {value}$"):
+        domain({"kind": "ball", "radius": value})
+    with pytest.raises(ValueError, match=f"^LqBall region mu must be finite, got {value}$"):
+        region_from_dict({"kind": "LqBall", "q": 2.0, "radius": 1.0, "center": [0.0],
+                          "mu": value})

@@ -1,24 +1,53 @@
-"""One reader for every input file: JSON objects go through ``_read_object``
-and arrays of numbers through ``_read_array``.  The constructors behind them
-keep their own range, shape and finiteness checks."""
+"""One reader for every input: JSON text goes through ``_read_json``,
+objects through ``_read_object``, arrays of numbers through ``_read_array``
+and every scalar through ``_require_number``.  The constructors behind them
+keep their relational, shape and finiteness checks on arrays."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 
-def _require_number(name: str, val, integer: bool = False) -> None:
-    """Refuse a value that is not a number (bools included), not an integer
-    where one is required, or not finite (NaN passes every range check,
-    since each comparison with it is false)."""
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    if isinstance(val, bool) or not isinstance(val, kinds):
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
-                         f"got {val!r}")
-    if isinstance(val, (float, np.floating)) and not math.isfinite(val):
-        raise ValueError(f"{name} must be finite, got {val!r}")
+def _read_json(text: str, what: str):
+    """``text`` parsed as JSON.  A document nested past Python's recursion
+    limit is refused as a ``ValueError``, as malformed JSON is."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to read") from None
+
+
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _require_number(name: str, val, integer: bool = False, *, at_least=None, above=None,
+                    at_most=None, below=None):
+    """``val``, the package's one scalar check: refused unless it is a number
+    (a numpy scalar too, a bool never), an integer where ``integer`` asks for
+    one, and within its bounds, each given or not: ``at_least`` (closed) or
+    ``above`` (open) from below, ``at_most`` (closed) or ``below`` (open)
+    from above.  NaN is always refused, and an infinity unless a closed bound
+    equals it (a norm exponent takes ``math.inf`` with ``at_most=math.inf``).
+    The message reads ``n must be an integer >= 1, got 0``."""
+    if (isinstance(val, _INTEGERS if integer else _NUMBERS) and not isinstance(val, bool)
+            and (at_least is None or val >= at_least) and (above is None or val > above)
+            and (at_most is None or val <= at_most) and (below is None or val < below)
+            and (-math.inf < val < math.inf or val == at_least or val == at_most)):
+        return val
+    low = at_least if above is None else above
+    high = at_most if below is None else below
+    if low is not None and high is not None:
+        span = f" in {'[(' [above is not None]}{low}, {high}{'])' [below is not None]}"
+    else:  # one bound or none
+        span = "".join(f" {op} {end}" for op, end in (
+            (">=", at_least), (">", above), ("<=", at_most), ("<", below)) if end is not None)
+    kind = ("an integer" if integer
+            else "a number" if low is not None and high is not None else "a finite number")
+    raise ValueError(f"{name} must be {kind}{span}, got {val!r}")
 
 
 def _read_object(data, what: str, keys: dict, required=()) -> dict:

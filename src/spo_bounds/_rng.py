@@ -49,6 +49,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ._inputs import _require_number
+
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
 # 128-bit PCG64 multiplier
 _INIT_A = 0x43B0D7E5
@@ -70,8 +72,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     paths yield statistically independent streams, so substreams can be
     evaluated in any order (or in parallel) without changing results.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    _require_number("seed", seed, True, at_least=0)
     key = (int(seed),) + tuple(int(k) for k in path)
     return np.random.default_rng(np.random.SeedSequence(key))
 
@@ -182,18 +183,14 @@ def substream_sign_blocks(seed: int, count: int, size: int,
     before allocating anything, an invalid request or one whose signs and
     seeding scratch need over ``ARRAY_BYTES_MAX`` bytes as a whole.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if not 0 <= count <= 1 << 32:
-        raise ValueError("count must be in [0, 2**32]")
-    if size < 0:
-        raise ValueError("size must be non-negative")
+    _require_number("seed", seed, True, at_least=0)
+    _require_number("count", count, True, at_least=0, at_most=1 << 32)
+    _require_number("size", size, True, at_least=0)
     need = count * (8 * size + _SEED_BYTES)
     if need > ARRAY_BYTES_MAX:
         raise ValueError(f"{count} x {size} sign draws need {need} bytes, "
                          f"over the {ARRAY_BYTES_MAX}-byte budget")
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
+    _require_number("rows", rows, True, at_least=1)
     return _sign_blocks(seed, count, size, rows)
 
 

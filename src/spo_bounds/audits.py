@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds
+from ._inputs import _require_number
 from ._rng import substream
 from .bounds import (_COUNTS, BoundInputs, bound_covering,
                      bound_linear_polyhedral, bound_margin, bound_margin_uniform,
@@ -628,8 +629,7 @@ def run_all_audits(seed: int, fast: bool = False) -> list[AuditResult]:
     before any audit runs; an audit that raises a ValueError or
     ArithmeticError fails with the exception as its detail, and the others
     still run."""
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    _require_number("seed", seed, True, at_least=0)
     scale = 10 if fast else 1
     results = []
     for audit in AUDITS:

@@ -13,15 +13,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from ._inputs import _read_object
+from ._inputs import _read_object, _require_number
 
 VARIANTS = ("expected", "empirical")
 
 #: the additive terms a report may hold, in the ``bound all`` column order
 TERMS = ("empirical_risk", "complexity", "deviation", "uniformity", "remainder")
 
-#: the count inputs, which must be Python ints
+#: the count inputs, which are integers
 _COUNTS = ("n", "d_N", "card_S", "d", "p")
+#: each input's range, as ``_require_number`` keywords
+_RANGES = {"n": {"at_least": 1}, "delta": {"above": 0, "below": 1}, "d_N": {"at_least": 0},
+           **dict.fromkeys(("card_S", "d", "p"), {"at_least": 1}),
+           **dict.fromkeys(("empirical_risk", "omega", "rho2_C", "rho2_S", "rad"),
+                           {"at_least": 0}),
+           **dict.fromkeys(("mu", "gamma", "gamma_bar"), {"above": 0})}
+#: each input's plain class and the ends of its range
+_FAST = {name: (int if name in _COUNTS else float,
+                spec.get("at_least", spec.get("above", -math.inf)),
+                spec.get("at_most", spec.get("below", math.inf)))
+         for name, spec in _RANGES.items()}
 
 
 @dataclass(frozen=True)
@@ -44,35 +55,19 @@ class BoundInputs:
     rad: float | None = None
 
     def __post_init__(self):
-        # plain type tests, a count passing on its class int and any other
-        # value on its class float alone: the experiment builds thousands
+        # the experiment builds thousands, so a value of its plain class
+        # strictly between the ends of its range passes without a call, as
+        # does an unset optional input; the rule sees any other value, and a
+        # numpy scalar is stored as the Python number it equals, so reports
+        # go through ``json.dumps``
         for name, val in vars(self).items():
-            count = name in _COUNTS
-            if val.__class__ is (int if count else float) \
-                    or (val is None and name not in ("n", "delta", "empirical_risk")):
+            cls, low, high = _FAST[name]
+            if val.__class__ is cls and low < val < high \
+                    or val is None and name not in ("n", "delta", "empirical_risk"):
                 continue
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ValueError(f"{name} must be a number, got {val!r}")
-            if count and not isinstance(val, int):
-                raise ValueError(f"{name} must be an integer, got {val!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        for name in ("empirical_risk", "omega", "rho2_C", "rho2_S", "rad"):
-            val = getattr(self, name)
-            if val is not None and (not math.isfinite(val) or val < 0):
-                raise ValueError(f"{name} must be finite and >= 0")
-        for name in ("mu", "gamma", "gamma_bar"):
-            val = getattr(self, name)
-            if val is not None and (not math.isfinite(val) or val <= 0):
-                raise ValueError(f"{name} must be finite and > 0")
-        if self.d_N is not None and self.d_N < 0:
-            raise ValueError("d_N must be >= 0")
-        for name in ("card_S", "d", "p"):
-            val = getattr(self, name)
-            if val is not None and val < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _require_number(name, val, cls is int, **_RANGES[name])
+            if val.__class__ is not int and val.__class__ is not float:
+                object.__setattr__(self, name, val.item())
 
     def to_dict(self) -> dict:
         # every field is a scalar, so a shallow read is a full copy
@@ -200,11 +195,15 @@ def bound_covering(inputs: BoundInputs) -> BoundReport:
 
 def margin_rad_bound(rho2_C: float, rad: float, gamma: float, mu: float) -> float:
     """Margin-loss Rademacher complexity from the multivariate complexity of
-    the prediction class: ``5 * sqrt(2) * rho2_C * rad / (gamma * mu)``."""
-    if gamma <= 0 or mu <= 0 or gamma * mu == 0:
+    the prediction class: ``5 * sqrt(2) * rho2_C * rad / (gamma * mu)``.
+    Refuses NaN, an infinity or a bool in any input, a gamma or mu <= 0, a
+    ``gamma * mu`` that underflows to 0 and a rho2_C or rad < 0."""
+    _require_number("gamma", gamma, above=0)
+    _require_number("mu", mu, above=0)
+    if gamma * mu == 0:
         raise ValueError(f"gamma, mu and gamma * mu must be > 0, got {gamma!r}, {mu!r}")
-    if rho2_C < 0 or rad < 0:
-        raise ValueError("rho2_C and rad must be >= 0")
+    _require_number("rho2_C", rho2_C, at_least=0)
+    _require_number("rad", rad, at_least=0)
     return 5.0 * math.sqrt(2.0) * rho2_C * rad / (gamma * mu)
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from ._inputs import _read_array
+from ._inputs import _read_array, _read_json
 from .audits import render_report, run_all_audits
 from .bounds import BoundInputs
 from .complexity import (FiniteHypothesisSet, check_natarajan_budget,
@@ -46,7 +46,7 @@ def _load_sample(path: str) -> LabeledSample:
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+    return _read_json(Path(path).read_text(), path)
 
 
 def _parse_vector(text: str) -> np.ndarray:

@@ -64,7 +64,6 @@ at every point generates a cube of 2**s mixtures, all realized.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from itertools import combinations
@@ -72,7 +71,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._inputs import _read_array
+from ._inputs import _read_array, _read_json, _require_number
 from ._rng import (ARRAY_BYTES_MAX, BLOCK_BYTES_MAX, sign_block_heights,
                    substream_sign_blocks)
 from .geometry import FeasibleRegion
@@ -107,7 +106,7 @@ class FiniteHypothesisSet:
     @classmethod
     def from_json(cls, text: str) -> "FiniteHypothesisSet":
         """Parse a JSON list of matrices (each a list of rows)."""
-        return cls(_read_array(json.loads(text), "hypotheses", 3))
+        return cls(_read_array(_read_json(text, "hypotheses"), "hypotheses", 3))
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -203,8 +202,7 @@ def rademacher_spo_mc(region: FeasibleRegion, hypotheses: FiniteHypothesisSet,
 
     Returns ``(estimate, std_error)``.
     """
-    if m_draws < 1:
-        raise ValueError("m_draws must be >= 1")
+    _require_number("m_draws", m_draws, True, at_least=1)
     blocks = hypotheses.prediction_blocks(sample.xs)
     H, n, d = len(hypotheses), sample.n, hypotheses.d
     _check_budget("SPO losses", H, n)
@@ -233,8 +231,7 @@ def rademacher_multivariate_mc(hypotheses: FiniteHypothesisSet, xs,
     complexity ``E_sigma sup_f (1/n) sum_i sigma_i @ f(x_i)`` with one
     sign per output coordinate.
     """
-    if m_draws < 1:
-        raise ValueError("m_draws must be >= 1")
+    _require_number("m_draws", m_draws, True, at_least=1)
     H, d = len(hypotheses), hypotheses.d
     # the predictions' refusals, then the signs', before any array is formed
     xs = hypotheses._points(xs, H)
@@ -302,14 +299,13 @@ def massart_bound(card: float, n: int, omega: float) -> float:
     """Finite-class Rademacher bound ``omega * sqrt(2 * ln(card) / n)``.
 
     ``card`` is the cardinality of the restricted class (any real >= 1 is
-    accepted so analytic cardinalities can be plugged in directly).
+    accepted so analytic cardinalities can be plugged in directly).  Refuses
+    a card, sample size ``n`` (an integer >= 1) or ``omega`` (>= 0) that is
+    NaN, infinite, a bool or out of range.
     """
-    if card < 1:
-        raise ValueError("card must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
+    _require_number("card", card, at_least=1)
+    _require_number("n", n, True, at_least=1)
+    _require_number("omega", omega, at_least=0)
     return omega * math.sqrt(2.0 * math.log(card) / n)
 
 
@@ -402,23 +398,23 @@ def linear_class_rad_bound(kind: str, beta: float, d: int, p: int,
     * frobenius   : ``rho2(X) * beta * sqrt(2 d / n)``
     * l1_vec      : ``rho_inf(X) * beta * sqrt(6 ln(p d) / n)``
     * group_lasso : ``rho_inf(X) * beta * sqrt(6 d ln(p) / n)``
+
+    Refuses NaN, an infinity or a bool in any number, and a beta <= 0,
+    x_radius < 0, counts d, p and n below 1 (p below 2 for group_lasso) or
+    not integers.
     """
     if kind not in ("frobenius", "l1_vec", "group_lasso"):
         raise ValueError(f"unknown constraint kind: {kind!r}")
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError("beta must be positive and finite")
-    if d < 1 or p < 1:
-        raise ValueError("d and p must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if x_radius < 0:
-        raise ValueError("x_radius must be >= 0")
+    _require_number("beta", beta, above=0)
+    _require_number("d", d, True, at_least=1)
+    # group_lasso's ln(p) must be > 0
+    _require_number("p", p, True, at_least=2 if kind == "group_lasso" else 1)
+    _require_number("n", n, True, at_least=1)
+    _require_number("x_radius", x_radius, at_least=0)
     if kind == "frobenius":
         return x_radius * beta * math.sqrt(2.0 * d / n)
     if kind == "l1_vec":
         if p * d <= 1:
             raise ValueError("l1_vec bound requires p * d > 1")
         return x_radius * beta * math.sqrt(6.0 * math.log(p * d) / n)
-    if p <= 1:
-        raise ValueError("group_lasso bound requires p > 1")
     return x_radius * beta * math.sqrt(6.0 * d * math.log(p) / n)

@@ -65,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._inputs import _read_kind
+from ._inputs import _read_json, _read_kind, _require_number
 from ._rng import ARRAY_BYTES_MAX, substream
 
 #: absolute tolerance for all geometric membership checks
@@ -83,8 +83,7 @@ _PAIR_BLOCK_CELLS = 1 << 18
 
 def dual_exponent(q: float) -> float:
     """Exponent q' with 1/q + 1/q' = 1 (q = 1 and q = inf are dual)."""
-    if q < 1:
-        raise ValueError(f"norm exponent must be >= 1, got {q}")
+    _require_number("q", q, at_least=1, at_most=math.inf)
     if q == 1:
         return math.inf
     if math.isinf(q):
@@ -96,9 +95,8 @@ def vector_norm_rows(C: np.ndarray, q: float) -> np.ndarray:
     """Row-wise lq norms of a 2-D array, computed row-major so the bits do
     not depend on the memory layout (row sums round by layout once d >= 8)
     or on the rest of the batch, and take no BLAS call.  Every row norm of
-    the package goes through it."""
-    if q < 1:
-        raise ValueError(f"norm exponent must be >= 1, got {q}")
+    the package goes through it.  ``q`` is in [1, inf]: NaN is refused."""
+    _require_number("q", q, at_least=1, at_most=math.inf)
     return np.linalg.norm(np.ascontiguousarray(C, dtype=float), ord=q, axis=1)
 
 
@@ -227,10 +225,7 @@ class FeasibleRegion:
     kind = "abstract"
 
     def __init__(self, dim: int):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = dim
+        self.dim = int(_require_number("dim", dim, True, at_least=1))
 
     # -- norm the region's geometry (mu, dual norms) refers to
     @property
@@ -296,9 +291,7 @@ class FeasibleRegion:
         """``m`` feasible points as the rows of an (m, dim) array.  Each draw
         kind is taken from ``rng`` as one array for all m points, so row i
         depends on ``m``."""
-        if m < 0:
-            raise ValueError(f"sample count must be >= 0, got {m}")
-        return self._sample_batch(rng, int(m))
+        return self._sample_batch(rng, int(_require_number("sample count", m, True, at_least=0)))
 
     def _sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         raise NotImplementedError
@@ -401,8 +394,8 @@ class UnitSimplex(FeasibleRegion):
         return flat.take(pos)
 
     def radius(self, q: float = 2.0) -> float:
-        if q < 1:
-            raise ValueError(f"norm exponent must be >= 1, got {q}")
+        """1 for every lq norm, q in [1, inf]; NaN is refused."""
+        _require_number("q", q, at_least=1, at_most=math.inf)
         return 1.0
 
     def extreme_point_count(self) -> int:
@@ -445,9 +438,7 @@ class DagPathPolytope(FeasibleRegion):
     kind = "DagPathPolytope"
 
     def __init__(self, nodes: int, arcs: Sequence[tuple[int, int]], source: int, sink: int):
-        nodes = int(nodes)
-        if nodes < 1:
-            raise ValueError("node count must be >= 1")
+        nodes = int(_require_number("nodes", nodes, True, at_least=1))
         pairs = np.asarray(arcs)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
             raise ValueError("arcs must be a non-empty list of (tail, head) integer pairs")
@@ -554,8 +545,7 @@ class DagPathPolytope(FeasibleRegion):
         return hi - self._path_costs(CT, np.minimum)[self.source]
 
     def radius(self, q: float = 2.0) -> float:
-        if q < 1:
-            raise ValueError(f"norm exponent must be >= 1, got {q}")
+        _require_number("q", q, at_least=1, at_most=math.inf)
         if math.isinf(q):
             return 1.0 if self._longest >= 1 else 0.0
         return float(self._longest ** (1.0 / q))
@@ -624,7 +614,9 @@ class DagPathPolytope(FeasibleRegion):
     def grid(cls, rows: int, cols: int) -> "DagPathPolytope":
         """Grid DAG on ``rows x cols`` nodes with right/down arcs,
         source top-left, sink bottom-right."""
-        if rows < 1 or cols < 1 or rows * cols < 2:
+        _require_number("rows", rows, True, at_least=1)
+        _require_number("cols", cols, True, at_least=1)
+        if rows * cols < 2:
             raise ValueError("grid needs at least two nodes")
         node = lambda i, j: i * cols + j
         arcs: list[tuple[int, int]] = []
@@ -664,19 +656,13 @@ class LqBall(FeasibleRegion):
     kind = "LqBall"
 
     def __init__(self, q: float, radius: float, center, mu: float | None = None):
-        if not (1.0 < q <= 2.0):
-            raise ValueError(f"ball exponent must lie in (1, 2], got {q}")
-        if not (radius > 0 and math.isfinite(radius)):
-            raise ValueError("radius must be positive and finite")
+        self.q = float(_require_number("q", q, above=1, at_most=2))
+        self.ball_radius = float(_require_number("radius", radius, above=0))
         center = np.asarray(center, dtype=float)
         if center.ndim != 1 or not np.all(np.isfinite(center)):
             raise ValueError("center must be a finite vector")
         super().__init__(center.shape[0])
-        if mu is not None and (not math.isfinite(mu) or mu < 0):
-            raise ValueError("mu must be a finite value >= 0")
-        self.mu = None if mu is None else float(mu)
-        self.q = float(q)
-        self.ball_radius = float(radius)
+        self.mu = None if mu is None else float(_require_number("mu", mu, at_least=0))
         self.center = center
 
     @property
@@ -727,8 +713,7 @@ class LqBall(FeasibleRegion):
         return np.subtract(offsets, dots, out=dots)
 
     def radius(self, q: float = 2.0) -> float:
-        if q < 1:
-            raise ValueError(f"norm exponent must be >= 1, got {q}")
+        _require_number("q", q, at_least=1, at_most=math.inf)
         if not self.center.any():
             factor = 1.0 if q >= self.q else self.dim ** (1.0 / q - 1.0 / self.q)
             return self.ball_radius * factor
@@ -770,7 +755,8 @@ class LqBall(FeasibleRegion):
 # ---------------------------------------------------------------------------
 
 #: each region kind's keys with their JSON types, and the keys it requires;
-#: every kind takes the ``dim`` that ``to_dict`` writes
+#: every kind takes the ``dim`` that ``to_dict`` writes, and refuses one that
+#: differs from the region's
 _REGION_KINDS = {
     "VertexPolytope": ({"dim": int, "vertices": 2, "mu": None}, ("vertices",)),
     "UnitSimplex": ({"dim": int}, ("dim",)),
@@ -782,18 +768,25 @@ _REGION_KINDS = {
 
 
 def region_from_dict(data: dict) -> FeasibleRegion:
+    """The region a JSON object describes; a ``dim`` key must equal the
+    dimension its vertices, arcs or center give."""
     kind, data = _read_kind(data, "region", _REGION_KINDS)
     if kind == "VertexPolytope":
-        return VertexPolytope(data["vertices"])
-    if kind == "UnitSimplex":
-        return UnitSimplex(data["dim"])
-    if kind == "DagPathPolytope":
-        return DagPathPolytope(data["nodes"], data["arcs"], data["source"], data["sink"])
-    return LqBall(data["q"], data["radius"], data["center"], mu=data.get("mu"))
+        region = VertexPolytope(data["vertices"])
+    elif kind == "UnitSimplex":
+        region = UnitSimplex(data["dim"])
+    elif kind == "DagPathPolytope":
+        region = DagPathPolytope(data["nodes"], data["arcs"], data["source"], data["sink"])
+    else:
+        region = LqBall(data["q"], data["radius"], data["center"], mu=data.get("mu"))
+    if data.get("dim") not in (None, region.dim):
+        raise ValueError(f"{kind} region dim must be {region.dim}, the dimension it "
+                         f"describes, got {data['dim']}")
+    return region
 
 
 def region_from_json(text: str) -> FeasibleRegion:
-    return region_from_dict(json.loads(text))
+    return region_from_dict(_read_json(text, "region"))
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +816,7 @@ class CostDomain:
             self.rho2 = float(vector_norm_rows(M, 2.0).max())
             self.omega = float(region._gap(M).max())
         else:
-            if not (radius >= 0 and math.isfinite(radius)):
-                raise ValueError("radius must be finite and >= 0")
+            _require_number("radius", radius, at_least=0)
             self.kind = "ball"
             self.members = None
             self.ball_radius = float(radius)
@@ -882,14 +874,13 @@ def verify_strong_convexity(region: FeasibleRegion, mu: float,
     ``G = rng.standard_normal((n_samples, dim))``, ``u = G[i] / ||G[i]||_q``.
     Sample ``i`` is row ``i`` of each, so drawing these arrays again
     rebuilds any sample from ``(seed, n_samples, i)``; the witness is the
-    first sample of largest breach.
+    first sample of largest breach.  Refuses a mu that is not a finite
+    number > 0 (NaN included) and an n_samples that is not an integer >= 1.
     """
     if not isinstance(region, LqBall):
         raise ValueError("strong-convexity check only supports LqBall regions")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _require_number("mu", mu, above=0)
+    _require_number("n_samples", n_samples, True, at_least=1)
     q = region.norm_exponent
     rng = substream(seed)
     W1 = region.sample_batch(rng, n_samples)
@@ -924,8 +915,7 @@ def verify_optimality_condition(region: FeasibleRegion, c,
     wbar = region.linopt(c)  # validates c
     if not np.any(c):
         raise ValueError("c must be nonzero")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _require_number("n_samples", n_samples, True, at_least=1)
     q = region.norm_exponent
     c_star = float(dual_norm_rows(c[None], q)[0])
     W = region.sample_batch(substream(seed), n_samples)

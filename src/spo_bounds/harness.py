@@ -53,41 +53,35 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.ns, int):
             self.ns = [self.ns]
-        for key, vals, integer in (("n", self.ns, True), ("gamma_grid", self.gamma_grid, False)):
+        for key, vals, bound in (("n", self.ns, {"integer": True, "at_least": 1}),
+                                 ("gamma_grid", self.gamma_grid, {"above": 0})):
             if not isinstance(vals, (list, tuple, np.ndarray)):
                 raise ValueError(f"{key} must be a list, got {vals!r}")
             for val in vals:
-                _require_number(key, val, integer)
-        for key, integer in (("trials", True), ("m_fresh", True), ("seed", True),
-                             ("noise", False), ("delta", False)):
-            _require_number(key, getattr(self, key), integer)
-        if self.beta is not None:
-            _require_number("beta", self.beta, False)
+                _require_number(key, val, **bound)
+        _require_number("trials", self.trials, True, at_least=1)
+        _require_number("m_fresh", self.m_fresh, True, at_least=1)
+        _require_number("seed", self.seed, True, at_least=0)
+        _require_number("noise", self.noise, at_least=0)
+        _require_number("delta", self.delta, above=0, below=1)
         self.b_star = np.asarray(self.b_star, dtype=float)
         if self.b_star.ndim != 2 or self.b_star.shape[0] != self.region.dim:
             raise ValueError(f"b_star must have shape ({self.region.dim}, p)")
         if not np.all(np.isfinite(self.b_star)):
             raise ValueError("b_star must be finite")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if self.beta is None:
+            self.beta = 2.0 * float(np.linalg.norm(self.b_star)) + 1.0
+        _require_number("beta", self.beta, above=0)
         if self.feature_dist not in ("sphere", "gaussian"):
             raise ValueError(f"unknown feature distribution: {self.feature_dist!r}")
         self.ns = [int(n) for n in self.ns]
-        if not self.ns or any(n < 1 for n in self.ns):
-            raise ValueError("ns must be positive sample sizes")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
+        if not self.ns:
+            raise ValueError("n must be a non-empty list")
         self.gamma_grid = [float(g) for g in self.gamma_grid]
-        if any(g <= 0 for g in self.gamma_grid):
-            raise ValueError("gamma grid must be positive")
         if any(a >= b for a, b in zip(self.gamma_grid, self.gamma_grid[1:])):
             raise ValueError("gamma grid must be strictly ascending")
         if self.gamma_grid and not self.strongly_convex:
             raise ValueError("a gamma grid is read only by the margin bounds, which need mu > 0")
-        if self.m_fresh < 1:
-            raise ValueError("m_fresh must be >= 1")
         # a sample of `rows` draws holds 8 * rows * (p + d) bytes of
         # features and costs; refuse one over the budget before drawing it
         for key, rows in (("m_fresh", int(self.m_fresh)), ("n", max(self.ns))):
@@ -95,12 +89,6 @@ class ExperimentConfig:
             if need > ARRAY_BYTES_MAX:
                 raise ValueError(f"{key} = {rows} needs {need} bytes of samples, "
                                  f"over the {ARRAY_BYTES_MAX}-byte budget")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.beta is None:
-            self.beta = 2.0 * float(np.linalg.norm(self.b_star)) + 1.0
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
 
     @property
     def d(self) -> int:

@@ -13,12 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import _read_object
+from ._inputs import _read_json, _read_object, _require_number
 from .geometry import FeasibleRegion, dual_norm_rows
 
 
@@ -84,7 +83,7 @@ class LabeledSample:
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledSample":
-        data = _read_object(json.loads(text), "sample", {"xs": 2, "cs": 2}, ("xs", "cs"))
+        data = _read_object(_read_json(text, "sample"), "sample", {"xs": 2, "cs": 2}, ("xs", "cs"))
         return cls(xs=data["xs"], cs=data["cs"])
 
 
@@ -114,17 +113,11 @@ def margin_mix(base: np.ndarray, gap: np.ndarray, dual_norms: np.ndarray,
     return weight * base + (1.0 - weight) * gap
 
 
-def _check_gamma(gamma: float, zero_ok: bool) -> None:
-    if not (math.isfinite(gamma) and (gamma >= 0 if zero_ok else gamma > 0)):
-        raise ValueError(f"gamma must be finite and {'>= 0' if zero_ok else '> 0'}, "
-                         f"got {gamma!r}")
-
-
 def margin_spo_loss_batch(region: FeasibleRegion, C_hat, C, gamma: float) -> np.ndarray:
     """Margin loss: equals the base loss when the prediction's dual norm
     exceeds ``gamma`` (a finite value > 0), else interpolates between it
     and the gap ``omega_S(c)`` with weight ``||c_hat||_* / gamma``."""
-    _check_gamma(gamma, zero_ok=False)
+    _require_number("gamma", gamma, above=0)
     base, C = _spo_losses(region, C_hat, C)
     return margin_mix(base, region._gap(C),
                       dual_norm_rows(C_hat, region.norm_exponent), gamma)
@@ -134,7 +127,7 @@ def hard_margin_spo_loss_batch(region: FeasibleRegion, C_hat, C, gamma: float) -
     """Hard margin loss: the gap ``omega_S(c)`` whenever the prediction's
     dual norm is at most ``gamma`` (a finite value >= 0; at 0 the
     threshold binds only for a zero prediction), else the base loss."""
-    _check_gamma(gamma, zero_ok=True)
+    _require_number("gamma", gamma, at_least=0)
     base, C = _spo_losses(region, C_hat, C)
     above = dual_norm_rows(C_hat, region.norm_exponent) > gamma
     return np.where(above, base, region._gap(C))

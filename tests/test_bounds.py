@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -175,7 +176,7 @@ class TestMarginBound:
         assert margin_rad_bound(1.0, 0.1, 1e-160, 1e-160) == math.inf
 
     def test_requires_positive_gamma_mu(self):
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ValueError, match="^gamma must be a finite number > 0, got 0.0$"):
             inputs(omega=1.0, rho2_C=1.0, mu=2.0, gamma=0.0, rad=0.05)
         with pytest.raises(ValueError, match="missing"):
             bound_margin(inputs(omega=1.0, rho2_C=1.0, gamma=0.5, rad=0.05))
@@ -350,27 +351,31 @@ class TestSharedDeviation:
 
 class TestInputValidation:
     def test_ranges(self):
-        with pytest.raises(ValueError, match="delta"):
+        with pytest.raises(ValueError, match=r"^delta must be a number in \(0, 1\), got 0.0$"):
             BoundInputs(n=10, delta=0.0)
-        with pytest.raises(ValueError, match="n must"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got 0$"):
             BoundInputs(n=0, delta=0.5)
-        with pytest.raises(ValueError, match="omega"):
+        with pytest.raises(ValueError, match="^omega must be a finite number >= 0, got -1.0$"):
             BoundInputs(n=10, delta=0.5, omega=-1.0)
-        with pytest.raises(ValueError, match="mu"):
+        with pytest.raises(ValueError, match="^mu must be a finite number > 0, got 0.0$"):
             BoundInputs(n=10, delta=0.5, mu=0.0)
 
     @pytest.mark.parametrize("key, value", [("n", "100"), ("delta", None),
                                             ("n", True), ("card_S", [3]),
                                             ("rad", False)])
     def test_non_numbers_rejected_by_name(self, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+        kind = {"n": "an integer >= 1", "delta": "a number in (0, 1)",
+                "card_S": "an integer >= 1", "rad": "a finite number >= 0"}[key]
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must be "
+                                             f"{re.escape(kind)}, got {re.escape(repr(value))}$"):
             BoundInputs(**{"n": 10, "delta": 0.5, key: value})
 
     @pytest.mark.parametrize("key", ["n", "d_N", "card_S", "d", "p"])
     @pytest.mark.parametrize("value, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                               (100.5, "100.5"), (3.0, "3.0")])
     def test_counts_must_be_integers(self, key, value, shown):
-        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {shown}$"):
+        low = 0 if key == "d_N" else 1
+        with pytest.raises(ValueError, match=f"^{key} must be an integer >= {low}, got {shown}$"):
             BoundInputs(**{"n": 10, "delta": 0.5, key: value})
 
     def test_non_count_fields_take_ints_and_floats(self):

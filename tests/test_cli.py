@@ -16,7 +16,11 @@ DAG = {"kind": "DagPathPolytope", "nodes": 3, "arcs": [[0, 1], [1, 2]], "source"
 
 
 def write(path, data):
-    path.write_text(json.dumps(data))
+    """``data`` as JSON, or bytes as they are."""
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -324,7 +328,7 @@ class TestInputErrors:
 
     def test_verify_refuses_a_negative_seed(self, capsys):
         assert main(["verify", "all", "--seed", "-1", "--fast"]) == 2
-        self.assert_one_error_line(capsys, "seed must be non-negative")
+        self.assert_one_error_line(capsys, "seed must be an integer >= 0, got -1")
 
     def test_bound_all_rejects_single_sample_single_point(self, tmp_path, capsys):
         inputs_file = write(tmp_path / "inputs.json",
@@ -355,7 +359,7 @@ class TestInputErrors:
                             {"n": 100, "delta": 0.05, "omega": 1.0, "rho2_C": 1.0,
                              "rho2_S": 1.0, "d": 2, "p": 2, "card_S": 4, key: value})
         assert main(["bound", "all", "--inputs", inputs_file]) == 2
-        self.assert_one_error_line(capsys, f"{key} must be an integer, got {shown}")
+        self.assert_one_error_line(capsys, f"{key} must be an integer >= 1, got {shown}")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rad_multi_refuses_non_finite_features(self, bad, tmp_path, capsys):
@@ -406,7 +410,8 @@ class TestInputErrors:
                           "cost_domain": {"kind": "ball", "radius": 1.0}, key: value})
         out = tmp_path / "out"
         assert main(["experiment", "run", "--config", cfg_file, "--out", str(out)]) == 2
-        self.assert_one_error_line(capsys, f"{key} must be finite, got {shown}")
+        low = ">= 0" if key == "noise" else "> 0"
+        self.assert_one_error_line(capsys, f"{key} must be a finite number {low}, got {shown}")
         assert not out.exists()
 
     def test_sample_size_budget(self, tmp_path, capsys, monkeypatch):
@@ -571,25 +576,26 @@ class TestInputErrors:
                      id="bound-inputs-missing-n"),
         pytest.param("bound", [1, 2], "bound inputs must be a JSON object",
                      id="bound-inputs-not-object"),
-        pytest.param("bound", {"n": "abc", "delta": 0.05}, "n must be a number, got 'abc'",
+        pytest.param("bound", {"n": "abc", "delta": 0.05}, "n must be an integer >= 1, got 'abc'",
                      id="bound-inputs-string-n"),
         pytest.param("bound", {"n": 100, "delta": 0.05, "omega": True},
-                     "omega must be a number, got True", id="bound-inputs-bool-omega"),
+                     "omega must be a finite number >= 0, got True", id="bound-inputs-bool-omega"),
         pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
                                     "cost_domain": {"kind": "ball", "radius": 1.0},
                                     "trials": "2"},
-                     "trials must be an integer, got '2'", id="config-string-trials"),
+                     "trials must be an integer >= 1, got '2'", id="config-string-trials"),
         pytest.param("experiment", {"region": SIMPLEX, "b_star": [[1.0], [0.0]],
                                     "cost_domain": {"kind": "ball", "radius": 1.0},
                                     "n": [50, False]},
-                     "n must be an integer, got False", id="config-bool-n"),
+                     "n must be an integer >= 1, got False", id="config-bool-n"),
         *[pytest.param("experiment", {"region": {**region, key: value}, "b_star": [[1.0], [0.0]],
                                       "cost_domain": {"kind": "ball", "radius": 1.0}},
-                       f"region {key} must be {expected}, got {value!r}", id=f"region-{key}")
+                       f"{region['kind']} region {key} must be {expected}, got {value!r}",
+                       id=f"region-{key}")
           for region, key, value, expected in [
-              (BALL, "q", "x", "a number"),
-              (BALL, "radius", [1.0], "a number"),
-              (BALL, "mu", True, "a number"),
+              (BALL, "q", "x", "a finite number"),
+              (BALL, "radius", [1.0], "a finite number"),
+              (BALL, "mu", True, "a finite number"),
               (SIMPLEX, "dim", 2.5, "an integer"),
               (DAG, "nodes", "3", "an integer")]],
         *[pytest.param("region", {**region, key: value}, f"{region['kind']} region {key} must be "
@@ -601,9 +607,9 @@ class TestInputErrors:
                                       "cost_domain": domain}, needle, id=f"domain-{name}")
           for name, domain, needle in [
               ("string-radius", {"kind": "ball", "radius": "1"},
-               "ball cost domain radius must be a number, got '1'"),
+               "ball cost domain radius must be a finite number, got '1'"),
               ("bool-radius", {"kind": "ball", "radius": True},
-               "ball cost domain radius must be a number, got True"),
+               "ball cost domain radius must be a finite number, got True"),
               ("radius-and-members", {"kind": "ball", "radius": 1.0, "members": [[1.0, 0.0]]},
                "unknown key 'members' in ball cost domain"),
               ("object-member", {"kind": "enumerated", "members": [{"a": 1}]},
@@ -634,8 +640,20 @@ class TestInputErrors:
                                     "gamma_grid": [0.5]},
                      "gamma grid is read only by the margin bounds", id="config-unread-gamma-grid"),
         pytest.param("bound", {"n": 10, "delta": 0.05, "empirical_risk": None, "omega": 1.0,
-                               "rad": 0.1}, "empirical_risk must be a number, got None",
+                               "rad": 0.1},
+                     "empirical_risk must be a finite number >= 0, got None",
                      id="bound-inputs-null-risk"),
+        # nested past Python's recursion limit, which json reports as a
+        # RecursionError
+        pytest.param("rad-multi", b"[" * 200_000, "hypotheses is nested too deeply to read",
+                     id="hypotheses-too-deep"),
+        pytest.param("region", b"[" * 200_000, "input.json is nested too deeply to read",
+                     id="region-too-deep"),
+        *[pytest.param("region", {**region, "dim": 5}, f"{region['kind']} region dim must be "
+                       f"{dim}, the dimension it describes, got 5", id=f"region-dim-{name}")
+          for name, region, dim in [
+              ("ball", BALL, 2), ("dag", DAG, 2),
+              ("polytope", {"kind": "VertexPolytope", "vertices": [[0.0, 0.0], [1.0, 0.0]]}, 2)]],
     ])
     def test_malformed_json_input(self, command, data, needle, tmp_path, capsys):
         path = write(tmp_path / "input.json", data)

@@ -117,7 +117,7 @@ class TestSignDraws:
         # each block alone would fit the budget
         with pytest.raises(ValueError, match=r"1000000 x 1000 sign draws need \d+ bytes"):
             substream_sign_blocks(0, 10 ** 6, 1000, SIGN_BLOCK_ROWS)
-        with pytest.raises(ValueError, match="rows"):
+        with pytest.raises(ValueError, match="^rows must be an integer >= 1, got 0$"):
             substream_sign_blocks(0, 4, 4, 0)
 
     def test_streams_are_numpy_pcg64(self):
@@ -130,11 +130,12 @@ class TestSignDraws:
         assert whole_signs(1, 4, 0).shape == (4, 0)
 
     def test_rejects_invalid_arguments(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
             whole_signs(-1, 3, 3)
-        with pytest.raises(ValueError, match="size"):
+        with pytest.raises(ValueError, match="^size must be an integer >= 0, got -1$"):
             whole_signs(0, 3, -1)
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(ValueError, match=r"^count must be an integer in \[0, 4294967296\], "
+                                             r"got 4294967297$"):
             whole_signs(0, 2 ** 32 + 1, 1)
 
     def test_over_budget_request_fails_before_allocating(self, monkeypatch):
@@ -712,18 +713,21 @@ class TestLinearClassRadBound:
     def test_log_domain_validation(self):
         with pytest.raises(ValueError, match="p \\* d"):
             linear_class_rad_bound("l1_vec", 1.0, 1, 1, 1.0, 10)
-        with pytest.raises(ValueError, match="p > 1"):
+        with pytest.raises(ValueError, match="^p must be an integer >= 2, got 1$"):
             linear_class_rad_bound("group_lasso", 1.0, 2, 1, 1.0, 10)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="constraint"):
             linear_class_rad_bound("spectral", 1.0, 2, 2, 1.0, 10)
 
-    @pytest.mark.parametrize("beta, d, p, message", [
+    @pytest.mark.parametrize("beta, d, p, name", [
         (0.0, 2, 2, "beta"), (math.inf, 2, 2, "beta"), (math.nan, 2, 2, "beta"),
-        (1.0, 0, 2, "d and p"), (1.0, 2, 0, "d and p")])
-    def test_class_parameters_checked(self, beta, d, p, message):
-        with pytest.raises(ValueError, match=message):
+        (1.0, 0, 2, "d"), (1.0, 2, 0, "p")])
+    def test_class_parameters_checked(self, beta, d, p, name):
+        message = {"beta": f"beta must be a finite number > 0, got {beta}",
+                   "d": "d must be an integer >= 1, got 0",
+                   "p": "p must be an integer >= 1, got 0"}[name]
+        with pytest.raises(ValueError, match=f"^{message}$"):
             linear_class_rad_bound("frobenius", beta, d, p, 1.0, 10)
 
 

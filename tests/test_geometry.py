@@ -628,15 +628,15 @@ class TestValidation:
 
     def test_ball_exponent_range(self):
         for q in (1.0, 2.5, 0.5):
-            with pytest.raises(ValueError, match="exponent"):
+            with pytest.raises(ValueError, match=rf"^q must be a number in \(1, 2\], got {q}$"):
                 LqBall(q, 1.0, [0.0])
 
     def test_ball_radius_positive(self):
-        with pytest.raises(ValueError, match="radius"):
+        with pytest.raises(ValueError, match="^radius must be a finite number > 0, got 0.0$"):
             LqBall(2.0, 0.0, [0.0])
 
     def test_simplex_dim_positive(self):
-        with pytest.raises(ValueError, match="dim"):
+        with pytest.raises(ValueError, match="^dim must be an integer >= 1, got 0$"):
             UnitSimplex(0)
 
     @pytest.mark.parametrize("region", [UnitSimplex(3), LqBall(2.0, 1.0, [0.0, 0.0, 0.0])])
@@ -896,7 +896,7 @@ class TestBatchSeededVerifiers:
 
     def test_optimality_rejects_zero_samples(self):
         region = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)
-        with pytest.raises(ValueError, match="n_samples"):
+        with pytest.raises(ValueError, match="^n_samples must be an integer >= 1, got 0$"):
             verify_optimality_condition(region, [1.0, 0.0], 0, seed=0)
 
 
@@ -976,7 +976,7 @@ class TestSampling:
     @pytest.mark.parametrize("region", SAMPLED_REGIONS, ids=lambda r: r.kind)
     def test_sample_counts(self, region, rng):
         assert region.sample_batch(rng, 0).shape == (0, region.dim)
-        with pytest.raises(ValueError, match="sample count must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="^sample count must be an integer >= 0, got -1$"):
             region.sample_batch(rng, -1)
 
     def test_dag_samples_carry_unit_flow(self, rng):

@@ -150,7 +150,7 @@ class TestTrueRiskMC:
         assert 0.0 <= est <= config.cost_domain.omega + 1e-9
 
     def test_m_fresh_validated(self):
-        with pytest.raises(ValueError, match="m_fresh"):
+        with pytest.raises(ValueError, match="^m_fresh must be an integer >= 1, got 0$"):
             ball_config(m_fresh=0)
 
 
@@ -627,17 +627,19 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):
             ball_config(gamma_grid=[0.5, 0.1])
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^gamma_grid must be a finite number > 0, got 0.0$"):
             ball_config(gamma_grid=[0.0, 0.5])
-        with pytest.raises(ValueError, match="trials"):
+        with pytest.raises(ValueError, match="^trials must be an integer >= 1, got 0$"):
             ball_config(trials=0)
         with pytest.raises(ValueError, match="b_star"):
             ball_config(b_star=np.zeros((3, 2)))
         # NaN fails no range check by itself, so non-finite values are refused
         for bad in (math.nan, math.inf, -math.inf):
-            for key, value in (("noise", bad), ("beta", bad), ("delta", bad),
-                               ("gamma_grid", [0.1, bad])):
-                with pytest.raises(ValueError, match=rf"^{key} must be finite, got"):
+            for key, value, kind in (("noise", bad, "a finite number >= 0"),
+                                     ("beta", bad, "a finite number > 0"),
+                                     ("delta", bad, r"a number in \(0, 1\)"),
+                                     ("gamma_grid", [0.1, bad], "a finite number > 0")):
+                with pytest.raises(ValueError, match=rf"^{key} must be {kind}, got {bad}$"):
                     ball_config(**{key: value})
 
     def test_sample_size_budget(self):

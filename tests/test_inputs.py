@@ -3,15 +3,25 @@ ValueError: the CLI turns that into one ``error:`` line and exit 2."""
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
+from spo_bounds import audits
 from spo_bounds._inputs import _read_array
-from spo_bounds.bounds import BoundInputs
-from spo_bounds.complexity import FiniteHypothesisSet
-from spo_bounds.geometry import CostDomain, UnitSimplex, region_from_dict
+from spo_bounds._rng import substream, substream_sign_blocks
+from spo_bounds.bounds import BoundInputs, evaluate, margin_rad_bound
+from spo_bounds.complexity import (FiniteHypothesisSet, linear_class_rad_bound,
+                                   massart_bound, rademacher_multivariate_mc,
+                                   rademacher_spo_mc)
+from spo_bounds.geometry import (CostDomain, DagPathPolytope, LqBall, UnitSimplex,
+                                 VertexPolytope, dual_exponent, dual_norm_rows,
+                                 region_from_dict, region_from_json,
+                                 vector_norm_rows, verify_optimality_condition,
+                                 verify_strong_convexity)
 from spo_bounds.harness import ExperimentConfig
-from spo_bounds.losses import LabeledSample
+from spo_bounds.losses import LabeledSample, hard_margin_spo_loss, margin_spo_loss
 
 RAGGED = [[1.0], [1.0, 2.0]]
 SIMPLEX = {"kind": "UnitSimplex", "dim": 2}
@@ -115,8 +125,183 @@ def test_arrays_keep_their_inferred_dtype():
 def test_a_number_key_refuses_a_non_finite_value(value):
     # json reads NaN and Infinity; a number key refuses them as it is read,
     # with the message the experiment config gives its own scalars
-    with pytest.raises(ValueError, match=f"^ball cost domain radius must be finite, got {value}$"):
+    with pytest.raises(ValueError, match=f"^ball cost domain radius must be a finite number, "
+                                         f"got {value}$"):
         domain({"kind": "ball", "radius": value})
-    with pytest.raises(ValueError, match=f"^LqBall region mu must be finite, got {value}$"):
+    with pytest.raises(ValueError, match=f"^LqBall region mu must be a finite number, "
+                                         f"got {value}$"):
         region_from_dict({"kind": "LqBall", "q": 2.0, "radius": 1.0, "center": [0.0],
                           "mu": value})
+
+
+def test_deep_nesting_is_malformed_input():
+    # json reports nesting past the recursion limit as a RecursionError
+    with pytest.raises(ValueError, match="^region is nested too deeply to read$"):
+        region_from_json("[" * 200_000)
+
+
+# ---------------------------------------------------------------------------
+# the number rule: every scalar input goes through _require_number
+# ---------------------------------------------------------------------------
+
+BELOW_0 = math.nextafter(0.0, -1.0)
+BALL = LqBall(2.0, 1.0, [0.0, 0.0], mu=1.0)
+DAG = DagPathPolytope(3, [(0, 1), (1, 2)], 0, 2)
+HYPOTHESES = FiniteHypothesisSet([[[1.0, 0.0], [0.0, 1.0]]])
+SAMPLE = LabeledSample(xs=[[1.0, 0.0]], cs=[[0.0, 1.0]])
+
+
+def config(region=UnitSimplex(2), **kwargs):
+    return ExperimentConfig(region, CostDomain.ball(region, 1.0), [[1.0], [0.0]], **kwargs)
+
+
+#: every public entry with a scalar input: (entry, the input's name in the
+#: message, what the message says it must be, a value just outside its
+#: range, a valid numpy value, the call taking the value)
+SCALARS = [
+    *[(f"BoundInputs-{name}", name, kind, outside, valid,
+       lambda v, name=name: BoundInputs(**{"n": 5, "delta": 0.05, name: v}))
+      for name, kind, outside, valid in [
+          ("n", "an integer >= 1", 0, np.int64(5)),
+          ("delta", "a number in (0, 1)", 1.0, np.float32(0.5)),
+          ("empirical_risk", "a finite number >= 0", BELOW_0, np.float32(0.5)),
+          ("omega", "a finite number >= 0", BELOW_0, np.float32(0.5)),
+          ("rho2_C", "a finite number >= 0", BELOW_0, np.float32(0.5)),
+          ("rho2_S", "a finite number >= 0", BELOW_0, np.float32(0.5)),
+          ("mu", "a finite number > 0", 0.0, np.float32(0.5)),
+          ("gamma", "a finite number > 0", 0.0, np.float32(0.5)),
+          ("gamma_bar", "a finite number > 0", 0.0, np.float32(0.5)),
+          ("d_N", "an integer >= 0", -1, np.int64(2)),
+          ("card_S", "an integer >= 1", 0, np.int64(2)),
+          ("d", "an integer >= 1", 0, np.int64(2)),
+          ("p", "an integer >= 1", 0, np.int64(2)),
+          ("rad", "a finite number >= 0", BELOW_0, np.float32(0.5))]],
+    ("margin_rad_bound-rho2_C", "rho2_C", "a finite number >= 0", BELOW_0, np.float32(1.0),
+     lambda v: margin_rad_bound(v, 0.1, 1.0, 1.0)),
+    ("margin_rad_bound-rad", "rad", "a finite number >= 0", BELOW_0, np.float32(0.5),
+     lambda v: margin_rad_bound(1.0, v, 1.0, 1.0)),
+    ("margin_rad_bound-gamma", "gamma", "a finite number > 0", 0.0, np.float32(0.5),
+     lambda v: margin_rad_bound(1.0, 0.1, v, 1.0)),
+    ("margin_rad_bound-mu", "mu", "a finite number > 0", 0.0, np.float32(0.5),
+     lambda v: margin_rad_bound(1.0, 0.1, 1.0, v)),
+    ("massart_bound-card", "card", "a finite number >= 1", math.nextafter(1.0, 0.0),
+     np.float32(2.0), lambda v: massart_bound(v, 10, 1.0)),
+    ("massart_bound-n", "n", "an integer >= 1", 0, np.int64(10),
+     lambda v: massart_bound(5, v, 1.0)),
+    ("massart_bound-omega", "omega", "a finite number >= 0", BELOW_0, np.float32(1.0),
+     lambda v: massart_bound(5, 10, v)),
+    ("linear_class_rad_bound-beta", "beta", "a finite number > 0", 0.0, np.float32(1.0),
+     lambda v: linear_class_rad_bound("frobenius", v, 2, 2, 1.0, 10)),
+    ("linear_class_rad_bound-d", "d", "an integer >= 1", 0, np.int64(2),
+     lambda v: linear_class_rad_bound("frobenius", 1.0, v, 2, 1.0, 10)),
+    ("linear_class_rad_bound-p", "p", "an integer >= 1", 0, np.int64(2),
+     lambda v: linear_class_rad_bound("frobenius", 1.0, 2, v, 1.0, 10)),
+    ("linear_class_rad_bound-group_lasso-p", "p", "an integer >= 2", 1, np.int64(2),
+     lambda v: linear_class_rad_bound("group_lasso", 1.0, 2, v, 1.0, 10)),
+    ("linear_class_rad_bound-x_radius", "x_radius", "a finite number >= 0", BELOW_0,
+     np.float32(1.0), lambda v: linear_class_rad_bound("frobenius", 1.0, 2, 2, v, 10)),
+    ("linear_class_rad_bound-n", "n", "an integer >= 1", 0, np.int64(10),
+     lambda v: linear_class_rad_bound("frobenius", 1.0, 2, 2, 1.0, v)),
+    ("rademacher_spo_mc-m_draws", "m_draws", "an integer >= 1", 0, np.int64(5),
+     lambda v: rademacher_spo_mc(UnitSimplex(2), HYPOTHESES, SAMPLE, v)),
+    ("rademacher_multivariate_mc-m_draws", "m_draws", "an integer >= 1", 0, np.int64(5),
+     lambda v: rademacher_multivariate_mc(HYPOTHESES, [[1.0, 0.0]], v)),
+    *[(f"{entry}-q", "q", "a number in [1, inf]", math.nextafter(1.0, 0.0), np.float32(1.5),
+       call) for entry, call in [
+          ("dual_exponent", dual_exponent),
+          ("vector_norm_rows", lambda v: vector_norm_rows(np.ones((2, 2)), v)),
+          ("dual_norm_rows", lambda v: dual_norm_rows(np.ones((2, 2)), v)),
+          ("UnitSimplex.radius", UnitSimplex(3).radius),
+          ("VertexPolytope.radius", VertexPolytope([[1.0, 0.0], [0.0, 1.0]]).radius),
+          ("DagPathPolytope.radius", DAG.radius), ("LqBall.radius", BALL.radius)]],
+    ("UnitSimplex-dim", "dim", "an integer >= 1", 0, np.int64(2), UnitSimplex),
+    ("DagPathPolytope-nodes", "nodes", "an integer >= 1", 0, np.int64(3),
+     lambda v: DagPathPolytope(v, [(0, 1), (1, 2)], 0, 2)),
+    ("DagPathPolytope.grid-rows", "rows", "an integer >= 1", 0, np.int64(2),
+     lambda v: DagPathPolytope.grid(v, 2)),
+    ("DagPathPolytope.grid-cols", "cols", "an integer >= 1", 0, np.int64(2),
+     lambda v: DagPathPolytope.grid(2, v)),
+    ("sample_batch-m", "sample count", "an integer >= 0", -1, np.int64(2),
+     lambda v: BALL.sample_batch(substream(0), v)),
+    ("LqBall-q", "q", "a number in (1, 2]", 1.0, np.float32(1.5),
+     lambda v: LqBall(v, 1.0, [0.0])),
+    ("LqBall-radius", "radius", "a finite number > 0", 0.0, np.float32(0.5),
+     lambda v: LqBall(2.0, v, [0.0])),
+    ("LqBall-mu", "mu", "a finite number >= 0", BELOW_0, np.float32(0.5),
+     lambda v: LqBall(2.0, 1.0, [0.0], mu=v)),
+    ("CostDomain.ball-radius", "radius", "a finite number >= 0", BELOW_0, np.float32(0.5),
+     lambda v: CostDomain.ball(BALL, v)),
+    ("verify_strong_convexity-mu", "mu", "a finite number > 0", 0.0, np.float32(0.5),
+     lambda v: verify_strong_convexity(BALL, v, 10, 0)),
+    ("verify_strong_convexity-n_samples", "n_samples", "an integer >= 1", 0, np.int64(10),
+     lambda v: verify_strong_convexity(BALL, 1.0, v, 0)),
+    ("verify_optimality_condition-n_samples", "n_samples", "an integer >= 1", 0,
+     np.int64(10), lambda v: verify_optimality_condition(BALL, [1.0, 0.0], v, 0)),
+    *[(f"ExperimentConfig-{key}", key, kind, outside, valid,
+       lambda v, key=key: config(**{key: v}))
+      for key, kind, outside, valid in [
+          ("noise", "a finite number >= 0", BELOW_0, np.float32(0.5)),
+          ("trials", "an integer >= 1", 0, np.int64(2)),
+          ("delta", "a number in (0, 1)", 0.0, np.float32(0.5)),
+          ("beta", "a finite number > 0", 0.0, np.float32(0.5)),
+          ("m_fresh", "an integer >= 1", 0, np.int64(10)),
+          ("seed", "an integer >= 0", -1, np.int64(3))]],
+    ("ExperimentConfig-n", "n", "an integer >= 1", 0, np.int64(10),
+     lambda v: config(ns=[10, v])),
+    ("ExperimentConfig-gamma_grid", "gamma_grid", "a finite number > 0", 0.0,
+     np.float32(0.5), lambda v: config(BALL, gamma_grid=[v])),
+    ("margin_spo_loss-gamma", "gamma", "a finite number > 0", 0.0, np.float32(0.5),
+     lambda v: margin_spo_loss(BALL, [1.0, 0.0], [0.0, 1.0], v)),
+    ("hard_margin_spo_loss-gamma", "gamma", "a finite number >= 0", BELOW_0, np.float32(0.5),
+     lambda v: hard_margin_spo_loss(BALL, [1.0, 0.0], [0.0, 1.0], v)),
+    ("substream-seed", "seed", "an integer >= 0", -1, np.int64(3), substream),
+    *[(f"substream_sign_blocks-{name}", name, kind, outside, np.int64(2),
+       lambda v, at=at: list(substream_sign_blocks(*[v if i == at else 2 for i in range(4)])))
+      for at, (name, kind, outside) in enumerate([
+          ("seed", "an integer >= 0", -1),
+          ("count", "an integer in [0, 4294967296]", 2 ** 32 + 1),
+          ("size", "an integer >= 0", -1), ("rows", "an integer >= 1", 0)])],
+    ("run_all_audits-seed", "seed", "an integer >= 0", -1, np.int64(0),
+     lambda v: audits.run_all_audits(v, fast=True)),
+]
+
+
+def scalar_cases():
+    """(entry, bad value) pairs, each refused, and (entry, None) for the
+    entry's valid numpy value, accepted."""
+    for entry, name, kind, outside, valid, call in SCALARS:
+        bad = [math.nan, -math.inf, True, outside]
+        if not kind.endswith("inf]"):  # the norm exponents take inf
+            bad.append(math.inf)
+        if kind.startswith("an integer"):
+            bad.append(2.5)
+        for value in bad:
+            yield pytest.param(name, kind, call, value, id=f"{entry}-{value!r}")
+        yield pytest.param(name, kind, call, valid, id=f"{entry}-numpy")
+
+
+@pytest.mark.parametrize("name, kind, call, value", scalar_cases())
+def test_every_scalar_follows_the_number_rule(name, kind, call, value):
+    # NaN passes every range check, since each comparison with it is false,
+    # so each of these entries refuses it by the one rule, in its one message
+    if isinstance(value, np.generic):
+        call(value)
+        return
+    message = f"{name} must be {kind}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_the_norm_exponents_take_inf():
+    assert dual_exponent(math.inf) == 1.0
+    assert vector_norm_rows(np.array([[3.0, -4.0]]), math.inf).tolist() == [4.0]
+    assert UnitSimplex(3).radius(math.inf) == 1.0
+
+
+def test_bound_inputs_store_a_numpy_count_as_an_int():
+    # a report echoes its inputs, so they must go through json.dumps
+    inputs = BoundInputs(n=np.int64(5), delta=0.05, omega=np.float32(1.0), rad=0.1)
+    assert inputs.n.__class__ is int and inputs.omega.__class__ is float
+    assert inputs == BoundInputs(n=5, delta=0.05, omega=1.0, rad=0.1)
+    json.dumps(BoundInputs(n=np.int64(5), delta=0.05).to_dict())
+    json.dumps(evaluate("rademacher", inputs).to_dict())

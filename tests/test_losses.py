@@ -98,7 +98,7 @@ class TestMarginLoss:
         assert margin_spo_loss(region, c_hat, c, gamma) == spo_loss(region, c_hat, c)
 
     def test_gamma_must_be_positive(self):
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ValueError, match="^gamma must be a finite number > 0, got 0.0$"):
             margin_spo_loss(interval(), [0.1], [1.0], 0.0)
 
     @given(st.integers(0, 10 ** 6), st.floats(0.05, 3.0))
@@ -165,13 +165,15 @@ class TestHardMarginLoss:
                                     0.0) == region.gap(c)
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ValueError, match="^gamma must be a finite number >= 0, got -0.1$"):
             hard_margin_spo_loss(interval(), [0.1], [1.0], -0.1)
 
     @pytest.mark.parametrize("loss", [margin_spo_loss, hard_margin_spo_loss])
     @pytest.mark.parametrize("gamma", [np.inf, np.nan])
     def test_non_finite_gamma_rejected(self, loss, gamma):
-        with pytest.raises(ValueError, match="gamma must be finite"):
+        low = ">= 0" if loss is hard_margin_spo_loss else "> 0"
+        with pytest.raises(ValueError,
+                           match=f"^gamma must be a finite number {low}, got {gamma}$"):
             loss(interval(), [0.1], [1.0], gamma)
 
 

@@ -39,55 +39,51 @@ def test_audits_import_nothing_from_the_harness():
     assert "spo_bounds.harness" not in modules
 
 
-def row_norm_sites() -> set[tuple[str, str]]:
-    """(module, innermost enclosing function) of every ``linalg.norm`` call
-    with an ``axis`` keyword and every ``vecdot`` in the package."""
-    sites = set()
-
-    def visit(node: ast.AST, module: str, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = child.name
-            if isinstance(child, ast.Attribute) and child.attr == "vecdot":
-                sites.add((module, inner))
-            if (isinstance(child, ast.Call)
-                    and ast.unparse(child.func).endswith("linalg.norm")
-                    and any(kw.arg == "axis" for kw in child.keywords)):
-                sites.add((module, inner))
-            visit(child, module, inner)
-
-    for path in Path(spo_bounds.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text()), path.stem, "<module>")
-    return sites
-
-
-def test_row_norms_have_one_home():
-    # every row norm goes through vector_norm_rows, which calls no BLAS and
-    # works row-major; whole-array norms (no axis) stay allowed
-    assert row_norm_sites() == {("geometry", "vector_norm_rows")}
-
-
-def dict_test_sites() -> set[tuple[str, str]]:
-    """(module, innermost enclosing function) of every ``isinstance(..., dict)``
-    in the package."""
-    sites = set()
+def sites(match) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every node in the package
+    for which ``match`` holds."""
+    found = set()
 
     def visit(node: ast.AST, module: str, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef,
                                                      ast.AsyncFunctionDef)) else scope
-            if (isinstance(child, ast.Call) and ast.unparse(child.func) == "isinstance"
-                    and "dict" in ast.unparse(child.args[1])):
-                sites.add((module, inner))
+            if match(child):
+                found.add((module, inner))
             visit(child, module, inner)
 
     for path in Path(spo_bounds.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem, "<module>")
-    return sites
+    return found
+
+
+def calls(node: ast.AST, *names: str) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) in names
+
+
+def test_row_norms_have_one_home():
+    # every row norm (a ``linalg.norm`` with an ``axis`` keyword, or a
+    # ``vecdot``) goes through vector_norm_rows, which calls no BLAS and
+    # works row-major; whole-array norms (no axis) stay allowed
+    def row_norm(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "vecdot")
+                or (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).endswith("linalg.norm")
+                    and any(kw.arg == "axis" for kw in node.keywords)))
+
+    assert sites(row_norm) == {("geometry", "vector_norm_rows")}
 
 
 def test_json_objects_have_one_reader():
     # every JSON object from outside the program goes through _read_object,
     # which refuses non-objects, unknown and missing keys and wrong types
-    assert dict_test_sites() == {("_inputs", "_read_object")}
+    assert sites(lambda node: calls(node, "isinstance")
+                 and "dict" in ast.unparse(node.args[1])) == {("_inputs", "_read_object")}
+
+
+def test_scalars_and_json_text_have_one_reader():
+    # every scalar range check goes through _require_number, which refuses
+    # NaN and the infinities, and all JSON text through _read_json, which
+    # turns a RecursionError into a ValueError
+    assert sites(lambda node: calls(node, "math.isfinite", "json.loads")) == \
+        {("_inputs", "_read_json")}

@@ -32,11 +32,12 @@ class TestSubstreams:
         np.testing.assert_array_equal(_seed_halves(seed, 5), seeds_ref(seed, 5))
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
             substream(-1, 0)
 
     def test_rejects_negative_count(self):
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(ValueError, match=r"^count must be an integer in \[0, 4294967296\], "
+                                             r"got -1$"):
             whole_signs(0, -1, 3)
 
 

@@ -26,18 +26,20 @@ _NUMBERS = (int, float, np.integer, np.floating)
 
 def _require_number(name: str, val, integer: bool = False, *, at_least=None, above=None,
                     at_most=None, below=None):
-    """``val``, the package's one scalar check: refused unless it is a number
-    (a numpy scalar too, a bool never), an integer where ``integer`` asks for
-    one, and within its bounds, each given or not: ``at_least`` (closed) or
-    ``above`` (open) from below, ``at_most`` (closed) or ``below`` (open)
-    from above.  NaN is always refused, and an infinity unless a closed bound
-    equals it (a norm exponent takes ``math.inf`` with ``at_most=math.inf``).
-    The message reads ``n must be an integer >= 1, got 0``."""
+    """``val`` as the Python number it equals, so what echoes it goes through
+    ``json.dumps``; the package's one scalar check.  Refused unless it is a
+    number (a numpy scalar too, a bool never), an integer where ``integer``
+    asks for one, and within its bounds, each given or not: ``at_least``
+    (closed) or ``above`` (open) from below, ``at_most`` (closed) or
+    ``below`` (open) from above.  NaN is always refused, and an infinity
+    unless a closed bound equals it (a norm exponent takes ``math.inf`` with
+    ``at_most=math.inf``).  The message reads ``n must be an integer >= 1,
+    got 0``."""
     if (isinstance(val, _INTEGERS if integer else _NUMBERS) and not isinstance(val, bool)
             and (at_least is None or val >= at_least) and (above is None or val > above)
             and (at_most is None or val <= at_most) and (below is None or val < below)
             and (-math.inf < val < math.inf or val == at_least or val == at_most)):
-        return val
+        return val.item() if isinstance(val, np.generic) else val
     low = at_least if above is None else above
     high = at_most if below is None else below
     if low is not None and high is not None:

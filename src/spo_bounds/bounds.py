@@ -57,17 +57,14 @@ class BoundInputs:
     def __post_init__(self):
         # the experiment builds thousands, so a value of its plain class
         # strictly between the ends of its range passes without a call, as
-        # does an unset optional input; the rule sees any other value, and a
-        # numpy scalar is stored as the Python number it equals, so reports
-        # go through ``json.dumps``
+        # does an unset optional input; the rule sees any other value and
+        # stores a numpy scalar as the Python number it equals
         for name, val in vars(self).items():
             cls, low, high = _FAST[name]
             if val.__class__ is cls and low < val < high \
                     or val is None and name not in ("n", "delta", "empirical_risk"):
                 continue
-            _require_number(name, val, cls is int, **_RANGES[name])
-            if val.__class__ is not int and val.__class__ is not float:
-                object.__setattr__(self, name, val.item())
+            object.__setattr__(self, name, _require_number(name, val, cls is int, **_RANGES[name]))
 
     def to_dict(self) -> dict:
         # every field is a scalar, so a shallow read is a full copy

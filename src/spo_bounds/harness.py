@@ -51,7 +51,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.ns, int):
+        if isinstance(self.ns, (int, np.integer)):
             self.ns = [self.ns]
         for key, vals, bound in (("n", self.ns, {"integer": True, "at_least": 1}),
                                  ("gamma_grid", self.gamma_grid, {"above": 0})):
@@ -59,11 +59,12 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be a list, got {vals!r}")
             for val in vals:
                 _require_number(key, val, **bound)
-        _require_number("trials", self.trials, True, at_least=1)
-        _require_number("m_fresh", self.m_fresh, True, at_least=1)
-        _require_number("seed", self.seed, True, at_least=0)
-        _require_number("noise", self.noise, at_least=0)
-        _require_number("delta", self.delta, above=0, below=1)
+        # numpy scalars are stored as Python numbers, which the summary echoes
+        self.trials = _require_number("trials", self.trials, True, at_least=1)
+        self.m_fresh = _require_number("m_fresh", self.m_fresh, True, at_least=1)
+        self.seed = _require_number("seed", self.seed, True, at_least=0)
+        self.noise = _require_number("noise", self.noise, at_least=0)
+        self.delta = _require_number("delta", self.delta, above=0, below=1)
         self.b_star = np.asarray(self.b_star, dtype=float)
         if self.b_star.ndim != 2 or self.b_star.shape[0] != self.region.dim:
             raise ValueError(f"b_star must have shape ({self.region.dim}, p)")
@@ -71,7 +72,7 @@ class ExperimentConfig:
             raise ValueError("b_star must be finite")
         if self.beta is None:
             self.beta = 2.0 * float(np.linalg.norm(self.b_star)) + 1.0
-        _require_number("beta", self.beta, above=0)
+        self.beta = _require_number("beta", self.beta, above=0)
         if self.feature_dist not in ("sphere", "gaussian"):
             raise ValueError(f"unknown feature distribution: {self.feature_dist!r}")
         self.ns = [int(n) for n in self.ns]

@@ -298,10 +298,15 @@ def test_the_norm_exponents_take_inf():
     assert UnitSimplex(3).radius(math.inf) == 1.0
 
 
-def test_bound_inputs_store_a_numpy_count_as_an_int():
-    # a report echoes its inputs, so they must go through json.dumps
+def test_numpy_scalars_are_stored_as_python_numbers():
+    # a bound report and an experiment summary echo their inputs, so these
+    # must go through json.dumps
     inputs = BoundInputs(n=np.int64(5), delta=0.05, omega=np.float32(1.0), rad=0.1)
     assert inputs.n.__class__ is int and inputs.omega.__class__ is float
     assert inputs == BoundInputs(n=5, delta=0.05, omega=1.0, rad=0.1)
     json.dumps(BoundInputs(n=np.int64(5), delta=0.05).to_dict())
     json.dumps(evaluate("rademacher", inputs).to_dict())
+    cfg = config(trials=np.int64(2), noise=np.float32(0.5), beta=np.float32(2.0))
+    assert cfg.trials.__class__ is int and cfg.noise.__class__ is float
+    assert config(ns=np.int64(5)).ns == [5]
+    json.dumps(cfg.to_dict())

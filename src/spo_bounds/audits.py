@@ -31,6 +31,9 @@ from .losses import (LabeledSample, hard_margin_spo_loss_batch, margin_mix,
 
 TOL = 1e-9
 RATIO_TOL = 1e-7
+#: cost rows per ``C @ W.T`` block of the oracle-optimality audit: about
+#: 1 MB of products against its thousand-odd feasible points
+_COST_BLOCK = 128
 
 
 @dataclass
@@ -88,8 +91,8 @@ def audit_oracle_optimality(seed: int, scale: int = 1) -> AuditResult:
         else:
             W = region.sample_batch(rng, n_points)
         opt = (region.linopt_batch(C) * C).sum(axis=1)
-        for start in range(0, n_costs, 2048):
-            block = slice(start, start + 2048)
+        for start in range(0, n_costs, _COST_BLOCK):
+            block = slice(start, start + _COST_BLOCK)
             best_feasible = (C[block] @ W.T).min(axis=1)
             worst = max(worst, float((opt[block] - best_feasible).max()))
     return AuditResult("oracle_optimality", worst <= TOL,
@@ -106,7 +109,9 @@ def _sample_costs(rng: np.random.Generator, n_pairs: int, d: int,
     G = rng.standard_normal((n_pairs, d))
     norms = vector_norm_rows(G, 2.0)
     norms[norms == 0] = 1.0
-    return G / norms[:, None] * _log_uniform(rng, lo, hi, n_pairs)[:, None]
+    G /= norms[:, None]
+    G *= _log_uniform(rng, lo, hi, n_pairs)[:, None]
+    return G
 
 
 def _oracle_ratios(region: FeasibleRegion, seed: int,
@@ -122,7 +127,9 @@ def _oracle_ratios(region: FeasibleRegion, seed: int,
     C2 = _sample_costs(rng, n_pairs, d, 0.01, 10.0)
     diff_star = dual_norm_rows(C1 - C2, q)
     keep = diff_star > 1e-12
-    w_dist = vector_norm_rows(region.linopt_batch(C1) - region.linopt_batch(C2), q)
+    W = region.linopt_batch(C1)
+    W -= region.linopt_batch(C2)
+    w_dist = vector_norm_rows(W, q)
     min_star = np.minimum(dual_norm_rows(C1, q), dual_norm_rows(C2, q))
     ratio = (w_dist[keep] * mu * min_star[keep]) / diff_star[keep]
 

@@ -25,10 +25,11 @@ code of them a region implements.  Callers holding validated batches call
 the kernels directly; ``linopt(c)``, ``gap(c)`` and ``sample(rng)`` return
 row 0 of a one-row batch.
 
-``_decision_cost`` defaults to ``(_linopt(C_hat) * C).sum(axis=1)`` (DAG
-regions, lq balls with q != 2, vertex polytopes) and has two closed forms
-that build no m x d decision matrix and sweep the d columns, one
-full-length vector operation per column, instead of reducing each row: the
+``_decision_cost`` defaults to the ``_row_sums`` of ``_linopt(C_hat) * C``,
+formed in the decision array (DAG regions, lq balls with q != 2, vertex
+polytopes), and has two closed forms that build no m x d decision matrix
+and sweep the d columns, one full-length vector operation per column,
+instead of reducing each row: the
 simplex finds the lowest-index argmin of ``C_hat[i]`` (the oracle's
 tie-breaking) and gathers ``C[i, argmin]`` by one flat ``take`` in C's
 memory order, and the l2 ball uses the Hoelder direction,
@@ -50,10 +51,12 @@ and cost are the same bits whatever other rows share its batch, so callers
 may stack batches (the complexity estimators stack blocks of hypotheses).  That
 is why the vertex scores and the vertex-polytope samples use ``einsum`` and
 the l2 ball's center offsets ``_column_dots``: BLAS matrix products round a
-row differently depending on the batch size.  Row norms all go through
-``vector_norm_rows``, which works row-major and calls no BLAS, so the l2
-ball's oracles, sampler and membership test and the sampled verifiers give
-the same bits on every OpenBLAS kernel and in every memory layout.
+row differently depending on the batch size.  Row sums go through
+``_row_sums`` and row norms through ``vector_norm_rows``: column sweeps
+that keep numpy's pairwise order of a C-contiguous row, form no (m, d)
+array and call no BLAS, so the l2 ball's oracles, sampler and membership
+test and the sampled verifiers give the same bits on every OpenBLAS kernel
+and in every memory layout.
 """
 
 from __future__ import annotations
@@ -91,13 +94,80 @@ def dual_exponent(q: float) -> float:
     return q / (q - 1.0)
 
 
+def _row_sums(A: np.ndarray, term=None) -> np.ndarray:
+    """Row sums of the 2-D array ``A`` (of ``term(A)``, for an elementwise
+    ufunc ``term`` applied to each column as it is read), with the bits of
+    ``np.add.reduce(A, axis=1)`` on a C-contiguous copy of A, taken by
+    sweeps over the columns: one full-length vector operation per column,
+    so neither the memory layout nor the rest of the batch moves a row's
+    bits, no (m, d) array is formed and no per-row reduction is paid.  It
+    follows numpy's pairwise summation of a row of n entries: fewer than 8
+    add in order; 8 to 128 feed eight accumulators, entry j of every whole
+    block of 8 into accumulator j mod 8, combine them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and add the rest
+    in order; wider rows split at ``n//2 - (n//2) % 8`` and add the sums of
+    the two halves.  numpy adds each row's sum to +0.0, so a sum of -0.0
+    entries is +0.0."""
+    out = _pairwise_sums(A, term)
+    out += 0.0
+    return out
+
+
+def _pairwise_sums(A: np.ndarray, term) -> np.ndarray:
+    """``_row_sums`` without the final +0.0.  The sign of a zero partial sum
+    changes no nonzero total, so the short rows start from their first
+    entry, not from +0.0."""
+    n = A.shape[1]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        out = _pairwise_sums(A[:, :half], term)
+        out += _pairwise_sums(A[:, half:], term)
+        return out
+    width = 8 if n >= 8 else 1
+    whole = n - n % width
+    acc = A[:, :width].copy() if term is None else term(A[:, :width])
+    buf = np.empty_like(acc)  # a block's terms
+
+    def read(cols: np.ndarray, into: np.ndarray) -> np.ndarray:
+        return cols if term is None else term(cols, out=into)
+
+    for j in range(width, whole, width):
+        acc += read(A[:, j:j + width], buf)
+    if width == 8:
+        acc = acc[:, 0::2] + acc[:, 1::2]
+        acc = acc[:, 0::2] + acc[:, 1::2]
+        out = acc[:, 0] + acc[:, 1]
+    else:
+        out = acc[:, 0]
+    for j in range(whole, n):
+        out += read(A[:, j], buf[:, 0])
+    return out
+
+
 def vector_norm_rows(C: np.ndarray, q: float) -> np.ndarray:
-    """Row-wise lq norms of a 2-D array, computed row-major so the bits do
-    not depend on the memory layout (row sums round by layout once d >= 8)
-    or on the rest of the batch, and take no BLAS call.  Every row norm of
-    the package goes through it.  ``q`` is in [1, inf]: NaN is refused."""
+    """Row-wise lq norms of a 2-D array, with the bits of
+    ``np.linalg.norm(C, ord=q, axis=1)`` on a C-contiguous copy of C, taken
+    by column sweeps (see ``_row_sums``) with no BLAS call, so a row's bits
+    depend on neither the memory layout nor the rest of the batch.  q = 1
+    and q = 2 read |C| and C**2 column by column and form no (m, d) array;
+    q = inf folds |C| with ``_column_fold``; any other q raises the whole of
+    |C| to the power q with numpy's array power, whose bits follow numpy's
+    CPU dispatch.  Every row norm of the package goes through it.  ``q`` is
+    in [1, inf]: NaN is refused."""
     _require_number("q", q, at_least=1, at_most=math.inf)
-    return np.linalg.norm(np.ascontiguousarray(C, dtype=float), ord=q, axis=1)
+    C = np.asarray(C, dtype=float)
+    if q == 2:
+        out = _row_sums(C, np.square)
+        return np.sqrt(out, out=out)
+    if q == 1:
+        return _row_sums(C, np.abs)
+    A = np.abs(C)
+    if math.isinf(q):
+        return _column_fold(A, np.maximum)
+    A **= q
+    out = _row_sums(A)
+    out **= 1.0 / q
+    return out
 
 
 def dual_norm_rows(C: np.ndarray, q: float = 2.0) -> np.ndarray:
@@ -269,10 +339,10 @@ class FeasibleRegion:
         raise NotImplementedError
 
     def _decision_cost(self, C_hat: np.ndarray, C: np.ndarray) -> np.ndarray:
-        # row reductions round differently by memory layout once d >= 8, so
-        # this path works row-major: the same bits whatever the caller stores
-        W = self._linopt(np.ascontiguousarray(C_hat))
-        return np.multiply(W, C, order="C").sum(axis=1)
+        # the products overwrite the fresh decisions, and _row_sums adds
+        # them by column sweeps: the same bits whatever the caller stores
+        W = self._linopt(C_hat)
+        return _row_sums(np.multiply(W, C, out=W))
 
     def radius(self, q: float = 2.0) -> float:
         raise NotImplementedError
@@ -338,7 +408,8 @@ class VertexPolytope(FeasibleRegion):
         self.vertices = V
 
     def _scores(self, C: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,kj->ik", C, self.vertices)
+        # einsum's summation order follows C's memory layout
+        return np.einsum("ij,kj->ik", np.ascontiguousarray(C), self.vertices)
 
     def _linopt(self, C: np.ndarray) -> np.ndarray:
         # argmin takes the lowest vertex index on ties
@@ -446,13 +517,11 @@ class DagPathPolytope(FeasibleRegion):
         for t, h in arcs:
             if not (0 <= t < nodes and 0 <= h < nodes):
                 raise ValueError(f"arc ({t}, {h}) out of node range")
-        if not (0 <= source < nodes and 0 <= sink < nodes):
-            raise ValueError("source/sink out of node range")
         super().__init__(len(arcs))
         self.nodes = nodes
         self.arcs = arcs
-        self.source = int(source)
-        self.sink = int(sink)
+        self.source = _require_number("source", source, True, at_least=0, below=nodes)
+        self.sink = _require_number("sink", sink, True, at_least=0, below=nodes)
         # adjacency by tail, ascending arc index
         self._adj: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
         for idx, (t, h) in enumerate(arcs):
@@ -678,17 +747,22 @@ class LqBall(FeasibleRegion):
         # Hoelder equality direction: the minimizer sits on the boundary
         # opposite the unit-q-norm maximizer of c @ u
         if self.q == 2.0:
+            # center - radius * C / ||C||_2, with a zero row divided by 1.0,
+            # formed in the one (m, d) buffer it returns
             norms = vector_norm_rows(C, 2.0)
-            U = C / np.where(norms > 0, norms, 1.0)[:, None]
-            return self.center - self.ball_radius * U
-        A = np.abs(C)
-        m = A.max(axis=1)
-        safe = np.where(m > 0, m, 1.0)
-        U = np.sign(C) * (A / safe[:, None]) ** (dual_exponent(self.q) - 1.0)
-        norms = vector_norm_rows(U, self.q)
-        U /= np.where(norms > 0, norms, 1.0)[:, None]
-        U[m == 0] = 0.0
-        return self.center - self.ball_radius * U
+            norms[norms == 0.0] = 1.0
+            U = np.divide(C, norms[:, None])
+        else:
+            A = np.abs(C)
+            m = _column_fold(A, np.maximum)
+            safe = np.where(m > 0, m, 1.0)
+            U = np.sign(C) * (A / safe[:, None]) ** (dual_exponent(self.q) - 1.0)
+            norms = vector_norm_rows(U, self.q)
+            U /= np.where(norms > 0, norms, 1.0)[:, None]
+            U[m == 0] = 0.0
+        if self.ball_radius != 1.0:  # 1.0 * x is x: skip the exact no-op pass
+            U *= self.ball_radius
+        return np.subtract(self.center, U, out=U)
 
     def _gap(self, C: np.ndarray) -> np.ndarray:
         return 2.0 * self.ball_radius * dual_norm_rows(C, self.q)

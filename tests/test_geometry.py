@@ -433,7 +433,7 @@ class TestColumnSweeps:
 
     @pytest.mark.parametrize("layout", ["F", "strided"])
     def test_generic_path_ignores_layout_past_eight_columns(self, layout):
-        # the q != 2 oracle reduces rows, which round by layout once d >= 8
+        # numpy's row sums round by layout once d >= 8; the sweeps do not
         ball = LqBall(1.5, 1.0, np.zeros(9))
         C_hat, C = np.random.default_rng(8).standard_normal((2, 300, 9))
         got = ball.decision_cost_batch(relayout(C_hat, layout), relayout(C, layout))
@@ -445,7 +445,8 @@ class TestColumnSweeps:
     @settings(max_examples=15, deadline=None)
     def test_lq_balls_ignore_layout_past_eight_columns(self, q, d, layout_hat,
                                                        layout, seed):
-        # every row norm is taken row-major, which row sums need once d >= 8
+        # numpy's row sums round by layout once d >= 8; the row norms' column
+        # sweeps keep its C-order bits in every layout
         rng = np.random.default_rng(seed)
         C_hat, C = rng.standard_normal((2, 500, d))
         C_hat[::9] = 0.0
@@ -462,12 +463,61 @@ class TestColumnSweeps:
     @given(regions_with_cost_pairs(), layouts, layouts)
     @settings(max_examples=300, deadline=None)
     def test_every_region_ignores_layout(self, case, layout_hat, layout):
-        # the generic path reduces rows, which round by layout once d >= 8
+        # the generic path sums rows by column sweeps, in every layout
         region, C_hat, C = case
         got = region.decision_cost_batch(relayout(C_hat, layout_hat), relayout(C, layout))
         assert got.tobytes() == region.decision_cost_batch(C_hat, C).tobytes()
         if not (isinstance(region, LqBall) and region.q == 2.0):
             assert got.tobytes() == decision_cost_ref(region, C_hat, C).tobytes()
+
+
+#: widths of the bit pins: every short width, the eight-accumulator range
+#: and its edges, and the pairwise splits past 128 columns
+PIN_WIDTHS = [*range(1, 21), 31, 40, 64, 127, 128, 129, 136, 255, 256, 257, 1000]
+
+
+def pin_rows(d: int) -> np.ndarray:
+    """Twelve rows of d entries: all -0.0, mixed signed zeros, an inf, both
+    infinities, 1e300 and 1e-300 (whose squares overflow and underflow),
+    alternating +-1e300, a NaN, and three rows of magnitudes over 60 decades."""
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((12, d)) * np.exp(rng.uniform(-70.0, 70.0, (12, d)))
+    A[0] = -0.0
+    A[1] = 0.0
+    A[1, ::2] = -0.0
+    A[2, d // 2] = np.inf
+    A[3, 0], A[3, -1] = np.inf, -np.inf
+    A[4] = 1e300
+    A[5] = -1e-300
+    A[6, ::2] = 1e300
+    A[6, 1::2] = -1e300
+    A[7, d // 3] = np.nan
+    A[8, ::3] = 1e-300
+    return A
+
+
+class TestRowSumBits:
+    """``_row_sums`` and ``vector_norm_rows`` sweep columns in numpy's own
+    summation order, so they equal numpy's row reductions of a C-contiguous
+    array byte for byte, in every layout.  A numpy release that changes its
+    order fails here instead of moving the package's outputs silently."""
+
+    @pytest.mark.parametrize("d", PIN_WIDTHS)
+    def test_row_sums_are_numpys(self, d):
+        A = pin_rows(d)
+        with np.errstate(all="ignore"):
+            want = np.add.reduce(A, axis=1).tobytes()
+            for layout in ("C", "F", "strided"):
+                assert geometry._row_sums(relayout(A, layout)).tobytes() == want, layout
+
+    @pytest.mark.parametrize("d", PIN_WIDTHS)
+    def test_row_norms_are_numpys(self, d):
+        A = pin_rows(d)
+        with np.errstate(all="ignore"):
+            for q in (1, 1.5, 2, 3, math.inf):
+                want = np.linalg.norm(A, ord=q, axis=1).tobytes()
+                for layout in ("C", "F", "strided"):
+                    assert vector_norm_rows(relayout(A, layout), q).tobytes() == want, (q, layout)
 
 
 class TestLqBallGeneralQ:
@@ -750,6 +800,24 @@ class TestSquaredDistanceBlocks:
         diameter, peak = traced_peak(region.diameter2)
         assert peak < 8 * 2 ** 20
         assert diameter == max(float(np.sqrt(((v - V) ** 2).sum(axis=1)).max()) for v in V)
+
+    def test_l2_oracle_holds_one_decision_array(self):
+        # the answer plus row vectors: the parent held three (m, d) arrays
+        m = 100_000
+        C = np.random.default_rng(2).standard_normal((m, 5))
+        W, peak = traced_peak(lambda: LqBall(2.0, 1.0, np.zeros(5)).linopt_batch(C))
+        assert peak < W.nbytes + 2 * 8 * m
+        norms = np.linalg.norm(C, axis=1)
+        assert W.tobytes() == (0.0 - C / norms[:, None]).tobytes()
+
+    @pytest.mark.parametrize("m, d, vectors", [(100_000, 5, 3), (25_000, 40, 24)])
+    def test_row_norms_form_no_batch_sized_array(self, m, d, vectors):
+        # squares are read column by column (blocks of 8 past 8 columns), so
+        # the peak is a few row vectors whatever the width
+        C = np.random.default_rng(3).standard_normal((m, d))
+        for q in (1.0, 2.0):
+            _, peak = traced_peak(lambda: vector_norm_rows(C, q))
+            assert peak < vectors * 8 * m
 
     def test_enumerated_projection_in_bounded_memory(self):
         # 4,096 rows against 500 members in d = 12 were one 188 MiB block

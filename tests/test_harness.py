@@ -18,7 +18,8 @@ from spo_bounds.harness import (ExperimentConfig, RiskEvaluator,
 from spo_bounds.losses import (LabeledSample, empirical_risk, margin_mix,
                                predict_batch, spo_loss_batch)
 
-from conftest import lipschitz_audit_ref, true_risk_ref, true_risk_scan_ref
+from conftest import (lipschitz_audit_ref, traced_peak, true_risk_ref,
+                      true_risk_scan_ref)
 
 
 def ball_config(**overrides):
@@ -563,6 +564,12 @@ class TestLipschitzStages:
             ref = lipschitz_audit_ref(region, 0.5, seed, n_pairs)
             assert audits._margin_ratios(region, 0.5, seed, n_pairs) == (
                 ref["max_ratio_margin"], ref["max_ratio_margin_sharp"])
+
+    def test_oracle_audit_peak_memory(self):
+        # C1, C2 and the two decision batches of 100,000 rows in d = 5
+        # (16 MB) plus one set of row temporaries; the parent peaked at 24.6 MiB
+        result, peak = traced_peak(lambda: audits.audit_oracle_lipschitz_like(0))
+        assert result.passed and peak < 18 * 2 ** 20
 
     def test_each_audit_draws_only_what_it_reads(self, monkeypatch):
         drawn, processed = [], []

@@ -217,6 +217,11 @@ SCALARS = [
     ("UnitSimplex-dim", "dim", "an integer >= 1", 0, np.int64(2), UnitSimplex),
     ("DagPathPolytope-nodes", "nodes", "an integer >= 1", 0, np.int64(3),
      lambda v: DagPathPolytope(v, [(0, 1), (1, 2)], 0, 2)),
+    # the sink row's outside value is the node count
+    ("DagPathPolytope-source", "source", "an integer in [0, 3)", 3, np.int64(1),
+     lambda v: DagPathPolytope(3, [(0, 1), (1, 2)], v, 2)),
+    ("DagPathPolytope-sink", "sink", "an integer in [0, 3)", 3, np.int64(2),
+     lambda v: DagPathPolytope(3, [(0, 1), (1, 2)], 0, v)),
     ("DagPathPolytope.grid-rows", "rows", "an integer >= 1", 0, np.int64(2),
      lambda v: DagPathPolytope.grid(v, 2)),
     ("DagPathPolytope.grid-cols", "cols", "an integer >= 1", 0, np.int64(2),
@@ -292,6 +297,14 @@ def test_every_scalar_follows_the_number_rule(name, kind, call, value):
         call(value)
 
 
+@pytest.mark.parametrize("source", [0.5, True, 2.0])
+def test_dag_ends_are_not_truncated(source):
+    # int() once made a source of 0.5 node 0 and a True source node 1
+    message = f"source must be an integer in [0, 3), got {source!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DagPathPolytope(3, [(0, 1), (1, 2)], source, 2)
+
+
 def test_the_norm_exponents_take_inf():
     assert dual_exponent(math.inf) == 1.0
     assert vector_norm_rows(np.array([[3.0, -4.0]]), math.inf).tolist() == [4.0]
@@ -310,3 +323,7 @@ def test_numpy_scalars_are_stored_as_python_numbers():
     assert cfg.trials.__class__ is int and cfg.noise.__class__ is float
     assert config(ns=np.int64(5)).ns == [5]
     json.dumps(cfg.to_dict())
+    dag = DagPathPolytope(3, [(0, 1), (1, 2)], np.int64(1), np.int64(2))
+    assert dag.source.__class__ is int and dag.sink.__class__ is int
+    assert (dag.source, dag.sink) == (1, 2)
+    json.dumps(dag.to_dict())

@@ -62,16 +62,24 @@ def calls(node: ast.AST, *names: str) -> bool:
 
 
 def test_row_norms_have_one_home():
-    # every row norm (a ``linalg.norm`` with an ``axis`` keyword, or a
-    # ``vecdot``) goes through vector_norm_rows, which calls no BLAS and
-    # works row-major; whole-array norms (no axis) stay allowed
-    def row_norm(node):
-        return ((isinstance(node, ast.Attribute) and node.attr == "vecdot")
-                or (isinstance(node, ast.Call)
-                    and ast.unparse(node.func).endswith("linalg.norm")
-                    and any(kw.arg == "axis" for kw in node.keywords)))
+    # every row sum and row norm of the kernels is a column sweep with
+    # numpy's bits and no BLAS call (geometry._row_sums, vector_norm_rows):
+    # no linalg.norm with an axis, no vecdot and no row sum along axis 1.
+    # Whole-array norms stay allowed, and the audits keep their two
+    # (linopt * C).sum(axis=1), which check the oracle against numpy's own
+    # reduction.
+    def row_reduction(node):
+        if isinstance(node, ast.Attribute) and node.attr == "vecdot":
+            return True
+        if not isinstance(node, ast.Call):
+            return False
+        func = ast.unparse(node.func)
+        axes = {ast.unparse(kw.value) for kw in node.keywords if kw.arg == "axis"}
+        return bool((func.endswith("linalg.norm") and axes)
+                    or (func.endswith(("sum", "add.reduce")) and axes & {"1", "-1"}))
 
-    assert sites(row_norm) == {("geometry", "vector_norm_rows")}
+    assert sites(row_reduction) == {("audits", "audit_oracle_optimality"),
+                                    ("audits", "audit_dag_enumeration")}
 
 
 def test_json_objects_have_one_reader():

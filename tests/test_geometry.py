@@ -432,6 +432,14 @@ class TestColumnSweeps:
                 == vector_norm_rows(C, q).tobytes())
 
     @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_vertex_scores_ignore_layout(self, layout):
+        # einsum's summation order follows its operand's layout
+        rng = np.random.default_rng(4)
+        region = VertexPolytope(rng.standard_normal((30, 7)))
+        C = rng.standard_normal((500, 7))
+        assert region.gap_batch(relayout(C, layout)).tobytes() == region.gap_batch(C).tobytes()
+
+    @pytest.mark.parametrize("layout", ["F", "strided"])
     def test_generic_path_ignores_layout_past_eight_columns(self, layout):
         # numpy's row sums round by layout once d >= 8; the sweeps do not
         ball = LqBall(1.5, 1.0, np.zeros(9))
@@ -496,11 +504,12 @@ def pin_rows(d: int) -> np.ndarray:
     return A
 
 
-class TestRowSumBits:
+class TestRowSweeps:
     """``_row_sums`` and ``vector_norm_rows`` sweep columns in numpy's own
     summation order, so they equal numpy's row reductions of a C-contiguous
-    array byte for byte, in every layout.  A numpy release that changes its
-    order fails here instead of moving the package's outputs silently."""
+    array byte for byte, in every layout, without numpy's (m, d)
+    temporaries.  A numpy release that changes its order fails here instead
+    of moving the package's outputs silently."""
 
     @pytest.mark.parametrize("d", PIN_WIDTHS)
     def test_row_sums_are_numpys(self, d):
@@ -518,6 +527,25 @@ class TestRowSumBits:
                 want = np.linalg.norm(A, ord=q, axis=1).tobytes()
                 for layout in ("C", "F", "strided"):
                     assert vector_norm_rows(relayout(A, layout), q).tobytes() == want, (q, layout)
+
+    def test_l2_oracle_holds_one_decision_array(self):
+        # the answer plus row vectors; the out-of-place form held three
+        # (m, d) arrays
+        m = 100_000
+        C = np.random.default_rng(2).standard_normal((m, 5))
+        W, peak = traced_peak(lambda: LqBall(2.0, 1.0, np.zeros(5)).linopt_batch(C))
+        assert peak < W.nbytes + 2 * 8 * m
+        norms = np.linalg.norm(C, axis=1)
+        assert W.tobytes() == (0.0 - C / norms[:, None]).tobytes()
+
+    @pytest.mark.parametrize("m, d, vectors", [(100_000, 5, 3), (25_000, 40, 24)])
+    def test_row_norms_form_no_batch_sized_array(self, m, d, vectors):
+        # squares are read column by column (blocks of 8 past 8 columns), so
+        # the peak is a few row vectors whatever the width
+        C = np.random.default_rng(3).standard_normal((m, d))
+        for q in (1.0, 2.0):
+            _, peak = traced_peak(lambda: vector_norm_rows(C, q))
+            assert peak < vectors * 8 * m
 
 
 class TestLqBallGeneralQ:
@@ -800,24 +828,6 @@ class TestSquaredDistanceBlocks:
         diameter, peak = traced_peak(region.diameter2)
         assert peak < 8 * 2 ** 20
         assert diameter == max(float(np.sqrt(((v - V) ** 2).sum(axis=1)).max()) for v in V)
-
-    def test_l2_oracle_holds_one_decision_array(self):
-        # the answer plus row vectors: the parent held three (m, d) arrays
-        m = 100_000
-        C = np.random.default_rng(2).standard_normal((m, 5))
-        W, peak = traced_peak(lambda: LqBall(2.0, 1.0, np.zeros(5)).linopt_batch(C))
-        assert peak < W.nbytes + 2 * 8 * m
-        norms = np.linalg.norm(C, axis=1)
-        assert W.tobytes() == (0.0 - C / norms[:, None]).tobytes()
-
-    @pytest.mark.parametrize("m, d, vectors", [(100_000, 5, 3), (25_000, 40, 24)])
-    def test_row_norms_form_no_batch_sized_array(self, m, d, vectors):
-        # squares are read column by column (blocks of 8 past 8 columns), so
-        # the peak is a few row vectors whatever the width
-        C = np.random.default_rng(3).standard_normal((m, d))
-        for q in (1.0, 2.0):
-            _, peak = traced_peak(lambda: vector_norm_rows(C, q))
-            assert peak < vectors * 8 * m
 
     def test_enumerated_projection_in_bounded_memory(self):
         # 4,096 rows against 500 members in d = 12 were one 188 MiB block

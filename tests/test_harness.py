@@ -567,7 +567,8 @@ class TestLipschitzStages:
 
     def test_oracle_audit_peak_memory(self):
         # C1, C2 and the two decision batches of 100,000 rows in d = 5
-        # (16 MB) plus one set of row temporaries; the parent peaked at 24.6 MiB
+        # (16 MB) plus one set of row temporaries; out-of-place oracles and
+        # norms peaked at 24.6 MiB
         result, peak = traced_peak(lambda: audits.audit_oracle_lipschitz_like(0))
         assert result.passed and peak < 18 * 2 ** 20
 

@@ -34,6 +34,9 @@ RATIO_TOL = 1e-7
 #: cost rows per ``C @ W.T`` block of the oracle-optimality audit: about
 #: 1 MB of products against its thousand-odd feasible points
 _COST_BLOCK = 128
+#: cost rows per pass of the Lipschitz ratio audits; their cost draws stay
+#: whole, and blocks of 4,096 to 16,384 rows peak alike, under the draws
+_RATIO_ROWS = 8192
 
 
 @dataclass
@@ -114,25 +117,44 @@ def _sample_costs(rng: np.random.Generator, n_pairs: int, d: int,
     return G
 
 
+def _row_block_maxima(n_rows: int, block_ratios) -> list[float]:
+    """The maxima of the ratio arrays ``block_ratios(rows)`` returns for
+    each slice of ``_RATIO_ROWS`` rows: every step is row-wise and max is
+    exact, so they are the maxima of one whole-batch pass.  Raises, as the
+    max of an empty array does, when no row is kept."""
+    maxima = []
+    for start in range(0, n_rows, _RATIO_ROWS):
+        ratios = block_ratios(slice(start, start + _RATIO_ROWS))
+        if ratios[0].size:
+            maxima.append([r.max() for r in ratios])
+    return [float(m) for m in np.max(maxima, axis=0)]
+
+
 def _oracle_ratios(region: FeasibleRegion, seed: int,
                    n_pairs: int) -> tuple[float, float | None]:
     """Worst sampled ratio of ``||w*(c1) - w*(c2)|| * mu * min ||ci||*`` to
     ``||c1 - c2||*`` (at most 1 on a mu-strongly convex region), and the
     ratio at ``c1 = e1, c2 = e2``, which attains 1 on l2 balls (None
     elsewhere).  The two cost batches are the first draws of stream
-    ``(seed, 3)``; pairs with no difference are skipped."""
+    ``(seed, 3)``, drawn whole; the oracles, norms and ratios run over
+    blocks of ``_RATIO_ROWS`` rows.  Pairs with no difference are
+    skipped."""
     mu, q, d = region.mu, region.norm_exponent, region.dim
     rng = substream(seed, 3)
     C1 = _sample_costs(rng, n_pairs, d, 0.01, 10.0)
     C2 = _sample_costs(rng, n_pairs, d, 0.01, 10.0)
-    diff_star = dual_norm_rows(C1 - C2, q)
-    keep = diff_star > 1e-12
-    W = region.linopt_batch(C1)
-    W -= region.linopt_batch(C2)
-    w_dist = vector_norm_rows(W, q)
-    min_star = np.minimum(dual_norm_rows(C1, q), dual_norm_rows(C2, q))
-    ratio = (w_dist[keep] * mu * min_star[keep]) / diff_star[keep]
 
+    def block_ratios(rows: slice) -> tuple[np.ndarray]:
+        c1, c2 = C1[rows], C2[rows]
+        diff_star = dual_norm_rows(c1 - c2, q)
+        keep = diff_star > 1e-12
+        W = region.linopt_batch(c1)
+        W -= region.linopt_batch(c2)
+        w_dist = vector_norm_rows(W, q)
+        min_star = np.minimum(dual_norm_rows(c1, q), dual_norm_rows(c2, q))
+        return ((w_dist[keep] * mu * min_star[keep]) / diff_star[keep],)
+
+    [worst] = _row_block_maxima(n_pairs, block_ratios)
     witness = None
     if d >= 2 and q == 2.0:
         e1, e2 = np.zeros(d), np.zeros(d)
@@ -140,7 +162,7 @@ def _oracle_ratios(region: FeasibleRegion, seed: int,
         e2[1] = 1.0
         lhs = vector_norm_rows((region.linopt(e1) - region.linopt(e2))[None, :], q)[0]
         witness = float(lhs * mu * 1.0 / dual_norm_rows((e1 - e2)[None, :], q)[0])
-    return float(ratio.max()), witness
+    return worst, witness
 
 
 def _margin_ratios(region: FeasibleRegion, gamma: float, seed: int,
@@ -150,7 +172,8 @@ def _margin_ratios(region: FeasibleRegion, gamma: float, seed: int,
     ``5||c||*/(gamma mu)`` and the sharp ``(||c||*/mu + 2 omega_S(c))/gamma``.
     Its cost batches follow ``_oracle_ratios``'s two on stream ``(seed, 3)``,
     so the stream is advanced past those by the same generator calls, left
-    unnormalized."""
+    unnormalized.  Its three batches are drawn whole; the losses, norms and
+    ratios run over blocks of ``_RATIO_ROWS`` rows."""
     mu, q, d = region.mu, region.norm_exponent, region.dim
     rng = substream(seed, 3)
     for _ in range(2):
@@ -159,15 +182,20 @@ def _margin_ratios(region: FeasibleRegion, gamma: float, seed: int,
     CH1 = _sample_costs(rng, n_pairs, d, 0.01 * gamma, 3.0 * gamma)
     CH2 = _sample_costs(rng, n_pairs, d, 0.01 * gamma, 3.0 * gamma)
     C = _sample_costs(rng, n_pairs, d, 0.1, 3.0)
-    lhs = np.abs(margin_spo_loss_batch(region, CH1, C, gamma)
-                 - margin_spo_loss_batch(region, CH2, C, gamma))
-    step = dual_norm_rows(CH1 - CH2, q)
-    keep = step > 1e-12
-    c_star = dual_norm_rows(C, q)
-    lipschitz_5 = 5.0 * c_star / (gamma * mu)
-    lipschitz_sharp = (c_star / mu + 2.0 * region.gap_batch(C)) / gamma
-    return (float((lhs[keep] / (lipschitz_5[keep] * step[keep])).max()),
-            float((lhs[keep] / (lipschitz_sharp[keep] * step[keep])).max()))
+
+    def block_ratios(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        ch1, ch2, c = CH1[rows], CH2[rows], C[rows]
+        lhs = np.abs(margin_spo_loss_batch(region, ch1, c, gamma)
+                     - margin_spo_loss_batch(region, ch2, c, gamma))
+        step = dual_norm_rows(ch1 - ch2, q)
+        keep = step > 1e-12
+        c_star = dual_norm_rows(c, q)
+        lipschitz_5 = 5.0 * c_star / (gamma * mu)
+        lipschitz_sharp = (c_star / mu + 2.0 * region.gap_batch(c)) / gamma
+        return (lhs[keep] / (lipschitz_5[keep] * step[keep]),
+                lhs[keep] / (lipschitz_sharp[keep] * step[keep]))
+
+    return tuple(_row_block_maxima(n_pairs, block_ratios))
 
 
 def audit_oracle_lipschitz_like(seed: int, scale: int = 1) -> AuditResult:

@@ -18,18 +18,27 @@ rounds each row of a block's product as in the whole-array product, which
 BLAS does not promise.  OpenBLAS's SkylakeX dgemm takes a small-matrix
 kernel when M * N * K <= 1e6, and that kernel rounds a row by its place in
 the batch (blocks of 1, 7 or 64 rows were seen to move the last digit).
-So a block has at least ``SIGN_BLOCK_ROWS`` (512) rows, pinned, and enough
-more to lie past that bound, and a product within it is one block.  It
-also has as many rows as ``BLOCK_BYTES_MAX`` (1 MiB) holds of signs, or of
-correlations when there are more hypotheses than signs in a row, when that
-is more: the narrow sign kernel pays its array passes once per block, so
-narrow rows are drawn in few blocks.  ``_rng.substream_sign_blocks``
-splits the request evenly into blocks of at least that height.  A single
+So a block has enough rows to lie past that bound, and a product within it
+is one block; ``_rng.substream_sign_blocks`` splits the request evenly
+into blocks of at least the height asked for, so no block, the last
+included, is shorter.  A block also has at least ``SIGN_BLOCK_ROWS`` (128)
+rows, a measured floor.  Taller blocks are faster (at K = 2000 and H = 50
+the products of 2,000 draws took 9.0 ms in blocks of 66 rows and 6.5 ms in
+blocks of 128 to 667), and shorter ones are not safe past the bound either:
+blocks of 64 or 100 rows moved the last digit of some products at H = 100
+and K = 2000.  Every block the rule gives, at this floor and at 512, gave
+the whole product's bits for m of 500 to 3,000 draws, K of 50 to 2,000 and
+H of 2 to 400.  And a block has as many rows as ``BLOCK_BYTES_MAX`` (1 MiB)
+holds of signs, or of correlations when there are more hypotheses than
+signs in a row, when that is more: the narrow sign kernel pays its array
+passes once per block, so narrow rows are drawn in few blocks.  A single
 hypothesis makes the product a gemv, which also rounds a row by its place
 (and its threads split the rows), so its signs are drawn whole.  Equality
-was checked on OpenBLAS 0.3.31 (SkylakeX kernels) on the shapes of the
-tests; another BLAS build may move the last digit, and any one build gives
-the same estimate per seed.
+was checked on OpenBLAS 0.3.31 (SkylakeX kernels) with one and two
+threads; another BLAS build may move the last digit, and any one build
+gives the same estimate per seed.  OpenBLAS's Haswell kernel moves the
+last digit of blocked products at either floor, and the tests' estimates,
+means of the draws' sups, still came out equal.
 
 The hypothesis axis is a batch axis.  A hypothesis set stores its
 matrices as one (H, d, p) array and predicts a block of them at once:
@@ -80,9 +89,9 @@ from .losses import LabeledSample
 #: exhaustive-search budget for the Natarajan dimension
 NATARAJAN_MAX_POINTS = 12
 NATARAJAN_MAX_HYPOTHESES = 1 << 16
-#: least rows per sign block of ``_sup_correlations``; see the module
-#: docstring for why it is pinned
-SIGN_BLOCK_ROWS = 512
+#: least rows per sign block of ``_sup_correlations``, a measured floor;
+#: see the module docstring
+SIGN_BLOCK_ROWS = 128
 #: M * N * K up to which OpenBLAS's SkylakeX dgemm takes its small-matrix
 #: kernel; see the module docstring
 _SMALL_GEMM_MNK = 10 ** 6

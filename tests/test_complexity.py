@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spo_bounds import _rng, complexity
+from spo_bounds import _rng, audits, complexity
 from spo_bounds._rng import (ARRAY_BYTES_MAX, BLOCK_BYTES_MAX, substream,
                              substream_sign_blocks)
 from spo_bounds.complexity import (SIGN_BLOCK_ROWS, FiniteHypothesisSet,
@@ -59,7 +63,7 @@ class TestSignDraws:
         (1, 512, [1]), (511, 512, [511]), (1023, 512, [1023]), (1024, 512, [512, 512]),
         (1535, 512, [768, 767]), (2000, 512, [667, 667, 666]), (2000, 700, [1000, 1000])])
     def test_blocks_are_pinned_and_fold_the_tail(self, count, rows, heights):
-        assert SIGN_BLOCK_ROWS == 512
+        assert SIGN_BLOCK_ROWS == 128
         whole = whole_signs(5, count, 9)
         seen, buffers = [], set()
         for first, signs in substream_sign_blocks(5, count, 9, rows):
@@ -442,6 +446,35 @@ class TestStackedEstimators:
             assert np.array_equal(got, np.stack([xs @ B.T for B in mats]))
 
 
+def recorded_heights(monkeypatch) -> list[int]:
+    """The list into which the estimators' sign blocks record their heights
+    from now on."""
+    seen = []
+    draw_blocks = complexity.substream_sign_blocks
+
+    def recorded(*args):
+        for first, signs in draw_blocks(*args):
+            seen.append(len(signs))
+            yield first, signs
+
+    monkeypatch.setattr(complexity, "substream_sign_blocks", recorded)
+    return seen
+
+
+#: prints whether rad-multi at 2,000 signs a row, in the default blocks,
+#: equals the whole-array reference
+WIDE_SIGN_BLOCKS = """
+from spo_bounds._rng import substream
+from spo_bounds.complexity import FiniteHypothesisSet, rademacher_multivariate_mc
+from conftest import rademacher_multivariate_mc_ref
+rng = substream(33, 100)
+hyp = FiniteHypothesisSet(rng.standard_normal((100, 40, 5)))
+xs = rng.standard_normal((50, 5))
+print(rademacher_multivariate_mc(hyp, xs, 2000, 4)
+      == rademacher_multivariate_mc_ref(hyp, xs, 2000, 4))
+"""
+
+
 class TestEstimatorMemory:
     """One memory budget per estimator call: blocks of predictions and of
     signs, and refusals of the arrays that span every hypothesis."""
@@ -456,15 +489,7 @@ class TestEstimatorMemory:
         hyp = FiniteHypothesisSet(rng.standard_normal((100, 5, 3)))
         sample = LabeledSample(xs=rng.standard_normal((50, 3)),
                                cs=rng.standard_normal((50, 5)))
-        seen = []
-        draw_blocks = complexity.substream_sign_blocks
-
-        def recorded(*args):
-            for first, signs in draw_blocks(*args):
-                seen.append(len(signs))
-                yield first, signs
-
-        monkeypatch.setattr(complexity, "substream_sign_blocks", recorded)
+        seen = recorded_heights(monkeypatch)
         for width, estimate, reference in (
                 (50, lambda: rademacher_spo_mc(region, hyp, sample, 2000, 3),
                  lambda: rademacher_spo_mc_ref(region, hyp, sample, 2000, 3)),
@@ -474,6 +499,45 @@ class TestEstimatorMemory:
             seen.clear()
             assert estimate() == reference()
             assert seen == heights
+
+    @pytest.mark.parametrize("H", [50, 100])
+    @pytest.mark.parametrize("rows, heights", [
+        (128, [134] * 5 + [133] * 10), (512, [667, 667, 666]), (2000, [2000])])
+    def test_wide_sign_blocks_keep_the_bits(self, H, rows, heights, monkeypatch):
+        # rad-multi at 2,000 signs a row (n = 50, d = 40, as the bench's),
+        # where the row floor sets the height: 128 rows (the floor), 512
+        # (the earlier floor) and the whole request
+        rng = substream(33, H)
+        hyp = FiniteHypothesisSet(rng.standard_normal((H, 40, 5)))
+        xs = rng.standard_normal((50, 5))
+        seen = recorded_heights(monkeypatch)
+        monkeypatch.setattr(complexity, "SIGN_BLOCK_ROWS", rows)
+        assert rademacher_multivariate_mc(hyp, xs, 2000, 4) == \
+            rademacher_multivariate_mc_ref(hyp, xs, 2000, 4)
+        assert seen == heights
+
+    def test_wide_sign_blocks_keep_the_bits_on_haswell(self):
+        # OpenBLAS's Haswell kernel rounds blocked products apart from the
+        # whole one in the last digit; the estimate, a mean of 2,000 sups,
+        # still matches the whole-array reference in 15 blocks of 133-134
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(complexity.__file__).parents[1]), str(Path(__file__).parent)]),
+            OPENBLAS_CORETYPE="Haswell")
+        proc = subprocess.run([sys.executable, "-c", WIDE_SIGN_BLOCKS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
+
+    def test_wide_sign_rows_peak_under_5_mib(self):
+        # 2,000 draws of 2,000 signs once held 512 rows or more: 12.3 MiB
+        # for rad-multi at the bench shape, 11.3 MiB for the Frobenius audit
+        rng = substream(33, 100)
+        hyp = FiniteHypothesisSet(rng.standard_normal((100, 40, 5)))
+        xs = rng.standard_normal((50, 5))
+        for call in (lambda: rademacher_multivariate_mc(hyp, xs, 2000, 4),
+                     lambda: audits.audit_frobenius_domination(0)):
+            _, peak = traced_peak(call)
+            assert peak < 5 * 2 ** 20
 
     def test_call_peaks_stay_within_the_budgeted_arrays(self):
         # 200 hypotheses on 400 points of the 5 x 5 grid DAG (d = 40): 24.4
@@ -536,7 +600,7 @@ class TestEstimatorMemory:
     @pytest.mark.parametrize("estimator", ["rad-spo", "rad-multi"])
     def test_correlation_block_refused_before_any_draw(self, estimator, monkeypatch):
         # 1,000 hypotheses on 2 points: 2,000 draws in three blocks of at
-        # most 667 rows (the pinned 512-row floor), whose correlations
+        # most 667 rows (the small-matrix bound asks 501), whose correlations
         # need 8 * 667 * 1000 = 5,336,000 bytes; the budget is cut below
         # that, above the losses and predictions
         def no_work(*args):

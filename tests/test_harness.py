@@ -572,6 +572,33 @@ class TestLipschitzStages:
         result, peak = traced_peak(lambda: audits.audit_oracle_lipschitz_like(0))
         assert result.passed and peak < 18 * 2 ** 20
 
+    @pytest.mark.parametrize("audit", [audits.audit_oracle_lipschitz_like,
+                                       audits.audit_margin_loss_lipschitz])
+    def test_ratio_audits_hold_only_the_cost_draws(self, audit):
+        # the whole cost draws (8 and 7.2 MB) plus one block of rows; whole
+        # 100,000-row ratio passes peaked at 16.9 and 13.1 MiB
+        result, peak = traced_peak(lambda: audit(0))
+        assert result.passed and peak < 11 * 2 ** 20
+
+    def test_ratio_blocks_keep_the_floats(self, monkeypatch):
+        # blocks of 1,000 rows (with a 300-row tail at 20,300 pairs) and one
+        # block of every row give the same maxima
+        got = []
+        for rows in (1_000, 100_000):
+            monkeypatch.setattr(audits, "_RATIO_ROWS", rows)
+            got.append([audits._oracle_ratios(audits._ball(d), 5, n_pairs)
+                        for d, n_pairs in ((2, 20_300), (5, 100_000))]
+                       + [audits._margin_ratios(audits._ball(3, q), 0.5, 5, n_pairs)
+                          for q, n_pairs in ((2.0, 100_000), (1.5, 20_300))])
+        assert got[0] == got[1]
+
+    def test_ratio_audits_without_a_pair_raise(self):
+        # as the max of an empty array does, not -inf
+        for ratios in (lambda: audits._oracle_ratios(audits._ball(2), 0, 0),
+                       lambda: audits._margin_ratios(audits._ball(3), 0.5, 0, 0)):
+            with pytest.raises(ValueError, match="zero-size array"):
+                ratios()
+
     def test_each_audit_draws_only_what_it_reads(self, monkeypatch):
         drawn, processed = [], []
         log_uniform, sample_costs = audits._log_uniform, audits._sample_costs
